@@ -14,10 +14,15 @@ fields have zero spatial mean.
 
 Fields are sampled on a uniform collocation grid with M points per axis;
 inner products are trapezoidal sums, which are exact for trigonometric
-polynomials resolved by the grid.
+polynomials resolved by the grid.  Because each mode is a scalar profile
+times a constant vector, the basis is stored as two (N, M^d) scalar
+profile tables plus per-mode constants, and every transform is a matrix
+product on those tables (see GalerkinSpace).
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,23 +39,28 @@ def _is_canonical(xi: tuple[int, ...]) -> bool:
     return False
 
 
+def _cross(a, b) -> tuple[float, float, float]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _unit(v) -> tuple[float, ...]:
+    norm = math.hypot(*v)
+    return tuple(c / norm for c in v)
+
+
 def _polarizations(xi: tuple[int, ...]) -> list[tuple[float, ...]]:
     """Unit vectors orthogonal to xi, deterministically oriented.
 
     d=2: the counterclockwise rotation of xi.  d=3: cross products with the
     coordinate axis least aligned with xi, then the completing vector.
     """
-    v = np.asarray(xi, dtype=float)
-    if len(xi) == 2:
-        perp = np.array([-v[1], v[0]]) / np.linalg.norm(v)
-        return [tuple(perp)]
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(v)))] = 1.0
-    p1 = np.cross(v, axis)
-    p1 /= np.linalg.norm(p1)
-    p2 = np.cross(v, p1)
-    p2 /= np.linalg.norm(p2)
-    return [tuple(p1), tuple(p2)]
+    v = [float(c) for c in xi]
+    if len(v) == 2:
+        return [_unit((-v[1], v[0]))]
+    axis = [0.0, 0.0, 0.0]
+    axis[min(range(3), key=lambda i: abs(v[i]))] = 1.0
+    p1 = _unit(_cross(v, axis))
+    return [p1, _unit(_cross(v, p1))]
 
 
 @dataclass(frozen=True)
@@ -97,43 +107,48 @@ class GridField:
 
 
 def _enumerate_modes(d: int, count: int) -> list[WaveMode]:
-    """The first `count` modes in (eigenvalue, xi, parity, pol) order."""
-    modes: list[WaveMode] = []
+    """The first `count` modes in (eigenvalue, xi, parity, pol) order.
+
+    The ball of wavevectors grows until it holds `count` modes; the modes
+    are ordered by key first, so only the retained ones are constructed.
+    """
+    n_pol = d - 1
     radius = 1
     while True:
-        modes.clear()
-        rng = range(-radius, radius + 1)
-        for xi in np.ndindex(*([2 * radius + 1] * d)):
-            vec = tuple(int(c) - radius for c in xi)
-            if not _is_canonical(vec):
-                continue
-            if sum(c * c for c in vec) > radius * radius:
-                continue
-            for parity in ("cos", "sin"):
-                for i, pol in enumerate(_polarizations(vec)):
-                    modes.append(WaveMode(vec, parity, pol, i))
-        if len(modes) >= count:
+        vecs = [vec for vec in itertools.product(range(-radius, radius + 1), repeat=d)
+                if _is_canonical(vec) and sum(c * c for c in vec) <= radius * radius]
+        if 2 * n_pol * len(vecs) >= count:
             break
         radius += 1
-    modes.sort(key=lambda m: (m.eigenvalue, m.xi, m.parity, m.pol_index))
-    return modes[:count]
+    keys = sorted((sum(c * c for c in vec), vec, parity, i)
+                  for vec in vecs for parity in ("cos", "sin") for i in range(n_pol))[:count]
+    pols = {vec: _polarizations(vec) for vec in dict.fromkeys(key[1] for key in keys)}
+    return [WaveMode(vec, parity, pols[vec][i], i) for _, vec, parity, i in keys]
 
 
 @dataclass(frozen=True)
 class GalerkinSpace:
     """Immutable span of the first N Stokes eigenmodes plus its grid.
 
-    Precomputes mode samples, gradients and symmetric gradients on the
-    collocation grid so that all transforms are dense linear algebra.
+    Every mode is a scalar profile times a constant vector, so the basis is
+    stored in factored form: the value profiles a_n(x) = amp {cos|sin}(xi_n.x)
+    and derivative profiles b_n(x) on the collocation grid, plus the
+    per-mode polarizations pol_n and gradient tensors G_n = pol_n (x) xi_n.
+    Then w_n = a_n pol_n, grad w_n = b_n G_n and eps(w_n) = b_n sym(G_n),
+    and every transform is a GEMM on an (N, M^d) profile table followed by
+    a small contraction with the per-mode constants.  The dense tables
+    mode_fields, mode_grads and mode_eps are lazy views for oracles.
     """
 
     d: int
     N: int
     M: int
     modes: tuple[WaveMode, ...]
-    points: np.ndarray = field(repr=False)       # (M^d, d)
-    mode_fields: np.ndarray = field(repr=False)  # (N, M^d, d)
-    mode_grads: np.ndarray = field(repr=False)   # (N, M^d, d, d); [..., i, j] = d_j w_i
+    points: np.ndarray = field(repr=False)          # (M^d, d)
+    value_profiles: np.ndarray = field(repr=False)  # (N, M^d); w_n = a_n pol_n
+    deriv_profiles: np.ndarray = field(repr=False)  # (N, M^d); grad w_n = b_n G_n
+    pols: np.ndarray = field(repr=False)            # (N, d)
+    grad_tensors: np.ndarray = field(repr=False)    # (N, d, d); [n, i, j] = pol_i xi_j
     quad_weight: float
 
     @cached_property
@@ -141,9 +156,33 @@ class GalerkinSpace:
         return np.array([m.eigenvalue for m in self.modes])
 
     @cached_property
+    def strain_tensors(self) -> np.ndarray:
+        """sym(G_n), so that eps(w_n) = b_n sym(G_n); shape (N, d, d)."""
+        return 0.5 * (self.grad_tensors + np.swapaxes(self.grad_tensors, -1, -2))
+
+    @cached_property
+    def distinct_profiles(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, index): one mode per distinct profile, and the position of
+        each mode's profile among those rows.  Modes that differ only in
+        polarization (both of each (xi, parity) pair in d=3) share a profile."""
+        keys = np.array([(*m.xi, m.parity == "cos") for m in self.modes])
+        _, rows, index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        return rows, index.ravel()
+
+    @cached_property
+    def mode_fields(self) -> np.ndarray:
+        """Dense samples of all modes, shape (N, M^d, d)."""
+        return self.value_profiles[:, :, None] * self.pols[:, None, :]
+
+    @cached_property
+    def mode_grads(self) -> np.ndarray:
+        """Dense gradients, shape (N, M^d, d, d); [..., i, j] = d_j w_i."""
+        return self.deriv_profiles[:, :, None, None] * self.grad_tensors[:, None]
+
+    @cached_property
     def mode_eps(self) -> np.ndarray:
-        """Symmetric gradients of all modes, shape (N, M^d, d, d)."""
-        return 0.5 * (self.mode_grads + np.swapaxes(self.mode_grads, -1, -2))
+        """Dense symmetric gradients of all modes, shape (N, M^d, d, d)."""
+        return self.deriv_profiles[:, :, None, None] * self.strain_tensors[:, None]
 
     @property
     def domain_measure(self) -> float:
@@ -152,9 +191,6 @@ class GalerkinSpace:
     @property
     def grid_shape(self) -> tuple[int, ...]:
         return (self.M,) * self.d
-
-    def max_wavenumber(self) -> int:
-        return max(max(abs(c) for c in m.xi) for m in self.modes)
 
 
 def build_space(d: int, N: int, M: int) -> GalerkinSpace:
@@ -181,23 +217,18 @@ def build_space(d: int, N: int, M: int) -> GalerkinSpace:
     points = np.stack([g.ravel() for g in grids], axis=-1)  # (M^d, d)
 
     amp = np.sqrt(2.0) / TWO_PI ** (d / 2.0)
-    n_pts = points.shape[0]
-    fields = np.empty((N, n_pts, d))
-    grads = np.empty((N, n_pts, d, d))
-    for n, mode in enumerate(modes):
-        xi = np.asarray(mode.xi, dtype=float)
-        pol = np.asarray(mode.pol)
-        phase = points @ xi
-        if mode.parity == "cos":
-            val, dval = np.cos(phase), -np.sin(phase)
-        else:
-            val, dval = np.sin(phase), np.cos(phase)
-        fields[n] = amp * val[:, None] * pol[None, :]
-        grads[n] = amp * dval[:, None, None] * pol[None, :, None] * xi[None, None, :]
+    xis = np.array([m.xi for m in modes], dtype=float)
+    pols = np.array([m.pol for m in modes])
+    phase = xis @ points.T  # (N, M^d)
+    is_cos = np.array([m.parity == "cos" for m in modes])[:, None]
+    cos, sin = np.cos(phase), np.sin(phase)
+    values = amp * np.where(is_cos, cos, sin)
+    derivs = amp * np.where(is_cos, -sin, cos)
 
     return GalerkinSpace(
-        d=d, N=N, M=M, modes=tuple(modes),
-        points=points, mode_fields=fields, mode_grads=grads,
+        d=d, N=N, M=M, modes=tuple(modes), points=points,
+        value_profiles=values, deriv_profiles=derivs, pols=pols,
+        grad_tensors=pols[:, :, None] * xis[:, None, :],
         quad_weight=(TWO_PI / M) ** d,
     )
 
@@ -208,12 +239,24 @@ def suggest_grid(d: int, N: int, factor: int = 3) -> int:
     return factor * kmax + 1
 
 
-def synthesize(space: GalerkinSpace, coeffs: np.ndarray) -> GridField:
-    """Sample sum_k c_k w_k on the collocation grid."""
+def _check_coeffs(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (space.N,):
         raise ValueError(f"expected {space.N} coefficients, got shape {coeffs.shape}")
-    values = np.einsum("n,nxd->xd", coeffs, space.mode_fields)
+    return coeffs
+
+
+def _tensor_field(space: GalerkinSpace, coeffs: np.ndarray, tensors: np.ndarray) -> np.ndarray:
+    """sum_n c_n b_n(x) T_n at every grid point, shape (M^d, d, d)."""
+    d = space.d
+    weighted = coeffs[:, None] * tensors.reshape(space.N, d * d)
+    return (space.deriv_profiles.T @ weighted).reshape(-1, d, d)
+
+
+def synthesize(space: GalerkinSpace, coeffs: np.ndarray) -> GridField:
+    """Sample sum_k c_k w_k on the collocation grid."""
+    coeffs = _check_coeffs(space, coeffs)
+    values = space.value_profiles.T @ (coeffs[:, None] * space.pols)
     return GridField(values=values, domain_measure=space.domain_measure)
 
 
@@ -222,21 +265,27 @@ def analyze(space: GalerkinSpace, fld: GridField) -> np.ndarray:
     values = fld.values if isinstance(fld, GridField) else np.asarray(fld)
     if values.shape != (space.M ** space.d, space.d):
         raise ValueError(f"field shape {values.shape} inconsistent with space")
-    return space.quad_weight * np.einsum("xd,nxd->n", values, space.mode_fields)
+    return space.quad_weight * np.einsum(
+        "nd,nd->n", space.value_profiles @ values, space.pols)
+
+
+def analyze_gradient(space: GalerkinSpace, values: np.ndarray, symmetric: bool = False) -> np.ndarray:
+    """<F, grad w_k> for a tensor field F of shape (M^d, d, d); <F, eps(w_k)>
+    when symmetric."""
+    tensors = space.strain_tensors if symmetric else space.grad_tensors
+    moments = space.deriv_profiles @ values.reshape(len(values), -1)  # (N, d*d)
+    return space.quad_weight * np.einsum(
+        "nk,nk->n", moments, tensors.reshape(space.N, -1))
 
 
 def velocity_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     """Full gradient of the synthesized field, shape (M^d, d, d)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (space.N,):
-        raise ValueError(f"expected {space.N} coefficients, got shape {coeffs.shape}")
-    return np.einsum("n,nxij->xij", coeffs, space.mode_grads)
+    return _tensor_field(space, _check_coeffs(space, coeffs), space.grad_tensors)
 
 
 def symmetric_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     """Shear-rate tensor eps(v) at every grid point, shape (M^d, d, d)."""
-    grad = velocity_gradient(space, coeffs)
-    return 0.5 * (grad + np.swapaxes(grad, -1, -2))
+    return _tensor_field(space, _check_coeffs(space, coeffs), space.strain_tensors)
 
 
 def l2_norm(space: GalerkinSpace, fld: GridField) -> float:

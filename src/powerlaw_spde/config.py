@@ -85,6 +85,9 @@ class SimulationConfig:
             raise ConfigError("noise_family", f"unknown family {self.noise_family!r}")
         if self.forcing not in ("zero", "steady_mode"):
             raise ConfigError("forcing", f"unknown forcing {self.forcing!r}")
+        if not 1 <= self.forcing_mode_index <= self.N:
+            raise ConfigError("forcing_mode_index",
+                              f"must be a mode index in 1..N={self.N}, got {self.forcing_mode_index}")
         if self.initial not in ("coeffs", "single_mode"):
             raise ConfigError("initial", f"unknown initial data {self.initial!r}")
         if self.n_traj < 1:

@@ -71,11 +71,6 @@ def eval_stress(params: ConstitutiveParams, eps: np.ndarray) -> np.ndarray:
     return scale[..., None, None] * eps
 
 
-def stress_scale(params: ConstitutiveParams, mag: np.ndarray) -> np.ndarray:
-    """Scalar factor nu0 * (1 + t)^(p-2) applied to a strain of norm t."""
-    return params.nu0 * (1.0 + np.asarray(mag, dtype=float)) ** (params.p - 2.0)
-
-
 def stress_potential(params: ConstitutiveParams, eps: np.ndarray) -> np.ndarray:
     """Convex potential F with dF/deps = S, in closed form.
 

@@ -18,7 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import GalerkinSpace, GridField, analyze, symmetric_gradient, synthesize, velocity_gradient
+from .basis import (
+    GalerkinSpace,
+    GridField,
+    analyze,
+    analyze_gradient,
+    symmetric_gradient,
+    synthesize,
+    velocity_gradient,
+)
 from .constitutive import (
     ConstitutiveParams,
     eval_stabilizer,
@@ -97,27 +105,28 @@ class IntegratorError(RuntimeError):
         self.residual = residual
 
 
-def stress_force(params: ConstitutiveParams, space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
-    """-int S(eps(v)) : eps(w_k) dx for each k."""
-    eps = symmetric_gradient(space, coeffs)
-    s = eval_stress(params, eps)
-    return -space.quad_weight * np.einsum("xij,nxij->n", s, space.mode_eps)
+def stress_force(params: ConstitutiveParams, space: GalerkinSpace, coeffs: np.ndarray,
+                 eps: np.ndarray | None = None) -> np.ndarray:
+    """-int S(eps(v)) : eps(w_k) dx for each k; eps(v) may be passed in."""
+    if eps is None:
+        eps = symmetric_gradient(space, coeffs)
+    return -analyze_gradient(space, eval_stress(params, eps), symmetric=True)
 
 
-def stabilizer_force(params: ConstitutiveParams, space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
-    """-alpha int |v|^(q-2) v . w_k dx for each k."""
+def stabilizer_force(params: ConstitutiveParams, space: GalerkinSpace, coeffs: np.ndarray,
+                     v: np.ndarray | None = None) -> np.ndarray:
+    """-alpha int |v|^(q-2) v . w_k dx for each k; the samples of v may be passed in."""
     if params.alpha == 0.0:
         return np.zeros(space.N)
-    v = synthesize(space, coeffs).values
-    s = eval_stabilizer(params, v)
-    return -space.quad_weight * np.einsum("xd,nxd->n", s, space.mode_fields)
+    if v is None:
+        v = synthesize(space, coeffs).values
+    return -analyze(space, eval_stabilizer(params, v))
 
 
 def convection_force(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     """int v (x) v : grad w_k dx (divergence form) for each k."""
     v = synthesize(space, coeffs).values
-    tensor = v[:, :, None] * v[:, None, :]
-    return space.quad_weight * np.einsum("xij,nxij->n", tensor, space.mode_grads)
+    return analyze_gradient(space, v[:, :, None] * v[:, None, :])
 
 
 def forcing_term(space: GalerkinSpace, forcing: Forcing, step: int) -> np.ndarray:
@@ -145,7 +154,11 @@ def assemble_drift(
 def assemble_diffusion(model: NoiseModel, space: GalerkinSpace, state: VelocityState) -> np.ndarray:
     """N x K matrix Sigma_kl = int g_l(v) . w_k dx."""
     phi = apply_phi(model, space, synthesize(space, state.coeffs))  # (K, M^d, d)
-    return space.quad_weight * np.einsum("lxd,nxd->nl", phi, space.mode_fields)
+    K, n_pts, d = phi.shape
+    # one GEMM for all K fields: moments[n, l, :] = sum_x a_n(x) phi_l(x)
+    moments = space.value_profiles @ phi.transpose(1, 0, 2).reshape(n_pts, K * d)
+    return space.quad_weight * np.einsum(
+        "nld,nd->nl", moments.reshape(space.N, K, d), space.pols)
 
 
 def trilinear_convection(space: GalerkinSpace, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
@@ -162,31 +175,58 @@ def project_initial(space: GalerkinSpace, fld: GridField) -> VelocityState:
     return VelocityState(coeffs=analyze(space, fld), time=0.0)
 
 
-def _implicit_gradient(params, space, coeffs, rhs, dt):
+def _implicit_fields(params, space, coeffs):
+    """eps(v_C) and, with the stabilizer on, the samples of v_C: the fields
+    that the objective, its gradient and its Hessian at C all read."""
+    eps = symmetric_gradient(space, coeffs)
+    v = synthesize(space, coeffs).values if params.alpha > 0.0 else None
+    return eps, v
+
+
+def _implicit_gradient(params, space, coeffs, rhs, dt, fields):
     """Gradient of the convex objective
     J(C) = 0.5|C - rhs|^2 + dt * (int F(eps(v_C)) + (alpha/q) int |v_C|^q)."""
+    eps, v = fields
     return coeffs - rhs - dt * (
-        stress_force(params, space, coeffs) + stabilizer_force(params, space, coeffs)
+        stress_force(params, space, coeffs, eps) + stabilizer_force(params, space, coeffs, v)
     )
 
 
-def _implicit_objective(params, space, coeffs, rhs, dt):
-    eps = symmetric_gradient(space, coeffs)
+def _implicit_objective(params, space, coeffs, rhs, dt, fields):
+    eps, v = fields
     total = space.quad_weight * float(np.sum(stress_potential(params, eps)))
-    if params.alpha > 0.0:
-        v = synthesize(space, coeffs).values
+    if v is not None:
         total += space.quad_weight * float(np.sum(stabilizer_potential(params, v)))
     return 0.5 * float(np.sum((coeffs - rhs) ** 2)) + dt * total
 
 
-def _implicit_hessian(params, space, coeffs, dt):
-    """Exact Hessian of the implicit objective; symmetric positive definite."""
-    w = space.quad_weight
-    eps = symmetric_gradient(space, coeffs)
-    mag = np.sqrt(np.sum(eps ** 2, axis=(-2, -1)))
+def _gram(rows, weight):
+    """sum_x weight(x) r_n(x) r_m(x) for a weight of one sign, as a
+    symmetric rank-k product (half the flops of a general GEMM)."""
+    sign = -1.0 if np.any(weight < 0.0) else 1.0
+    root = rows * np.sqrt(sign * weight)
+    return sign * (root @ root.T)
+
+
+def _implicit_hessian(params, space, dt, fields):
+    """Exact Hessian of the implicit objective; symmetric positive definite.
+
+    With eps(w_n) = b_n sym(G_n) and w_n = a_n pol_n, a weighted Gram matrix
+    int c eps(w_n) : eps(w_m) dx is the profile Gram (b c) b^T times the
+    constant (sym G)(sym G)^T elementwise, and likewise for the w_n . w_m
+    terms of the stabilizer.  The profile Grams run over distinct profiles
+    only; the rank-one parts need one row per mode.
+    """
+    eps, v = fields
+    w = space.quad_weight * dt
+    rows, index = space.distinct_profiles
+    spread = np.ix_(index, index)
+    b = space.deriv_profiles
+    strain = space.strain_tensors.reshape(space.N, -1)
+    flat_eps = eps.reshape(len(eps), -1)
+    mag = np.sqrt(np.sum(flat_eps ** 2, axis=-1))
     c1 = params.nu0 * (1.0 + mag) ** (params.p - 2.0)
-    flat_eps = space.mode_eps.reshape(space.N, -1)
-    hess = (flat_eps * (w * dt * c1).repeat(space.d ** 2)) @ flat_eps.T
+    hess = _gram(b[rows], w * c1)[spread] * (strain @ strain.T)
 
     # rank-one part of D^2 F: (p-2)(1+t)^(p-3) (eps:A)(eps:B)/t, vanishing
     # with t -> 0
@@ -194,49 +234,53 @@ def _implicit_hessian(params, space, coeffs, dt):
     if np.any(safe):
         c2 = np.where(safe, (params.p - 2.0) * params.nu0
                       * (1.0 + mag) ** (params.p - 3.0) / np.where(safe, mag, 1.0), 0.0)
-        proj = np.einsum("nxij,xij->nx", space.mode_eps, eps)
-        hess += (proj * (w * dt * c2)) @ proj.T
+        proj = b * (strain @ flat_eps.T)  # eps(w_n) : eps at every point
+        hess += _gram(proj, w * c2)
 
-    if params.alpha > 0.0:
-        v = synthesize(space, coeffs).values
+    if v is not None:
+        a, pols = space.value_profiles, space.pols
         vmag = np.linalg.norm(v, axis=-1)
         a1 = params.alpha * vmag ** (params.q - 2.0)
-        flat_w = space.mode_fields.reshape(space.N, -1)
-        hess += (flat_w * (w * dt * a1).repeat(space.d)) @ flat_w.T
+        hess += _gram(a[rows], w * a1)[spread] * (pols @ pols.T)
         vsafe = vmag > 1e-14
         if np.any(vsafe):
             a2 = np.where(vsafe, (params.q - 2.0) * params.alpha
                           * np.where(vsafe, vmag, 1.0) ** (params.q - 4.0), 0.0)
-            vproj = np.einsum("nxd,xd->nx", space.mode_fields, v)
-            hess += (vproj * (w * dt * a2)) @ vproj.T
+            vproj = a * (pols @ v.T)  # w_n . v at every point
+            hess += _gram(vproj, w * a2)
 
     hess += np.eye(space.N)
     return hess
 
 
 def _solve_implicit(params, space, rhs, dt, tol, max_iter):
+    # The fields are evaluated once per iterate: a trial accepted by the
+    # line search carries its fields and objective into the next iteration.
     coeffs = rhs.copy()
+    fields = _implicit_fields(params, space, coeffs)
+    value = _implicit_objective(params, space, coeffs, rhs, dt, fields)
     for _ in range(max_iter):
-        grad = _implicit_gradient(params, space, coeffs, rhs, dt)
+        grad = _implicit_gradient(params, space, coeffs, rhs, dt, fields)
         res = float(np.linalg.norm(grad))
         if not np.isfinite(res):
             raise IntegratorError("non-finite Newton residual", residual=res)
         if res <= tol:
             return coeffs
-        hess = _implicit_hessian(params, space, coeffs, dt)
+        hess = _implicit_hessian(params, space, dt, fields)
         direction = np.linalg.solve(hess, -grad)
         # backtracking on the convex objective
-        base = _implicit_objective(params, space, coeffs, rhs, dt)
         lam = 1.0
         for _ in range(40):
             trial = coeffs + lam * direction
-            if _implicit_objective(params, space, trial, rhs, dt) < base + 1e-14:
-                coeffs = trial
+            trial_fields = _implicit_fields(params, space, trial)
+            trial_value = _implicit_objective(params, space, trial, rhs, dt, trial_fields)
+            if trial_value < value + 1e-14:
+                coeffs, fields, value = trial, trial_fields, trial_value
                 break
             lam *= 0.5
         else:
             raise IntegratorError("Newton line search failed", residual=res)
-    grad = _implicit_gradient(params, space, coeffs, rhs, dt)
+    grad = _implicit_gradient(params, space, coeffs, rhs, dt, fields)
     res = float(np.linalg.norm(grad))
     if res <= tol:
         return coeffs

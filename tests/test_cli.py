@@ -59,6 +59,15 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert "p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index", [0, 5])
+def test_forcing_mode_index_out_of_range_exits_two(tmp_path, capsys, index):
+    # N = 4: index 0 used to force the last mode, index 5 raised IndexError
+    cfg = write_config(tmp_path, forcing="steady_mode", forcing_mode_index=index)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "forcing_mode_index" in capsys.readouterr().err
+
+
 def test_verify_known_suite(tmp_path):
     out = tmp_path / "reports"
     assert main(["verify", "--suite", "constitutive", "--out", str(out)]) == 0

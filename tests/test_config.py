@@ -34,6 +34,8 @@ def test_field_validation_messages():
         ({"forcing": "ramp"}, "forcing"),
         ({"initial": "random"}, "initial"),
         ({"n_traj": 0}, "n_traj"),
+        ({"forcing_mode_index": 0}, "forcing_mode_index"),
+        ({"N": 4, "forcing_mode_index": 5}, "forcing_mode_index"),
         ({"version": 2}, "version"),
     ]:
         with pytest.raises(ConfigError) as err:

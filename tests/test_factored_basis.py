@@ -1,0 +1,181 @@
+"""The factored basis (scalar profile times a constant tensor per mode)
+against dense-table oracles built from mode_fields / mode_grads / mode_eps."""
+import numpy as np
+import pytest
+
+from powerlaw_spde.basis import (
+    analyze,
+    build_space,
+    suggest_grid,
+    symmetric_gradient,
+    synthesize,
+    velocity_gradient,
+)
+from powerlaw_spde.constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
+from powerlaw_spde.galerkin import (
+    VelocityState,
+    _implicit_fields,
+    _implicit_gradient,
+    _implicit_hessian,
+    assemble_diffusion,
+    convection_force,
+    stabilizer_force,
+    stress_force,
+)
+from powerlaw_spde.noise import FAMILIES, NoiseModel, apply_phi
+
+RTOL = 1e-12
+SIZES = {2: 24, 3: 20}  # N per dimension; d=3 pairs share profiles
+
+
+def make_space(d):
+    N = SIZES[d]
+    return build_space(d, N, suggest_grid(d, N))
+
+
+def random_coeffs(space, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(space.N) / np.sqrt(space.N)
+
+
+def assert_close(got, want):
+    scale = float(np.max(np.abs(want)))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= RTOL * scale
+
+
+def dense_hessian(params, space, coeffs, dt):
+    """The Hessian of the implicit objective from the dense tables."""
+    w = space.quad_weight * dt
+    eps = np.einsum("n,nxij->xij", coeffs, space.mode_eps)
+    mag = np.sqrt(np.sum(eps ** 2, axis=(-2, -1)))
+    flat = space.mode_eps.reshape(space.N, len(eps), -1)
+    c1 = params.nu0 * (1.0 + mag) ** (params.p - 2.0)
+    hess = np.einsum("nxk,x,mxk->nm", flat, w * c1, flat)
+    c2 = (params.p - 2.0) * params.nu0 * (1.0 + mag) ** (params.p - 3.0) / mag
+    proj = np.einsum("nxij,xij->nx", space.mode_eps, eps)
+    hess += (proj * (w * c2)) @ proj.T
+    if params.alpha > 0.0:
+        v = np.einsum("n,nxd->xd", coeffs, space.mode_fields)
+        vmag = np.linalg.norm(v, axis=-1)
+        a1 = params.alpha * vmag ** (params.q - 2.0)
+        hess += np.einsum("nxd,x,mxd->nm", space.mode_fields, w * a1, space.mode_fields)
+        a2 = (params.q - 2.0) * params.alpha * vmag ** (params.q - 4.0)
+        vproj = np.einsum("nxd,xd->nx", space.mode_fields, v)
+        hess += (vproj * (w * a2)) @ vproj.T
+    return hess + np.eye(space.N)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dense_views_are_the_sampled_modes(d):
+    space = make_space(d)
+    amp = np.sqrt(2.0) / (2.0 * np.pi) ** (d / 2.0)
+    for n, mode in enumerate(space.modes):
+        xi, pol = np.asarray(mode.xi, dtype=float), np.asarray(mode.pol)
+        phase = space.points @ xi
+        val, dval = ((np.cos(phase), -np.sin(phase)) if mode.parity == "cos"
+                     else (np.sin(phase), np.cos(phase)))
+        grad = amp * dval[:, None, None] * np.outer(pol, xi)
+        assert np.allclose(space.mode_fields[n], amp * val[:, None] * pol, rtol=0, atol=1e-13)
+        assert np.allclose(space.mode_grads[n], grad, rtol=0, atol=1e-13)
+        assert np.allclose(space.mode_eps[n], 0.5 * (grad + np.swapaxes(grad, -1, -2)),
+                           rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_distinct_profiles_index_the_mode_rows(d):
+    space = make_space(d)
+    rows, index = space.distinct_profiles
+    assert np.array_equal(space.value_profiles[rows][index], space.value_profiles)
+    assert np.array_equal(space.deriv_profiles[rows][index], space.deriv_profiles)
+    assert len(rows) == (space.N if d == 2 else space.N // 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_transforms_match_dense_oracle(d):
+    space = make_space(d)
+    c = random_coeffs(space)
+    assert_close(synthesize(space, c).values,
+                 np.einsum("n,nxd->xd", c, space.mode_fields))
+    assert_close(velocity_gradient(space, c),
+                 np.einsum("n,nxij->xij", c, space.mode_grads))
+    assert_close(symmetric_gradient(space, c),
+                 np.einsum("n,nxij->xij", c, space.mode_eps))
+    fld = np.random.default_rng(1).standard_normal((space.M ** d, d))
+    assert_close(analyze(space, fld),
+                 space.quad_weight * np.einsum("xd,nxd->n", fld, space.mode_fields))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1.6, 2.5])
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_forces_match_dense_oracle(d, p, alpha):
+    space = make_space(d)
+    params = ConstitutiveParams(p=p, alpha=alpha, d=d)
+    c = random_coeffs(space, seed=2)
+    w = space.quad_weight
+    eps = np.einsum("n,nxij->xij", c, space.mode_eps)
+    v = np.einsum("n,nxd->xd", c, space.mode_fields)
+    assert_close(stress_force(params, space, c),
+                 -w * np.einsum("xij,nxij->n", eval_stress(params, eps), space.mode_eps))
+    if alpha > 0.0:
+        assert_close(stabilizer_force(params, space, c),
+                     -w * np.einsum("xd,nxd->n", eval_stabilizer(params, v), space.mode_fields))
+    tensor = v[:, :, None] * v[:, None, :]
+    assert_close(convection_force(space, c),
+                 w * np.einsum("xij,nxij->n", tensor, space.mode_grads))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_diffusion_matches_dense_oracle(d, family):
+    space = make_space(d)
+    state = VelocityState(random_coeffs(space, seed=3))
+    model = NoiseModel(family=family, K=6, d=d)
+    phi = apply_phi(model, space, synthesize(space, state.coeffs))
+    want = space.quad_weight * np.einsum("lxd,nxd->nl", phi, space.mode_fields)
+    got = assemble_diffusion(model, space, state)
+    if family == "additive":
+        # constant fields project to zero on the mean-free modes
+        assert np.max(np.abs(got)) < 1e-12 and np.max(np.abs(want)) < 1e-12
+    else:
+        assert_close(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1.6, 2.5])
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_hessian_matches_dense_oracle(d, p, alpha):
+    space = make_space(d)
+    params = ConstitutiveParams(p=p, alpha=alpha, d=d)
+    c = random_coeffs(space, seed=4)
+    dt = 0.3
+    hess = _implicit_hessian(params, space, dt, _implicit_fields(params, space, c))
+    assert np.array_equal(hess, hess.T)
+    assert_close(hess, dense_hessian(params, space, c, dt))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1.6, 2.5])
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_hessian_is_jacobian_of_gradient(d, p, alpha):
+    space = make_space(d)
+    params = ConstitutiveParams(p=p, alpha=alpha, d=d)
+    c = random_coeffs(space, seed=5)
+    rhs = random_coeffs(space, seed=6)
+    dt, h = 0.3, 1e-6
+
+    def gradient(coeffs):
+        fields = _implicit_fields(params, space, coeffs)
+        return _implicit_gradient(params, space, coeffs, rhs, dt, fields)
+
+    hess = _implicit_hessian(params, space, dt, _implicit_fields(params, space, c))
+    jac = np.empty_like(hess)
+    for j in range(space.N):
+        e = np.zeros(space.N)
+        e[j] = h
+        jac[:, j] = (gradient(c + e) - gradient(c - e)) / (2.0 * h)
+    # compare the parts beyond the identity of 0.5|C - rhs|^2
+    curvature = np.max(np.abs(hess - np.eye(space.N)))
+    assert curvature > 1e-3
+    assert np.max(np.abs(jac - hess)) <= 1e-6 * curvature
