@@ -5,7 +5,7 @@ from .basis import GalerkinSpace, GridField, WaveMode, analyze, build_space, sug
 from .config import SimulationConfig
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress, monotonicity_gap, stress_potential
 from .galerkin import Forcing, SdeStepConfig, Trajectory, VelocityState, run_trajectory, step
-from .noise import NoiseModel, WienerPath, apply_phi, eval_g, sample_increments, u0_norm
+from .noise import NoiseModel, WienerPath, apply_phi, eval_g, u0_norm
 from .truncation import TruncationFamily
 
 __all__ = [
@@ -16,8 +16,7 @@ __all__ = [
     "monotonicity_gap", "stress_potential",
     "Forcing", "SdeStepConfig", "Trajectory", "VelocityState",
     "run_trajectory", "step",
-    "NoiseModel", "WienerPath", "apply_phi", "eval_g", "sample_increments",
-    "u0_norm",
+    "NoiseModel", "WienerPath", "apply_phi", "eval_g", "u0_norm",
     "TruncationFamily",
 ]
 

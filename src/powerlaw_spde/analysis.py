@@ -9,6 +9,7 @@ from .basis import GalerkinSpace, synthesize, symmetric_gradient
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
 from .galerkin import (
     Forcing,
+    IntegratorError,
     SdeStepConfig,
     Trajectory,
     interpolation_exponent,
@@ -61,6 +62,7 @@ class EnergyReport:
     interp_lr0: np.ndarray
     beta: float
     r0: float
+    failures: list[dict] = field(default_factory=list)
 
     def __post_init__(self):
         for name in ("sup_l2_sq", "grad_lp", "stab_lq", "interp_lr0"):
@@ -100,6 +102,7 @@ class EnergyReport:
             "r0": self.r0,
             "moment_beta_mean": mom,
             "moment_beta_se": mom_se,
+            **failure_summary(self.failures),
         }
 
 
@@ -117,6 +120,15 @@ def report_from_trajectories(trajectories: list[Trajectory], beta: float | None 
     )
 
 
+class EnsembleError(RuntimeError):
+    """Raised when too few trajectories of an ensemble complete."""
+
+
+def failure_summary(failures: list[dict]) -> dict:
+    """The keys a report gains when some trajectories failed; none otherwise."""
+    return {"failed_trajectories": failures, "partial": True} if failures else {}
+
+
 def run_ensemble(
     params: ConstitutiveParams,
     space: GalerkinSpace,
@@ -127,20 +139,29 @@ def run_ensemble(
     n_steps: int,
     base_seed: int,
     n_traj: int,
-) -> list[Trajectory]:
-    """Independent trajectories with seeds base_seed, base_seed+1, ..."""
+    min_complete: int = 1,
+) -> tuple[list[Trajectory], list[dict]]:
+    """Independent trajectories with seeds base_seed, base_seed+1, ...
+
+    Returns the completed trajectories in seed order and a record
+    {seed, step, residual, error} per seed whose step raised IntegratorError
+    (any other exception is a bug and propagates); raises EnsembleError when
+    fewer than min_complete trajectories complete.
+    """
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
-    out = []
-    for i in range(n_traj):
+    trajectories, failures = [], []
+    for seed in range(base_seed, base_seed + n_traj):
         try:
-            out.append(
-                run_trajectory(params, space, model, forcing, v0_coeffs,
-                               cfg, n_steps, seed=base_seed + i)
-            )
-        except Exception as exc:
-            raise RuntimeError(f"trajectory {i} (seed {base_seed + i}) failed") from exc
-    return out
+            trajectories.append(run_trajectory(params, space, model, forcing, v0_coeffs,
+                                               cfg, n_steps, seed=seed))
+        except IntegratorError as exc:
+            failures.append({"seed": seed, "step": exc.step,
+                             "residual": exc.residual, "error": str(exc)})
+    if len(trajectories) < min_complete:
+        raise EnsembleError(f"{len(trajectories)} of {n_traj} trajectories completed, "
+                            f"need {min_complete}; failures: {failures}")
+    return trajectories, failures
 
 
 def ensemble_moments(
@@ -157,9 +178,11 @@ def ensemble_moments(
 ) -> EnergyReport:
     if n_traj < 2:
         raise ValueError("ensemble statistics need at least two trajectories")
-    trajs = run_ensemble(params, space, model, forcing, v0_coeffs, cfg,
-                         n_steps, base_seed, n_traj)
-    return report_from_trajectories(trajs, beta=beta)
+    trajs, failures = run_ensemble(params, space, model, forcing, v0_coeffs, cfg,
+                                   n_steps, base_seed, n_traj, min_complete=2)
+    report = report_from_trajectories(trajs, beta=beta)
+    report.failures = failures
+    return report
 
 
 def bound_ratio(
@@ -200,6 +223,7 @@ def alpha_independence_study(
             "ratio": bound_ratio(report, v0_sq, f_sq),
             "mean_total": report.mean_total(),
             "se_total": report.se_total(),
+            **failure_summary(report.failures),
         })
     return rows
 
@@ -216,7 +240,8 @@ def stabilization_convergence(
     n_traj: int,
     m_grid: list[float],
 ) -> list[dict]:
-    """E||v^m - v^m'||^2_{L2(Q)} along consecutive m with shared seeds."""
+    """E||v^m - v^m'||^2_{L2(Q)} along consecutive m with shared seeds; a
+    seed that failed at either m of a pair is left out of its mean."""
     runs = {}
     for m in m_grid:
         params = params_for_m(m)
@@ -224,14 +249,20 @@ def stabilization_convergence(
                                cfg, n_steps, base_seed, n_traj)
     rows = []
     for m_a, m_b in zip(m_grid[:-1], m_grid[1:]):
+        by_seed = {t.seed: t for t in runs[m_b][0]}
+        pairs = [(ta, by_seed[ta.seed]) for ta in runs[m_a][0] if ta.seed in by_seed]
+        if not pairs:
+            raise EnsembleError(f"no seed completed at both m = {m_a} and m = {m_b}")
         diffs = []
-        for ta, tb in zip(runs[m_a], runs[m_b]):
+        for ta, tb in pairs:
             # ||v_a - v_b||^2_{L2(Q)} = dt sum_n |C_a - C_b|^2 (orthonormal basis)
             d = np.sum((ta.coeffs[:-1] - tb.coeffs[:-1]) ** 2, axis=1)
             diffs.append(cfg.dt * float(np.sum(d)))
+        failures = [{"m": m, **f} for m in (m_a, m_b) for f in runs[m][1]]
         rows.append({
             "m_pair": (m_a, m_b),
             "mean_sq_diff": float(np.mean(diffs)),
+            **failure_summary(failures),
         })
     return rows
 

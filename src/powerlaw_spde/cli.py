@@ -2,10 +2,9 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,21 +17,23 @@ FLOAT_FMT = "%.17g"
 
 
 def _load_config(args) -> SimulationConfig:
-    if args.config:
-        cfg = SimulationConfig.load(args.config)
-    else:
-        cfg = SimulationConfig()
+    cfg = SimulationConfig.load(args.config) if args.config else SimulationConfig()
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        # replace() re-runs the field validation
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("POWERLAW_SPDE_THREADS", "1")
+def _parse_grid(text: str, name: str, positive: bool) -> list[float]:
+    """Comma-separated finite numbers, each > 0 (positive) or >= 0."""
     try:
-        return max(1, int(raw))
+        values = [float(entry) for entry in text.split(",")]
     except ValueError:
-        return 1
+        values = [np.nan]
+    if not all(np.isfinite(x) and (x > 0.0 if positive else x >= 0.0) for x in values):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(name, f"expects comma-separated finite numbers {bound}, got {text!r}")
+    return values
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -44,25 +45,24 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             ) + "\n")
 
 
-def _run_single(cfg: SimulationConfig, seed: int):
-    params = cfg.build_params()
+def _write_json(path: Path, data, indent: int | None = 2) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=indent)
+        fh.write("\n")
+
+
+def _build(cfg: SimulationConfig) -> tuple:
+    """(params, space, noise model, forcing, v0, step config) of a config."""
     space = cfg.build_space()
-    model = cfg.build_noise()
-    forcing = cfg.build_forcing(space)
-    v0 = cfg.build_initial(space)
-    return run_trajectory(params, space, model, forcing, v0,
-                          cfg.build_step_config(), cfg.n_steps, seed=seed), space
+    return (cfg.build_params(), space, cfg.build_noise(), cfg.build_forcing(space),
+            cfg.build_initial(space), cfg.build_step_config())
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        traj, _ = _run_single(cfg, cfg.seed)
-    except IntegratorError as exc:
-        print(f"integrator failure: {exc}", file=sys.stderr)
-        return 1
+    traj = run_trajectory(*_build(cfg), cfg.n_steps, seed=cfg.seed)
 
     energy = traj.energy()
     rows = [(float(traj.times[0]), float(energy[0]), 0.0, 0.0, 0.0)]
@@ -77,90 +77,51 @@ def cmd_simulate(args) -> int:
     _write_csv(out / "trajectory.csv",
                ["t", "energy", "grad_lp_increment", "stab_increment", "noise_qv"],
                rows)
-    with open(out / "coefficients.json", "w") as fh:
-        json.dump({
-            "config": cfg.to_dict(),
-            "times": [float(t) for t in traj.times],
-            "coeffs": [[float(c) for c in row] for row in traj.coeffs],
-        }, fh)
-        fh.write("\n")
+    _write_json(out / "coefficients.json", {
+        "config": cfg.to_dict(),
+        "times": [float(t) for t in traj.times],
+        "coeffs": [[float(c) for c in row] for row in traj.coeffs],
+    }, indent=None)
     cfg.dump(out / "config.json")
     return 0
 
 
 def cmd_ensemble(args) -> int:
     cfg = _load_config(args)
+    if cfg.n_traj < 2:
+        raise ConfigError("n_traj", "ensemble requires n_traj >= 2")
+    if args.alpha_grid is not None:
+        alphas = _parse_grid(args.alpha_grid, "alpha_grid", positive=False)
+    if args.m_grid is not None:
+        m_grid = _parse_grid(args.m_grid, "m_grid", positive=True)
+        if len(m_grid) < 2:
+            raise ConfigError("m_grid", "needs at least two values to compare")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = cfg.build_params()
-    space = cfg.build_space()
-    model = cfg.build_noise()
-    forcing = cfg.build_forcing(space)
-    v0 = cfg.build_initial(space)
-    step_cfg = cfg.build_step_config()
+    params, *run = _build(cfg)
+    run += [cfg.n_steps, cfg.seed, cfg.n_traj]
 
-    if args.alpha_grid:
-        alphas = [float(a) for a in args.alpha_grid.split(",")]
+    if args.alpha_grid is not None:
         rows = analysis.alpha_independence_study(
-            lambda a: cfg.build_params(alpha=a), space, model, forcing, v0,
-            step_cfg, cfg.n_steps, cfg.seed, cfg.n_traj, alphas)
+            lambda a: cfg.build_params(alpha=a), *run, alphas)
         _write_csv(out / "alpha_study.csv", ["alpha", "ratio", "mean_total", "se_total"],
                    [(r["alpha"], r["ratio"], r["mean_total"], r["se_total"]) for r in rows])
-        with open(out / "alpha_study.json", "w") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        _write_json(out / "alpha_study.json", rows)
         return 0
 
-    if args.m_grid:
-        m_grid = [float(m) for m in args.m_grid.split(",")]
+    if args.m_grid is not None:
         rows = analysis.stabilization_convergence(
-            lambda m: cfg.build_params(alpha=1.0 / m), space, model, forcing, v0,
-            step_cfg, cfg.n_steps, cfg.seed, cfg.n_traj, m_grid)
-        with open(out / "m_study.json", "w") as fh:
-            json.dump([{"m_pair": list(r["m_pair"]), "mean_sq_diff": r["mean_sq_diff"]}
-                       for r in rows], fh, indent=2)
-            fh.write("\n")
+            lambda m: cfg.build_params(alpha=1.0 / m), *run, m_grid)
+        _write_json(out / "m_study.json", [{**r, "m_pair": list(r["m_pair"])} for r in rows])
         return 0
 
-    if cfg.n_traj < 2:
-        print("ensemble requires n_traj >= 2", file=sys.stderr)
-        return 2
-
-    seeds = [cfg.seed + i for i in range(cfg.n_traj)]
-    workers = _thread_count()
-    failures = []
-
-    def one(seed):
-        try:
-            return run_trajectory(params, space, model, forcing, v0,
-                                  step_cfg, cfg.n_steps, seed=seed)
-        except IntegratorError as exc:
-            failures.append((seed, str(exc)))
-            return None
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trajs = list(pool.map(one, seeds))
-    else:
-        trajs = [one(s) for s in seeds]
-    good = [t for t in trajs if t is not None]
-    if len(good) < 2:
-        print("too many trajectory failures", file=sys.stderr)
-        return 1
-
-    report = analysis.report_from_trajectories(good, beta=cfg.beta)
-    summary = report.as_dict()
-    if failures:
-        summary["failed_trajectories"] = [{"seed": s, "error": e} for s, e in failures]
-        summary["partial"] = True
-    with open(out / "ensemble.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    report = analysis.ensemble_moments(params, *run, beta=cfg.beta)
+    _write_json(out / "ensemble.json", report.as_dict())
     _write_csv(out / "ensemble.csv",
                ["trajectory", "sup_l2_sq", "grad_lp", "stab_lq", "interp_lr0", "total"],
                [(i, float(report.sup_l2_sq[i]), float(report.grad_lp[i]),
                  float(report.stab_lq[i]), float(report.interp_lr0[i]),
-                 float(report.total[i])) for i in range(len(good))])
+                 float(report.total[i])) for i in range(len(report.total))])
     return 0
 
 
@@ -183,23 +144,12 @@ def cmd_pressure(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params = cfg.build_params()
-    space = cfg.build_space()
-    model = cfg.build_noise()
-    forcing = cfg.build_forcing(space)
-    v0 = cfg.build_initial(space)
-    trajs = analysis.run_ensemble(params, space, model, forcing, v0,
-                                  cfg.build_step_config(), cfg.n_steps,
-                                  cfg.seed, cfg.n_traj)
+    params, space, model, forcing, v0, step_cfg = _build(cfg)
+    trajs, failures = analysis.run_ensemble(params, space, model, forcing, v0, step_cfg,
+                                            cfg.n_steps, cfg.seed, cfg.n_traj)
     report = pressure_mod.estimate_check(space, params, model, forcing, trajs)
-    dec = pressure_mod.decompose(space, params, model, forcing, trajs[0])
-    report["max_abs_mean"] = max(
-        float(np.max(np.abs(np.mean(dec.pi_H_series, axis=1)))) if dec.pi_H_series.size else 0.0,
-        float(np.max(np.abs(np.mean(dec.pi_Phi_series, axis=1)))),
-    )
-    with open(out / "pressure.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    report.update(analysis.failure_summary(failures))
+    _write_json(out / "pressure.json", report)
     print(json.dumps(report, indent=2))
     return 0
 
@@ -228,30 +178,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one trajectory and write CSV/JSON")
-    sim.add_argument("--config", type=str, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--out", type=str, required=True)
-    sim.set_defaults(func=cmd_simulate)
+    def run_command(name, help_text, func):
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config", type=str, default=None)
+        cmd.add_argument("--seed", type=int, default=None)
+        cmd.add_argument("--out", type=str, required=True)
+        cmd.set_defaults(func=func)
+        return cmd
 
-    ens = sub.add_parser("ensemble", help="run an ensemble and emit moment reports")
-    ens.add_argument("--config", type=str, default=None)
-    ens.add_argument("--seed", type=int, default=None)
-    ens.add_argument("--out", type=str, required=True)
+    run_command("simulate", "run one trajectory and write CSV/JSON", cmd_simulate)
+    ens = run_command("ensemble", "run an ensemble and emit moment reports", cmd_ensemble)
     ens.add_argument("--alpha-grid", type=str, default=None)
     ens.add_argument("--m-grid", type=str, default=None)
-    ens.set_defaults(func=cmd_ensemble)
 
     ver = sub.add_parser("verify", help="run a property suite")
     ver.add_argument("--suite", type=str, required=True)
     ver.add_argument("--out", type=str, default=None)
     ver.set_defaults(func=cmd_verify)
 
-    pre = sub.add_parser("pressure", help="pressure decomposition diagnostics")
-    pre.add_argument("--config", type=str, default=None)
-    pre.add_argument("--seed", type=int, default=None)
-    pre.add_argument("--out", type=str, required=True)
-    pre.set_defaults(func=cmd_pressure)
+    run_command("pressure", "pressure decomposition diagnostics", cmd_pressure)
 
     rep = sub.add_parser("report", help="summarize report files in a directory")
     rep.add_argument("--out", type=str, required=True)
@@ -267,6 +212,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except (IntegratorError, analysis.EnsembleError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -79,6 +79,10 @@ class SimulationConfig:
             raise ConfigError("dt", "time step must be positive")
         if self.T_end <= 0.0:
             raise ConfigError("T_end", "final time must be positive")
+        steps = self.T_end / self.dt
+        if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError("T_end", f"must be a whole multiple of dt={self.dt}, "
+                                       f"got T_end/dt = {steps!r}")
         if self.scheme not in ("euler_maruyama", "semi_implicit"):
             raise ConfigError("scheme", f"unknown scheme {self.scheme!r}")
         if self.noise_family is not None and self.noise_family not in FAMILIES:
@@ -92,10 +96,12 @@ class SimulationConfig:
             raise ConfigError("initial", f"unknown initial data {self.initial!r}")
         if self.n_traj < 1:
             raise ConfigError("n_traj", "need at least one trajectory")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.T_end / self.dt)))
+        return round(self.T_end / self.dt)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

@@ -34,7 +34,7 @@ from .constitutive import (
     stabilizer_potential,
     stress_potential,
 )
-from .noise import NoiseModel, WienerPath, apply_phi, sample_increments
+from .noise import NoiseModel, WienerPath, apply_phi
 
 SCHEMES = ("euler_maruyama", "semi_implicit")
 
@@ -98,10 +98,11 @@ class SdeStepConfig:
 
 
 class IntegratorError(RuntimeError):
-    """Raised when a time step cannot be completed."""
+    """Raised when a time step cannot be completed; names the step."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
+    def __init__(self, message: str, step: int, residual: float | None = None):
+        super().__init__(f"step {step}: {message}")
+        self.step = step
         self.residual = residual
 
 
@@ -123,9 +124,12 @@ def stabilizer_force(params: ConstitutiveParams, space: GalerkinSpace, coeffs: n
     return -analyze(space, eval_stabilizer(params, v))
 
 
-def convection_force(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
-    """int v (x) v : grad w_k dx (divergence form) for each k."""
-    v = synthesize(space, coeffs).values
+def convection_force(space: GalerkinSpace, coeffs: np.ndarray,
+                     v: np.ndarray | None = None) -> np.ndarray:
+    """int v (x) v : grad w_k dx (divergence form) for each k; the samples of
+    v may be passed in."""
+    if v is None:
+        v = synthesize(space, coeffs).values
     return analyze_gradient(space, v[:, :, None] * v[:, None, :])
 
 
@@ -142,18 +146,25 @@ def assemble_drift(
     forcing: Forcing,
     state: VelocityState,
     step: int = 0,
+    v: np.ndarray | None = None,
+    eps: np.ndarray | None = None,
 ) -> np.ndarray:
+    """mu(C) at the state; the samples of v and eps(v) may be passed in."""
     return (
-        stress_force(params, space, state.coeffs)
-        + convection_force(space, state.coeffs)
-        + stabilizer_force(params, space, state.coeffs)
+        stress_force(params, space, state.coeffs, eps)
+        + convection_force(space, state.coeffs, v)
+        + stabilizer_force(params, space, state.coeffs, v)
         + forcing_term(space, forcing, step)
     )
 
 
-def assemble_diffusion(model: NoiseModel, space: GalerkinSpace, state: VelocityState) -> np.ndarray:
-    """N x K matrix Sigma_kl = int g_l(v) . w_k dx."""
-    phi = apply_phi(model, space, synthesize(space, state.coeffs))  # (K, M^d, d)
+def assemble_diffusion(model: NoiseModel, space: GalerkinSpace, state: VelocityState,
+                       v: np.ndarray | None = None) -> np.ndarray:
+    """N x K matrix Sigma_kl = int g_l(v) . w_k dx; the samples of v may be
+    passed in."""
+    if v is None:
+        v = synthesize(space, state.coeffs).values
+    phi = apply_phi(model, space, v)  # (K, M^d, d)
     K, n_pts, d = phi.shape
     # one GEMM for all K fields: moments[n, l, :] = sum_x a_n(x) phi_l(x)
     moments = space.value_profiles @ phi.transpose(1, 0, 2).reshape(n_pts, K * d)
@@ -253,7 +264,7 @@ def _implicit_hessian(params, space, dt, fields):
     return hess
 
 
-def _solve_implicit(params, space, rhs, dt, tol, max_iter):
+def _solve_implicit(params, space, rhs, dt, tol, max_iter, step_index):
     # The fields are evaluated once per iterate: a trial accepted by the
     # line search carries its fields and objective into the next iteration.
     coeffs = rhs.copy()
@@ -263,7 +274,7 @@ def _solve_implicit(params, space, rhs, dt, tol, max_iter):
         grad = _implicit_gradient(params, space, coeffs, rhs, dt, fields)
         res = float(np.linalg.norm(grad))
         if not np.isfinite(res):
-            raise IntegratorError("non-finite Newton residual", residual=res)
+            raise IntegratorError("non-finite Newton residual", step_index, res)
         if res <= tol:
             return coeffs
         hess = _implicit_hessian(params, space, dt, fields)
@@ -279,14 +290,13 @@ def _solve_implicit(params, space, rhs, dt, tol, max_iter):
                 break
             lam *= 0.5
         else:
-            raise IntegratorError("Newton line search failed", residual=res)
+            raise IntegratorError("Newton line search failed", step_index, res)
     grad = _implicit_gradient(params, space, coeffs, rhs, dt, fields)
     res = float(np.linalg.norm(grad))
     if res <= tol:
         return coeffs
     raise IntegratorError(
-        f"Newton did not converge within {max_iter} iterations", residual=res
-    )
+        f"Newton did not converge within {max_iter} iterations", step_index, res)
 
 
 def step(
@@ -298,28 +308,32 @@ def step(
     cfg: SdeStepConfig,
     path: WienerPath | None,
     step_index: int = 0,
+    v: np.ndarray | None = None,
+    eps: np.ndarray | None = None,
+    noise_part: np.ndarray | None = None,
 ) -> VelocityState:
-    """Advance one time step with the configured scheme."""
-    noise_part = np.zeros(space.N)
-    if model is not None and path is not None:
-        sigma = assemble_diffusion(model, space, state)
-        noise_part = sigma @ sample_increments(path, step_index)
+    """Advance one time step with the configured scheme.  The left-point
+    samples of v and eps(v) and the noise Sigma(C) dbeta may be passed in."""
+    if noise_part is None:
+        noise_part = np.zeros(space.N)
+        if model is not None and path is not None:
+            noise_part = assemble_diffusion(model, space, state, v) @ path.increments[step_index]
 
     if cfg.scheme == "euler_maruyama":
-        mu = assemble_drift(params, space, forcing, state, step_index)
+        mu = assemble_drift(params, space, forcing, state, step_index, v, eps)
         new = state.coeffs + cfg.dt * mu + noise_part
     else:
         rhs = (
             state.coeffs
-            + cfg.dt * (convection_force(space, state.coeffs)
+            + cfg.dt * (convection_force(space, state.coeffs, v)
                         + forcing_term(space, forcing, step_index))
             + noise_part
         )
         new = _solve_implicit(params, space, rhs, cfg.dt,
-                              cfg.newton_tol, cfg.newton_max_iter)
+                              cfg.newton_tol, cfg.newton_max_iter, step_index)
 
     if not np.all(np.isfinite(new)):
-        raise IntegratorError(f"non-finite state after step {step_index}")
+        raise IntegratorError("non-finite state", step_index)
     return VelocityState(coeffs=new, time=state.time + cfg.dt)
 
 
@@ -413,6 +427,7 @@ def run_trajectory(
     state = VelocityState(coeffs=coeffs[0], time=0.0)
     w = space.quad_weight
     for n in range(n_steps):
+        # one left-point evaluation feeds the diagnostics and the step
         eps = symmetric_gradient(space, state.coeffs)
         grad = velocity_gradient(space, state.coeffs)
         v = synthesize(space, state.coeffs).values
@@ -425,12 +440,14 @@ def run_trajectory(
         f = forcing.at_step(n)
         if f is not None:
             force_work[n] = w * float(np.sum(f.values * v))
+        noise_part = None
         if model is not None:
-            sigma = assemble_diffusion(model, space, state)
-            dbeta = sample_increments(path, n)
-            mart[n] = float(state.coeffs @ (sigma @ dbeta))
+            sigma = assemble_diffusion(model, space, state, v)
+            noise_part = sigma @ path.increments[n]
+            mart[n] = float(state.coeffs @ noise_part)
             qv[n] = float(np.sum(sigma ** 2)) * cfg.dt
-        state = step(params, space, model, forcing, state, cfg, path, n)
+        state = step(params, space, model, forcing, state, cfg, path, n,
+                     v=v, eps=eps, noise_part=noise_part)
         coeffs[n + 1] = state.coeffs
 
     return Trajectory(

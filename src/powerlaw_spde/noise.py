@@ -140,11 +140,6 @@ class WienerPath:
         return WienerPath.from_increments(self.seed, self.dt * factor, agg)
 
 
-def sample_increments(path: WienerPath, step: int) -> np.ndarray:
-    """The K-vector of Brownian increments for one time step."""
-    return path.increments[step]
-
-
 def growth_bound_holds(model: NoiseModel, xi: np.ndarray, L: float | None = None) -> bool:
     """Check sum_k |g_k(xi)| <= L (1+|xi|) for a batch of states (..., d)."""
     if L is None:

@@ -30,7 +30,7 @@ import numpy as np
 from .basis import GalerkinSpace, GridField, synthesize, symmetric_gradient
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
 from .galerkin import Forcing, Trajectory
-from .noise import NoiseModel, apply_phi
+from .noise import NoiseModel, apply_phi, hilbert_schmidt_norm_sq
 
 
 def _wavenumbers(space: GalerkinSpace) -> list[np.ndarray]:
@@ -151,7 +151,9 @@ class PressureDecomposition:
 
     pi_H_series[n] belongs to the left point of step n; pi_Phi_series[n]
     is the stochastic pressure at time t_n (pi_Phi_series[0] = 0).  pi_1
-    and pi_2 are the stress / remainder split of pi_H.
+    and pi_2 are the stress / remainder split of pi_H.  H_sq_series[n] is
+    the pointwise |H|^2 and hs_series[n] the noise norm sum_k int |Phi e_k|^2
+    at the left point of step n (zero without noise).
     """
 
     pi_h: np.ndarray
@@ -159,6 +161,8 @@ class PressureDecomposition:
     pi_Phi_series: np.ndarray
     pi_1_series: np.ndarray
     pi_2_series: np.ndarray
+    H_sq_series: np.ndarray
+    hs_series: np.ndarray
 
 
 def solve_pi_Phi(
@@ -194,16 +198,20 @@ def decompose(
     pi_1 = np.zeros((n, n_pts))
     pi_2 = np.zeros((n, n_pts))
     pi_Phi = np.zeros((n + 1, n_pts))
+    H_sq = np.zeros((n, n_pts))
+    hs = np.zeros(n)
     stoch_accum = np.zeros((n_pts, space.d))
 
     for m in range(n):
         c = traj.coeffs[m]
         h1, h2 = assemble_H(space, params, c, forcing.at_step(m), split=True)
+        H_sq[m] = np.sum((h1 + h2) ** 2, axis=(-2, -1))
         pi_1[m] = remove_mean(space, solve_pi_H(space, h1))
         pi_2[m] = remove_mean(space, solve_pi_H(space, h2))
         pi_H[m] = pi_1[m] + pi_2[m]
         if model is not None and traj.increments is not None:
             phi = apply_phi(model, space, synthesize(space, c))
+            hs[m] = hilbert_schmidt_norm_sq(space, phi)
             stoch_accum += np.einsum("kxd,k->xd", phi, traj.increments[m])
             pi_Phi[m + 1] = remove_mean(
                 space,
@@ -216,6 +224,8 @@ def decompose(
         pi_Phi_series=pi_Phi,
         pi_1_series=pi_1,
         pi_2_series=pi_2,
+        H_sq_series=H_sq,
+        hs_series=hs,
     )
 
 
@@ -268,13 +278,7 @@ def weak_residual(
 
 def _field_gradient(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
     """Spectral gradient of a sampled vector field, shape (M^d, d, d)."""
-    ks = _wavenumbers(space)
-    out = np.empty((space.M ** space.d, space.d, space.d))
-    for i in range(space.d):
-        hat = np.fft.fftn(values[:, i].reshape(space.grid_shape))
-        for j in range(space.d):
-            out[:, i, j] = np.real(np.fft.ifftn(1j * ks[j] * hat)).ravel()
-    return out
+    return np.stack([gradient_scalar(space, values[:, i]) for i in range(space.d)], axis=1)
 
 
 def estimate_check(
@@ -288,31 +292,28 @@ def estimate_check(
     """Monte Carlo left/right sides of the three pressure estimates.
 
     Uses s = p' by default.  Reports the empirical ratio of each estimate;
-    the harmonic part is identically zero on the torus.
+    the harmonic part is identically zero on the torus.  max_abs_mean is the
+    largest spatial mean of pi_H or pi_Phi over every trajectory and step.
     """
     if s is None:
         s = params.p / (params.p - 1.0)
     w = space.quad_weight
     lhs_H, rhs_H, lhs_Phi, rhs_Phi = [], [], [], []
+    max_abs_mean = 0.0
     for traj in trajectories:
         dec = decompose(space, params, model, forcing, traj)
         pi_int = 0.0
         h_int = 0.0
-        sup_pi_phi = 0.0
-        sup_hs = 0.0
         for m in range(traj.n_steps):
-            h = assemble_H(space, params, traj.coeffs[m], forcing.at_step(m))
             pi_int += traj.dt * w * float(np.sum(np.abs(dec.pi_H_series[m]) ** s))
-            h_int += traj.dt * w * float(np.sum(np.sum(h ** 2, axis=(-2, -1)) ** (s / 2.0)))
-            if model is not None:
-                phi_fields = apply_phi(model, space, synthesize(space, traj.coeffs[m]))
-                sup_hs = max(sup_hs, w * float(np.sum(phi_fields ** 2)))
-        for m in range(traj.n_steps + 1):
-            sup_pi_phi = max(sup_pi_phi, w * float(np.sum(dec.pi_Phi_series[m] ** 2)))
+            h_int += traj.dt * w * float(np.sum(dec.H_sq_series[m] ** (s / 2.0)))
         lhs_H.append(pi_int)
         rhs_H.append(h_int)
-        lhs_Phi.append(sup_pi_phi)
-        rhs_Phi.append(sup_hs)
+        lhs_Phi.append(max(w * float(np.sum(row ** 2)) for row in dec.pi_Phi_series))
+        rhs_Phi.append(float(np.max(dec.hs_series, initial=0.0)))
+        means = np.concatenate([np.mean(dec.pi_H_series, axis=1),
+                                np.mean(dec.pi_Phi_series, axis=1)])
+        max_abs_mean = max(max_abs_mean, float(np.max(np.abs(means))))
 
     def ratio(lhs, rhs):
         num, den = float(np.mean(lhs)), float(np.mean(rhs))
@@ -328,4 +329,5 @@ def estimate_check(
         "pi_Phi_lhs": float(np.mean(lhs_Phi)),
         "pi_Phi_rhs": float(np.mean(rhs_Phi)),
         "pi_h_sup": 0.0,
+        "max_abs_mean": max_abs_mean,
     }

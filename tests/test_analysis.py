@@ -4,7 +4,7 @@ import pytest
 from powerlaw_spde import analysis
 from powerlaw_spde.basis import build_space, suggest_grid, synthesize
 from powerlaw_spde.constitutive import ConstitutiveParams
-from powerlaw_spde.galerkin import Forcing, SdeStepConfig, run_trajectory
+from powerlaw_spde.galerkin import Forcing, IntegratorError, SdeStepConfig, run_trajectory
 from powerlaw_spde.noise import NoiseModel
 
 
@@ -70,8 +70,9 @@ def test_report_totals_and_moments():
     params = ConstitutiveParams(p=2.0, alpha=0.1, d=2)
     model = NoiseModel(family="linear", K=4, d=2)
     cfg = SdeStepConfig(dt=0.01)
-    trajs = analysis.run_ensemble(params, space, model, Forcing(mode="zero"),
-                                  np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20, 5, 4)
+    trajs, failures = analysis.run_ensemble(params, space, model, Forcing(mode="zero"),
+                                            np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20, 5, 4)
+    assert failures == []
     report = analysis.report_from_trajectories(trajs)
     assert len(report.total) == 4
     assert np.all(report.total >= report.sup_l2_sq)
@@ -89,10 +90,11 @@ def test_run_ensemble_seeds_are_consecutive():
     model = NoiseModel(family="linear", K=4, d=2)
     cfg = SdeStepConfig(dt=0.01)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
-    trajs = analysis.run_ensemble(params, space, model, Forcing(mode="zero"),
-                                  v0, cfg, 10, 7, 3)
+    trajs, _ = analysis.run_ensemble(params, space, model, Forcing(mode="zero"),
+                                     v0, cfg, 10, 7, 3)
     single = run_trajectory(params, space, model, Forcing(mode="zero"),
                             v0, cfg, 10, seed=8)
+    assert [t.seed for t in trajs] == [7, 8, 9]
     assert np.array_equal(trajs[1].coeffs, single.coeffs)
     with pytest.raises(ValueError):
         analysis.ensemble_moments(params, space, model, Forcing(mode="zero"),
@@ -150,6 +152,67 @@ def test_stabilization_convergence_decreases():
     diffs = [r["mean_sq_diff"] for r in rows]
     assert len(diffs) == 2
     assert diffs[1] < diffs[0]
+
+
+def fail_seed(monkeypatch, seed, alpha=None):
+    """Make run_trajectory raise IntegratorError at step 3 for one seed
+    (and, if given, one stabilization weight)."""
+
+    def failing(params, *args, seed=None, **kwargs):
+        if seed == failing.seed and alpha in (None, params.alpha):
+            raise IntegratorError("injected", 3, residual=0.5)
+        return run_trajectory(params, *args, seed=seed, **kwargs)
+
+    failing.seed = seed
+    monkeypatch.setattr(analysis, "run_trajectory", failing)
+
+
+def test_run_ensemble_masks_integrator_failures(monkeypatch):
+    space = make_space()
+    params = ConstitutiveParams(p=2.0, d=2)
+    model = NoiseModel(family="linear", K=4, d=2)
+    args = (params, space, model, Forcing(mode="zero"), np.array([1.0, 0.0, 0.0, 0.0]),
+            SdeStepConfig(dt=0.01), 5)
+    fail_seed(monkeypatch, 6)
+    trajs, failures = analysis.run_ensemble(*args, 5, 3)
+    assert [t.seed for t in trajs] == [5, 7]
+    assert failures == [{"seed": 6, "step": 3, "residual": 0.5, "error": "step 3: injected"}]
+    report = analysis.ensemble_moments(*args, 5, 3)
+    assert len(report.total) == 2
+    assert report.as_dict()["partial"] is True
+    with pytest.raises(analysis.EnsembleError, match="1 of 2 trajectories completed, need 2"):
+        analysis.ensemble_moments(*args, 6, 2)
+
+
+def test_run_ensemble_propagates_other_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(analysis, "run_trajectory", broken)
+    with pytest.raises(KeyError):
+        analysis.run_ensemble(ConstitutiveParams(p=2.0, d=2), make_space(), None,
+                              Forcing(mode="zero"), np.zeros(4),
+                              SdeStepConfig(dt=0.01), 5, 0, 2)
+
+
+def test_stabilization_convergence_pairs_by_seed(monkeypatch):
+    space = make_space()
+    model = NoiseModel(family="linear", K=4, d=2)
+    cfg = SdeStepConfig(dt=0.01)
+    v0 = np.array([1.0, 0.5, 0.0, 0.0])
+    params = {m: ConstitutiveParams(p=1.8, alpha=1.0 / m, d=2) for m in (1.0, 10.0)}
+    # seed 11 fails at m = 10 only
+    fail_seed(monkeypatch, 11, alpha=0.1)
+    (row,) = analysis.stabilization_convergence(
+        params.get, space, model, Forcing(mode="zero"), v0, cfg, 10, 11, 3, [1.0, 10.0])
+    expected = []
+    for seed in (12, 13):
+        a, b = (run_trajectory(params[m], space, model, Forcing(mode="zero"), v0, cfg,
+                               10, seed=seed) for m in (1.0, 10.0))
+        expected.append(cfg.dt * float(np.sum(np.sum((a.coeffs[:-1] - b.coeffs[:-1]) ** 2,
+                                                     axis=1))))
+    assert row["mean_sq_diff"] == float(np.mean(expected))
+    assert [(f["m"], f["seed"]) for f in row["failed_trajectories"]] == [(10.0, 11)]
 
 
 def test_interpolation_diagnostic_bounded():

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerlaw_spde.cli import main
 from powerlaw_spde.config import SimulationConfig
@@ -151,3 +152,101 @@ def test_csv_floats_survive_round_trip(tmp_path):
     for line, coeffs in zip(lines, data["coeffs"]):
         energy = float(line.split(",")[1])
         assert energy == sum(c * c for c in coeffs)
+
+
+# seed 0 reaches a non-finite state at step 14; seeds 1-3 complete
+FAILING_SEED = {"N": 8, "p": 3.0, "dt": 1.0, "T_end": 20, "n_traj": 4,
+                "noise_family": "linear", "initial_coeffs": [2] * 8}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ensemble_reports_failed_seed(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(FAILING_SEED))
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+    summary = json.loads((out / "ensemble.json").read_text())
+    assert summary["partial"] is True and summary["n_traj"] == 3
+    (failure,) = summary["failed_trajectories"]
+    assert failure["seed"] == 0 and failure["step"] == 14
+    assert set(failure) == {"seed", "step", "residual", "error"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pressure_reports_failed_seed(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(FAILING_SEED))
+    out = tmp_path / "press"
+    assert main(["pressure", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+    report = json.loads((out / "pressure.json").read_text())
+    assert report["partial"] is True
+    assert [(f["seed"], f["step"]) for f in report["failed_trajectories"]] == [(0, 14)]
+    assert np.isfinite(report["pi_H_ratio"])
+    # built from seeds 1-3 alone
+    cfg.write_text(json.dumps({**FAILING_SEED, "n_traj": 3}))
+    clean = tmp_path / "clean"
+    assert main(["pressure", "--config", str(cfg), "--seed", "1", "--out", str(clean)]) == 0
+    expected = json.loads((clean / "pressure.json").read_text())
+    assert "partial" not in expected
+    assert {k: report[k] for k in expected} == expected
+
+
+def test_clean_pressure_report_has_no_failure_keys(tmp_path):
+    cfg = write_config(tmp_path, N=8, n_traj=2)
+    out = tmp_path / "press"
+    assert main(["pressure", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "pressure.json").read_text())
+    assert "failed_trajectories" not in report and "partial" not in report
+
+
+def test_negative_seed_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    code = main(["simulate", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0,1", "1,-2", "1,nan", "1,inf", "1,x", "", "10"])
+def test_bad_m_grid_exits_two(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, n_traj=2)
+    code = main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "m"),
+                 "--m-grid", grid])
+    assert code == 2
+    assert "'m_grid'" in capsys.readouterr().err
+
+
+def test_bad_alpha_grid_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_traj=2)
+    code = main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                 "--alpha-grid", "0.1,-0.2"])
+    assert code == 2
+    assert "'alpha_grid'" in capsys.readouterr().err
+
+
+def test_grid_with_one_trajectory_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_traj=1)
+    code = main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "a"),
+                 "--alpha-grid", "0.1,0.2"])
+    assert code == 2
+    assert "'n_traj'" in capsys.readouterr().err
+
+
+_GRID_ENTRY = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 1000).map(str),
+    st.text(alphabet="0123456789.-+eEinfa ", max_size=6),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(-2 ** 40, 2 ** 64),
+       flag=st.sampled_from(["--alpha-grid", "--m-grid"]),
+       grid=st.lists(_GRID_ENTRY, min_size=1, max_size=3).map(",".join))
+def test_ensemble_cli_boundary_never_raises(tmp_path_factory, seed, flag, grid):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = write_config(tmp, T_end=0.02, n_traj=2, alpha=0.1)
+    # flag=value: a grid that starts with "-" is a value, not an option
+    code = main(["ensemble", "--config", str(cfg), f"--seed={seed}",
+                 "--out", str(tmp / "out"), f"{flag}={grid}"])
+    assert code in (0, 1, 2)

@@ -29,6 +29,9 @@ def test_field_validation_messages():
         ({"K": 0}, "K"),
         ({"dt": 0.0}, "dt"),
         ({"T_end": -1.0}, "T_end"),
+        ({"T_end": 0.1, "dt": 0.03}, "T_end"),  # used to stop at t = 0.09
+        ({"T_end": 0.005, "dt": 0.01}, "T_end"),
+        ({"seed": -1}, "seed"),
         ({"scheme": "rk4"}, "scheme"),
         ({"noise_family": "white"}, "noise_family"),
         ({"forcing": "ramp"}, "forcing"),

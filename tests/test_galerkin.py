@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from powerlaw_spde import galerkin
 from powerlaw_spde.basis import build_space, suggest_grid, synthesize
 from powerlaw_spde.constitutive import ConstitutiveParams
 from powerlaw_spde.galerkin import (
@@ -207,8 +208,23 @@ def test_newton_failure_reports_residual():
     cfg = SdeStepConfig(dt=50.0, scheme="semi_implicit", newton_max_iter=1)
     with pytest.raises(IntegratorError) as err:
         step(params, space, None, Forcing(mode="zero"),
-             VelocityState(10.0 * np.ones(4)), cfg, None)
+             VelocityState(10.0 * np.ones(4)), cfg, None, 3)
     assert err.value.residual is not None and err.value.residual > 0.0
+    assert err.value.step == 3
+    assert str(err.value).startswith("step 3: ")
+
+
+def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
+    # the left-point v, eps and Sigma feed both the diagnostics and the step
+    space = make_space()
+    params = ConstitutiveParams(p=1.8, alpha=0.1, d=2)
+    model = NoiseModel(family="smooth_norm", K=4, d=2)
+    forcing = Forcing(mode="steady_field", data=synthesize(space, np.eye(4)[1]))
+    counts = call_counter(galerkin, "synthesize", "symmetric_gradient",
+                          "apply_phi", "assemble_diffusion", "stress_force")
+    run_trajectory(params, space, model, forcing, np.array([1.0, 0.5, 0.0, 0.2]),
+                   SdeStepConfig(dt=0.01), 7, seed=2)
+    assert counts == dict.fromkeys(counts, 7)
 
 
 def test_step_with_noise_reproducible():

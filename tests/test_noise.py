@@ -10,7 +10,6 @@ from powerlaw_spde.noise import (
     growth_bound_holds,
     hilbert_schmidt_norm_sq,
     mode_decay_bound_holds,
-    sample_increments,
     u0_norm,
 )
 
@@ -140,9 +139,8 @@ def test_increment_statistics():
     assert abs(corr) < 0.02
 
 
-def test_sample_increments_and_coarsen():
+def test_coarsen_aggregates_increments():
     path = WienerPath.generate(3, 0.1, 5, 12)
-    assert np.array_equal(sample_increments(path, 4), path.increments[4])
     coarse = path.coarsen(3)
     assert coarse.n_steps == 4
     assert abs(coarse.dt - 0.3) < 1e-15

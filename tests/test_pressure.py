@@ -206,3 +206,16 @@ def test_estimate_check_reports_finite_ratios():
     assert np.isfinite(report["pi_Phi_ratio"]) and report["pi_Phi_ratio"] >= 0.0
     assert report["pi_h_sup"] == 0.0
     assert report["pi_H_lhs"] <= report["pi_H_rhs"] * max(report["pi_H_ratio"], 1.0) + 1e-12
+
+
+def test_estimate_check_reads_the_decomposition(call_counter):
+    # the flux and the noise fields are built once per step, by decompose
+    space, params, model, forcing, traj_a = run_small(alpha=0.2, n_steps=6)
+    traj_b = run_small(alpha=0.2, n_steps=6, seed=4)[-1]
+    decs = [pressure.decompose(space, params, model, forcing, t) for t in (traj_a, traj_b)]
+    counts = call_counter(pressure, "assemble_H", "apply_phi")
+    report = pressure.estimate_check(space, params, model, forcing, [traj_a, traj_b])
+    assert counts == {"assemble_H": 12, "apply_phi": 12}
+    assert report["max_abs_mean"] == max(
+        float(np.max(np.abs(np.mean(series, axis=1))))
+        for dec in decs for series in (dec.pi_H_series, dec.pi_Phi_series))
