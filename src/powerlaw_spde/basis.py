@@ -161,6 +161,12 @@ class GalerkinSpace:
         return 0.5 * (self.grad_tensors + np.swapaxes(self.grad_tensors, -1, -2))
 
     @cached_property
+    def wavevectors(self) -> np.ndarray:
+        """Integer wavevectors of the grid in np.fft order, shape (M,)*d + (d,)."""
+        k = (np.arange(self.M) + self.M // 2) % self.M - self.M // 2
+        return np.stack(np.meshgrid(*([k] * self.d), indexing="ij"), axis=-1)
+
+    @cached_property
     def distinct_profiles(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, index): one mode per distinct profile, and the position of
         each mode's profile among those rows.  Modes that differ only in

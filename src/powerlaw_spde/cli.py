@@ -90,6 +90,8 @@ def cmd_ensemble(args) -> int:
     cfg = _load_config(args)
     if cfg.n_traj < 2:
         raise ConfigError("n_traj", "ensemble requires n_traj >= 2")
+    if args.alpha_grid is not None and args.m_grid is not None:
+        raise ConfigError("m_grid", "cannot be combined with --alpha-grid; run each study alone")
     if args.alpha_grid is not None:
         alphas = _parse_grid(args.alpha_grid, "alpha_grid", positive=False)
     if args.m_grid is not None:

@@ -332,7 +332,7 @@ def step(
         new = _solve_implicit(params, space, rhs, cfg.dt,
                               cfg.newton_tol, cfg.newton_max_iter, step_index)
 
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new @ new):  # |C|^2, also non-finite for any bad entry
         raise IntegratorError("non-finite state", step_index)
     return VelocityState(coeffs=new, time=state.time + cfg.dt)
 
@@ -426,29 +426,36 @@ def run_trajectory(
 
     state = VelocityState(coeffs=coeffs[0], time=0.0)
     w = space.quad_weight
-    for n in range(n_steps):
-        # one left-point evaluation feeds the diagnostics and the step
-        eps = symmetric_gradient(space, state.coeffs)
-        grad = velocity_gradient(space, state.coeffs)
-        v = synthesize(space, state.coeffs).values
-        stress_diss[n] = w * float(np.sum(eval_stress(params, eps) * eps))
-        grad_lp[n] = w * float(np.sum(np.sum(grad ** 2, axis=(-2, -1)) ** (params.p / 2.0)))
-        vmag = np.linalg.norm(v, axis=-1)
-        vel_rq[n] = w * float(np.sum(vmag ** r0))
-        if params.alpha > 0.0:
-            stab_int[n] = params.alpha * w * float(np.sum(vmag ** params.q))
-        f = forcing.at_step(n)
-        if f is not None:
-            force_work[n] = w * float(np.sum(f.values * v))
-        noise_part = None
-        if model is not None:
-            sigma = assemble_diffusion(model, space, state, v)
-            noise_part = sigma @ path.increments[n]
-            mart[n] = float(state.coeffs @ noise_part)
-            qv[n] = float(np.sum(sigma ** 2)) * cfg.dt
-        state = step(params, space, model, forcing, state, cfg, path, n,
-                     v=v, eps=eps, noise_part=noise_part)
-        coeffs[n + 1] = state.coeffs
+    # a diverging run overflows quietly and stops at the first non-finite
+    # diagnostic or state, which raises IntegratorError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            # one left-point evaluation feeds the diagnostics and the step
+            eps = symmetric_gradient(space, state.coeffs)
+            grad = velocity_gradient(space, state.coeffs)
+            v = synthesize(space, state.coeffs).values
+            stress_diss[n] = w * float(np.sum(eval_stress(params, eps) * eps))
+            grad_lp[n] = w * float(np.sum(np.sum(grad ** 2, axis=(-2, -1)) ** (params.p / 2.0)))
+            vmag = np.linalg.norm(v, axis=-1)
+            vel_rq[n] = w * float(np.sum(vmag ** r0))
+            if params.alpha > 0.0:
+                stab_int[n] = params.alpha * w * float(np.sum(vmag ** params.q))
+            f = forcing.at_step(n)
+            if f is not None:
+                force_work[n] = w * float(np.sum(f.values * v))
+            noise_part = None
+            if model is not None:
+                sigma = assemble_diffusion(model, space, state, v)
+                noise_part = sigma @ path.increments[n]
+                mart[n] = float(state.coeffs @ noise_part)
+                qv[n] = float(np.sum(sigma ** 2)) * cfg.dt
+            diagnostics = (stress_diss[n], stab_int[n], force_work[n], grad_lp[n],
+                           vel_rq[n], mart[n], qv[n])
+            if not np.all(np.isfinite(diagnostics)):
+                raise IntegratorError("non-finite diagnostics", n)
+            state = step(params, space, model, forcing, state, cfg, path, n,
+                         v=v, eps=eps, noise_part=noise_part)
+            coeffs[n + 1] = state.coeffs
 
     return Trajectory(
         space=space, params=params, cfg=cfg, times=times, coeffs=coeffs,

@@ -56,10 +56,23 @@ class NoiseModel:
         return max(self.amplitude * a_sum,
                    self.amplitude ** 2 * float(np.sum(self.per_mode_scale ** 2)))
 
-    def _unit_vector(self, k: int) -> np.ndarray:
-        u = np.zeros(self.d)
-        u[(k - 1) % self.d] = 1.0
-        return u
+
+def _all_g(model: NoiseModel, xi: np.ndarray) -> np.ndarray:
+    """g_1..g_K at velocity values xi (..., d), stacked: shape (K, ..., d).
+
+    The additive and smooth_norm fields of mode k point along the unit
+    vector u_k = e_((k-1) mod d).
+    """
+    xi = np.asarray(xi, dtype=float)
+    a = model.per_mode_scale.reshape((model.K,) + (1,) * xi.ndim)
+    if model.family == "linear":
+        return a * xi
+    u = np.eye(model.d)[np.arange(model.K) % model.d]
+    u = u.reshape((model.K,) + (1,) * (xi.ndim - 1) + (model.d,))
+    if model.family == "additive":
+        return np.broadcast_to(a * model.amplitude * u, (model.K,) + xi.shape).copy()
+    mag_sq = np.sum(xi ** 2, axis=-1, keepdims=True)
+    return a * model.amplitude * np.sqrt(1.0 + mag_sq) * u
 
 
 def eval_g(model: NoiseModel, k: int, xi: np.ndarray) -> np.ndarray:
@@ -70,16 +83,7 @@ def eval_g(model: NoiseModel, k: int, xi: np.ndarray) -> np.ndarray:
     """
     if not 1 <= k <= model.K:
         raise ValueError(f"mode index {k} out of range 1..{model.K}")
-    xi = np.asarray(xi, dtype=float)
-    a = model.per_mode_scale[k - 1]
-    if model.family == "additive":
-        u = model._unit_vector(k)
-        return np.broadcast_to(a * model.amplitude * u, xi.shape).copy()
-    if model.family == "linear":
-        return a * xi
-    mag_sq = np.sum(xi ** 2, axis=-1, keepdims=True)
-    u = model._unit_vector(k)
-    return a * model.amplitude * np.sqrt(1.0 + mag_sq) * u
+    return _all_g(model, xi)[k - 1]
 
 
 def apply_phi(model: NoiseModel, space: GalerkinSpace, fld: GridField) -> np.ndarray:
@@ -87,7 +91,7 @@ def apply_phi(model: NoiseModel, space: GalerkinSpace, fld: GridField) -> np.nda
     values = fld.values if isinstance(fld, GridField) else np.asarray(fld)
     if values.shape != (space.M ** space.d, space.d):
         raise ValueError("field shape inconsistent with space")
-    return np.stack([eval_g(model, k, values) for k in range(1, model.K + 1)])
+    return _all_g(model, values)
 
 
 def hilbert_schmidt_norm_sq(space: GalerkinSpace, phi_fields: np.ndarray) -> float:
@@ -145,26 +149,20 @@ def growth_bound_holds(model: NoiseModel, xi: np.ndarray, L: float | None = None
     if L is None:
         L = model.growth_constant
     xi = np.asarray(xi, dtype=float)
-    total = sum(
-        np.linalg.norm(eval_g(model, k, xi), axis=-1) for k in range(1, model.K + 1)
-    )
+    total = np.sum(np.linalg.norm(_all_g(model, xi), axis=-1), axis=0)
     mag = np.linalg.norm(xi, axis=-1)
     return bool(np.all(total <= L * (1.0 + mag) + 1e-12))
 
 
 def mode_decay_bound_holds(model: NoiseModel, xi: np.ndarray, c: float | None = None) -> bool:
     """Check sup_k k^2 |g_k(xi)|^2 <= c (1+|xi|^2)."""
+    k_sq = np.arange(1, model.K + 1) ** 2
     if c is None:
         # k^2 a_k^2 <= max_k k^2 4^-k = 1/4 at k = 1 or 2 for the default
         # scale; amplitude and the family profile enter quadratically.
-        c = max(
-            (k ** 2) * (model.per_mode_scale[k - 1] ** 2)
-            for k in range(1, model.K + 1)
-        ) * max(1.0, model.amplitude ** 2)
+        c = float(np.max(k_sq * model.per_mode_scale ** 2)) * max(1.0, model.amplitude ** 2)
     xi = np.asarray(xi, dtype=float)
     mag_sq = np.sum(xi ** 2, axis=-1)
-    worst = np.zeros_like(mag_sq)
-    for k in range(1, model.K + 1):
-        g_sq = np.sum(eval_g(model, k, xi) ** 2, axis=-1)
-        worst = np.maximum(worst, k ** 2 * g_sq)
+    g_sq = np.sum(_all_g(model, xi) ** 2, axis=-1)  # (K, ...)
+    worst = np.max(k_sq.reshape((model.K,) + (1,) * mag_sq.ndim) * g_sq, axis=0)
     return bool(np.all(worst <= c * (1.0 + mag_sq) + 1e-12))

@@ -9,7 +9,10 @@ mean-zero field is identically zero, so
     pi_Phi = lap^-1 div (int_0^t Phi dW)   (discrete left-point sum),
     pi_h   = 0,
 
-all normalized to zero spatial mean.  The sign conventions are pinned by
+all of zero spatial mean, because the symbol of lap^-1 drops the zero mode.
+Each operator is its Fourier symbol applied between one forward and one
+inverse FFT over the grid axes, all components at once, with the integer
+wavevectors cached on the space.  The sign conventions are pinned by
 requiring the extended weak identity (tested against gradient fields) to
 hold exactly; see weak_residual.
 
@@ -33,70 +36,56 @@ from .galerkin import Forcing, Trajectory
 from .noise import NoiseModel, apply_phi, hilbert_schmidt_norm_sq
 
 
-def _wavenumbers(space: GalerkinSpace) -> list[np.ndarray]:
-    k = np.fft.fftfreq(space.M) * space.M
-    grids = np.meshgrid(*([k] * space.d), indexing="ij")
-    return grids
+def _fft(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
+    """Transform of a flattened field (M^d, ...) over its grid axes."""
+    values = np.asarray(values, dtype=float)
+    return np.fft.fftn(values.reshape(space.grid_shape + values.shape[1:]),
+                       axes=tuple(range(space.d)))
 
 
-def _k_squared(space: GalerkinSpace) -> np.ndarray:
-    grids = _wavenumbers(space)
-    return sum(g ** 2 for g in grids)
+def _ifft(space: GalerkinSpace, hat: np.ndarray) -> np.ndarray:
+    """Real part of the inverse transform, flattened back to (M^d, ...)."""
+    out = np.real(np.fft.ifftn(hat, axes=tuple(range(space.d))))
+    return out.reshape((-1,) + out.shape[space.d:])
 
 
-def inverse_laplacian(space: GalerkinSpace, scalar: np.ndarray) -> np.ndarray:
-    """lap^-1 on a flattened scalar field, mean-zero output."""
-    grid = np.asarray(scalar, dtype=float).reshape(space.grid_shape)
-    hat = np.fft.fftn(grid)
-    k_sq = _k_squared(space)
-    k_sq_safe = np.where(k_sq == 0, 1.0, k_sq)
-    hat = hat / (-k_sq_safe)
+def inverse_laplacian(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
+    """lap^-1 of a flattened field (M^d, ...), per component; the zero
+    mode is dropped, so the output is mean-zero."""
+    hat = _fft(space, values)
+    k_sq = np.sum(space.wavevectors ** 2, axis=-1)
+    k_sq[(0,) * space.d] = 1
+    hat /= -k_sq.reshape(k_sq.shape + (1,) * (hat.ndim - space.d))
     hat[(0,) * space.d] = 0.0
-    return np.real(np.fft.ifftn(hat)).ravel()
+    return _ifft(space, hat)
 
 
 def laplacian(space: GalerkinSpace, scalar: np.ndarray) -> np.ndarray:
-    grid = np.asarray(scalar, dtype=float).reshape(space.grid_shape)
-    hat = np.fft.fftn(grid) * (-_k_squared(space))
-    return np.real(np.fft.ifftn(hat)).ravel()
+    """lap of a flattened scalar field."""
+    return _ifft(space, _fft(space, scalar) * -np.sum(space.wavevectors ** 2, axis=-1))
 
 
 def gradient_scalar(space: GalerkinSpace, scalar: np.ndarray) -> np.ndarray:
     """Spectral gradient of a flattened scalar field, shape (M^d, d)."""
-    grid = np.asarray(scalar, dtype=float).reshape(space.grid_shape)
-    hat = np.fft.fftn(grid)
-    ks = _wavenumbers(space)
-    out = np.empty(space.grid_shape + (space.d,))
-    for j in range(space.d):
-        out[..., j] = np.real(np.fft.ifftn(1j * ks[j] * hat))
-    return out.reshape(-1, space.d)
+    return _ifft(space, 1j * space.wavevectors * _fft(space, scalar)[..., None])
+
+
+def _field_gradient(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
+    """Spectral gradient of a sampled vector field, shape (M^d, d, d)."""
+    k = space.wavevectors
+    return _ifft(space, 1j * k[..., None, :] * _fft(space, values)[..., :, None])
 
 
 def divergence_vector(space: GalerkinSpace, vec: np.ndarray) -> np.ndarray:
     """Spectral divergence of a flattened vector field (M^d, d)."""
-    vec = np.asarray(vec, dtype=float)
-    ks = _wavenumbers(space)
-    total = np.zeros(space.grid_shape, dtype=complex)
-    for j in range(space.d):
-        hat = np.fft.fftn(vec[:, j].reshape(space.grid_shape))
-        total += 1j * ks[j] * hat
-    return np.real(np.fft.ifftn(total)).ravel()
+    return _ifft(space, np.sum(1j * space.wavevectors * _fft(space, vec), axis=-1))
 
 
 def div_div_tensor(space: GalerkinSpace, mat: np.ndarray) -> np.ndarray:
     """d_i d_j H_ij for a flattened tensor field (M^d, d, d)."""
-    mat = np.asarray(mat, dtype=float)
-    ks = _wavenumbers(space)
-    total = np.zeros(space.grid_shape, dtype=complex)
-    for i in range(space.d):
-        for j in range(space.d):
-            hat = np.fft.fftn(mat[:, i, j].reshape(space.grid_shape))
-            total += -ks[i] * ks[j] * hat
-    return np.real(np.fft.ifftn(total)).ravel()
-
-
-def remove_mean(space: GalerkinSpace, scalar: np.ndarray) -> np.ndarray:
-    return scalar - np.mean(scalar)
+    k = space.wavevectors
+    symbol = -k[..., :, None] * k[..., None, :]
+    return _ifft(space, np.sum(symbol * _fft(space, mat), axis=(-2, -1)))
 
 
 def solve_pi_H(space: GalerkinSpace, H: np.ndarray) -> np.ndarray:
@@ -134,12 +123,7 @@ def assemble_H(
         zero_order -= forcing_field.values
     if np.any(zero_order):
         zero_order = zero_order - np.mean(zero_order, axis=0)
-        lift = np.empty_like(h2)
-        for i in range(space.d):
-            lift[:, i, :] = gradient_scalar(
-                space, inverse_laplacian(space, zero_order[:, i])
-            )
-        h2 = h2 - lift
+        h2 = h2 - _field_gradient(space, inverse_laplacian(space, zero_order))
     if split:
         return h1, h2
     return h1 + h2
@@ -181,7 +165,7 @@ def solve_pi_Phi(
     if phi_fields_history.shape[0] != n_steps:
         raise ValueError("noise field history misaligned with increments")
     accum = np.einsum("nkxd,nk->xd", phi_fields_history, increments)
-    return remove_mean(space, inverse_laplacian(space, divergence_vector(space, accum)))
+    return inverse_laplacian(space, divergence_vector(space, accum))
 
 
 def decompose(
@@ -206,17 +190,14 @@ def decompose(
         c = traj.coeffs[m]
         h1, h2 = assemble_H(space, params, c, forcing.at_step(m), split=True)
         H_sq[m] = np.sum((h1 + h2) ** 2, axis=(-2, -1))
-        pi_1[m] = remove_mean(space, solve_pi_H(space, h1))
-        pi_2[m] = remove_mean(space, solve_pi_H(space, h2))
+        pi_1[m] = solve_pi_H(space, h1)
+        pi_2[m] = solve_pi_H(space, h2)
         pi_H[m] = pi_1[m] + pi_2[m]
         if model is not None and traj.increments is not None:
             phi = apply_phi(model, space, synthesize(space, c))
             hs[m] = hilbert_schmidt_norm_sq(space, phi)
             stoch_accum += np.einsum("kxd,k->xd", phi, traj.increments[m])
-            pi_Phi[m + 1] = remove_mean(
-                space,
-                inverse_laplacian(space, divergence_vector(space, stoch_accum)),
-            )
+            pi_Phi[m + 1] = inverse_laplacian(space, divergence_vector(space, stoch_accum))
 
     return PressureDecomposition(
         pi_h=solve_pi_h(space),
@@ -274,11 +255,6 @@ def weak_residual(
             )
     res -= w * float(np.sum(decomposition.pi_Phi_series[t_index] * div_phi))
     return abs(res)
-
-
-def _field_gradient(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a sampled vector field, shape (M^d, d, d)."""
-    return np.stack([gradient_scalar(space, values[:, i]) for i in range(space.d)], axis=1)
 
 
 def estimate_check(

@@ -154,12 +154,13 @@ def test_csv_floats_survive_round_trip(tmp_path):
         assert energy == sum(c * c for c in coeffs)
 
 
-# seed 0 reaches a non-finite state at step 14; seeds 1-3 complete
+# seed 0 diverges: the left-point integral of |v|^6 overflows at step 12,
+# two steps before the state itself; seeds 1-3 complete
 FAILING_SEED = {"N": 8, "p": 3.0, "dt": 1.0, "T_end": 20, "n_traj": 4,
                 "noise_family": "linear", "initial_coeffs": [2] * 8}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ensemble_reports_failed_seed(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(FAILING_SEED))
@@ -168,11 +169,24 @@ def test_ensemble_reports_failed_seed(tmp_path):
     summary = json.loads((out / "ensemble.json").read_text())
     assert summary["partial"] is True and summary["n_traj"] == 3
     (failure,) = summary["failed_trajectories"]
-    assert failure["seed"] == 0 and failure["step"] == 14
+    assert failure["seed"] == 0 and failure["step"] == 12
+    assert failure["error"] == "step 12: non-finite diagnostics"
     assert set(failure) == {"seed", "step", "residual", "error"}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ensemble_with_overflowing_diagnostics_fails(tmp_path, capsys):
+    # finite coefficients whose energy integrals overflow: every trajectory
+    # fails at step 0, so the ensemble cannot report moments
+    cfg = write_config(tmp_path, N=4, p=3.0, T_end=0.02, n_traj=2,
+                       initial_coeffs=[1e60] * 4)
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "0 of 2 trajectories completed" in capsys.readouterr().err
+    assert not (out / "ensemble.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pressure_reports_failed_seed(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(FAILING_SEED))
@@ -180,7 +194,7 @@ def test_pressure_reports_failed_seed(tmp_path):
     assert main(["pressure", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
     report = json.loads((out / "pressure.json").read_text())
     assert report["partial"] is True
-    assert [(f["seed"], f["step"]) for f in report["failed_trajectories"]] == [(0, 14)]
+    assert [(f["seed"], f["step"]) for f in report["failed_trajectories"]] == [(0, 12)]
     assert np.isfinite(report["pi_H_ratio"])
     # built from seeds 1-3 alone
     cfg.write_text(json.dumps({**FAILING_SEED, "n_traj": 3}))
@@ -221,6 +235,16 @@ def test_bad_alpha_grid_exits_two(tmp_path, capsys):
                  "--alpha-grid", "0.1,-0.2"])
     assert code == 2
     assert "'alpha_grid'" in capsys.readouterr().err
+
+
+def test_alpha_and_m_grid_together_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, n_traj=2)
+    out = tmp_path / "both"
+    code = main(["ensemble", "--config", str(cfg), "--out", str(out),
+                 "--alpha-grid", "0.1,0.2", "--m-grid", "1,10"])
+    assert code == 2
+    assert "'m_grid'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_grid_with_one_trajectory_exits_two(tmp_path, capsys):

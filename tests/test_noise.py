@@ -3,6 +3,7 @@ import pytest
 
 from powerlaw_spde.basis import GridField, build_space, suggest_grid, synthesize
 from powerlaw_spde.noise import (
+    FAMILIES,
     NoiseModel,
     WienerPath,
     apply_phi,
@@ -79,10 +80,21 @@ def test_linear_gradient_sum_below_one_third():
 
 def test_apply_phi_shape_and_mismatch():
     space = build_space(2, 4, suggest_grid(2, 4))
-    model = NoiseModel(family="linear", K=6, d=2)
     fld = synthesize(space, np.ones(4))
-    phi = apply_phi(model, space, fld)
-    assert phi.shape == (6, space.M ** 2, 2)
+    xi = fld.values
+    root = np.sqrt(1.0 + np.sum(xi ** 2, axis=-1, keepdims=True))
+    for family in FAMILIES:
+        model = NoiseModel(family=family, K=6, d=2, amplitude=1.5)
+        phi = apply_phi(model, space, fld)
+        assert phi.shape == (6, space.M ** 2, 2)
+        # one mode at a time, in the same operand order
+        for k in range(1, 7):
+            a, u = 2.0 ** -k, np.eye(2)[(k - 1) % 2]
+            expected = {"additive": np.broadcast_to(a * 1.5 * u, xi.shape),
+                        "linear": a * xi,
+                        "smooth_norm": a * 1.5 * root * u}[family]
+            assert np.array_equal(phi[k - 1], expected)
+            assert np.array_equal(eval_g(model, k, xi), expected)
     with pytest.raises(ValueError):
         apply_phi(model, space, np.zeros((3, 2)))
 

@@ -12,24 +12,72 @@ def make_space(N=8, M=None):
     return build_space(2, N, M or suggest_grid(2, N))
 
 
+def operator_spaces(M=10):
+    """d = 2 and 3, each on its smallest grid and on the even grid M, whose
+    Nyquist bins the Fourier symbols must handle."""
+    return [build_space(d, 8, m) for d in (2, 3) for m in (suggest_grid(d, 8), M)]
+
+
 def test_inverse_laplacian_analytic():
-    space = make_space()
-    x1 = space.points[:, 0]
-    out = pressure.inverse_laplacian(space, np.cos(x1))
-    assert np.max(np.abs(out + np.cos(x1))) < 1e-12
-    # laplacian is its left inverse on mean-zero fields
-    back = pressure.laplacian(space, out)
-    assert np.max(np.abs(back - np.cos(x1))) < 1e-12
+    for space in operator_spaces():
+        x1 = space.points[:, 0]
+        out = pressure.inverse_laplacian(space, np.cos(x1))
+        assert np.max(np.abs(out + np.cos(x1))) < 1e-12
+        # laplacian is its left inverse on mean-zero fields
+        back = pressure.laplacian(space, out)
+        assert np.max(np.abs(back - np.cos(x1))) < 1e-12
 
 
 def test_gradient_and_divergence_are_adjoint():
-    space = make_space()
     rng = np.random.default_rng(0)
-    scalar = rng.standard_normal(space.M ** 2)
-    vec = rng.standard_normal((space.M ** 2, 2))
-    lhs = np.sum(pressure.gradient_scalar(space, scalar) * vec)
-    rhs = -np.sum(scalar * pressure.divergence_vector(space, vec))
-    assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(rhs))
+    for space in operator_spaces():
+        n_pts = space.M ** space.d
+        scalar = rng.standard_normal(n_pts)
+        vec = rng.standard_normal((n_pts, space.d))
+        lhs = np.sum(pressure.gradient_scalar(space, scalar) * vec)
+        rhs = -np.sum(scalar * pressure.divergence_vector(space, vec))
+        assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(rhs))
+
+
+def test_operators_match_per_component_transforms():
+    # the reference applies each symbol with one transform per component
+    rng = np.random.default_rng(8)
+    for space in operator_spaces():
+        d, n_pts = space.d, space.M ** space.d
+        ks = np.meshgrid(*([np.fft.fftfreq(space.M, 1.0 / space.M)] * d), indexing="ij")
+        k_sq = sum(k ** 2 for k in ks)
+
+        def fft(f):
+            return np.fft.fftn(f.reshape(space.grid_shape))
+
+        def ifft(hat):
+            return np.real(np.fft.ifftn(hat)).ravel()
+
+        def inv_lap(f):
+            return ifft(np.where(k_sq == 0, 0.0, fft(f) / np.where(k_sq == 0, 1.0, -k_sq)))
+
+        def grad(f):
+            return np.stack([ifft(1j * k * fft(f)) for k in ks], axis=-1)
+
+        s = rng.standard_normal(n_pts)
+        v = rng.standard_normal((n_pts, d))
+        h = rng.standard_normal((n_pts, d, d))
+        cases = [
+            (pressure.laplacian(space, s), ifft(-k_sq * fft(s))),
+            (pressure.inverse_laplacian(space, s), inv_lap(s)),
+            (pressure.inverse_laplacian(space, v),
+             np.stack([inv_lap(v[:, i]) for i in range(d)], axis=-1)),
+            (pressure.gradient_scalar(space, s), grad(s)),
+            (pressure._field_gradient(space, v),
+             np.stack([grad(v[:, i]) for i in range(d)], axis=1)),
+            (pressure.divergence_vector(space, v),
+             ifft(sum(1j * ks[j] * fft(v[:, j]) for j in range(d)))),
+            (pressure.div_div_tensor(space, h),
+             ifft(sum(-ks[i] * ks[j] * fft(h[:, i, j]) for i in range(d) for j in range(d)))),
+        ]
+        for got, expected in cases:
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) < 1e-12
 
 
 def test_pi_H_constant_tensor_gives_zero():
@@ -49,13 +97,13 @@ def test_pi_H_analytic_example():
 
 
 def test_pi_H_ignores_skew_part():
-    space = make_space()
     rng = np.random.default_rng(1)
-    a = rng.standard_normal((space.M ** 2, 2, 2))
-    skew = 0.5 * (a - np.swapaxes(a, -1, -2))
-    # div div of a skew tensor vanishes identically
-    assert np.max(np.abs(pressure.div_div_tensor(space, skew))) < 1e-8
-    assert np.max(np.abs(pressure.solve_pi_H(space, skew))) < 1e-8
+    for space in operator_spaces():
+        a = rng.standard_normal((space.M ** space.d, space.d, space.d))
+        skew = 0.5 * (a - np.swapaxes(a, -1, -2))
+        # div div of a skew tensor vanishes identically
+        assert np.max(np.abs(pressure.div_div_tensor(space, skew))) < 1e-8
+        assert np.max(np.abs(pressure.solve_pi_H(space, skew))) < 1e-8
 
 
 def test_pi_H_linearity_and_mean_zero():
@@ -70,32 +118,35 @@ def test_pi_H_linearity_and_mean_zero():
 
 
 def test_pi_H_weak_identity_against_scalar_modes():
-    # int pi_H lap(phi) = -int H : grad^2(phi) for resolved scalar modes phi
-    space = make_space(M=9)  # keep the test wavenumbers below Nyquist
+    # int pi_H lap(phi) = -int H : grad^2(phi) for resolved scalar modes phi;
+    # the grids keep the test wavenumbers below Nyquist
     rng = np.random.default_rng(3)
-    H = rng.standard_normal((space.M ** 2, 2, 2))
-    pi = pressure.solve_pi_H(space, H)
-    w = space.quad_weight
-    for xi in ([1.0, 0.0], [0.0, 2.0], [1.0, -1.0], [2.0, 1.0]):
-        xi = np.asarray(xi)
-        phase = space.points @ xi
-        for phi in (np.cos(phase), np.sin(phase)):
-            lap_phi = -np.dot(xi, xi) * phi
-            hess_phi = -phi[:, None, None] * np.outer(xi, xi)[None, :, :]
-            lhs = w * np.sum(pi * lap_phi)
-            rhs = -w * np.sum(H * hess_phi)
-            assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(rhs))
+    for d in (2, 3):
+        for M in (9, 10):
+            space = build_space(d, 8, M)
+            H = rng.standard_normal((M ** d, d, d))
+            pi = pressure.solve_pi_H(space, H)
+            w = space.quad_weight
+            for xi in ([1, 0, 1], [0, 2, 0], [1, -1, 0], [2, 1, -1]):
+                xi = np.asarray(xi[:d], dtype=float)
+                phase = space.points @ xi
+                for phi in (np.cos(phase), np.sin(phase)):
+                    lap_phi = -np.dot(xi, xi) * phi
+                    hess_phi = -phi[:, None, None] * np.outer(xi, xi)[None, :, :]
+                    lhs = w * np.sum(pi * lap_phi)
+                    rhs = -w * np.sum(H * hess_phi)
+                    assert abs(lhs - rhs) < 1e-8 * (1.0 + abs(rhs))
 
 
 def test_pi_H_multiplier_is_a_contraction():
     # the symbol k k^T / |k|^2 has Frobenius norm one, so the L2 norm of
     # pi_H never exceeds that of H
-    space = make_space()
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        H = rng.standard_normal((space.M ** 2, 2, 2))
-        pi = pressure.solve_pi_H(space, H)
-        assert np.sum(pi ** 2) <= np.sum(H ** 2) + 1e-10
+    for space in operator_spaces():
+        for _ in range(5):
+            H = rng.standard_normal((space.M ** space.d, space.d, space.d))
+            pi = pressure.solve_pi_H(space, H)
+            assert np.sum(pi ** 2) <= np.sum(H ** 2) + 1e-10
 
 
 def test_pi_h_vanishes():
@@ -206,6 +257,28 @@ def test_estimate_check_reports_finite_ratios():
     assert np.isfinite(report["pi_Phi_ratio"]) and report["pi_Phi_ratio"] >= 0.0
     assert report["pi_h_sup"] == 0.0
     assert report["pi_H_lhs"] <= report["pi_H_rhs"] * max(report["pi_H_ratio"], 1.0) + 1e-12
+
+
+def test_decompose_makes_one_transform_pair_per_operator(call_counter):
+    # with noise and a stabilizer, each step lifts the zero-order term
+    # (2 operator calls), solves pi_H for both flux parts (2 each) and
+    # updates pi_Phi (2): eight operators, each one fftn and one ifftn
+    space, params, model, forcing, traj = run_small(alpha=0.2, n_steps=3)
+    helpers = ("inverse_laplacian", "laplacian", "gradient_scalar",
+               "divergence_vector", "div_div_tensor", "_field_gradient")
+    helper_calls = call_counter(pressure, *helpers)
+    fft_calls = call_counter(np.fft, "fftn", "ifftn")
+    pressure.decompose(space, params, model, forcing, traj)
+    assert sum(helper_calls.values()) == 8 * traj.n_steps
+    assert fft_calls == {"fftn": 8 * traj.n_steps, "ifftn": 8 * traj.n_steps}
+
+
+def test_wavevector_grid_is_built_once():
+    space = make_space(M=10)
+    k = space.wavevectors
+    assert k.shape == (10, 10, 2) and k.dtype.kind == "i"
+    assert np.array_equal(k[:, 0, 0], np.fft.fftfreq(10, 0.1).astype(int))
+    assert space.wavevectors is k
 
 
 def test_estimate_check_reads_the_decomposition(call_counter):
