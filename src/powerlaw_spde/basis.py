@@ -167,15 +167,6 @@ class GalerkinSpace:
         return np.stack(np.meshgrid(*([k] * self.d), indexing="ij"), axis=-1)
 
     @cached_property
-    def distinct_profiles(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, index): one mode per distinct profile, and the position of
-        each mode's profile among those rows.  Modes that differ only in
-        polarization (both of each (xi, parity) pair in d=3) share a profile."""
-        keys = np.array([(*m.xi, m.parity == "cos") for m in self.modes])
-        _, rows, index = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        return rows, index.ravel()
-
-    @cached_property
     def mode_fields(self) -> np.ndarray:
         """Dense samples of all modes, shape (N, M^d, d)."""
         return self.value_profiles[:, :, None] * self.pols[:, None, :]

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, asdict, field
 from typing import Any
 
@@ -13,6 +15,23 @@ from .galerkin import Forcing, SdeStepConfig
 from .noise import FAMILIES, NoiseModel
 
 SCHEMA_VERSION = 1
+
+# Typed fields; a field whose default is None may also be None.
+_INTEGERS = ("version", "d", "N", "M", "K", "forcing_mode_index", "seed", "n_traj")
+_REALS = ("p", "nu0", "q", "alpha", "m", "dt", "T_end", "noise_amplitude",
+          "forcing_scale", "initial_scale", "beta")
+_STRINGS = ("scheme", "noise_family", "forcing", "initial")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    """A JSON number that converts to a finite double."""
+    if _is_integer(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 class ConfigError(ValueError):
@@ -51,6 +70,7 @@ class SimulationConfig:
     beta: float | None = None
 
     def __post_init__(self):
+        self._check_types()
         if self.version != SCHEMA_VERSION:
             raise ConfigError("version", f"unsupported schema version {self.version}")
         if self.d not in (2, 3):
@@ -98,6 +118,19 @@ class SimulationConfig:
             raise ConfigError("n_traj", "need at least one trajectory")
         if self.seed < 0:
             raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
+
+    def _check_types(self) -> None:
+        for names, ok, kind in ((_INTEGERS, _is_integer, "an integer"),
+                                (_REALS, _is_finite_real, "a finite number"),
+                                (_STRINGS, lambda v: isinstance(v, str), "a string")):
+            for name in names:
+                value = getattr(self, name)
+                optional = self.__dataclass_fields__[name].default is None
+                if not ok(value) and not (value is None and optional):
+                    raise ConfigError(name, f"must be {kind}, got {value!r}")
+        coeffs = self.initial_coeffs
+        if not isinstance(coeffs, (list, tuple)) or not all(map(_is_finite_real, coeffs)):
+            raise ConfigError("initial_coeffs", f"must be a list of finite numbers, got {coeffs!r}")
 
     @property
     def n_steps(self) -> int:

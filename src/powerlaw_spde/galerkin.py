@@ -9,8 +9,8 @@ The coefficient vector C solves dC = mu(t, C) dt + Sigma(C) dbeta with
 all integrals by collocation quadrature with v = sum_k c_k w_k.  Two time
 discretizations are provided: explicit Euler-Maruyama, and a semi-implicit
 scheme that treats the two monotone terms (stress and stabilizer)
-implicitly via damped Newton on a strictly convex objective, while
-convection, forcing and noise stay explicit.
+implicitly via damped, matrix-free Newton-CG on a strictly convex
+objective, while convection, forcing and noise stay explicit.
 """
 from __future__ import annotations
 
@@ -211,62 +211,67 @@ def _implicit_objective(params, space, coeffs, rhs, dt, fields):
     return 0.5 * float(np.sum((coeffs - rhs) ** 2)) + dt * total
 
 
-def _gram(rows, weight):
-    """sum_x weight(x) r_n(x) r_m(x) for a weight of one sign, as a
-    symmetric rank-k product (half the flops of a general GEMM)."""
-    sign = -1.0 if np.any(weight < 0.0) else 1.0
-    root = rows * np.sqrt(sign * weight)
-    return sign * (root @ root.T)
-
-
-def _implicit_hessian(params, space, dt, fields):
-    """Exact Hessian of the implicit objective; symmetric positive definite.
-
-    With eps(w_n) = b_n sym(G_n) and w_n = a_n pol_n, a weighted Gram matrix
-    int c eps(w_n) : eps(w_m) dx is the profile Gram (b c) b^T times the
-    constant (sym G)(sym G)^T elementwise, and likewise for the w_n . w_m
-    terms of the stabilizer.  The profile Grams run over distinct profiles
-    only; the rank-one parts need one row per mode.
-    """
+def _implicit_hessian_product(params, space, dt, fields):
+    """x -> H x for the Hessian H >= I of the implicit objective at the
+    iterate with these fields, never assembled.  With t = |eps| and eps^ =
+    eps/t, D^2 F(eps)[E] = nu0 (1+t)^(p-2) (E + (p-2) t/(1+t) (eps^:E) eps^);
+    the stabilizer's Hessian maps u to alpha |v|^(q-2) (u + (q-2) (v^.u) v^).
+    The coefficients are computed once per iterate; a product is four GEMMs."""
     eps, v = fields
-    w = space.quad_weight * dt
-    rows, index = space.distinct_profiles
-    spread = np.ix_(index, index)
-    b = space.deriv_profiles
-    strain = space.strain_tensors.reshape(space.N, -1)
-    flat_eps = eps.reshape(len(eps), -1)
-    mag = np.sqrt(np.sum(flat_eps ** 2, axis=-1))
-    c1 = params.nu0 * (1.0 + mag) ** (params.p - 2.0)
-    hess = _gram(b[rows], w * c1)[spread] * (strain @ strain.T)
-
-    # rank-one part of D^2 F: (p-2)(1+t)^(p-3) (eps:A)(eps:B)/t, vanishing
-    # with t -> 0
-    safe = mag > 1e-14
-    if np.any(safe):
-        c2 = np.where(safe, (params.p - 2.0) * params.nu0
-                      * (1.0 + mag) ** (params.p - 3.0) / np.where(safe, mag, 1.0), 0.0)
-        proj = b * (strain @ flat_eps.T)  # eps(w_n) : eps at every point
-        hess += _gram(proj, w * c2)
-
+    t = np.sqrt(np.sum(eps ** 2, axis=(-2, -1)))[:, None, None]
+    c1 = params.nu0 * (1.0 + t) ** (params.p - 2.0)
+    e_hat = eps / np.where(t > 0.0, t, 1.0)
+    e_rank = (params.p - 2.0) * t / (1.0 + t) * e_hat
     if v is not None:
-        a, pols = space.value_profiles, space.pols
-        vmag = np.linalg.norm(v, axis=-1)
+        vmag = np.linalg.norm(v, axis=-1)[:, None]
         a1 = params.alpha * vmag ** (params.q - 2.0)
-        hess += _gram(a[rows], w * a1)[spread] * (pols @ pols.T)
-        vsafe = vmag > 1e-14
-        if np.any(vsafe):
-            a2 = np.where(vsafe, (params.q - 2.0) * params.alpha
-                          * np.where(vsafe, vmag, 1.0) ** (params.q - 4.0), 0.0)
-            vproj = a * (pols @ v.T)  # w_n . v at every point
-            hess += _gram(vproj, w * a2)
+        v_hat = v / np.where(vmag > 0.0, vmag, 1.0)
+        v_rank = (params.q - 2.0) * v_hat
 
-    hess += np.eye(space.N)
-    return hess
+    def product(x):
+        e = symmetric_gradient(space, x)
+        flux = c1 * (e + np.sum(e_hat * e, axis=(-2, -1))[:, None, None] * e_rank)
+        out = analyze_gradient(space, flux, symmetric=True)
+        if v is not None:
+            u = synthesize(space, x).values
+            out += analyze(space, a1 * (u + np.sum(v_hat * u, axis=-1)[:, None] * v_rank))
+        return x + dt * out
+
+    return product
+
+
+def _newton_direction(params, space, dt, fields, grad, tol):
+    """Inexact Newton direction: preconditioned CG on H d = -g from d = 0,
+    with the Jacobi preconditioner 1 + dt nu0 lambda_k / 2 (the exact
+    diagonal of H for p = 2, alpha = 0, since int |eps(w_k)|^2 = lambda_k/2)
+    and the forcing term min(1e-8, sqrt|g|) of Dembo, Eisenstat & Steihaug.
+    Any truncated CG iterate is a descent direction."""
+    hess = _implicit_hessian_product(params, space, dt, fields)
+    precond = 1.0 + 0.5 * dt * params.nu0 * space.eigenvalues
+    g_norm = float(np.linalg.norm(grad))
+    stop = max(min(1e-8, np.sqrt(g_norm)) * g_norm, 0.1 * tol)
+    direction, resid = np.zeros_like(grad), -grad
+    search = resid / precond
+    rz = resid @ search
+    for _ in range(space.N):
+        h_search = hess(search)
+        step_len = rz / (search @ h_search)
+        direction = direction + step_len * search
+        resid = resid - step_len * h_search
+        if np.linalg.norm(resid) <= stop:
+            break
+        z = resid / precond
+        rz, rz_old = resid @ z, rz
+        search = z + (rz / rz_old) * search
+    return direction
 
 
 def _solve_implicit(params, space, rhs, dt, tol, max_iter, step_index):
     # The fields are evaluated once per iterate: a trial accepted by the
     # line search carries its fields and objective into the next iteration.
+    # Round-off grows with |rhs| in the gradient (|C| <= |rhs| at the
+    # minimizer) and with the value in the objective: both tests scale.
+    tol = tol * max(1.0, float(np.linalg.norm(rhs)))
     coeffs = rhs.copy()
     fields = _implicit_fields(params, space, coeffs)
     value = _implicit_objective(params, space, coeffs, rhs, dt, fields)
@@ -277,15 +282,14 @@ def _solve_implicit(params, space, rhs, dt, tol, max_iter, step_index):
             raise IntegratorError("non-finite Newton residual", step_index, res)
         if res <= tol:
             return coeffs
-        hess = _implicit_hessian(params, space, dt, fields)
-        direction = np.linalg.solve(hess, -grad)
+        direction = _newton_direction(params, space, dt, fields, grad, tol)
         # backtracking on the convex objective
         lam = 1.0
         for _ in range(40):
             trial = coeffs + lam * direction
             trial_fields = _implicit_fields(params, space, trial)
             trial_value = _implicit_objective(params, space, trial, rhs, dt, trial_fields)
-            if trial_value < value + 1e-14:
+            if trial_value < value + 1e-14 * max(1.0, abs(value)):
                 coeffs, fields, value = trial, trial_fields, trial_value
                 break
             lam *= 0.5

@@ -151,7 +151,6 @@ class PressureDecomposition:
 
 def solve_pi_Phi(
     space: GalerkinSpace,
-    model: NoiseModel,
     phi_fields_history: np.ndarray,
     increments: np.ndarray,
 ) -> np.ndarray:

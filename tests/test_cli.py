@@ -69,6 +69,17 @@ def test_forcing_mode_index_out_of_range_exits_two(tmp_path, capsys, index):
     assert "forcing_mode_index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, fld", [
+    ({"N": "4"}, "N"),                      # used to raise TypeError
+    ({"initial_coeffs": [float("nan")]}, "initial_coeffs"),  # used to raise ValueError
+])
+def test_mistyped_or_non_finite_config_exits_two(tmp_path, capsys, override, fld):
+    cfg = write_config(tmp_path, **override)
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"'{fld}'" in capsys.readouterr().err
+
+
 def test_verify_known_suite(tmp_path):
     out = tmp_path / "reports"
     assert main(["verify", "--suite", "constitutive", "--out", str(out)]) == 0

@@ -40,6 +40,18 @@ def test_field_validation_messages():
         ({"forcing_mode_index": 0}, "forcing_mode_index"),
         ({"N": 4, "forcing_mode_index": 5}, "forcing_mode_index"),
         ({"version": 2}, "version"),
+        ({"N": "4"}, "N"),
+        ({"N": 4.0}, "N"),
+        ({"d": True}, "d"),
+        ({"p": "2"}, "p"),
+        ({"nu0": float("nan")}, "nu0"),
+        ({"dt": float("inf")}, "dt"),
+        ({"p": 10 ** 400}, "p"),  # overflows a double
+        ({"beta": float("nan")}, "beta"),
+        ({"scheme": 1}, "scheme"),
+        ({"initial_coeffs": [1.0, float("nan")]}, "initial_coeffs"),
+        ({"initial_coeffs": ["1"]}, "initial_coeffs"),
+        ({"initial_coeffs": 1.0}, "initial_coeffs"),
     ]:
         with pytest.raises(ConfigError) as err:
             SimulationConfig(**kwargs)

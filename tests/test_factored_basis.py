@@ -2,6 +2,8 @@
 against dense-table oracles built from mode_fields / mode_grads / mode_eps."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from powerlaw_spde.basis import (
     analyze,
@@ -12,11 +14,12 @@ from powerlaw_spde.basis import (
     velocity_gradient,
 )
 from powerlaw_spde.constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
+from powerlaw_spde import galerkin
 from powerlaw_spde.galerkin import (
     VelocityState,
     _implicit_fields,
     _implicit_gradient,
-    _implicit_hessian,
+    _implicit_hessian_product,
     assemble_diffusion,
     convection_force,
     stabilizer_force,
@@ -83,15 +86,6 @@ def test_dense_views_are_the_sampled_modes(d):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_distinct_profiles_index_the_mode_rows(d):
-    space = make_space(d)
-    rows, index = space.distinct_profiles
-    assert np.array_equal(space.value_profiles[rows][index], space.value_profiles)
-    assert np.array_equal(space.deriv_profiles[rows][index], space.deriv_profiles)
-    assert len(rows) == (space.N if d == 2 else space.N // 2)
-
-
-@pytest.mark.parametrize("d", [2, 3])
 def test_transforms_match_dense_oracle(d):
     space = make_space(d)
     c = random_coeffs(space)
@@ -142,6 +136,10 @@ def test_diffusion_matches_dense_oracle(d, family):
         assert_close(got, want)
 
 
+def hessian_product(params, space, coeffs, dt):
+    return _implicit_hessian_product(params, space, dt, _implicit_fields(params, space, coeffs))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("p", [1.6, 2.5])
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
@@ -150,9 +148,12 @@ def test_hessian_matches_dense_oracle(d, p, alpha):
     params = ConstitutiveParams(p=p, alpha=alpha, d=d)
     c = random_coeffs(space, seed=4)
     dt = 0.3
-    hess = _implicit_hessian(params, space, dt, _implicit_fields(params, space, c))
-    assert np.array_equal(hess, hess.T)
-    assert_close(hess, dense_hessian(params, space, c, dt))
+    product = hessian_product(params, space, c, dt)
+    hess = dense_hessian(params, space, c, dt)
+    for seed in (7, 8):
+        x = random_coeffs(space, seed)
+        assert_close(product(x), hess @ x)
+    assert_close(np.stack([product(e) for e in np.eye(space.N)], axis=1), hess)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -169,13 +170,44 @@ def test_hessian_is_jacobian_of_gradient(d, p, alpha):
         fields = _implicit_fields(params, space, coeffs)
         return _implicit_gradient(params, space, coeffs, rhs, dt, fields)
 
-    hess = _implicit_hessian(params, space, dt, _implicit_fields(params, space, c))
+    product = hessian_product(params, space, c, dt)
+    hess = np.stack([product(e) for e in np.eye(space.N)], axis=1)
     jac = np.empty_like(hess)
-    for j in range(space.N):
-        e = np.zeros(space.N)
-        e[j] = h
+    for j, e in enumerate(h * np.eye(space.N)):
         jac[:, j] = (gradient(c + e) - gradient(c - e)) / (2.0 * h)
     # compare the parts beyond the identity of 0.5|C - rhs|^2
     curvature = np.max(np.abs(hess - np.eye(space.N)))
     assert curvature > 1e-3
     assert np.max(np.abs(jac - hess)) <= 1e-6 * curvature
+
+
+_VECTOR = hnp.arrays(float, SIZES[2], elements=st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=_VECTOR, x=_VECTOR, y=_VECTOR, p=st.floats(1.1, 4.0),
+       alpha=st.sampled_from([0.0, 0.1, 2.0]), dt=st.floats(1e-3, 10.0))
+def test_hessian_product_is_symmetric_and_at_least_identity(c, x, y, p, alpha, dt):
+    space = make_space(2)
+    params = ConstitutiveParams(p=p, alpha=alpha, d=2)
+    product = hessian_product(params, space, c, dt)
+    hx, hy = product(x), product(y)
+    scale = np.linalg.norm(x) * np.linalg.norm(hy) + np.linalg.norm(y) * np.linalg.norm(hx)
+    assert abs(x @ hy - y @ hx) <= 1e-12 * scale
+    assert x @ hx >= x @ x - 1e-12 * np.linalg.norm(x) * np.linalg.norm(hx)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_semi_implicit_step_calls_stress_force_once_per_newton_iterate(call_counter, alpha):
+    # the Hessian products stay out of stress_force: the gradient of each
+    # Newton iterate is its only caller (the benchmark counts iterates so)
+    space = make_space(3)
+    params = ConstitutiveParams(p=1.6, alpha=alpha, d=3)
+    counts = call_counter(galerkin, "stress_force", "_newton_direction",
+                          "_implicit_hessian_product")
+    galerkin.step(params, space, None, galerkin.Forcing(), VelocityState(random_coeffs(space)),
+                  galerkin.SdeStepConfig(dt=0.3, scheme="semi_implicit"), None)
+    iterates = counts["_newton_direction"] + 1  # the last one passes the residual test
+    assert counts["_newton_direction"] >= 2
+    assert counts["_implicit_hessian_product"] == counts["_newton_direction"]
+    assert counts["stress_force"] == iterates

@@ -214,6 +214,22 @@ def test_newton_failure_reports_residual():
     assert str(err.value).startswith("step 3: ")
 
 
+@pytest.mark.parametrize("d, N, p, alpha, dt", [(3, 64, 2.5, 0.1, 1.0), (2, 32, 4.0, 1.0, 10.0)])
+def test_newton_completes_steps_converged_to_round_off(d, N, p, alpha, dt):
+    # an absolute residual tolerance of 1e-10 sat below the round-off of
+    # these gradients: Newton stalled there and the line search failed
+    space = build_space(d, N, suggest_grid(d, N))
+    params = ConstitutiveParams(p=p, alpha=alpha, d=d)
+    c0 = 3.0 * np.random.default_rng(1).standard_normal(N)
+    cfg = SdeStepConfig(dt=dt, scheme="semi_implicit")
+    new = step(params, space, None, Forcing(mode="zero"), VelocityState(c0), cfg, None).coeffs
+    rhs = c0 + dt * convection_force(space, c0)
+    fields = galerkin._implicit_fields(params, space, new)
+    grad = galerkin._implicit_gradient(params, space, new, rhs, dt, fields)
+    assert np.linalg.norm(grad) <= cfg.newton_tol * np.linalg.norm(rhs)
+    assert np.linalg.norm(new) <= np.linalg.norm(rhs)  # a proximal step
+
+
 def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
     # the left-point v, eps and Sigma feed both the diagnostics and the step
     space = make_space()

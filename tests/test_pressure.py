@@ -162,8 +162,7 @@ def test_pi_Phi_analytic_example():
     fields = np.zeros((1, 1, space.M ** 2, 2))
     fields[0, 0, :, 0] = np.sin(x1)
     inc = np.ones((1, 1))
-    model = NoiseModel(family="additive", K=1, d=2)
-    pi = pressure.solve_pi_Phi(space, model, fields, inc)
+    pi = pressure.solve_pi_Phi(space, fields, inc)
     assert np.max(np.abs(pi - (-np.cos(x1)))) < 1e-10
 
 
@@ -171,10 +170,9 @@ def test_pi_Phi_zero_increments():
     space = make_space()
     fields = np.random.default_rng(5).standard_normal((3, 2, space.M ** 2, 2))
     inc = np.zeros((3, 2))
-    model = NoiseModel(family="additive", K=2, d=2)
-    assert np.max(np.abs(pressure.solve_pi_Phi(space, model, fields, inc))) < 1e-14
+    assert np.max(np.abs(pressure.solve_pi_Phi(space, fields, inc))) < 1e-14
     with pytest.raises(ValueError):
-        pressure.solve_pi_Phi(space, model, fields, np.zeros((2, 2)))
+        pressure.solve_pi_Phi(space, fields, np.zeros((2, 2)))
 
 
 def run_small(noise=True, scheme="euler_maruyama", alpha=0.0, forcing=None,
