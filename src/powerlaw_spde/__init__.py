@@ -1,21 +1,20 @@
 """Spectral Galerkin simulation and verification for stochastic power-law
 fluids on the periodic torus."""
 
-from .basis import GalerkinSpace, GridField, WaveMode, analyze, build_space, suggest_grid, symmetric_gradient, synthesize
+from .basis import GalerkinSpace, WaveMode, analyze, build_space, suggest_grid, symmetric_gradient, synthesize
 from .config import SimulationConfig
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress, monotonicity_gap, stress_potential
-from .galerkin import Forcing, SdeStepConfig, Trajectory, VelocityState, run_trajectory, step
+from .galerkin import SdeStepConfig, Trajectory, run_trajectory, step
 from .noise import NoiseModel, WienerPath, apply_phi, eval_g, u0_norm
 from .truncation import TruncationFamily
 
 __all__ = [
-    "GalerkinSpace", "GridField", "WaveMode", "analyze", "build_space",
+    "GalerkinSpace", "WaveMode", "analyze", "build_space",
     "suggest_grid", "symmetric_gradient", "synthesize",
     "SimulationConfig",
     "ConstitutiveParams", "eval_stabilizer", "eval_stress",
     "monotonicity_gap", "stress_potential",
-    "Forcing", "SdeStepConfig", "Trajectory", "VelocityState",
-    "run_trajectory", "step",
+    "SdeStepConfig", "Trajectory", "run_trajectory", "step",
     "NoiseModel", "WienerPath", "apply_phi", "eval_g", "u0_norm",
     "TruncationFamily",
 ]

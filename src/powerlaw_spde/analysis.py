@@ -8,7 +8,6 @@ import numpy as np
 from .basis import GalerkinSpace, synthesize, symmetric_gradient
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
 from .galerkin import (
-    Forcing,
     IntegratorError,
     SdeStepConfig,
     Trajectory,
@@ -133,7 +132,7 @@ def run_ensemble(
     params: ConstitutiveParams,
     space: GalerkinSpace,
     model: NoiseModel | None,
-    forcing: Forcing,
+    forcing: np.ndarray | None,
     v0_coeffs: np.ndarray,
     cfg: SdeStepConfig,
     n_steps: int,
@@ -168,7 +167,7 @@ def ensemble_moments(
     params: ConstitutiveParams,
     space: GalerkinSpace,
     model: NoiseModel | None,
-    forcing: Forcing,
+    forcing: np.ndarray | None,
     v0_coeffs: np.ndarray,
     cfg: SdeStepConfig,
     n_steps: int,
@@ -198,7 +197,7 @@ def alpha_independence_study(
     params_for_alpha,
     space: GalerkinSpace,
     model: NoiseModel | None,
-    forcing: Forcing,
+    forcing: np.ndarray | None,
     v0_coeffs: np.ndarray,
     cfg: SdeStepConfig,
     n_steps: int,
@@ -212,7 +211,9 @@ def alpha_independence_study(
     grid point.
     """
     v0_sq = float(np.sum(np.asarray(v0_coeffs) ** 2))
-    f_sq = forcing.l2q_norm_sq(space, cfg.dt, n_steps)
+    # ||f||^2_{L2(Q)} of the steady force
+    f_sq = 0.0 if forcing is None else (
+        n_steps * cfg.dt * space.quad_weight * float(np.sum(forcing ** 2)))
     rows = []
     for alpha in alphas:
         params = params_for_alpha(alpha)
@@ -232,7 +233,7 @@ def stabilization_convergence(
     params_for_m,
     space: GalerkinSpace,
     model: NoiseModel | None,
-    forcing: Forcing,
+    forcing: np.ndarray | None,
     v0_coeffs: np.ndarray,
     cfg: SdeStepConfig,
     n_steps: int,
@@ -278,7 +279,7 @@ def interpolation_diagnostic(traj: Trajectory) -> float:
 def weak_solution_residual(
     traj: Trajectory,
     model: NoiseModel | None,
-    forcing: Forcing,
+    forcing: np.ndarray | None,
     test_space: GalerkinSpace,
     j: int,
 ) -> np.ndarray:
@@ -309,22 +310,21 @@ def weak_solution_residual(
         eps = symmetric_gradient(space, c_drift)
         s = eval_stress(params, eps)
         mu = -w * float(np.sum(s * eps_w_j))
-        v_left = synthesize(space, c_left).values
+        v_left = synthesize(space, c_left)
         tensor = v_left[:, :, None] * v_left[:, None, :]
         mu += w * float(np.sum(tensor * grad_w_j))
         if params.alpha > 0.0:
-            v_drift = synthesize(space, c_drift).values
+            v_drift = synthesize(space, c_drift)
             mu -= w * float(np.sum(eval_stabilizer(params, v_drift) * w_j))
-        f = forcing.at_step(m)
-        if f is not None:
-            mu += w * float(np.sum(f.values * w_j))
+        if forcing is not None:
+            mu += w * float(np.sum(forcing * w_j))
         accum += traj.dt * mu
         if model is not None and traj.increments is not None:
             phi = apply_phi(model, space, synthesize(space, c_left))
             sigma_row = w * np.einsum("kxd,xd->k", phi, w_j)
             accum += float(sigma_row @ traj.increments[m])
-        proj_now = w * float(np.sum(synthesize(space, traj.coeffs[m + 1]).values * w_j))
-        proj_0 = w * float(np.sum(synthesize(space, traj.coeffs[0]).values * w_j))
+        proj_now = w * float(np.sum(synthesize(space, traj.coeffs[m + 1]) * w_j))
+        proj_0 = w * float(np.sum(synthesize(space, traj.coeffs[0]) * w_j))
         res[m + 1] = abs(proj_now - proj_0 - accum)
     return res
 

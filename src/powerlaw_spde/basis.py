@@ -90,22 +90,6 @@ class WaveMode:
         return float(sum(c * c for c in self.xi))
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Vector field sampled on the uniform collocation grid.
-
-    values has shape (M^d, d); points are ordered like
-    np.ndindex((M,)*d) (C order).
-    """
-
-    values: np.ndarray
-    domain_measure: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid field contains non-finite entries")
-
-
 def _enumerate_modes(d: int, count: int) -> list[WaveMode]:
     """The first `count` modes in (eigenvalue, xi, parity, pol) order.
 
@@ -182,10 +166,6 @@ class GalerkinSpace:
         return self.deriv_profiles[:, :, None, None] * self.strain_tensors[:, None]
 
     @property
-    def domain_measure(self) -> float:
-        return TWO_PI ** self.d
-
-    @property
     def grid_shape(self) -> tuple[int, ...]:
         return (self.M,) * self.d
 
@@ -250,16 +230,15 @@ def _tensor_field(space: GalerkinSpace, coeffs: np.ndarray, tensors: np.ndarray)
     return (space.deriv_profiles.T @ weighted).reshape(-1, d, d)
 
 
-def synthesize(space: GalerkinSpace, coeffs: np.ndarray) -> GridField:
-    """Sample sum_k c_k w_k on the collocation grid."""
+def synthesize(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
+    """Samples of sum_k c_k w_k on the collocation grid, shape (M^d, d)."""
     coeffs = _check_coeffs(space, coeffs)
-    values = space.value_profiles.T @ (coeffs[:, None] * space.pols)
-    return GridField(values=values, domain_measure=space.domain_measure)
+    return space.value_profiles.T @ (coeffs[:, None] * space.pols)
 
 
-def analyze(space: GalerkinSpace, fld: GridField) -> np.ndarray:
-    """L2 projections <field, w_k> by trapezoidal quadrature."""
-    values = fld.values if isinstance(fld, GridField) else np.asarray(fld)
+def analyze(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
+    """L2 projections <field, w_k> of a sampled field (M^d, d) by trapezoidal
+    quadrature."""
     if values.shape != (space.M ** space.d, space.d):
         raise ValueError(f"field shape {values.shape} inconsistent with space")
     return space.quad_weight * np.einsum(
@@ -285,6 +264,5 @@ def symmetric_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     return _tensor_field(space, _check_coeffs(space, coeffs), space.strain_tensors)
 
 
-def l2_norm(space: GalerkinSpace, fld: GridField) -> float:
-    values = fld.values if isinstance(fld, GridField) else np.asarray(fld)
+def l2_norm(space: GalerkinSpace, values: np.ndarray) -> float:
     return float(np.sqrt(space.quad_weight * np.sum(values ** 2)))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .basis import GalerkinSpace, build_space, suggest_grid, synthesize
 from .constitutive import ConstitutiveParams, minimal_q
-from .galerkin import Forcing, SdeStepConfig
+from .galerkin import SdeStepConfig
 from .noise import FAMILIES, NoiseModel
 
 SCHEMA_VERSION = 1
@@ -107,6 +107,11 @@ class SimulationConfig:
             raise ConfigError("scheme", f"unknown scheme {self.scheme!r}")
         if self.noise_family is not None and self.noise_family not in FAMILIES:
             raise ConfigError("noise_family", f"unknown family {self.noise_family!r}")
+        if self.noise_family == "additive":
+            # its constant fields project to zero on the mean-free basis
+            raise ConfigError("noise_family", "'additive' noise is zero on the mean-free "
+                                              "Galerkin space (Sigma = 0); use 'linear' or "
+                                              "'smooth_norm', or null for no noise")
         if self.forcing not in ("zero", "steady_mode"):
             raise ConfigError("forcing", f"unknown forcing {self.forcing!r}")
         if not 1 <= self.forcing_mode_index <= self.N:
@@ -166,7 +171,11 @@ class SimulationConfig:
         )
 
     def build_space(self) -> GalerkinSpace:
-        return build_space(self.d, self.N, self.M)
+        # d and N are validated, so the grid bound on M is the one check left
+        try:
+            return build_space(self.d, self.N, self.M)
+        except ValueError as exc:
+            raise ConfigError("M", str(exc)) from None
 
     def build_noise(self) -> NoiseModel | None:
         if self.noise_family is None:
@@ -174,12 +183,13 @@ class SimulationConfig:
         return NoiseModel(family=self.noise_family, K=self.K, d=self.d,
                           amplitude=self.noise_amplitude)
 
-    def build_forcing(self, space: GalerkinSpace) -> Forcing:
+    def build_forcing(self, space: GalerkinSpace) -> np.ndarray | None:
+        """The sampled steady body force (M^d, d), or None for zero forcing."""
         if self.forcing == "zero":
-            return Forcing(mode="zero")
+            return None
         coeffs = np.zeros(space.N)
         coeffs[self.forcing_mode_index - 1] = self.forcing_scale
-        return Forcing(mode="steady_field", data=synthesize(space, coeffs))
+        return synthesize(space, coeffs)
 
     def build_initial(self, space: GalerkinSpace) -> np.ndarray:
         v0 = np.zeros(space.N)

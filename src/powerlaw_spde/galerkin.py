@@ -14,13 +14,12 @@ objective, while convection, forcing and noise stay explicit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import (
     GalerkinSpace,
-    GridField,
     analyze,
     analyze_gradient,
     symmetric_gradient,
@@ -37,48 +36,6 @@ from .constitutive import (
 from .noise import NoiseModel, WienerPath, apply_phi
 
 SCHEMES = ("euler_maruyama", "semi_implicit")
-
-
-@dataclass
-class VelocityState:
-    coeffs: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("velocity coefficients must be finite")
-
-
-@dataclass(frozen=True)
-class Forcing:
-    """Deterministic body force: zero, a steady field, or per-step fields."""
-
-    mode: str = "zero"
-    data: GridField | tuple[GridField, ...] | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("zero", "steady_field", "time_series"):
-            raise ValueError(f"unknown forcing mode {self.mode!r}")
-        if self.mode != "zero" and self.data is None:
-            raise ValueError("forcing data required")
-
-    def at_step(self, step: int) -> GridField | None:
-        if self.mode == "zero":
-            return None
-        if self.mode == "steady_field":
-            return self.data
-        return self.data[min(step, len(self.data) - 1)]
-
-    def l2q_norm_sq(self, space: GalerkinSpace, dt: float, n_steps: int) -> float:
-        """int_Q |f|^2 dx dt with left-point time quadrature."""
-        if self.mode == "zero":
-            return 0.0
-        total = 0.0
-        for n in range(n_steps):
-            f = self.at_step(n)
-            total += dt * space.quad_weight * float(np.sum(f.values ** 2))
-        return total
 
 
 @dataclass(frozen=True)
@@ -106,64 +63,51 @@ class IntegratorError(RuntimeError):
         self.residual = residual
 
 
-def stress_force(params: ConstitutiveParams, space: GalerkinSpace, coeffs: np.ndarray,
-                 eps: np.ndarray | None = None) -> np.ndarray:
-    """-int S(eps(v)) : eps(w_k) dx for each k; eps(v) may be passed in."""
-    if eps is None:
-        eps = symmetric_gradient(space, coeffs)
+def stress_force(params: ConstitutiveParams, space: GalerkinSpace, eps: np.ndarray) -> np.ndarray:
+    """-int S(eps(v)) : eps(w_k) dx for each k, from the samples of eps(v)."""
     return -analyze_gradient(space, eval_stress(params, eps), symmetric=True)
 
 
-def stabilizer_force(params: ConstitutiveParams, space: GalerkinSpace, coeffs: np.ndarray,
-                     v: np.ndarray | None = None) -> np.ndarray:
-    """-alpha int |v|^(q-2) v . w_k dx for each k; the samples of v may be passed in."""
+def stabilizer_force(params: ConstitutiveParams, space: GalerkinSpace,
+                     v: np.ndarray | None) -> np.ndarray:
+    """-alpha int |v|^(q-2) v . w_k dx for each k, from the samples of v
+    (which may be None when alpha = 0)."""
     if params.alpha == 0.0:
         return np.zeros(space.N)
-    if v is None:
-        v = synthesize(space, coeffs).values
     return -analyze(space, eval_stabilizer(params, v))
 
 
-def convection_force(space: GalerkinSpace, coeffs: np.ndarray,
-                     v: np.ndarray | None = None) -> np.ndarray:
-    """int v (x) v : grad w_k dx (divergence form) for each k; the samples of
-    v may be passed in."""
-    if v is None:
-        v = synthesize(space, coeffs).values
+def convection_force(space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
+    """int v (x) v : grad w_k dx (divergence form) for each k, from the
+    samples of v."""
     return analyze_gradient(space, v[:, :, None] * v[:, None, :])
 
 
-def forcing_term(space: GalerkinSpace, forcing: Forcing, step: int) -> np.ndarray:
-    f = forcing.at_step(step)
-    if f is None:
+def forcing_term(space: GalerkinSpace, forcing: np.ndarray | None) -> np.ndarray:
+    """int f . w_k dx for a sampled body force f, or zero without one."""
+    if forcing is None:
         return np.zeros(space.N)
-    return analyze(space, f)
+    return analyze(space, forcing)
 
 
 def assemble_drift(
     params: ConstitutiveParams,
     space: GalerkinSpace,
-    forcing: Forcing,
-    state: VelocityState,
-    step: int = 0,
-    v: np.ndarray | None = None,
-    eps: np.ndarray | None = None,
+    forcing: np.ndarray | None,
+    v: np.ndarray,
+    eps: np.ndarray,
 ) -> np.ndarray:
-    """mu(C) at the state; the samples of v and eps(v) may be passed in."""
+    """mu(C) from the samples of v = v_C and eps(v)."""
     return (
-        stress_force(params, space, state.coeffs, eps)
-        + convection_force(space, state.coeffs, v)
-        + stabilizer_force(params, space, state.coeffs, v)
-        + forcing_term(space, forcing, step)
+        stress_force(params, space, eps)
+        + convection_force(space, v)
+        + stabilizer_force(params, space, v)
+        + forcing_term(space, forcing)
     )
 
 
-def assemble_diffusion(model: NoiseModel, space: GalerkinSpace, state: VelocityState,
-                       v: np.ndarray | None = None) -> np.ndarray:
-    """N x K matrix Sigma_kl = int g_l(v) . w_k dx; the samples of v may be
-    passed in."""
-    if v is None:
-        v = synthesize(space, state.coeffs).values
+def assemble_diffusion(model: NoiseModel, space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
+    """N x K matrix Sigma_kl = int g_l(v) . w_k dx from the samples of v."""
     phi = apply_phi(model, space, v)  # (K, M^d, d)
     K, n_pts, d = phi.shape
     # one GEMM for all K fields: moments[n, l, :] = sum_x a_n(x) phi_l(x)
@@ -174,23 +118,18 @@ def assemble_diffusion(model: NoiseModel, space: GalerkinSpace, state: VelocityS
 
 def trilinear_convection(space: GalerkinSpace, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     """b(u, v, w) = int (u (x) v) : grad(sum_k w_k-expansion of w) dx."""
-    uf = synthesize(space, u).values
-    vf = synthesize(space, v).values
+    uf = synthesize(space, u)
+    vf = synthesize(space, v)
     grad_w = velocity_gradient(space, w)
     tensor = uf[:, :, None] * vf[:, None, :]
     return float(space.quad_weight * np.sum(tensor * grad_w))
-
-
-def project_initial(space: GalerkinSpace, fld: GridField) -> VelocityState:
-    """Orthogonal projection of an initial field onto the Galerkin span."""
-    return VelocityState(coeffs=analyze(space, fld), time=0.0)
 
 
 def _implicit_fields(params, space, coeffs):
     """eps(v_C) and, with the stabilizer on, the samples of v_C: the fields
     that the objective, its gradient and its Hessian at C all read."""
     eps = symmetric_gradient(space, coeffs)
-    v = synthesize(space, coeffs).values if params.alpha > 0.0 else None
+    v = synthesize(space, coeffs) if params.alpha > 0.0 else None
     return eps, v
 
 
@@ -199,7 +138,7 @@ def _implicit_gradient(params, space, coeffs, rhs, dt, fields):
     J(C) = 0.5|C - rhs|^2 + dt * (int F(eps(v_C)) + (alpha/q) int |v_C|^q)."""
     eps, v = fields
     return coeffs - rhs - dt * (
-        stress_force(params, space, coeffs, eps) + stabilizer_force(params, space, coeffs, v)
+        stress_force(params, space, eps) + stabilizer_force(params, space, v)
     )
 
 
@@ -233,7 +172,7 @@ def _implicit_hessian_product(params, space, dt, fields):
         flux = c1 * (e + np.sum(e_hat * e, axis=(-2, -1))[:, None, None] * e_rank)
         out = analyze_gradient(space, flux, symmetric=True)
         if v is not None:
-            u = synthesize(space, x).values
+            u = synthesize(space, x)
             out += analyze(space, a1 * (u + np.sum(v_hat * u, axis=-1)[:, None] * v_rank))
         return x + dt * out
 
@@ -306,31 +245,23 @@ def _solve_implicit(params, space, rhs, dt, tol, max_iter, step_index):
 def step(
     params: ConstitutiveParams,
     space: GalerkinSpace,
-    model: NoiseModel | None,
-    forcing: Forcing,
-    state: VelocityState,
+    forcing: np.ndarray | None,
+    coeffs: np.ndarray,
     cfg: SdeStepConfig,
-    path: WienerPath | None,
-    step_index: int = 0,
-    v: np.ndarray | None = None,
-    eps: np.ndarray | None = None,
-    noise_part: np.ndarray | None = None,
-) -> VelocityState:
-    """Advance one time step with the configured scheme.  The left-point
-    samples of v and eps(v) and the noise Sigma(C) dbeta may be passed in."""
-    if noise_part is None:
-        noise_part = np.zeros(space.N)
-        if model is not None and path is not None:
-            noise_part = assemble_diffusion(model, space, state, v) @ path.increments[step_index]
-
+    step_index: int,
+    v: np.ndarray,
+    eps: np.ndarray,
+    noise_part: np.ndarray,
+) -> np.ndarray:
+    """The coefficients after one time step from C = coeffs with the
+    configured scheme, given the left-point samples v of v_C and eps of
+    eps(v_C) and the noise increment Sigma(C) dbeta."""
     if cfg.scheme == "euler_maruyama":
-        mu = assemble_drift(params, space, forcing, state, step_index, v, eps)
-        new = state.coeffs + cfg.dt * mu + noise_part
+        new = coeffs + cfg.dt * assemble_drift(params, space, forcing, v, eps) + noise_part
     else:
         rhs = (
-            state.coeffs
-            + cfg.dt * (convection_force(space, state.coeffs, v)
-                        + forcing_term(space, forcing, step_index))
+            coeffs
+            + cfg.dt * (convection_force(space, v) + forcing_term(space, forcing))
             + noise_part
         )
         new = _solve_implicit(params, space, rhs, cfg.dt,
@@ -338,7 +269,7 @@ def step(
 
     if not np.isfinite(new @ new):  # |C|^2, also non-finite for any bad entry
         raise IntegratorError("non-finite state", step_index)
-    return VelocityState(coeffs=new, time=state.time + cfg.dt)
+    return new
 
 
 @dataclass
@@ -398,7 +329,7 @@ def run_trajectory(
     params: ConstitutiveParams,
     space: GalerkinSpace,
     model: NoiseModel | None,
-    forcing: Forcing,
+    forcing: np.ndarray | None,
     v0_coeffs: np.ndarray,
     cfg: SdeStepConfig,
     n_steps: int,
@@ -407,9 +338,14 @@ def run_trajectory(
 ) -> Trajectory:
     """Integrate the Galerkin SDE and record the energy bookkeeping.
 
-    A path may be supplied directly (e.g. a coarsened refinement of a fine
-    path); otherwise it is generated from the seed.
+    forcing is the sampled body force (M^d, d) or None.  A path may be
+    supplied directly (e.g. a coarsened refinement of a fine path);
+    otherwise it is generated from the seed.
     """
+    v0_coeffs = np.asarray(v0_coeffs, dtype=float)
+    if v0_coeffs.shape != (space.N,) or not np.all(np.isfinite(v0_coeffs)):
+        raise ValueError(f"initial coefficients must be {space.N} finite numbers, "
+                         f"got shape {v0_coeffs.shape}")
     if path is None and model is not None:
         if seed is None:
             raise ValueError("need a seed or an explicit Wiener path")
@@ -417,7 +353,7 @@ def run_trajectory(
 
     N = space.N
     coeffs = np.empty((n_steps + 1, N))
-    coeffs[0] = np.asarray(v0_coeffs, dtype=float)
+    coeffs[0] = v0_coeffs
     times = cfg.dt * np.arange(n_steps + 1)
     stress_diss = np.zeros(n_steps)
     stab_int = np.zeros(n_steps)
@@ -428,38 +364,36 @@ def run_trajectory(
     qv = np.zeros(n_steps)
     r0 = interpolation_exponent(params)
 
-    state = VelocityState(coeffs=coeffs[0], time=0.0)
+    c = coeffs[0]
+    noise_part = np.zeros(N)
     w = space.quad_weight
     # a diverging run overflows quietly and stops at the first non-finite
     # diagnostic or state, which raises IntegratorError
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             # one left-point evaluation feeds the diagnostics and the step
-            eps = symmetric_gradient(space, state.coeffs)
-            grad = velocity_gradient(space, state.coeffs)
-            v = synthesize(space, state.coeffs).values
+            eps = symmetric_gradient(space, c)
+            grad = velocity_gradient(space, c)
+            v = synthesize(space, c)
             stress_diss[n] = w * float(np.sum(eval_stress(params, eps) * eps))
             grad_lp[n] = w * float(np.sum(np.sum(grad ** 2, axis=(-2, -1)) ** (params.p / 2.0)))
             vmag = np.linalg.norm(v, axis=-1)
             vel_rq[n] = w * float(np.sum(vmag ** r0))
             if params.alpha > 0.0:
                 stab_int[n] = params.alpha * w * float(np.sum(vmag ** params.q))
-            f = forcing.at_step(n)
-            if f is not None:
-                force_work[n] = w * float(np.sum(f.values * v))
-            noise_part = None
+            if forcing is not None:
+                force_work[n] = w * float(np.sum(forcing * v))
             if model is not None:
-                sigma = assemble_diffusion(model, space, state, v)
+                sigma = assemble_diffusion(model, space, v)
                 noise_part = sigma @ path.increments[n]
-                mart[n] = float(state.coeffs @ noise_part)
+                mart[n] = float(c @ noise_part)
                 qv[n] = float(np.sum(sigma ** 2)) * cfg.dt
             diagnostics = (stress_diss[n], stab_int[n], force_work[n], grad_lp[n],
                            vel_rq[n], mart[n], qv[n])
             if not np.all(np.isfinite(diagnostics)):
                 raise IntegratorError("non-finite diagnostics", n)
-            state = step(params, space, model, forcing, state, cfg, path, n,
-                         v=v, eps=eps, noise_part=noise_part)
-            coeffs[n + 1] = state.coeffs
+            c = step(params, space, forcing, c, cfg, n, v, eps, noise_part)
+            coeffs[n + 1] = c
 
     return Trajectory(
         space=space, params=params, cfg=cfg, times=times, coeffs=coeffs,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import GalerkinSpace, GridField
+from .basis import GalerkinSpace
 
 FAMILIES = ("additive", "linear", "smooth_norm")
 
@@ -86,9 +86,9 @@ def eval_g(model: NoiseModel, k: int, xi: np.ndarray) -> np.ndarray:
     return _all_g(model, xi)[k - 1]
 
 
-def apply_phi(model: NoiseModel, space: GalerkinSpace, fld: GridField) -> np.ndarray:
-    """Per-mode grid fields Phi(v) e_k, shape (K, M^d, d)."""
-    values = fld.values if isinstance(fld, GridField) else np.asarray(fld)
+def apply_phi(model: NoiseModel, space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
+    """Per-mode grid fields Phi(v) e_k, shape (K, M^d, d), from the samples
+    of v, shape (M^d, d)."""
     if values.shape != (space.M ** space.d, space.d):
         raise ValueError("field shape inconsistent with space")
     return _all_g(model, values)

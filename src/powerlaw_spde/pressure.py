@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GalerkinSpace, GridField, synthesize, symmetric_gradient
+from .basis import GalerkinSpace, synthesize, symmetric_gradient
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
-from .galerkin import Forcing, Trajectory
+from .galerkin import Trajectory
 from .noise import NoiseModel, apply_phi, hilbert_schmidt_norm_sq
 
 
@@ -103,30 +103,26 @@ def assemble_H(
     space: GalerkinSpace,
     params: ConstitutiveParams,
     coeffs: np.ndarray,
-    forcing_field: GridField | None,
-    split: bool = False,
-):
-    """Tensor flux of the velocity equation at one time.
-
-    With split=True returns (H1, H2): H1 the stress part, H2 convection
-    plus the divergence-lifted stabilizer and forcing.
+    forcing: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor flux H = H1 + H2 of the velocity equation at one time, as
+    (H1, H2): H1 the stress part, H2 convection plus the divergence-lifted
+    stabilizer and the sampled body force (M^d, d) or None.
     """
     eps = symmetric_gradient(space, coeffs)
     h1 = eval_stress(params, eps)
-    v = synthesize(space, coeffs).values
+    v = synthesize(space, coeffs)
     h2 = -v[:, :, None] * v[:, None, :]
 
     zero_order = np.zeros_like(v)
     if params.alpha > 0.0:
         zero_order += eval_stabilizer(params, v)
-    if forcing_field is not None:
-        zero_order -= forcing_field.values
+    if forcing is not None:
+        zero_order -= forcing
     if np.any(zero_order):
         zero_order = zero_order - np.mean(zero_order, axis=0)
         h2 = h2 - _field_gradient(space, inverse_laplacian(space, zero_order))
-    if split:
-        return h1, h2
-    return h1 + h2
+    return h1, h2
 
 
 @dataclass
@@ -171,7 +167,7 @@ def decompose(
     space: GalerkinSpace,
     params: ConstitutiveParams,
     model: NoiseModel | None,
-    forcing: Forcing,
+    forcing: np.ndarray | None,
     traj: Trajectory,
 ) -> PressureDecomposition:
     """Reconstruct all pressure parts along a recorded trajectory."""
@@ -187,7 +183,7 @@ def decompose(
 
     for m in range(n):
         c = traj.coeffs[m]
-        h1, h2 = assemble_H(space, params, c, forcing.at_step(m), split=True)
+        h1, h2 = assemble_H(space, params, c, forcing)
         H_sq[m] = np.sum((h1 + h2) ** 2, axis=(-2, -1))
         pi_1[m] = solve_pi_H(space, h1)
         pi_2[m] = solve_pi_H(space, h2)
@@ -213,10 +209,10 @@ def weak_residual(
     space: GalerkinSpace,
     params: ConstitutiveParams,
     model: NoiseModel | None,
-    forcing: Forcing,
+    forcing: np.ndarray | None,
     traj: Trajectory,
     decomposition: PressureDecomposition,
-    test_field: GridField,
+    test_field: np.ndarray,
     t_index: int | None = None,
 ) -> float:
     """Residual of the extended weak identity against an arbitrary field.
@@ -234,18 +230,18 @@ def weak_residual(
     """
     if t_index is None:
         t_index = traj.n_steps
-    phi_vals = test_field.values
+    phi_vals = test_field
     w = space.quad_weight
     grad_phi = _field_gradient(space, phi_vals)
     div_phi = np.trace(grad_phi, axis1=-2, axis2=-1)
 
-    v_t = synthesize(space, traj.coeffs[t_index]).values
-    v_0 = synthesize(space, traj.coeffs[0]).values
+    v_t = synthesize(space, traj.coeffs[t_index])
+    v_0 = synthesize(space, traj.coeffs[0])
     res = w * float(np.sum((v_t - v_0) * phi_vals))
 
     for m in range(t_index):
-        h = assemble_H(space, params, traj.coeffs[m], forcing.at_step(m))
-        res += traj.dt * w * float(np.sum(h * grad_phi))
+        h1, h2 = assemble_H(space, params, traj.coeffs[m], forcing)
+        res += traj.dt * w * float(np.sum((h1 + h2) * grad_phi))
         res += traj.dt * w * float(np.sum(decomposition.pi_H_series[m] * div_phi))
         if model is not None and traj.increments is not None:
             phi_fields = apply_phi(model, space, synthesize(space, traj.coeffs[m]))
@@ -260,7 +256,7 @@ def estimate_check(
     space: GalerkinSpace,
     params: ConstitutiveParams,
     model: NoiseModel | None,
-    forcing: Forcing,
+    forcing: np.ndarray | None,
     trajectories: list[Trajectory],
     s: float | None = None,
 ) -> dict:

@@ -114,7 +114,7 @@ def gradient_bound_ratio(fam: TruncationFamily, space: GalerkinSpace, coeffs: np
     This is the chain-rule part of grad(Psi_L(|u|) u); its uniform-in-L
     bound is what lets the truncated field act as a test function.
     """
-    u = synthesize(space, coeffs).values
+    u = synthesize(space, coeffs)
     grad = velocity_gradient(space, coeffs)
     grad_norm = np.sqrt(np.sum(grad ** 2, axis=(-2, -1)))
     mag = np.linalg.norm(u, axis=-1)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis, pressure, truncation
-from .basis import GridField, analyze, build_space, suggest_grid, synthesize, symmetric_gradient
+from .basis import analyze, build_space, suggest_grid, synthesize, symmetric_gradient
 from .constitutive import ConstitutiveParams, eval_stress, growth_bounds_check, monotonicity_gap
-from .galerkin import Forcing, SdeStepConfig, run_trajectory, trilinear_convection
+from .galerkin import SdeStepConfig, run_trajectory, trilinear_convection
 from .noise import NoiseModel, growth_bound_holds, mode_decay_bound_holds
 
 SUITES = ("constitutive", "basis", "noise", "truncation", "pressure", "ito", "energy")
@@ -109,7 +109,7 @@ def suite_truncation() -> list[dict]:
     fields = []
     for _ in range(3):
         c = rng.standard_normal(8)
-        peak = np.max(np.linalg.norm(synthesize(space, c).values, axis=-1))
+        peak = np.max(np.linalg.norm(synthesize(space, c), axis=-1))
         fields.extend(c / peak * 2.0 ** j for j in range(1, 9))
     for L in range(1, 11):
         fam = truncation.TruncationFamily(L=L)
@@ -148,7 +148,6 @@ def suite_ito() -> list[dict]:
     params = ConstitutiveParams(p=2.0, d=2, nu0=1.0)
     space = build_space(2, 4, suggest_grid(2, 4))
     model = NoiseModel(family="linear", K=8, d=2)
-    forcing = Forcing(mode="zero")
     v0 = np.zeros(4)
     v0[0] = 1.0
     factors = [4, 2, 1]
@@ -158,7 +157,7 @@ def suite_ito() -> list[dict]:
         paths = analysis.coupled_paths(100 + s, 2.5e-3, 8, 200, factors)
         for i, (factor, path) in enumerate(zip(factors, paths)):
             cfg = SdeStepConfig(dt=2.5e-3 * factor)
-            traj = run_trajectory(params, space, model, forcing, v0, cfg,
+            traj = run_trajectory(params, space, model, None, v0, cfg,
                                   200 // factor, seed=100 + s, path=path)
             residuals[i] += analysis.energy_identity_residual(traj).residual
     residuals /= n_seeds
@@ -171,13 +170,12 @@ def suite_energy() -> list[dict]:
     params = ConstitutiveParams(p=1.8, d=2, alpha=0.1)
     space = build_space(2, 4, suggest_grid(2, 4))
     model = NoiseModel(family="linear", K=8, d=2)
-    forcing = Forcing(mode="zero")
     v0 = np.zeros(4)
     v0[0] = 1.0
     cfg = SdeStepConfig(dt=5e-3)
-    rep_a = analysis.ensemble_moments(params, space, model, forcing, v0, cfg,
+    rep_a = analysis.ensemble_moments(params, space, model, None, v0, cfg,
                                       40, base_seed=100, n_traj=16)
-    rep_b = analysis.ensemble_moments(params, space, model, forcing, v0, cfg,
+    rep_b = analysis.ensemble_moments(params, space, model, None, v0, cfg,
                                       40, base_seed=900, n_traj=16)
     se = max(rep_a.se_total(), rep_b.se_total(), 1e-12)
     dev = abs(rep_a.mean_total() - rep_b.mean_total()) / (3.0 * se)

@@ -10,7 +10,6 @@ import numpy as np
 
 from powerlaw_spde import analysis, pressure
 from powerlaw_spde.basis import (
-    GridField,
     build_space,
     suggest_grid,
     synthesize,
@@ -18,7 +17,6 @@ from powerlaw_spde.basis import (
 from powerlaw_spde.cli import main as cli_main
 from powerlaw_spde.constitutive import ConstitutiveParams, monotonicity_gap
 from powerlaw_spde.galerkin import (
-    Forcing,
     SdeStepConfig,
     run_trajectory,
     trilinear_convection,
@@ -109,7 +107,7 @@ def test_criterion_4_ito_energy_identity():
     params = ConstitutiveParams(p=2.0, d=2)
     space = build_space(2, 4, suggest_grid(2, 4))
     model = NoiseModel(family="linear", K=8, d=2)
-    forcing = Forcing(mode="zero")
+    forcing = None
     v0 = np.zeros(4)
     v0[0] = 1.0
     factors = [4, 2, 1]  # dt = 1e-2, 5e-3, 2.5e-3 over [0, 0.5]
@@ -143,11 +141,10 @@ def test_criterion_5_energy_estimate_uniformity():
     ratios = []
     for N in (4, 8, 16):
         space = build_space(2, N, suggest_grid(2, N))
-        forcing = Forcing(mode="steady_field",
-                          data=synthesize(space, 0.5 * np.eye(N)[0]))
+        forcing = synthesize(space, 0.5 * np.eye(N)[0])
         v0 = np.zeros(N)
         v0[0] = 1.0
-        f_sq = forcing.l2q_norm_sq(space, cfg.dt, n_steps)
+        f_sq = n_steps * cfg.dt * space.quad_weight * float(np.sum(forcing ** 2))
         for alpha in (1.0, 0.1, 0.01):
             params = ConstitutiveParams(p=1.6, alpha=alpha, d=2)
             report = analysis.ensemble_moments(params, space, model, forcing,
@@ -164,7 +161,7 @@ def test_criterion_6_higher_moments_seed_stability():
     params = ConstitutiveParams(p=2.0, d=2)
     space = build_space(2, 4, suggest_grid(2, 4))
     model = NoiseModel(family="linear", K=8, d=2)
-    forcing = Forcing(mode="zero")
+    forcing = None
     v0 = np.zeros(4)
     v0[0] = 1.0
     cfg = SdeStepConfig(dt=5e-3)
@@ -189,7 +186,7 @@ def test_criterion_7_truncation_family():
     fields = []
     for _ in range(3):
         c = rng.standard_normal(8)
-        peak = np.max(np.linalg.norm(synthesize(space, c).values, axis=-1))
+        peak = np.max(np.linalg.norm(synthesize(space, c), axis=-1))
         fields.extend(c / peak * 2.0 ** j for j in range(1, 9))
     ratios = []
     for L in range(1, 11):
@@ -212,11 +209,11 @@ def test_criterion_8_pressure_decomposition():
     analytic_err = float(np.max(np.abs(pressure.solve_pi_H(space, H) + np.cos(x1))))
 
     params = ConstitutiveParams(p=2.0, d=2)
-    forcing = Forcing(mode="zero")
+    forcing = None
     v0 = np.zeros(8)
     v0[0] = 1.0
     rng = np.random.default_rng(108)
-    test = GridField(rng.standard_normal((space.M ** 2, 2)), space.domain_measure)
+    test = rng.standard_normal((space.M ** 2, 2))
     residuals = []
     for dt, n in ((1e-2, 20), (5e-3, 40)):
         traj = run_trajectory(params, space, None, forcing, v0,
@@ -248,7 +245,7 @@ def test_criterion_9_noise_model_bounds():
     vals = np.stack([v0_mag * np.cos(space.points[:, 0]),
                      v0_mag * np.sin(space.points[:, 0])], axis=-1)
     hs = hilbert_schmidt_norm_sq(
-        space, apply_phi(model, space, GridField(vals, space.domain_measure)))
+        space, apply_phi(model, space, vals))
     target = v0_mag ** 2 * (2.0 * np.pi) ** 2 / 3.0
     rel = abs(hs - target) / target
     ok = ok and rel <= 1e-6
@@ -259,7 +256,7 @@ def test_criterion_9_noise_model_bounds():
 def test_criterion_10_stabilization_vanishing():
     space = build_space(2, 4, suggest_grid(2, 4))
     model = NoiseModel(family="linear", K=8, d=2)
-    forcing = Forcing(mode="zero")
+    forcing = None
     v0 = np.array([1.0, 0.5, 0.0, 0.0])
     cfg = SdeStepConfig(dt=5e-3)
     rows = analysis.stabilization_convergence(

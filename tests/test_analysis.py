@@ -4,7 +4,7 @@ import pytest
 from powerlaw_spde import analysis
 from powerlaw_spde.basis import build_space, suggest_grid, synthesize
 from powerlaw_spde.constitutive import ConstitutiveParams
-from powerlaw_spde.galerkin import Forcing, IntegratorError, SdeStepConfig, run_trajectory
+from powerlaw_spde.galerkin import IntegratorError, SdeStepConfig, run_trajectory
 from powerlaw_spde.noise import NoiseModel
 
 
@@ -24,7 +24,7 @@ def test_energy_identity_exact_for_rest_state():
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
     cfg = SdeStepConfig(dt=0.01)
-    traj = run_trajectory(params, space, None, Forcing(mode="zero"),
+    traj = run_trajectory(params, space, None, None,
                           np.zeros(4), cfg, 10)
     check = analysis.energy_identity_residual(traj)
     assert check.residual == 0.0
@@ -37,7 +37,7 @@ def test_energy_identity_deterministic_first_order():
     v0 = np.array([1.0, 0.0, 0.5, 0.0])
     residuals = []
     for dt, n in ((1e-2, 20), (5e-3, 40), (2.5e-3, 80)):
-        traj = run_trajectory(params, space, None, Forcing(mode="zero"),
+        traj = run_trajectory(params, space, None, None,
                               v0, SdeStepConfig(dt=dt), n)
         residuals.append(analysis.energy_identity_residual(traj).residual)
     orders = analysis.refinement_orders(residuals)
@@ -48,7 +48,7 @@ def test_energy_identity_stochastic_half_order():
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
     model = NoiseModel(family="linear", K=8, d=2)
-    forcing = Forcing(mode="zero")
+    forcing = None
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
     factors = [4, 2, 1]
     residuals = np.zeros(3)
@@ -70,7 +70,7 @@ def test_report_totals_and_moments():
     params = ConstitutiveParams(p=2.0, alpha=0.1, d=2)
     model = NoiseModel(family="linear", K=4, d=2)
     cfg = SdeStepConfig(dt=0.01)
-    trajs, failures = analysis.run_ensemble(params, space, model, Forcing(mode="zero"),
+    trajs, failures = analysis.run_ensemble(params, space, model, None,
                                             np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20, 5, 4)
     assert failures == []
     report = analysis.report_from_trajectories(trajs)
@@ -90,14 +90,14 @@ def test_run_ensemble_seeds_are_consecutive():
     model = NoiseModel(family="linear", K=4, d=2)
     cfg = SdeStepConfig(dt=0.01)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
-    trajs, _ = analysis.run_ensemble(params, space, model, Forcing(mode="zero"),
+    trajs, _ = analysis.run_ensemble(params, space, model, None,
                                      v0, cfg, 10, 7, 3)
-    single = run_trajectory(params, space, model, Forcing(mode="zero"),
+    single = run_trajectory(params, space, model, None,
                             v0, cfg, 10, seed=8)
     assert [t.seed for t in trajs] == [7, 8, 9]
     assert np.array_equal(trajs[1].coeffs, single.coeffs)
     with pytest.raises(ValueError):
-        analysis.ensemble_moments(params, space, model, Forcing(mode="zero"),
+        analysis.ensemble_moments(params, space, model, None,
                                   v0, cfg, 10, 7, 1)
 
 
@@ -105,7 +105,7 @@ def test_deterministic_ensemble_has_zero_spread():
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
     cfg = SdeStepConfig(dt=0.01)
-    report = analysis.ensemble_moments(params, space, None, Forcing(mode="zero"),
+    report = analysis.ensemble_moments(params, space, None, None,
                                        np.array([1.0, 0.0, 0.0, 0.0]),
                                        cfg, 20, 0, 3)
     assert report.se_total() == 0.0
@@ -118,7 +118,7 @@ def test_bound_ratio_normalization():
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
     cfg = SdeStepConfig(dt=0.01)
-    report = analysis.ensemble_moments(params, space, None, Forcing(mode="zero"),
+    report = analysis.ensemble_moments(params, space, None, None,
                                        np.array([1.0, 0.0, 0.0, 0.0]),
                                        cfg, 20, 0, 2)
     r = analysis.bound_ratio(report, 1.0, 0.0)
@@ -132,7 +132,7 @@ def test_alpha_independence_study_rows():
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
     rows = analysis.alpha_independence_study(
         lambda a: ConstitutiveParams(p=1.8, alpha=a, d=2),
-        space, model, Forcing(mode="zero"), v0, cfg, 20, 3, 4,
+        space, model, None, v0, cfg, 20, 3, 4,
         [0.0, 0.1, 1.0])
     assert [r["alpha"] for r in rows] == [0.0, 0.1, 1.0]
     ratios = [r["ratio"] for r in rows]
@@ -147,7 +147,7 @@ def test_stabilization_convergence_decreases():
     v0 = np.array([1.0, 0.5, 0.0, 0.0])
     rows = analysis.stabilization_convergence(
         lambda m: ConstitutiveParams(p=1.8, alpha=1.0 / m, d=2),
-        space, model, Forcing(mode="zero"), v0, cfg, 40, 11, 4,
+        space, model, None, v0, cfg, 40, 11, 4,
         [1.0, 10.0, 100.0])
     diffs = [r["mean_sq_diff"] for r in rows]
     assert len(diffs) == 2
@@ -171,7 +171,7 @@ def test_run_ensemble_masks_integrator_failures(monkeypatch):
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
     model = NoiseModel(family="linear", K=4, d=2)
-    args = (params, space, model, Forcing(mode="zero"), np.array([1.0, 0.0, 0.0, 0.0]),
+    args = (params, space, model, None, np.array([1.0, 0.0, 0.0, 0.0]),
             SdeStepConfig(dt=0.01), 5)
     fail_seed(monkeypatch, 6)
     trajs, failures = analysis.run_ensemble(*args, 5, 3)
@@ -191,7 +191,7 @@ def test_run_ensemble_propagates_other_errors(monkeypatch):
     monkeypatch.setattr(analysis, "run_trajectory", broken)
     with pytest.raises(KeyError):
         analysis.run_ensemble(ConstitutiveParams(p=2.0, d=2), make_space(), None,
-                              Forcing(mode="zero"), np.zeros(4),
+                              None, np.zeros(4),
                               SdeStepConfig(dt=0.01), 5, 0, 2)
 
 
@@ -204,10 +204,10 @@ def test_stabilization_convergence_pairs_by_seed(monkeypatch):
     # seed 11 fails at m = 10 only
     fail_seed(monkeypatch, 11, alpha=0.1)
     (row,) = analysis.stabilization_convergence(
-        params.get, space, model, Forcing(mode="zero"), v0, cfg, 10, 11, 3, [1.0, 10.0])
+        params.get, space, model, None, v0, cfg, 10, 11, 3, [1.0, 10.0])
     expected = []
     for seed in (12, 13):
-        a, b = (run_trajectory(params[m], space, model, Forcing(mode="zero"), v0, cfg,
+        a, b = (run_trajectory(params[m], space, model, None, v0, cfg,
                                10, seed=seed) for m in (1.0, 10.0))
         expected.append(cfg.dt * float(np.sum(np.sum((a.coeffs[:-1] - b.coeffs[:-1]) ** 2,
                                                      axis=1))))
@@ -220,7 +220,7 @@ def test_interpolation_diagnostic_bounded():
     params = ConstitutiveParams(p=2.0, d=2)
     model = NoiseModel(family="linear", K=4, d=2)
     cfg = SdeStepConfig(dt=0.01)
-    traj = run_trajectory(params, space, model, Forcing(mode="zero"),
+    traj = run_trajectory(params, space, model, None,
                           np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20, seed=2)
     val = analysis.interpolation_diagnostic(traj)
     assert 0.0 <= val < np.inf
@@ -233,7 +233,7 @@ def test_weak_solution_residual_galerkin_modes():
     test_space = build_space(2, N_big, M)
     params = ConstitutiveParams(p=1.8, alpha=0.1, d=2)
     model = NoiseModel(family="linear", K=8, d=2)
-    forcing = Forcing(mode="zero")
+    forcing = None
     v0 = np.zeros(N)
     v0[0], v0[2] = 1.0, 0.5
     cfg = SdeStepConfig(dt=0.005)
@@ -254,7 +254,7 @@ def test_weak_solution_residual_galerkin_modes():
 def test_weak_solution_residual_semi_implicit_scheme_aware():
     space = make_space(8)
     params = ConstitutiveParams(p=1.8, d=2)
-    forcing = Forcing(mode="zero")
+    forcing = None
     v0 = np.zeros(8)
     v0[0] = 1.0
     cfg = SdeStepConfig(dt=0.005, scheme="semi_implicit")

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from powerlaw_spde.cli import main
 from powerlaw_spde.config import SimulationConfig
+from powerlaw_spde.noise import FAMILIES
 
 
 def write_config(tmp_path, **overrides):
@@ -78,6 +79,24 @@ def test_mistyped_or_non_finite_config_exits_two(tmp_path, capsys, override, fld
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 2
     assert f"'{fld}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble", "pressure"])
+def test_grid_below_oversampling_bound_exits_two(tmp_path, capsys, command):
+    # N = 12 needs M >= 5; M = 4 used to end in a ValueError traceback
+    cfg = write_config(tmp_path, N=12, M=4, n_traj=2)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "'M'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble", "pressure"])
+def test_additive_noise_exits_two(tmp_path, capsys, command):
+    # its constant fields project to zero, so the run used to be noise-free
+    cfg = write_config(tmp_path, noise_family="additive", n_traj=2)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "'noise_family'" in capsys.readouterr().err
 
 
 def test_verify_known_suite(tmp_path):
@@ -284,4 +303,29 @@ def test_ensemble_cli_boundary_never_raises(tmp_path_factory, seed, flag, grid):
     # flag=value: a grid that starts with "-" is a value, not an option
     code = main(["ensemble", "--config", str(cfg), f"--seed={seed}",
                  "--out", str(tmp / "out"), f"{flag}={grid}"])
+    assert code in (0, 1, 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(["simulate", "pressure"]),
+       d=st.sampled_from([2, 3]),
+       N=st.integers(1, 8),
+       M=st.one_of(st.none(), st.integers(-1, 12)),
+       family=st.sampled_from([None, *FAMILIES]),
+       scheme=st.sampled_from(["euler_maruyama", "semi_implicit"]),
+       p=st.floats(1.1, 4.0),
+       alpha=st.sampled_from([0.0, 0.1, 2.0]),
+       forcing=st.sampled_from(["zero", "steady_mode"]),
+       dt=st.sampled_from([1e-3, 0.01, 0.1, 1.0]),
+       steps=st.integers(1, 4),
+       n_traj=st.integers(1, 3),
+       initial=st.lists(st.floats(-10.0, 10.0), max_size=10))
+def test_run_commands_never_raise(tmp_path_factory, command, d, N, M, family, scheme,
+                                  p, alpha, forcing, dt, steps, n_traj, initial):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = write_config(tmp, d=d, N=N, M=M, noise_family=family, scheme=scheme, p=p,
+                       alpha=alpha, forcing=forcing, dt=dt, T_end=steps * dt,
+                       n_traj=n_traj, initial_coeffs=initial)
+    code = main([command, "--config", str(cfg), "--out", str(tmp / "out")])
     assert code in (0, 1, 2)

@@ -34,6 +34,7 @@ def test_field_validation_messages():
         ({"seed": -1}, "seed"),
         ({"scheme": "rk4"}, "scheme"),
         ({"noise_family": "white"}, "noise_family"),
+        ({"noise_family": "additive"}, "noise_family"),  # Sigma = 0 on the basis
         ({"forcing": "ramp"}, "forcing"),
         ({"initial": "random"}, "initial"),
         ({"n_traj": 0}, "n_traj"),
@@ -56,6 +57,15 @@ def test_field_validation_messages():
         with pytest.raises(ConfigError) as err:
             SimulationConfig(**kwargs)
         assert err.value.field == fld
+
+
+def test_grid_below_oversampling_bound_names_m():
+    # the bound depends on the retained modes, so build_space checks it
+    cfg = SimulationConfig(N=12, M=4)
+    with pytest.raises(ConfigError) as err:
+        cfg.build_space()
+    assert err.value.field == "M"
+    assert "M=4 below oversampling bound 5" in str(err.value)
 
 
 def test_q_validation_with_stabilizer():
@@ -107,7 +117,8 @@ def test_builders():
     f_coeffs = np.zeros(8)
     f_coeffs[1] = 0.5
     from powerlaw_spde.basis import analyze
-    assert np.allclose(analyze(space, forcing.at_step(0)), f_coeffs, atol=1e-12)
+    assert np.allclose(analyze(space, forcing), f_coeffs, atol=1e-12)
+    assert SimulationConfig().build_forcing(space) is None
     v0 = cfg.build_initial(space)
     assert np.allclose(v0, [1.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0])
     step_cfg = cfg.build_step_config()

@@ -2,22 +2,18 @@ import numpy as np
 import pytest
 
 from powerlaw_spde import galerkin
-from powerlaw_spde.basis import build_space, suggest_grid, synthesize
+from powerlaw_spde.basis import build_space, suggest_grid, symmetric_gradient, synthesize
 from powerlaw_spde.constitutive import ConstitutiveParams
 from powerlaw_spde.galerkin import (
-    Forcing,
     IntegratorError,
     SdeStepConfig,
-    VelocityState,
     assemble_diffusion,
     assemble_drift,
     convection_force,
     forcing_term,
     interpolation_exponent,
-    project_initial,
     run_trajectory,
     stabilizer_force,
-    step,
     stress_force,
     trilinear_convection,
 )
@@ -28,11 +24,15 @@ def make_space(N=4):
     return build_space(2, N, suggest_grid(2, N))
 
 
+def drift(params, space, c, forcing=None):
+    return assemble_drift(params, space, forcing, synthesize(space, c),
+                          symmetric_gradient(space, c))
+
+
 def test_drift_vanishes_at_rest():
     space = make_space()
     params = ConstitutiveParams(p=1.6, alpha=0.5, d=2)
-    mu = assemble_drift(params, space, Forcing(mode="zero"),
-                        VelocityState(np.zeros(4)))
+    mu = drift(params, space, np.zeros(4))
     assert np.all(mu == 0.0)
 
 
@@ -44,7 +44,7 @@ def test_single_mode_newtonian_drift():
     for k in [0, 3, 7]:
         c = np.zeros(8)
         c[k] = 0.7
-        mu = assemble_drift(params, space, Forcing(mode="zero"), VelocityState(c))
+        mu = drift(params, space, c)
         expect = np.zeros(8)
         expect[k] = -1.3 * space.eigenvalues[k] * 0.7 / 2.0
         assert np.max(np.abs(mu - expect)) < 1e-10
@@ -53,24 +53,11 @@ def test_single_mode_newtonian_drift():
 def test_forcing_term_projects_onto_modes():
     space = make_space()
     f = synthesize(space, np.array([0.0, 2.0, 0.0, 0.0]))
-    forcing = Forcing(mode="steady_field", data=f)
-    mu = forcing_term(space, forcing, 0)
+    mu = forcing_term(space, f)
     assert np.allclose(mu, [0.0, 2.0, 0.0, 0.0], atol=1e-12)
-    drift = assemble_drift(ConstitutiveParams(p=2.0, d=2), space, forcing,
-                           VelocityState(np.zeros(4)))
-    assert np.allclose(drift, mu, atol=1e-12)
-
-
-def test_forcing_validation_and_time_series():
-    with pytest.raises(ValueError):
-        Forcing(mode="steady_field")
-    with pytest.raises(ValueError):
-        Forcing(mode="ramp")
-    space = make_space()
-    fields = tuple(synthesize(space, v * np.eye(4)[0]) for v in (1.0, 2.0))
-    forcing = Forcing(mode="time_series", data=fields)
-    assert forcing.at_step(0) is fields[0]
-    assert forcing.at_step(5) is fields[1]  # clamped at the end
+    assert np.allclose(drift(ConstitutiveParams(p=2.0, d=2), space, np.zeros(4), f),
+                       mu, atol=1e-12)
+    assert np.all(forcing_term(space, None) == 0.0)
 
 
 def test_stabilizer_force_dissipates():
@@ -79,8 +66,8 @@ def test_stabilizer_force_dissipates():
     rng = np.random.default_rng(0)
     for _ in range(5):
         c = rng.standard_normal(4)
-        force = stabilizer_force(params, space, c)
-        v = synthesize(space, c).values
+        v = synthesize(space, c)
+        force = stabilizer_force(params, space, v)
         lq = space.quad_weight * np.sum(np.linalg.norm(v, axis=-1) ** 4)
         assert abs(np.dot(force, c) + 0.3 * lq) < 1e-10 * (1.0 + lq)
 
@@ -92,12 +79,11 @@ def test_drift_energy_budget_identity():
     params = ConstitutiveParams(p=1.6, alpha=0.2, d=2)
     rng = np.random.default_rng(1)
     f = synthesize(space, rng.standard_normal(8))
-    forcing = Forcing(mode="steady_field", data=f)
     c = rng.standard_normal(8)
-    mu = assemble_drift(params, space, forcing, VelocityState(c))
-    budget = (np.dot(stress_force(params, space, c), c)
-              + np.dot(stabilizer_force(params, space, c), c)
-              + np.dot(forcing_term(space, forcing, 0), c))
+    mu = drift(params, space, c, f)
+    budget = (np.dot(stress_force(params, space, symmetric_gradient(space, c)), c)
+              + np.dot(stabilizer_force(params, space, synthesize(space, c)), c)
+              + np.dot(forcing_term(space, f), c))
     assert abs(np.dot(mu, c) - budget) < 1e-8 * (1.0 + abs(budget))
 
 
@@ -119,7 +105,7 @@ def test_convection_force_matches_trilinear_form():
     space = make_space(8)
     rng = np.random.default_rng(3)
     c = rng.standard_normal(8)
-    force = convection_force(space, c)
+    force = convection_force(space, synthesize(space, c))
     for k in range(8):
         assert abs(force[k] - trilinear_convection(space, c, c, np.eye(8)[k])) < 1e-10
     # convection never injects energy: divergence form is orthogonal to v
@@ -128,64 +114,53 @@ def test_convection_force_matches_trilinear_form():
 
 def test_diffusion_matrix_additive_and_linear():
     space = make_space()
-    state = VelocityState(np.array([0.5, 0.0, 0.0, -1.0]))
+    c = np.array([0.5, 0.0, 0.0, -1.0])
+    v = synthesize(space, c)
     model = NoiseModel(family="linear", K=6, d=2)
-    sigma = assemble_diffusion(model, space, state)
+    sigma = assemble_diffusion(model, space, v)
     # linear family: Sigma_kl = a_l c_k exactly
-    expect = np.outer(state.coeffs, model.per_mode_scale)
+    expect = np.outer(c, model.per_mode_scale)
     assert np.max(np.abs(sigma - expect)) < 1e-10
     model_add = NoiseModel(family="additive", K=6, d=2)
-    sigma_add = assemble_diffusion(model_add, space, state)
+    sigma_add = assemble_diffusion(model_add, space, v)
     # constant fields have zero projection onto mean-zero modes
     assert np.max(np.abs(sigma_add)) < 1e-12
 
 
-def test_project_initial():
-    space = make_space()
-    c = np.array([1.0, -2.0, 0.5, 0.0])
-    state = project_initial(space, synthesize(space, c))
-    assert np.allclose(state.coeffs, c, atol=1e-12)
-    assert state.time == 0.0
-
-
-def test_step_small_dt_limit_noise_free():
+def test_step_small_dt_limit_noise_free(advance):
     space = make_space()
     params = ConstitutiveParams(p=1.6, d=2)
-    state = VelocityState(np.array([1.0, 0.0, 0.0, 0.0]))
+    c0 = np.array([1.0, 0.0, 0.0, 0.0])
     for scheme in ("euler_maruyama", "semi_implicit"):
         deltas = []
         for dt in (1e-4, 5e-5):
             cfg = SdeStepConfig(dt=dt, scheme=scheme)
-            new = step(params, space, None, Forcing(mode="zero"), state, cfg, None)
-            deltas.append(np.linalg.norm(new.coeffs - state.coeffs))
+            new = advance(params, space, c0, cfg)
+            deltas.append(np.linalg.norm(new - c0))
         assert deltas[0] < 1e-3
         assert deltas[1] < 0.6 * deltas[0]  # shrinks linearly with dt
 
 
-def test_explicit_single_mode_newtonian_update():
+def test_explicit_single_mode_newtonian_update(advance):
     space = make_space()
     params = ConstitutiveParams(p=2.0, nu0=1.0, d=2)
     c0 = np.array([1.0, 0.0, 0.0, 0.0])
-    cfg = SdeStepConfig(dt=0.01)
-    new = step(params, space, None, Forcing(mode="zero"),
-               VelocityState(c0), cfg, None)
+    new = advance(params, space, c0, SdeStepConfig(dt=0.01))
     lam = space.eigenvalues[0]
-    assert abs(new.coeffs[0] - (1.0 - 0.01 * lam / 2.0)) < 1e-12
-    assert np.max(np.abs(new.coeffs[1:])) < 1e-12
+    assert abs(new[0] - (1.0 - 0.01 * lam / 2.0)) < 1e-12
+    assert np.max(np.abs(new[1:])) < 1e-12
 
 
-def test_implicit_single_mode_newtonian_update():
+def test_implicit_single_mode_newtonian_update(advance):
     space = make_space()
     params = ConstitutiveParams(p=2.0, nu0=1.0, d=2)
     c0 = np.array([1.0, 0.0, 0.0, 0.0])
-    cfg = SdeStepConfig(dt=0.01, scheme="semi_implicit")
-    new = step(params, space, None, Forcing(mode="zero"),
-               VelocityState(c0), cfg, None)
+    new = advance(params, space, c0, SdeStepConfig(dt=0.01, scheme="semi_implicit"))
     lam = space.eigenvalues[0]
-    assert abs(new.coeffs[0] - 1.0 / (1.0 + 0.01 * lam / 2.0)) < 1e-9
+    assert abs(new[0] - 1.0 / (1.0 + 0.01 * lam / 2.0)) < 1e-9
 
 
-def test_schemes_agree_to_first_order():
+def test_schemes_agree_to_first_order(advance):
     space = make_space(8)
     params = ConstitutiveParams(p=1.6, alpha=0.1, d=2)
     rng = np.random.default_rng(5)
@@ -195,35 +170,33 @@ def test_schemes_agree_to_first_order():
         out = {}
         for scheme in ("euler_maruyama", "semi_implicit"):
             cfg = SdeStepConfig(dt=dt, scheme=scheme)
-            out[scheme] = step(params, space, None, Forcing(mode="zero"),
-                               VelocityState(c0), cfg, None).coeffs
+            out[scheme] = advance(params, space, c0, cfg)
         diffs.append(np.linalg.norm(out["euler_maruyama"] - out["semi_implicit"]))
     # per-step difference is O(dt^2): quarters under halving
     assert diffs[1] < 0.3 * diffs[0]
 
 
-def test_newton_failure_reports_residual():
+def test_newton_failure_reports_residual(advance):
     space = make_space()
     params = ConstitutiveParams(p=3.0, d=2)
     cfg = SdeStepConfig(dt=50.0, scheme="semi_implicit", newton_max_iter=1)
     with pytest.raises(IntegratorError) as err:
-        step(params, space, None, Forcing(mode="zero"),
-             VelocityState(10.0 * np.ones(4)), cfg, None, 3)
+        advance(params, space, 10.0 * np.ones(4), cfg, step_index=3)
     assert err.value.residual is not None and err.value.residual > 0.0
     assert err.value.step == 3
     assert str(err.value).startswith("step 3: ")
 
 
 @pytest.mark.parametrize("d, N, p, alpha, dt", [(3, 64, 2.5, 0.1, 1.0), (2, 32, 4.0, 1.0, 10.0)])
-def test_newton_completes_steps_converged_to_round_off(d, N, p, alpha, dt):
+def test_newton_completes_steps_converged_to_round_off(advance, d, N, p, alpha, dt):
     # an absolute residual tolerance of 1e-10 sat below the round-off of
     # these gradients: Newton stalled there and the line search failed
     space = build_space(d, N, suggest_grid(d, N))
     params = ConstitutiveParams(p=p, alpha=alpha, d=d)
     c0 = 3.0 * np.random.default_rng(1).standard_normal(N)
     cfg = SdeStepConfig(dt=dt, scheme="semi_implicit")
-    new = step(params, space, None, Forcing(mode="zero"), VelocityState(c0), cfg, None).coeffs
-    rhs = c0 + dt * convection_force(space, c0)
+    new = advance(params, space, c0, cfg)
+    rhs = c0 + dt * convection_force(space, synthesize(space, c0))
     fields = galerkin._implicit_fields(params, space, new)
     grad = galerkin._implicit_gradient(params, space, new, rhs, dt, fields)
     assert np.linalg.norm(grad) <= cfg.newton_tol * np.linalg.norm(rhs)
@@ -235,7 +208,7 @@ def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
     space = make_space()
     params = ConstitutiveParams(p=1.8, alpha=0.1, d=2)
     model = NoiseModel(family="smooth_norm", K=4, d=2)
-    forcing = Forcing(mode="steady_field", data=synthesize(space, np.eye(4)[1]))
+    forcing = synthesize(space, np.eye(4)[1])
     counts = call_counter(galerkin, "synthesize", "symmetric_gradient",
                           "apply_phi", "assemble_diffusion", "stress_force")
     run_trajectory(params, space, model, forcing, np.array([1.0, 0.5, 0.0, 0.2]),
@@ -243,18 +216,17 @@ def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
     assert counts == dict.fromkeys(counts, 7)
 
 
-def test_step_with_noise_reproducible():
+def test_step_with_noise_reproducible(advance):
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
-    model = NoiseModel(family="linear", K=4, d=2)
-    path = WienerPath.generate(9, 0.01, 4, 3)
+    noise = (NoiseModel(family="linear", K=4, d=2), WienerPath.generate(9, 0.01, 4, 3))
     cfg = SdeStepConfig(dt=0.01)
-    state = VelocityState(np.array([1.0, 0.0, 0.0, 0.0]))
-    a = step(params, space, model, Forcing(mode="zero"), state, cfg, path, 0)
-    b = step(params, space, model, Forcing(mode="zero"), state, cfg, path, 0)
-    assert np.array_equal(a.coeffs, b.coeffs)
-    c = step(params, space, model, Forcing(mode="zero"), state, cfg, path, 1)
-    assert not np.array_equal(a.coeffs, c.coeffs)
+    c0 = np.array([1.0, 0.0, 0.0, 0.0])
+    a = advance(params, space, c0, cfg, noise=noise, step_index=0)
+    b = advance(params, space, c0, cfg, noise=noise, step_index=0)
+    assert np.array_equal(a, b)
+    c = advance(params, space, c0, cfg, noise=noise, step_index=1)
+    assert not np.array_equal(a, c)
 
 
 def test_step_config_validation():
@@ -266,9 +238,13 @@ def test_step_config_validation():
         SdeStepConfig(dt=0.01, newton_tol=0.0)
 
 
-def test_velocity_state_rejects_non_finite():
+@pytest.mark.parametrize("v0", [[np.nan, 0.0, 0.0, 0.0], [1.0, 0.0]],
+                         ids=["non_finite", "wrong_shape"])
+def test_run_trajectory_rejects_bad_initial_coeffs(v0):
+    # non-finite or wrongly shaped initial data fails before the first step
     with pytest.raises(ValueError):
-        VelocityState(np.array([np.nan, 0.0]))
+        run_trajectory(ConstitutiveParams(p=2.0, d=2), make_space(), None, None,
+                       np.array(v0), SdeStepConfig(dt=0.01), 3)
 
 
 def test_interpolation_exponent():
@@ -282,14 +258,14 @@ def test_run_trajectory_shapes_and_seed_requirement():
     model = NoiseModel(family="linear", K=4, d=2)
     cfg = SdeStepConfig(dt=0.01)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
-    traj = run_trajectory(params, space, model, Forcing(mode="zero"),
+    traj = run_trajectory(params, space, model, None,
                           v0, cfg, 10, seed=1)
     assert traj.coeffs.shape == (11, 4)
     assert traj.energy().shape == (11,)
     assert traj.increments.shape == (10, 4)
     assert abs(traj.times[-1] - 0.1) < 1e-12
     with pytest.raises(ValueError):
-        run_trajectory(params, space, model, Forcing(mode="zero"), v0, cfg, 10)
+        run_trajectory(params, space, model, None, v0, cfg, 10)
 
 
 def test_run_trajectory_deterministic_in_seed():
@@ -298,10 +274,10 @@ def test_run_trajectory_deterministic_in_seed():
     model = NoiseModel(family="smooth_norm", K=8, d=2)
     cfg = SdeStepConfig(dt=0.005)
     v0 = np.array([1.0, 0.5, 0.0, 0.0])
-    a = run_trajectory(params, space, model, Forcing(mode="zero"), v0, cfg, 20, seed=4)
-    b = run_trajectory(params, space, model, Forcing(mode="zero"), v0, cfg, 20, seed=4)
+    a = run_trajectory(params, space, model, None, v0, cfg, 20, seed=4)
+    b = run_trajectory(params, space, model, None, v0, cfg, 20, seed=4)
     assert np.array_equal(a.coeffs, b.coeffs)
-    c = run_trajectory(params, space, model, Forcing(mode="zero"), v0, cfg, 20, seed=5)
+    c = run_trajectory(params, space, model, None, v0, cfg, 20, seed=5)
     assert not np.array_equal(a.coeffs, c.coeffs)
 
 
@@ -310,7 +286,7 @@ def test_noise_free_newtonian_energy_decay():
     params = ConstitutiveParams(p=2.0, nu0=1.0, d=2)
     cfg = SdeStepConfig(dt=1e-3)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
-    traj = run_trajectory(params, space, None, Forcing(mode="zero"), v0, cfg, 100)
+    traj = run_trajectory(params, space, None, None, v0, cfg, 100)
     energy = traj.energy()
     assert np.all(np.diff(energy) < 0.0)
     # |C(t)|^2 tracks exp(-nu0 lambda t) closely at this resolution

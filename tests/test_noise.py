@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from powerlaw_spde.basis import GridField, build_space, suggest_grid, synthesize
+from powerlaw_spde.basis import build_space, suggest_grid, synthesize
 from powerlaw_spde.noise import (
     FAMILIES,
     NoiseModel,
@@ -80,12 +80,11 @@ def test_linear_gradient_sum_below_one_third():
 
 def test_apply_phi_shape_and_mismatch():
     space = build_space(2, 4, suggest_grid(2, 4))
-    fld = synthesize(space, np.ones(4))
-    xi = fld.values
+    xi = synthesize(space, np.ones(4))
     root = np.sqrt(1.0 + np.sum(xi ** 2, axis=-1, keepdims=True))
     for family in FAMILIES:
         model = NoiseModel(family=family, K=6, d=2, amplitude=1.5)
-        phi = apply_phi(model, space, fld)
+        phi = apply_phi(model, space, xi)
         assert phi.shape == (6, space.M ** 2, 2)
         # one mode at a time, in the same operand order
         for k in range(1, 7):
@@ -106,8 +105,7 @@ def test_hilbert_schmidt_norm_constant_magnitude_field():
     v0 = 1.7
     vals = np.stack([v0 * np.cos(space.points[:, 0]),
                      v0 * np.sin(space.points[:, 0])], axis=-1)
-    fld = GridField(vals, space.domain_measure)
-    hs = hilbert_schmidt_norm_sq(space, apply_phi(model, space, fld))
+    hs = hilbert_schmidt_norm_sq(space, apply_phi(model, space, vals))
     target = v0 ** 2 * (2.0 * np.pi) ** 2 / 3.0
     assert abs(hs - target) < 1e-6 * target
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from powerlaw_spde import pressure
-from powerlaw_spde.basis import GridField, build_space, suggest_grid, synthesize
+from powerlaw_spde.basis import build_space, suggest_grid, synthesize
 from powerlaw_spde.constitutive import ConstitutiveParams
-from powerlaw_spde.galerkin import Forcing, SdeStepConfig, run_trajectory
+from powerlaw_spde.galerkin import SdeStepConfig, run_trajectory
 from powerlaw_spde.noise import NoiseModel
 
 
@@ -180,7 +180,6 @@ def run_small(noise=True, scheme="euler_maruyama", alpha=0.0, forcing=None,
     space = make_space()
     params = ConstitutiveParams(p=1.8, alpha=alpha, d=2)
     model = NoiseModel(family="linear", K=8, d=2) if noise else None
-    forcing = forcing or Forcing(mode="zero")
     v0 = np.zeros(8)
     v0[0], v0[2] = 1.0, 0.5
     cfg = SdeStepConfig(dt=dt, scheme=scheme)
@@ -207,7 +206,7 @@ def test_weak_residual_vanishes_at_time_zero():
     space, params, model, forcing, traj = run_small()
     dec = pressure.decompose(space, params, model, forcing, traj)
     rng = np.random.default_rng(6)
-    test = GridField(rng.standard_normal((space.M ** 2, 2)), space.domain_measure)
+    test = rng.standard_normal((space.M ** 2, 2))
     res = pressure.weak_residual(space, params, model, forcing, traj, dec,
                                  test, t_index=0)
     assert res < 1e-14
@@ -218,11 +217,11 @@ def test_weak_residual_first_order_in_dt():
     # span: the residual is pure time-discretization error and halves with dt
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
-    forcing = Forcing(mode="zero")
+    forcing = None
     v0 = np.zeros(8)
     v0[0] = 1.0
     rng = np.random.default_rng(7)
-    test = GridField(rng.standard_normal((space.M ** 2, 2)), space.domain_measure)
+    test = rng.standard_normal((space.M ** 2, 2))
     residuals = []
     for dt, n_steps in ((1e-2, 20), (5e-3, 40)):
         cfg = SdeStepConfig(dt=dt, scheme="semi_implicit")
@@ -241,7 +240,7 @@ def test_weak_residual_small_against_gradient_field():
     space, params, model, forcing, traj = run_small(alpha=0.2)
     dec = pressure.decompose(space, params, model, forcing, traj)
     scalar = np.cos(space.points[:, 0] + 2.0 * space.points[:, 1])
-    test = GridField(pressure.gradient_scalar(space, scalar), space.domain_measure)
+    test = pressure.gradient_scalar(space, scalar)
     res = pressure.weak_residual(space, params, model, forcing, traj, dec, test)
     assert res < 1e-10
 

@@ -136,7 +136,7 @@ def test_gradient_bound_ratio_uniform_in_L():
     fields = []
     for _ in range(3):
         c = rng.standard_normal(8)
-        peak = np.max(np.linalg.norm(synthesize(space, c).values, axis=-1))
+        peak = np.max(np.linalg.norm(synthesize(space, c), axis=-1))
         fields.extend(c / peak * 2.0 ** j for j in range(1, 9))
     ratios = []
     for L in range(1, 11):
