@@ -297,36 +297,24 @@ def weak_solution_residual(
     params = traj.params
     w = space.quad_weight
     w_j = test_space.mode_fields[j - 1]
-    grad_w_j = test_space.mode_grads[j - 1]
-    eps_w_j = test_space.mode_eps[j - 1]
-    implicit = traj.cfg.scheme == "semi_implicit"
-
-    n = traj.n_steps
-    res = np.zeros(n + 1)
-    accum = 0.0
-    for m in range(n):
-        c_drift = traj.coeffs[m + 1] if implicit else traj.coeffs[m]
-        c_left = traj.coeffs[m]
-        eps = symmetric_gradient(space, c_drift)
-        s = eval_stress(params, eps)
-        mu = -w * float(np.sum(s * eps_w_j))
-        v_left = synthesize(space, c_left)
-        tensor = v_left[:, :, None] * v_left[:, None, :]
-        mu += w * float(np.sum(tensor * grad_w_j))
-        if params.alpha > 0.0:
-            v_drift = synthesize(space, c_drift)
-            mu -= w * float(np.sum(eval_stabilizer(params, v_drift) * w_j))
-        if forcing is not None:
-            mu += w * float(np.sum(forcing * w_j))
-        accum += traj.dt * mu
-        if model is not None and traj.increments is not None:
-            phi = apply_phi(model, space, synthesize(space, c_left))
-            sigma_row = w * np.einsum("kxd,xd->k", phi, w_j)
-            accum += float(sigma_row @ traj.increments[m])
-        proj_now = w * float(np.sum(synthesize(space, traj.coeffs[m + 1]) * w_j))
-        proj_0 = w * float(np.sum(synthesize(space, traj.coeffs[0]) * w_j))
-        res[m + 1] = abs(proj_now - proj_0 - accum)
-    return res
+    # left points carry convection and noise; the implicit terms sit at C_{n+1}
+    left = traj.coeffs[:-1]
+    drift = traj.coeffs[1:] if traj.cfg.scheme == "semi_implicit" else left
+    v_left = synthesize(space, left)  # (M^d, n, d)
+    stress = eval_stress(params, symmetric_gradient(space, drift))
+    mu = w * (np.einsum("xnij,xij->n", v_left[..., :, None] * v_left[..., None, :],
+                        test_space.mode_grads[j - 1])
+              - np.einsum("xnij,xij->n", stress, test_space.mode_eps[j - 1]))
+    if params.alpha > 0.0:
+        mu -= w * np.einsum("xnd,xd->n", eval_stabilizer(params, synthesize(space, drift)), w_j)
+    if forcing is not None:
+        mu += w * float(np.sum(forcing * w_j))
+    increments = traj.dt * mu
+    if model is not None and traj.increments is not None:
+        sigma = w * np.einsum("kxnd,xd->nk", apply_phi(model, space, v_left), w_j)
+        increments += np.sum(sigma * traj.increments, axis=1)
+    proj = w * np.einsum("xnd,xd->n", synthesize(space, traj.coeffs), w_j)
+    return np.abs(np.concatenate(([0.0], proj[1:] - proj[0] - np.cumsum(increments))))
 
 
 def refinement_orders(residuals: list[float]) -> list[float]:

@@ -217,23 +217,25 @@ def suggest_grid(d: int, N: int, factor: int = 3) -> int:
 
 
 def _check_coeffs(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
+    """A coefficient vector (N,) or a block of rows (n, N)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (space.N,):
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != space.N:
         raise ValueError(f"expected {space.N} coefficients, got shape {coeffs.shape}")
     return coeffs
 
 
-def _tensor_field(space: GalerkinSpace, coeffs: np.ndarray, tensors: np.ndarray) -> np.ndarray:
-    """sum_n c_n b_n(x) T_n at every grid point, shape (M^d, d, d)."""
-    d = space.d
-    weighted = coeffs[:, None] * tensors.reshape(space.N, d * d)
-    return (space.deriv_profiles.T @ weighted).reshape(-1, d, d)
+def _transform(profiles: np.ndarray, coeffs: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """sum_n c_n p_n(x) T_n for per-mode constants T_n (N, ...) as one GEMM,
+    shape (M^d, ...) for coeffs (N,) and (M^d, n, ...) for a block (n, N)."""
+    weighted = coeffs[..., None] * consts.reshape(len(consts), -1)  # (..., N, k)
+    out = profiles.T @ weighted.swapaxes(0, -2).reshape(len(consts), -1)
+    return out.reshape((-1,) + coeffs.shape[:-1] + consts.shape[1:])
 
 
 def synthesize(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
-    """Samples of sum_k c_k w_k on the collocation grid, shape (M^d, d)."""
-    coeffs = _check_coeffs(space, coeffs)
-    return space.value_profiles.T @ (coeffs[:, None] * space.pols)
+    """Samples of sum_k c_k w_k on the collocation grid, shape (M^d, d), or
+    (M^d, n, d) for a block of coefficient rows (n, N)."""
+    return _transform(space.value_profiles, _check_coeffs(space, coeffs), space.pols)
 
 
 def analyze(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
@@ -255,13 +257,15 @@ def analyze_gradient(space: GalerkinSpace, values: np.ndarray, symmetric: bool =
 
 
 def velocity_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
-    """Full gradient of the synthesized field, shape (M^d, d, d)."""
-    return _tensor_field(space, _check_coeffs(space, coeffs), space.grad_tensors)
+    """Full gradient of the synthesized field, shape (M^d, d, d), or
+    (M^d, n, d, d) for a block (n, N)."""
+    return _transform(space.deriv_profiles, _check_coeffs(space, coeffs), space.grad_tensors)
 
 
 def symmetric_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
-    """Shear-rate tensor eps(v) at every grid point, shape (M^d, d, d)."""
-    return _tensor_field(space, _check_coeffs(space, coeffs), space.strain_tensors)
+    """Shear-rate tensor eps(v) at every grid point, shape (M^d, d, d), or
+    (M^d, n, d, d) for a block (n, N)."""
+    return _transform(space.deriv_profiles, _check_coeffs(space, coeffs), space.strain_tensors)
 
 
 def l2_norm(space: GalerkinSpace, values: np.ndarray) -> float:

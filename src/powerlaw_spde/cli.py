@@ -65,15 +65,9 @@ def cmd_simulate(args) -> int:
     traj = run_trajectory(*_build(cfg), cfg.n_steps, seed=cfg.seed)
 
     energy = traj.energy()
-    rows = [(float(traj.times[0]), float(energy[0]), 0.0, 0.0, 0.0)]
-    for n in range(traj.n_steps):
-        rows.append((
-            float(traj.times[n + 1]),
-            float(energy[n + 1]),
-            float(traj.dt * traj.grad_lp[n]),
-            float(traj.dt * traj.stab_int[n]),
-            float(traj.qv[n]),
-        ))
+    rows = [(float(traj.times[0]), float(energy[0]), 0.0, 0.0, 0.0)] + [
+        (float(t), float(e), float(traj.dt * g), float(traj.dt * s), float(q))
+        for t, e, g, s, q in zip(traj.times[1:], energy[1:], traj.grad_lp, traj.stab_int, traj.qv)]
     _write_csv(out / "trajectory.csv",
                ["t", "energy", "grad_lp_increment", "stab_increment", "noise_qv"],
                rows)

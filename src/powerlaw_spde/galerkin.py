@@ -93,16 +93,17 @@ def forcing_term(space: GalerkinSpace, forcing: np.ndarray | None) -> np.ndarray
 def assemble_drift(
     params: ConstitutiveParams,
     space: GalerkinSpace,
-    forcing: np.ndarray | None,
+    force_coeffs: np.ndarray,
     v: np.ndarray,
     eps: np.ndarray,
 ) -> np.ndarray:
-    """mu(C) from the samples of v = v_C and eps(v)."""
+    """mu(C) from the samples of v = v_C and eps(v) and the projected body
+    force force_coeffs = forcing_term(space, forcing)."""
     return (
         stress_force(params, space, eps)
         + convection_force(space, v)
         + stabilizer_force(params, space, v)
-        + forcing_term(space, forcing)
+        + force_coeffs
     )
 
 
@@ -245,7 +246,7 @@ def _solve_implicit(params, space, rhs, dt, tol, max_iter, step_index):
 def step(
     params: ConstitutiveParams,
     space: GalerkinSpace,
-    forcing: np.ndarray | None,
+    force_coeffs: np.ndarray,
     coeffs: np.ndarray,
     cfg: SdeStepConfig,
     step_index: int,
@@ -255,13 +256,14 @@ def step(
 ) -> np.ndarray:
     """The coefficients after one time step from C = coeffs with the
     configured scheme, given the left-point samples v of v_C and eps of
-    eps(v_C) and the noise increment Sigma(C) dbeta."""
+    eps(v_C), the projected body force (forcing_term) and the noise
+    increment Sigma(C) dbeta."""
     if cfg.scheme == "euler_maruyama":
-        new = coeffs + cfg.dt * assemble_drift(params, space, forcing, v, eps) + noise_part
+        new = coeffs + cfg.dt * assemble_drift(params, space, force_coeffs, v, eps) + noise_part
     else:
         rhs = (
             coeffs
-            + cfg.dt * (convection_force(space, v) + forcing_term(space, forcing))
+            + cfg.dt * (convection_force(space, v) + force_coeffs)
             + noise_part
         )
         new = _solve_implicit(params, space, rhs, cfg.dt,
@@ -355,25 +357,21 @@ def run_trajectory(
     coeffs = np.empty((n_steps + 1, N))
     coeffs[0] = v0_coeffs
     times = cfg.dt * np.arange(n_steps + 1)
-    stress_diss = np.zeros(n_steps)
-    stab_int = np.zeros(n_steps)
-    force_work = np.zeros(n_steps)
-    grad_lp = np.zeros(n_steps)
-    vel_rq = np.zeros(n_steps)
-    mart = np.zeros(n_steps)
-    qv = np.zeros(n_steps)
+    diagnostics = np.zeros((7, n_steps))
+    stress_diss, stab_int, force_work, grad_lp, vel_rq, mart, qv = diagnostics
     r0 = interpolation_exponent(params)
 
     c = coeffs[0]
     noise_part = np.zeros(N)
+    force_coeffs = forcing_term(space, forcing)  # the body force is steady
     w = space.quad_weight
     # a diverging run overflows quietly and stops at the first non-finite
     # diagnostic or state, which raises IntegratorError
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             # one left-point evaluation feeds the diagnostics and the step
-            eps = symmetric_gradient(space, c)
             grad = velocity_gradient(space, c)
+            eps = 0.5 * (grad + np.swapaxes(grad, -1, -2))
             v = synthesize(space, c)
             stress_diss[n] = w * float(np.sum(eval_stress(params, eps) * eps))
             grad_lp[n] = w * float(np.sum(np.sum(grad ** 2, axis=(-2, -1)) ** (params.p / 2.0)))
@@ -388,11 +386,9 @@ def run_trajectory(
                 noise_part = sigma @ path.increments[n]
                 mart[n] = float(c @ noise_part)
                 qv[n] = float(np.sum(sigma ** 2)) * cfg.dt
-            diagnostics = (stress_diss[n], stab_int[n], force_work[n], grad_lp[n],
-                           vel_rq[n], mart[n], qv[n])
-            if not np.all(np.isfinite(diagnostics)):
+            if not np.all(np.isfinite(diagnostics[:, n])):
                 raise IntegratorError("non-finite diagnostics", n)
-            c = step(params, space, forcing, c, cfg, n, v, eps, noise_part)
+            c = step(params, space, force_coeffs, c, cfg, n, v, eps, noise_part)
             coeffs[n + 1] = c
 
     return Trajectory(

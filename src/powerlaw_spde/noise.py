@@ -87,9 +87,9 @@ def eval_g(model: NoiseModel, k: int, xi: np.ndarray) -> np.ndarray:
 
 
 def apply_phi(model: NoiseModel, space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
-    """Per-mode grid fields Phi(v) e_k, shape (K, M^d, d), from the samples
-    of v, shape (M^d, d)."""
-    if values.shape != (space.M ** space.d, space.d):
+    """Per-mode grid fields Phi(v) e_k, shape (K, M^d, ..., d), from the
+    samples of v, shape (M^d, ..., d) (batch axes between grid and component)."""
+    if values.ndim < 2 or (values.shape[0], values.shape[-1]) != (space.M ** space.d, space.d):
         raise ValueError("field shape inconsistent with space")
     return _all_g(model, values)
 

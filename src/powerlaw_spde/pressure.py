@@ -11,10 +11,15 @@ mean-zero field is identically zero, so
 
 all of zero spatial mean, because the symbol of lap^-1 drops the zero mode.
 Each operator is its Fourier symbol applied between one forward and one
-inverse FFT over the grid axes, all components at once, with the integer
-wavevectors cached on the space.  The sign conventions are pinned by
-requiring the extended weak identity (tested against gradient fields) to
-hold exactly; see weak_residual.
+inverse FFT over the grid axes, all batch and component axes at once, with
+the integer wavevectors cached on the space.  The sign conventions are
+pinned by requiring the extended weak identity (tested against gradient
+fields) to hold exactly; see weak_residual.
+
+decompose and weak_residual take a trajectory in chunks of at most
+_CHUNK_POINTS grid points x steps, time being a batch axis between the grid
+and component axes: a chunk's velocity is (M^d, n, d) and its flux (H1, H2)
+(M^d, n, 2, d, d), one GEMM per field and one transform pair per operator.
 
 The flux H is assembled from a trajectory as
 
@@ -33,7 +38,13 @@ import numpy as np
 from .basis import GalerkinSpace, synthesize, symmetric_gradient
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
 from .galerkin import Trajectory
-from .noise import NoiseModel, apply_phi, hilbert_schmidt_norm_sq
+from .noise import NoiseModel, apply_phi
+
+
+# Grid points x steps per chunk (6 steps on a 13^2 grid): the transforms are
+# batched well before this, and the temporaries (about 1 MB with 16 noise
+# modes) do not grow with the length of the trajectory.
+_CHUNK_POINTS = 1024
 
 
 def _fft(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
@@ -49,6 +60,12 @@ def _ifft(space: GalerkinSpace, hat: np.ndarray) -> np.ndarray:
     return out.reshape((-1,) + out.shape[space.d:])
 
 
+def _batched(space: GalerkinSpace, symbol: np.ndarray, hat: np.ndarray, n_comp: int) -> np.ndarray:
+    """symbol (grid + component axes) shaped to broadcast over the batch axes of hat."""
+    batch = (1,) * (hat.ndim - space.d - n_comp)
+    return symbol.reshape(symbol.shape[:space.d] + batch + symbol.shape[space.d:])
+
+
 def inverse_laplacian(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
     """lap^-1 of a flattened field (M^d, ...), per component; the zero
     mode is dropped, so the output is mean-zero."""
@@ -61,35 +78,39 @@ def inverse_laplacian(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
 
 
 def laplacian(space: GalerkinSpace, scalar: np.ndarray) -> np.ndarray:
-    """lap of a flattened scalar field."""
-    return _ifft(space, _fft(space, scalar) * -np.sum(space.wavevectors ** 2, axis=-1))
+    """lap of a flattened scalar field (M^d, ...)."""
+    hat = _fft(space, scalar)
+    return _ifft(space, hat * _batched(space, -np.sum(space.wavevectors ** 2, axis=-1), hat, 0))
 
 
 def gradient_scalar(space: GalerkinSpace, scalar: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a flattened scalar field, shape (M^d, d)."""
-    return _ifft(space, 1j * space.wavevectors * _fft(space, scalar)[..., None])
+    """Spectral gradient of a flattened scalar field, shape (M^d, ..., d)."""
+    hat = _fft(space, scalar)[..., None]
+    return _ifft(space, 1j * _batched(space, space.wavevectors, hat, 1) * hat)
 
 
 def _field_gradient(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a sampled vector field, shape (M^d, d, d)."""
-    k = space.wavevectors
-    return _ifft(space, 1j * k[..., None, :] * _fft(space, values)[..., :, None])
+    """Spectral gradient of a sampled vector field, shape (M^d, ..., d, d)."""
+    hat = _fft(space, values)[..., :, None]
+    return _ifft(space, 1j * _batched(space, space.wavevectors[..., None, :], hat, 2) * hat)
 
 
 def divergence_vector(space: GalerkinSpace, vec: np.ndarray) -> np.ndarray:
-    """Spectral divergence of a flattened vector field (M^d, d)."""
-    return _ifft(space, np.sum(1j * space.wavevectors * _fft(space, vec), axis=-1))
+    """Spectral divergence of a flattened vector field (M^d, ..., d)."""
+    hat = _fft(space, vec)
+    return _ifft(space, np.sum(1j * _batched(space, space.wavevectors, hat, 1) * hat, axis=-1))
 
 
 def div_div_tensor(space: GalerkinSpace, mat: np.ndarray) -> np.ndarray:
-    """d_i d_j H_ij for a flattened tensor field (M^d, d, d)."""
+    """d_i d_j H_ij for a flattened tensor field (M^d, ..., d, d)."""
     k = space.wavevectors
-    symbol = -k[..., :, None] * k[..., None, :]
-    return _ifft(space, np.sum(symbol * _fft(space, mat), axis=(-2, -1)))
+    hat = _fft(space, mat)
+    symbol = _batched(space, -k[..., :, None] * k[..., None, :], hat, 2)
+    return _ifft(space, np.sum(symbol * hat, axis=(-2, -1)))
 
 
 def solve_pi_H(space: GalerkinSpace, H: np.ndarray) -> np.ndarray:
-    """pi_H = -lap^-1(div div H), satisfying
+    """pi_H = -lap^-1(div div H) for H of shape (M^d, ..., d, d), satisfying
     int pi_H lap(phi) = -int H : grad^2(phi) for resolved test modes."""
     return -inverse_laplacian(space, div_div_tensor(space, H))
 
@@ -104,25 +125,41 @@ def assemble_H(
     params: ConstitutiveParams,
     coeffs: np.ndarray,
     forcing: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor flux H = H1 + H2 of the velocity equation at one time, as
-    (H1, H2): H1 the stress part, H2 convection plus the divergence-lifted
-    stabilizer and the sampled body force (M^d, d) or None.
+) -> np.ndarray:
+    """Tensor flux H = H1 + H2 of the velocity equation at the coefficient
+    rows coeffs (n, N), stacked as (M^d, n, 2, d, d): H1 the stress part, H2
+    convection plus the divergence-lifted stabilizer and the sampled body
+    force (M^d, d) or None.
     """
-    eps = symmetric_gradient(space, coeffs)
-    h1 = eval_stress(params, eps)
     v = synthesize(space, coeffs)
-    h2 = -v[:, :, None] * v[:, None, :]
+    h = np.empty(v.shape[:2] + (2, space.d, space.d))
+    h[:, :, 0] = eval_stress(params, symmetric_gradient(space, coeffs))
+    h[:, :, 1] = -v[..., :, None] * v[..., None, :]
 
     zero_order = np.zeros_like(v)
     if params.alpha > 0.0:
         zero_order += eval_stabilizer(params, v)
     if forcing is not None:
-        zero_order -= forcing
+        zero_order -= forcing[:, None]
     if np.any(zero_order):
         zero_order = zero_order - np.mean(zero_order, axis=0)
-        h2 = h2 - _field_gradient(space, inverse_laplacian(space, zero_order))
-    return h1, h2
+        h[:, :, 1] -= _field_gradient(space, inverse_laplacian(space, zero_order))
+    return h
+
+
+def _noise_increments(space, model, coeffs, increments):
+    """sum_k Phi e_k dbeta_k at the coefficient rows (n, N), shape
+    (M^d, n, d), and the noise norms sum_k int |Phi e_k|^2 (n,)."""
+    phi = apply_phi(model, space, synthesize(space, coeffs))  # (K, M^d, n, d)
+    # a contiguous copy, one row per step, sums in the order of a single step
+    rows = np.array(np.moveaxis(phi, 2, 0), order="C").reshape(len(coeffs), -1)
+    hs = space.quad_weight * np.sum(np.square(rows, out=rows), axis=1)
+    return np.einsum("kxnd,nk->xnd", phi, increments), hs
+
+
+def _chunks(space: GalerkinSpace, n_steps: int) -> list[slice]:
+    size = max(1, _CHUNK_POINTS // space.M ** space.d)
+    return [slice(a, min(a + size, n_steps)) for a in range(0, n_steps, size)]
 
 
 @dataclass
@@ -150,14 +187,10 @@ def solve_pi_Phi(
     phi_fields_history: np.ndarray,
     increments: np.ndarray,
 ) -> np.ndarray:
-    """Discrete stochastic pressure at the final time.
-
-    phi_fields_history has shape (n_steps, K, M^d, d) of left-point noise
-    fields; increments (n_steps, K).  Returns
-    lap^-1 div sum_n sum_k Phi^n e_k dbeta^n_k.
-    """
-    n_steps = increments.shape[0]
-    if phi_fields_history.shape[0] != n_steps:
+    """Discrete stochastic pressure lap^-1 div sum_n sum_k Phi^n e_k dbeta^n_k
+    at the final time, from the left-point noise fields (n_steps, K, M^d, d)
+    and the increments (n_steps, K)."""
+    if phi_fields_history.shape[0] != increments.shape[0]:
         raise ValueError("noise field history misaligned with increments")
     accum = np.einsum("nkxd,nk->xd", phi_fields_history, increments)
     return inverse_laplacian(space, divergence_vector(space, accum))
@@ -170,33 +203,30 @@ def decompose(
     forcing: np.ndarray | None,
     traj: Trajectory,
 ) -> PressureDecomposition:
-    """Reconstruct all pressure parts along a recorded trajectory."""
+    """Reconstruct all pressure parts along a recorded trajectory, one chunk
+    of steps at a time."""
     n = traj.n_steps
     n_pts = space.M ** space.d
-    pi_H = np.zeros((n, n_pts))
-    pi_1 = np.zeros((n, n_pts))
-    pi_2 = np.zeros((n, n_pts))
+    pi_1, pi_2, H_sq = (np.zeros((n, n_pts)) for _ in range(3))
     pi_Phi = np.zeros((n + 1, n_pts))
-    H_sq = np.zeros((n, n_pts))
     hs = np.zeros(n)
-    stoch_accum = np.zeros((n_pts, space.d))
+    accum = np.zeros((n_pts, 1, space.d))  # sum_k Phi e_k dbeta_k up to the chunk
 
-    for m in range(n):
-        c = traj.coeffs[m]
-        h1, h2 = assemble_H(space, params, c, forcing)
-        H_sq[m] = np.sum((h1 + h2) ** 2, axis=(-2, -1))
-        pi_1[m] = solve_pi_H(space, h1)
-        pi_2[m] = solve_pi_H(space, h2)
-        pi_H[m] = pi_1[m] + pi_2[m]
+    for sl in _chunks(space, n):
+        h = assemble_H(space, params, traj.coeffs[sl], forcing)
+        H_sq[sl] = np.sum((h[:, :, 0] + h[:, :, 1]) ** 2, axis=(-2, -1)).T
+        pi = solve_pi_H(space, h)  # (M^d, n, 2)
+        pi_1[sl], pi_2[sl] = pi[..., 0].T, pi[..., 1].T
         if model is not None and traj.increments is not None:
-            phi = apply_phi(model, space, synthesize(space, c))
-            hs[m] = hilbert_schmidt_norm_sq(space, phi)
-            stoch_accum += np.einsum("kxd,k->xd", phi, traj.increments[m])
-            pi_Phi[m + 1] = inverse_laplacian(space, divergence_vector(space, stoch_accum))
+            dW, hs[sl] = _noise_increments(space, model, traj.coeffs[sl], traj.increments[sl])
+            # the running sum enters as the first row: additions in step order
+            accum = np.cumsum(np.concatenate([accum[:, -1:], dW], axis=1), axis=1)
+            pi_Phi[sl.start + 1:sl.stop + 1] = inverse_laplacian(
+                space, divergence_vector(space, accum[:, 1:])).T
 
     return PressureDecomposition(
         pi_h=solve_pi_h(space),
-        pi_H_series=pi_H,
+        pi_H_series=pi_1 + pi_2,
         pi_Phi_series=pi_Phi,
         pi_1_series=pi_1,
         pi_2_series=pi_2,
@@ -230,25 +260,20 @@ def weak_residual(
     """
     if t_index is None:
         t_index = traj.n_steps
-    phi_vals = test_field
     w = space.quad_weight
-    grad_phi = _field_gradient(space, phi_vals)
+    grad_phi = _field_gradient(space, test_field)
     div_phi = np.trace(grad_phi, axis1=-2, axis2=-1)
 
-    v_t = synthesize(space, traj.coeffs[t_index])
-    v_0 = synthesize(space, traj.coeffs[0])
-    res = w * float(np.sum((v_t - v_0) * phi_vals))
-
-    for m in range(t_index):
-        h1, h2 = assemble_H(space, params, traj.coeffs[m], forcing)
-        res += traj.dt * w * float(np.sum((h1 + h2) * grad_phi))
-        res += traj.dt * w * float(np.sum(decomposition.pi_H_series[m] * div_phi))
-        if model is not None and traj.increments is not None:
-            phi_fields = apply_phi(model, space, synthesize(space, traj.coeffs[m]))
-            res -= w * float(
-                np.sum(np.einsum("kxd,k->xd", phi_fields, traj.increments[m]) * phi_vals)
-            )
+    v = synthesize(space, traj.coeffs[[0, t_index]])
+    res = w * float(np.sum((v[:, 1] - v[:, 0]) * test_field))
+    res += traj.dt * w * float(np.sum(decomposition.pi_H_series[:t_index] * div_phi))
     res -= w * float(np.sum(decomposition.pi_Phi_series[t_index] * div_phi))
+    for sl in _chunks(space, t_index):
+        h = assemble_H(space, params, traj.coeffs[sl], forcing)
+        res += traj.dt * w * float(np.sum(h * grad_phi[:, None, None]))
+        if model is not None and traj.increments is not None:
+            dW, _ = _noise_increments(space, model, traj.coeffs[sl], traj.increments[sl])
+            res -= w * float(np.sum(dW * test_field[:, None]))
     return abs(res)
 
 
@@ -273,14 +298,9 @@ def estimate_check(
     max_abs_mean = 0.0
     for traj in trajectories:
         dec = decompose(space, params, model, forcing, traj)
-        pi_int = 0.0
-        h_int = 0.0
-        for m in range(traj.n_steps):
-            pi_int += traj.dt * w * float(np.sum(np.abs(dec.pi_H_series[m]) ** s))
-            h_int += traj.dt * w * float(np.sum(dec.H_sq_series[m] ** (s / 2.0)))
-        lhs_H.append(pi_int)
-        rhs_H.append(h_int)
-        lhs_Phi.append(max(w * float(np.sum(row ** 2)) for row in dec.pi_Phi_series))
+        lhs_H.append(traj.dt * w * float(np.sum(np.abs(dec.pi_H_series) ** s)))
+        rhs_H.append(traj.dt * w * float(np.sum(dec.H_sq_series ** (s / 2.0))))
+        lhs_Phi.append(w * float(np.max(np.sum(dec.pi_Phi_series ** 2, axis=1))))
         rhs_Phi.append(float(np.max(dec.hs_series, initial=0.0)))
         means = np.concatenate([np.mean(dec.pi_H_series, axis=1),
                                 np.mean(dec.pi_Phi_series, axis=1)])

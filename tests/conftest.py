@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from powerlaw_spde.basis import symmetric_gradient, synthesize
-from powerlaw_spde.galerkin import assemble_diffusion, step
+from powerlaw_spde.galerkin import assemble_diffusion, forcing_term, step
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ def advance():
         if noise is not None:
             model, path = noise
             noise_part = assemble_diffusion(model, space, v) @ path.increments[step_index]
-        return step(params, space, forcing, coeffs, cfg, step_index, v,
+        return step(params, space, forcing_term(space, forcing), coeffs, cfg, step_index, v,
                     symmetric_gradient(space, coeffs), noise_part)
 
     return run

@@ -25,7 +25,7 @@ def make_space(N=4):
 
 
 def drift(params, space, c, forcing=None):
-    return assemble_drift(params, space, forcing, synthesize(space, c),
+    return assemble_drift(params, space, forcing_term(space, forcing), synthesize(space, c),
                           symmetric_gradient(space, c))
 
 
@@ -204,16 +204,18 @@ def test_newton_completes_steps_converged_to_round_off(advance, d, N, p, alpha, 
 
 
 def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
-    # the left-point v, eps and Sigma feed both the diagnostics and the step
+    # the left-point v, grad v and Sigma feed both the diagnostics and the
+    # step, eps is the symmetric part of grad v, and the steady body force
+    # is projected once per run
     space = make_space()
     params = ConstitutiveParams(p=1.8, alpha=0.1, d=2)
     model = NoiseModel(family="smooth_norm", K=4, d=2)
     forcing = synthesize(space, np.eye(4)[1])
-    counts = call_counter(galerkin, "synthesize", "symmetric_gradient",
-                          "apply_phi", "assemble_diffusion", "stress_force")
+    counts = call_counter(galerkin, "synthesize", "velocity_gradient", "symmetric_gradient",
+                          "apply_phi", "assemble_diffusion", "stress_force", "forcing_term")
     run_trajectory(params, space, model, forcing, np.array([1.0, 0.5, 0.0, 0.2]),
                    SdeStepConfig(dt=0.01), 7, seed=2)
-    assert counts == dict.fromkeys(counts, 7)
+    assert counts == {**dict.fromkeys(counts, 7), "symmetric_gradient": 0, "forcing_term": 1}
 
 
 def test_step_with_noise_reproducible(advance):

@@ -1,11 +1,18 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerlaw_spde import pressure
-from powerlaw_spde.basis import build_space, suggest_grid, synthesize
-from powerlaw_spde.constitutive import ConstitutiveParams
+from powerlaw_spde.basis import build_space, suggest_grid, symmetric_gradient, synthesize
+from powerlaw_spde.constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
 from powerlaw_spde.galerkin import SdeStepConfig, run_trajectory
-from powerlaw_spde.noise import NoiseModel
+from powerlaw_spde.noise import NoiseModel, apply_phi, hilbert_schmidt_norm_sq
+
+HELPERS = ("inverse_laplacian", "laplacian", "gradient_scalar",
+           "divergence_vector", "div_div_tensor", "_field_gradient")
 
 
 def make_space(N=8, M=None):
@@ -256,18 +263,36 @@ def test_estimate_check_reports_finite_ratios():
     assert report["pi_H_lhs"] <= report["pi_H_rhs"] * max(report["pi_H_ratio"], 1.0) + 1e-12
 
 
-def test_decompose_makes_one_transform_pair_per_operator(call_counter):
-    # with noise and a stabilizer, each step lifts the zero-order term
-    # (2 operator calls), solves pi_H for both flux parts (2 each) and
-    # updates pi_Phi (2): eight operators, each one fftn and one ifftn
-    space, params, model, forcing, traj = run_small(alpha=0.2, n_steps=3)
-    helpers = ("inverse_laplacian", "laplacian", "gradient_scalar",
-               "divergence_vector", "div_div_tensor", "_field_gradient")
-    helper_calls = call_counter(pressure, *helpers)
+def chunk_steps(space):
+    return max(1, pressure._CHUNK_POINTS // space.M ** space.d)
+
+
+def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypatch):
+    # with noise and a stabilizer, each chunk of steps lifts the zero-order
+    # term (2 operator calls), solves pi_H for the stacked flux parts (2) and
+    # updates pi_Phi (2): six operators, each one fftn and one ifftn
+    space, params, model, forcing, traj = run_small(alpha=0.2, n_steps=8)
+    monkeypatch.setattr(pressure, "_CHUNK_POINTS", 3 * space.M ** space.d)
+    n_chunks = math.ceil(traj.n_steps / chunk_steps(space))
+    assert n_chunks == 3
+    helper_calls = call_counter(pressure, *HELPERS)
+    flux_calls = call_counter(pressure, "assemble_H")
     fft_calls = call_counter(np.fft, "fftn", "ifftn")
     pressure.decompose(space, params, model, forcing, traj)
-    assert sum(helper_calls.values()) == 8 * traj.n_steps
-    assert fft_calls == {"fftn": 8 * traj.n_steps, "ifftn": 8 * traj.n_steps}
+    assert sum(helper_calls.values()) == 6 * n_chunks
+    assert fft_calls == {"fftn": 6 * n_chunks, "ifftn": 6 * n_chunks}
+    assert flux_calls == {"assemble_H": n_chunks}
+
+
+def test_decompose_calls_the_traced_spans(call_counter):
+    # the benchmark's traced run requires decompose to enter assemble_H and
+    # the transform helpers, even without noise or a zero-order term
+    space, params, model, forcing, traj = run_small(noise=False, n_steps=3)
+    helper_calls = call_counter(pressure, *HELPERS)
+    flux_calls = call_counter(pressure, "assemble_H")
+    pressure.decompose(space, params, model, forcing, traj)
+    assert flux_calls["assemble_H"] >= 1
+    assert sum(helper_calls.values()) >= 1
 
 
 def test_wavevector_grid_is_built_once():
@@ -278,14 +303,151 @@ def test_wavevector_grid_is_built_once():
     assert space.wavevectors is k
 
 
-def test_estimate_check_reads_the_decomposition(call_counter):
-    # the flux and the noise fields are built once per step, by decompose
+def test_estimate_check_reads_the_decomposition(call_counter, monkeypatch):
+    # the flux and the noise fields are built once per chunk, by decompose
     space, params, model, forcing, traj_a = run_small(alpha=0.2, n_steps=6)
     traj_b = run_small(alpha=0.2, n_steps=6, seed=4)[-1]
+    monkeypatch.setattr(pressure, "_CHUNK_POINTS", 4 * space.M ** space.d)
+    n_chunks = math.ceil(6 / chunk_steps(space))
     decs = [pressure.decompose(space, params, model, forcing, t) for t in (traj_a, traj_b)]
     counts = call_counter(pressure, "assemble_H", "apply_phi")
     report = pressure.estimate_check(space, params, model, forcing, [traj_a, traj_b])
-    assert counts == {"assemble_H": 12, "apply_phi": 12}
+    assert counts == {"assemble_H": 2 * n_chunks, "apply_phi": 2 * n_chunks}
     assert report["max_abs_mean"] == max(
         float(np.max(np.abs(np.mean(series, axis=1))))
         for dec in decs for series in (dec.pi_H_series, dec.pi_Phi_series))
+
+
+def per_step_flux(space, params, coeffs, forcing):
+    """(H1, H2) at one coefficient vector, assembled field by field."""
+    eps = symmetric_gradient(space, coeffs)
+    h1 = eval_stress(params, eps)
+    v = synthesize(space, coeffs)
+    h2 = -v[:, :, None] * v[:, None, :]
+    zero_order = np.zeros_like(v)
+    if params.alpha > 0.0:
+        zero_order += eval_stabilizer(params, v)
+    if forcing is not None:
+        zero_order -= forcing
+    if np.any(zero_order):
+        zero_order = zero_order - np.mean(zero_order, axis=0)
+        h2 = h2 - pressure._field_gradient(space, pressure.inverse_laplacian(space, zero_order))
+    return h1, h2
+
+
+def per_step_decompose(space, params, model, forcing, traj):
+    """Oracle: the decomposition one step at a time, with a running sum of
+    the noise increments."""
+    n, n_pts = traj.n_steps, space.M ** space.d
+    out = {"pi_1_series": np.zeros((n, n_pts)), "pi_2_series": np.zeros((n, n_pts)),
+           "H_sq_series": np.zeros((n, n_pts)), "pi_Phi_series": np.zeros((n + 1, n_pts)),
+           "hs_series": np.zeros(n)}
+    accum = np.zeros((n_pts, space.d))
+    for m in range(n):
+        h1, h2 = per_step_flux(space, params, traj.coeffs[m], forcing)
+        out["H_sq_series"][m] = np.sum((h1 + h2) ** 2, axis=(-2, -1))
+        out["pi_1_series"][m] = pressure.solve_pi_H(space, h1)
+        out["pi_2_series"][m] = pressure.solve_pi_H(space, h2)
+        if model is not None:
+            phi = apply_phi(model, space, synthesize(space, traj.coeffs[m]))
+            out["hs_series"][m] = hilbert_schmidt_norm_sq(space, phi)
+            accum += np.einsum("kxd,k->xd", phi, traj.increments[m])
+            out["pi_Phi_series"][m + 1] = pressure.inverse_laplacian(
+                space, pressure.divergence_vector(space, accum))
+    out["pi_H_series"] = out["pi_1_series"] + out["pi_2_series"]
+    return out
+
+
+def per_step_weak_residual(space, params, model, forcing, traj, dec, test):
+    """Oracle: the weak-identity residual at the final time, step by step."""
+    w = space.quad_weight
+    grad_test = pressure._field_gradient(space, test)
+    div_test = np.trace(grad_test, axis1=-2, axis2=-1)
+    res = w * float(np.sum((synthesize(space, traj.coeffs[-1])
+                            - synthesize(space, traj.coeffs[0])) * test))
+    for m in range(traj.n_steps):
+        h1, h2 = per_step_flux(space, params, traj.coeffs[m], forcing)
+        res += traj.dt * w * float(np.sum((h1 + h2) * grad_test))
+        res += traj.dt * w * float(np.sum(dec.pi_H_series[m] * div_test))
+        if model is not None:
+            phi = apply_phi(model, space, synthesize(space, traj.coeffs[m]))
+            res -= w * float(np.sum(np.einsum("kxd,k->xd", phi, traj.increments[m]) * test))
+    res -= w * float(np.sum(dec.pi_Phi_series[-1] * div_test))
+    return abs(res)
+
+
+@pytest.mark.parametrize("d, M", [(2, 10), (3, 6)])
+@pytest.mark.parametrize("family", [None, "linear", "smooth_norm"])
+@pytest.mark.parametrize("alpha, forced", [(0.0, False), (0.3, True)])
+@pytest.mark.parametrize("extra", [3, 1])
+def test_decompose_matches_per_step_oracle(d, M, family, alpha, forced, extra):
+    # two full chunks and a partial one, which may hold a single step, so
+    # the running noise sum crosses chunk boundaries; linear noise of a
+    # solenoidal field has no pressure, so smooth_norm is the case that
+    # checks pi_Phi
+    space = build_space(d, 8, M)
+    params = ConstitutiveParams(p=1.7, alpha=alpha, d=d)
+    model = NoiseModel(family=family, K=5, d=d) if family else None
+    forcing = synthesize(space, np.eye(8)[2]) if forced else None
+    v0 = 0.8 * np.cos(np.arange(8.0))
+    n_steps = 2 * chunk_steps(space) + extra
+    traj = run_trajectory(params, space, model, forcing, v0, SdeStepConfig(dt=4e-3),
+                          n_steps, seed=11)
+    dec = pressure.decompose(space, params, model, forcing, traj)
+    oracle = per_step_decompose(space, params, model, forcing, traj)
+    for name, expected in oracle.items():
+        got = getattr(dec, name)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13 * max(
+            1.0, float(np.max(np.abs(expected), initial=0.0))), name
+    test = np.random.default_rng(12).standard_normal((M ** d, d))
+    res = pressure.weak_residual(space, params, model, forcing, traj, dec, test)
+    expected = per_step_weak_residual(space, params, model, forcing, traj, dec, test)
+    assert abs(res - expected) <= 1e-12 * max(1.0, expected)
+
+
+_OPERATORS = {  # name -> number of component axes of its input
+    "inverse_laplacian": 0, "laplacian": 0, "gradient_scalar": 0,
+    "_field_gradient": 1, "divergence_vector": 1, "div_div_tensor": 2,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([2, 3]), m=st.integers(4, 7), name=st.sampled_from(sorted(_OPERATORS)),
+       batch=st.lists(st.integers(1, 3), min_size=1, max_size=2), seed=st.integers(0, 2 ** 16))
+def test_operators_act_slice_by_slice_on_batches(d, m, name, batch, seed):
+    # batch axes sit between the grid axis and the component axes
+    space = build_space(d, 2, m)
+    op = getattr(pressure, name)
+    shape = (m ** d, *batch) + (d,) * _OPERATORS[name]
+    values = np.random.default_rng(seed).standard_normal(shape)
+    out = op(space, values)
+    for index in np.ndindex(*batch):
+        expected = op(space, values[(slice(None),) + index])
+        np.testing.assert_allclose(out[(slice(None),) + index], expected, rtol=0, atol=1e-13)
+
+
+def test_decompose_memory_is_bounded_by_a_chunk():
+    # the temporaries of decompose are those of one chunk, however long the
+    # trajectory: the peak above the outputs grows by less than half
+    space = build_space(2, 8, 10)
+    params = ConstitutiveParams(p=1.7, alpha=0.3, d=2)
+    model = NoiseModel(family="smooth_norm", K=8, d=2)
+    forcing = synthesize(space, np.eye(8)[2])
+    chunk = chunk_steps(space)
+    cfg, v0 = SdeStepConfig(dt=1e-3), 0.8 * np.cos(np.arange(8.0))
+    short, long = (run_trajectory(params, space, model, forcing, v0, cfg, n, seed=5)
+                   for n in (chunk, 8 * chunk))
+
+    def peak_above_outputs(traj):
+        tracemalloc.start()
+        try:
+            dec = pressure.decompose(space, params, model, forcing, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(a.nbytes for a in vars(dec).values())
+
+    pressure.decompose(space, params, model, forcing, short)  # fills the space's caches
+    one, eight = peak_above_outputs(short), peak_above_outputs(long)
+    assert eight <= 1.5 * one
