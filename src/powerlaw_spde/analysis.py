@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import GalerkinSpace, synthesize, symmetric_gradient
-from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
+from .basis import GalerkinSpace
+from .constitutive import ConstitutiveParams
 from .galerkin import (
     IntegratorError,
     SdeStepConfig,
@@ -14,7 +14,7 @@ from .galerkin import (
     interpolation_exponent,
     run_trajectory,
 )
-from .noise import NoiseModel, WienerPath, apply_phi
+from .noise import NoiseModel, WienerPath
 
 
 def moment_exponent(params: ConstitutiveParams) -> float:
@@ -140,23 +140,22 @@ def run_ensemble(
     n_traj: int,
     min_complete: int = 1,
 ) -> tuple[list[Trajectory], list[dict]]:
-    """Independent trajectories with seeds base_seed, base_seed+1, ...
+    """Independent trajectories with seeds base_seed, base_seed+1, ...,
+    stepped in lockstep as one batch.
 
     Returns the completed trajectories in seed order and a record
-    {seed, step, residual, error} per seed whose step raised IntegratorError
-    (any other exception is a bug and propagates); raises EnsembleError when
-    fewer than min_complete trajectories complete.
+    {seed, step, residual, error} per seed whose row failed with
+    IntegratorError and left the batch (any other exception is a bug and
+    propagates); raises EnsembleError when fewer than min_complete
+    trajectories complete.
     """
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
-    trajectories, failures = [], []
-    for seed in range(base_seed, base_seed + n_traj):
-        try:
-            trajectories.append(run_trajectory(params, space, model, forcing, v0_coeffs,
-                                               cfg, n_steps, seed=seed))
-        except IntegratorError as exc:
-            failures.append({"seed": seed, "step": exc.step,
-                             "residual": exc.residual, "error": str(exc)})
+    seeds = range(base_seed, base_seed + n_traj)
+    rows = run_trajectory(params, space, model, forcing, v0_coeffs, cfg, n_steps, seed=seeds)
+    trajectories = [row for row in rows if isinstance(row, Trajectory)]
+    failures = [{"seed": seed, "step": row.step, "residual": row.residual, "error": str(row)}
+                for seed, row in zip(seeds, rows) if isinstance(row, IntegratorError)]
     if len(trajectories) < min_complete:
         raise EnsembleError(f"{len(trajectories)} of {n_traj} trajectories completed, "
                             f"need {min_complete}; failures: {failures}")
@@ -274,47 +273,6 @@ def interpolation_diagnostic(traj: Trajectory) -> float:
     num = traj.vel_rq_time_integral()
     den = traj.sup_energy() ** (params.p / params.d) * traj.grad_lp_time_integral() + 1.0
     return num / den
-
-
-def weak_solution_residual(
-    traj: Trajectory,
-    model: NoiseModel | None,
-    forcing: np.ndarray | None,
-    test_space: GalerkinSpace,
-    j: int,
-) -> np.ndarray:
-    """Residual time series of the weak identity against test mode w_j.
-
-    test_space may extend the trajectory's space (same ordering, same
-    grid); for j <= N the scheme enforces the identity up to solver
-    tolerance, for j > N the series measures Galerkin truncation error.
-    """
-    space = traj.space
-    if test_space.M != space.M or test_space.d != space.d:
-        raise ValueError("test space must share the trajectory grid")
-    if not 1 <= j <= test_space.N:
-        raise ValueError(f"test mode {j} not resolved by the test space")
-    params = traj.params
-    w = space.quad_weight
-    w_j = test_space.mode_fields[j - 1]
-    # left points carry convection and noise; the implicit terms sit at C_{n+1}
-    left = traj.coeffs[:-1]
-    drift = traj.coeffs[1:] if traj.cfg.scheme == "semi_implicit" else left
-    v_left = synthesize(space, left)  # (M^d, n, d)
-    stress = eval_stress(params, symmetric_gradient(space, drift))
-    mu = w * (np.einsum("xnij,xij->n", v_left[..., :, None] * v_left[..., None, :],
-                        test_space.mode_grads[j - 1])
-              - np.einsum("xnij,xij->n", stress, test_space.mode_eps[j - 1]))
-    if params.alpha > 0.0:
-        mu -= w * np.einsum("xnd,xd->n", eval_stabilizer(params, synthesize(space, drift)), w_j)
-    if forcing is not None:
-        mu += w * float(np.sum(forcing * w_j))
-    increments = traj.dt * mu
-    if model is not None and traj.increments is not None:
-        sigma = w * np.einsum("kxnd,xd->nk", apply_phi(model, space, v_left), w_j)
-        increments += np.sum(sigma * traj.increments, axis=1)
-    proj = w * np.einsum("xnd,xd->n", synthesize(space, traj.coeffs), w_j)
-    return np.abs(np.concatenate(([0.0], proj[1:] - proj[0] - np.cumsum(increments))))
 
 
 def refinement_orders(residuals: list[float]) -> list[float]:

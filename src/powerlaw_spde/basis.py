@@ -225,11 +225,20 @@ def _check_coeffs(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _transform(profiles: np.ndarray, coeffs: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """sum_n c_n p_n(x) T_n for per-mode constants T_n (N, ...) as one GEMM,
-    shape (M^d, ...) for coeffs (N,) and (M^d, n, ...) for a block (n, N)."""
+    """sum_n c_n p_n(x) T_n for per-mode constants T_n (N, ...): shape
+    (M^d, ...) for coeffs (N,) and (M^d, n, ...) for a block (n, N).  A
+    block is one GEMM per row (a stacked matmul), so a row's samples are
+    those of the row alone, whatever else the block holds."""
     weighted = coeffs[..., None] * consts.reshape(len(consts), -1)  # (..., N, k)
-    out = profiles.T @ weighted.swapaxes(0, -2).reshape(len(consts), -1)
-    return out.reshape((-1,) + coeffs.shape[:-1] + consts.shape[1:])
+    out = profiles.T @ weighted  # (..., M^d, k)
+    return np.moveaxis(out.reshape(out.shape[:-1] + consts.shape[1:]), coeffs.ndim - 1, 0)
+
+
+def _project(profiles: np.ndarray, values: np.ndarray, n_comp: int) -> np.ndarray:
+    """sum_x p_n(x) F(x) for samples F (M^d, ..., *comp) with n_comp
+    component axes: shape (..., N, prod(comp)), one GEMM per batch index."""
+    rows = np.moveaxis(values, 0, -1 - n_comp)  # (..., M^d, *comp)
+    return profiles @ rows.reshape(rows.shape[:rows.ndim - n_comp] + (-1,))
 
 
 def synthesize(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
@@ -240,20 +249,19 @@ def synthesize(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
 
 def analyze(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
     """L2 projections <field, w_k> of a sampled field (M^d, d) by trapezoidal
-    quadrature."""
-    if values.shape != (space.M ** space.d, space.d):
+    quadrature, shape (N,), or (..., N) for batched samples (M^d, ..., d)."""
+    if values.ndim < 2 or (values.shape[0], values.shape[-1]) != (space.M ** space.d, space.d):
         raise ValueError(f"field shape {values.shape} inconsistent with space")
-    return space.quad_weight * np.einsum(
-        "nd,nd->n", space.value_profiles @ values, space.pols)
+    moments = _project(space.value_profiles, values, 1)  # (..., N, d)
+    return space.quad_weight * np.sum(moments * space.pols, axis=-1)
 
 
 def analyze_gradient(space: GalerkinSpace, values: np.ndarray, symmetric: bool = False) -> np.ndarray:
     """<F, grad w_k> for a tensor field F of shape (M^d, d, d); <F, eps(w_k)>
-    when symmetric."""
+    when symmetric.  Shape (N,), or (..., N) for batched samples (M^d, ..., d, d)."""
     tensors = space.strain_tensors if symmetric else space.grad_tensors
-    moments = space.deriv_profiles @ values.reshape(len(values), -1)  # (N, d*d)
-    return space.quad_weight * np.einsum(
-        "nk,nk->n", moments, tensors.reshape(space.N, -1))
+    moments = _project(space.deriv_profiles, values, 2)  # (..., N, d*d)
+    return space.quad_weight * np.sum(moments * tensors.reshape(space.N, -1), axis=-1)
 
 
 def velocity_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:

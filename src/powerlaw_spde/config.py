@@ -83,6 +83,8 @@ class SimulationConfig:
             if self.m <= 0:
                 raise ConfigError("m", "stabilization index must be positive")
             self.alpha = 1.0 / self.m
+            if not math.isfinite(self.alpha):
+                raise ConfigError("m", f"alpha = 1/m overflows for m={self.m!r}")
         if self.alpha < 0.0:
             raise ConfigError("alpha", "stabilization weight must be nonnegative")
         if self.q is None:

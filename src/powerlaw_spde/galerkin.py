@@ -11,9 +11,19 @@ discretizations are provided: explicit Euler-Maruyama, and a semi-implicit
 scheme that treats the two monotone terms (stress and stabilizer)
 implicitly via damped, matrix-free Newton-CG on a strictly convex
 objective, while convection, forcing and noise stay explicit.
+
+The integrator steps a block of B rows (B, N) in lockstep, one row per
+Wiener path: one synthesis and one gradient call per step serve every row,
+the forces and Sigma are projected for all rows at once, and the
+diagnostics are per row.  Each call is a stacked matmul (one GEMM per row)
+and each per-row sum runs over that row alone, so a row's numbers are
+bit-identical to the same seed run alone.  A row whose step fails leaves
+the block; the others step on.  The semi-implicit solve runs row by row on
+each row's own right-hand side.  A single trajectory is a block of one.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +73,10 @@ class IntegratorError(RuntimeError):
         self.residual = residual
 
 
-def stress_force(params: ConstitutiveParams, space: GalerkinSpace, eps: np.ndarray) -> np.ndarray:
-    """-int S(eps(v)) : eps(w_k) dx for each k, from the samples of eps(v)."""
-    return -analyze_gradient(space, eval_stress(params, eps), symmetric=True)
+def stress_force(space: GalerkinSpace, stress: np.ndarray) -> np.ndarray:
+    """-int S : eps(w_k) dx for each k, from the samples of the stress
+    S = S(eps(v)), (M^d, d, d) or batched (M^d, B, d, d)."""
+    return -analyze_gradient(space, stress, symmetric=True)
 
 
 def stabilizer_force(params: ConstitutiveParams, space: GalerkinSpace,
@@ -79,8 +90,8 @@ def stabilizer_force(params: ConstitutiveParams, space: GalerkinSpace,
 
 def convection_force(space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
     """int v (x) v : grad w_k dx (divergence form) for each k, from the
-    samples of v."""
-    return analyze_gradient(space, v[:, :, None] * v[:, None, :])
+    samples of v (M^d, d) or (M^d, B, d)."""
+    return analyze_gradient(space, v[..., :, None] * v[..., None, :])
 
 
 def forcing_term(space: GalerkinSpace, forcing: np.ndarray | None) -> np.ndarray:
@@ -95,12 +106,12 @@ def assemble_drift(
     space: GalerkinSpace,
     force_coeffs: np.ndarray,
     v: np.ndarray,
-    eps: np.ndarray,
+    stress: np.ndarray,
 ) -> np.ndarray:
-    """mu(C) from the samples of v = v_C and eps(v) and the projected body
-    force force_coeffs = forcing_term(space, forcing)."""
+    """mu(C) from the samples of v = v_C and of the stress S(eps(v)) and the
+    projected body force force_coeffs = forcing_term(space, forcing)."""
     return (
-        stress_force(params, space, eps)
+        stress_force(space, stress)
         + convection_force(space, v)
         + stabilizer_force(params, space, v)
         + force_coeffs
@@ -108,13 +119,13 @@ def assemble_drift(
 
 
 def assemble_diffusion(model: NoiseModel, space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
-    """N x K matrix Sigma_kl = int g_l(v) . w_k dx from the samples of v."""
-    phi = apply_phi(model, space, v)  # (K, M^d, d)
-    K, n_pts, d = phi.shape
-    # one GEMM for all K fields: moments[n, l, :] = sum_x a_n(x) phi_l(x)
-    moments = space.value_profiles @ phi.transpose(1, 0, 2).reshape(n_pts, K * d)
-    return space.quad_weight * np.einsum(
-        "nld,nd->nl", moments.reshape(space.N, K, d), space.pols)
+    """N x K matrix Sigma_kl = int g_l(v) . w_k dx from the samples of v
+    (M^d, d), or (B, N, K) from batched samples (M^d, B, d).  The K fields
+    mix r <= d generator fields (NoiseModel.generators), so r projections
+    and one (r, K) product build Sigma."""
+    generators, mix = model.generators
+    fields = np.moveaxis(apply_phi(generators, space, v), 0, -2)  # (M^d, ..., r, d)
+    return np.swapaxes(analyze(space, fields), -1, -2) @ mix
 
 
 def trilinear_convection(space: GalerkinSpace, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
@@ -139,7 +150,7 @@ def _implicit_gradient(params, space, coeffs, rhs, dt, fields):
     J(C) = 0.5|C - rhs|^2 + dt * (int F(eps(v_C)) + (alpha/q) int |v_C|^q)."""
     eps, v = fields
     return coeffs - rhs - dt * (
-        stress_force(params, space, eps) + stabilizer_force(params, space, v)
+        stress_force(space, eval_stress(params, eps)) + stabilizer_force(params, space, v)
     )
 
 
@@ -251,27 +262,33 @@ def step(
     cfg: SdeStepConfig,
     step_index: int,
     v: np.ndarray,
-    eps: np.ndarray,
+    stress: np.ndarray,
     noise_part: np.ndarray,
-) -> np.ndarray:
-    """The coefficients after one time step from C = coeffs with the
-    configured scheme, given the left-point samples v of v_C and eps of
-    eps(v_C), the projected body force (forcing_term) and the noise
-    increment Sigma(C) dbeta."""
-    if cfg.scheme == "euler_maruyama":
-        new = coeffs + cfg.dt * assemble_drift(params, space, force_coeffs, v, eps) + noise_part
-    else:
-        rhs = (
-            coeffs
-            + cfg.dt * (convection_force(space, v) + force_coeffs)
-            + noise_part
-        )
-        new = _solve_implicit(params, space, rhs, cfg.dt,
-                              cfg.newton_tol, cfg.newton_max_iter, step_index)
+) -> tuple[np.ndarray, dict[int, IntegratorError]]:
+    """One time step of every row of coeffs (B, N) with the configured
+    scheme, given the left-point samples v (M^d, B, d) of v_C and stress
+    (M^d, B, d, d) of S(eps(v_C)), the projected body force (forcing_term)
+    and the noise increments Sigma(C) dbeta (B, N).
 
-    if not np.isfinite(new @ new):  # |C|^2, also non-finite for any bad entry
-        raise IntegratorError("non-finite state", step_index)
-    return new
+    Returns the new rows and an IntegratorError per row whose step failed,
+    keyed by row index; a failed row of the result is meaningless.
+    """
+    errors = {}
+    if cfg.scheme == "euler_maruyama":
+        new = coeffs + cfg.dt * assemble_drift(params, space, force_coeffs, v, stress) + noise_part
+    else:
+        rhs = coeffs + cfg.dt * (convection_force(space, v) + force_coeffs) + noise_part
+        new = np.full_like(rhs, np.nan)
+        for row, row_rhs in enumerate(rhs):
+            try:
+                new[row] = _solve_implicit(params, space, row_rhs, cfg.dt,
+                                           cfg.newton_tol, cfg.newton_max_iter, step_index)
+            except IntegratorError as exc:
+                errors[row] = exc
+    # |C|^2 per row, also non-finite for any bad entry
+    for row in np.flatnonzero(~np.isfinite(np.einsum("bn,bn->b", new, new))):
+        errors.setdefault(int(row), IntegratorError("non-finite state", step_index))
+    return new, errors
 
 
 @dataclass
@@ -327,6 +344,14 @@ def interpolation_exponent(params: ConstitutiveParams) -> float:
     return params.p * (params.d + 2) / params.d
 
 
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Per-row sums of batched samples (M^d, B, ...), shape (B,).  Each row
+    is summed as one contiguous block, so its sum does not depend on the
+    other rows of the batch."""
+    rows = np.moveaxis(values, 1, 0)
+    return np.sum(rows.reshape(len(rows), -1), axis=1)
+
+
 def run_trajectory(
     params: ConstitutiveParams,
     space: GalerkinSpace,
@@ -335,65 +360,107 @@ def run_trajectory(
     v0_coeffs: np.ndarray,
     cfg: SdeStepConfig,
     n_steps: int,
-    seed: int | None = None,
+    seed: int | Sequence[int] | None = None,
     path: WienerPath | None = None,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory | IntegratorError]:
     """Integrate the Galerkin SDE and record the energy bookkeeping.
 
     forcing is the sampled body force (M^d, d) or None.  A path may be
     supplied directly (e.g. a coarsened refinement of a fine path);
-    otherwise it is generated from the seed.
+    otherwise it is generated from the seed.  With a sequence of seeds the
+    trajectories from v0_coeffs step in lockstep, each on the path of its
+    seed, and the result is a list with, per seed, its Trajectory or the
+    IntegratorError that ended it; a single seed returns its Trajectory or
+    raises.
     """
     v0_coeffs = np.asarray(v0_coeffs, dtype=float)
     if v0_coeffs.shape != (space.N,) or not np.all(np.isfinite(v0_coeffs)):
         raise ValueError(f"initial coefficients must be {space.N} finite numbers, "
                          f"got shape {v0_coeffs.shape}")
-    if path is None and model is not None:
-        if seed is None:
+    batched = isinstance(seed, Sequence)
+    seeds = list(seed) if batched else [seed]
+    if batched and path is not None:
+        raise ValueError("an explicit Wiener path drives a single trajectory")
+    increments = None
+    if model is not None:
+        if path is None and None in seeds:
             raise ValueError("need a seed or an explicit Wiener path")
-        path = WienerPath.generate(seed, cfg.dt, model.K, n_steps)
+        paths = [path] if path is not None else [
+            WienerPath.generate(s, cfg.dt, model.K, n_steps) for s in seeds]
+        increments = np.stack([p.increments[:n_steps] for p in paths])  # (B, n, K)
 
-    N = space.N
-    coeffs = np.empty((n_steps + 1, N))
-    coeffs[0] = v0_coeffs
-    times = cfg.dt * np.arange(n_steps + 1)
-    diagnostics = np.zeros((7, n_steps))
-    stress_diss, stab_int, force_work, grad_lp, vel_rq, mart, qv = diagnostics
+    B, N = len(seeds), space.N
+    coeffs = np.empty((B, n_steps + 1, N))
+    coeffs[:, 0] = v0_coeffs
+    diagnostics = np.zeros((7, B, n_steps))
+    errors: list[IntegratorError | None] = [None] * B
     r0 = interpolation_exponent(params)
 
-    c = coeffs[0]
-    noise_part = np.zeros(N)
+    live = np.arange(B)  # the rows still stepping
+    c = coeffs[:, 0]
     force_coeffs = forcing_term(space, forcing)  # the body force is steady
     w = space.quad_weight
-    # a diverging run overflows quietly and stops at the first non-finite
-    # diagnostic or state, which raises IntegratorError
+    # a diverging row overflows quietly and leaves the batch at its first
+    # non-finite diagnostic or state, with an IntegratorError
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             # one left-point evaluation feeds the diagnostics and the step
             grad = velocity_gradient(space, c)
             eps = 0.5 * (grad + np.swapaxes(grad, -1, -2))
             v = synthesize(space, c)
-            stress_diss[n] = w * float(np.sum(eval_stress(params, eps) * eps))
-            grad_lp[n] = w * float(np.sum(np.sum(grad ** 2, axis=(-2, -1)) ** (params.p / 2.0)))
+            stress = eval_stress(params, eps)
+            noise_part = np.zeros_like(c)
+            diag = np.zeros((7, len(live)))
+            stress_diss, stab_int, force_work, grad_lp, vel_rq, mart, qv = diag
+            stress_diss[:] = w * _row_sums(stress * eps)
+            grad_lp[:] = w * _row_sums(np.sum(grad ** 2, axis=(-2, -1)) ** (params.p / 2.0))
             vmag = np.linalg.norm(v, axis=-1)
-            vel_rq[n] = w * float(np.sum(vmag ** r0))
+            vel_rq[:] = w * _row_sums(vmag ** r0)
             if params.alpha > 0.0:
-                stab_int[n] = params.alpha * w * float(np.sum(vmag ** params.q))
+                stab_int[:] = params.alpha * w * _row_sums(vmag ** params.q)
             if forcing is not None:
-                force_work[n] = w * float(np.sum(forcing * v))
+                force_work[:] = w * _row_sums(forcing[:, None] * v)
             if model is not None:
-                sigma = assemble_diffusion(model, space, v)
-                noise_part = sigma @ path.increments[n]
-                mart[n] = float(c @ noise_part)
-                qv[n] = float(np.sum(sigma ** 2)) * cfg.dt
-            if not np.all(np.isfinite(diagnostics[:, n])):
-                raise IntegratorError("non-finite diagnostics", n)
-            c = step(params, space, force_coeffs, c, cfg, n, v, eps, noise_part)
-            coeffs[n + 1] = c
+                sigma = assemble_diffusion(model, space, v)  # (B, N, K)
+                noise_part = (sigma @ increments[live, n][:, :, None])[..., 0]
+                mart[:] = np.einsum("bn,bn->b", c, noise_part)
+                qv[:] = np.sum(sigma ** 2, axis=(1, 2)) * cfg.dt
+            diagnostics[:, live, n] = diag
 
-    return Trajectory(
-        space=space, params=params, cfg=cfg, times=times, coeffs=coeffs,
-        increments=None if path is None else path.increments[:n_steps],
-        stress_diss=stress_diss, stab_int=stab_int, force_work=force_work,
-        grad_lp=grad_lp, vel_rq=vel_rq, mart=mart, qv=qv, seed=seed,
-    )
+            failed = {int(row): IntegratorError("non-finite diagnostics", n)
+                      for row in np.flatnonzero(~np.all(np.isfinite(diag), axis=0))}
+            if failed:
+                keep = np.setdiff1d(np.arange(len(live)), list(failed))
+                c, v, stress, noise_part = c[keep], v[:, keep], stress[:, keep], noise_part[keep]
+                live = _drop(live, failed, errors)
+            if len(live):
+                c, failed = step(params, space, force_coeffs, c, cfg, n, v, stress, noise_part)
+                coeffs[live, n + 1] = c
+                if failed:
+                    c = np.delete(c, list(failed), axis=0)
+                    live = _drop(live, failed, errors)
+            if not len(live):
+                break
+
+    times = cfg.dt * np.arange(n_steps + 1)
+    results = [Trajectory(
+        space=space, params=params, cfg=cfg, times=times, coeffs=coeffs[row],
+        increments=None if increments is None else increments[row],
+        stress_diss=diagnostics[0, row], stab_int=diagnostics[1, row],
+        force_work=diagnostics[2, row], grad_lp=diagnostics[3, row],
+        vel_rq=diagnostics[4, row], mart=diagnostics[5, row], qv=diagnostics[6, row],
+        seed=seeds[row],
+    ) if errors[row] is None else errors[row] for row in range(B)]
+    if batched:
+        return results
+    if errors[0] is not None:
+        raise errors[0]
+    return results[0]
+
+
+def _drop(live: np.ndarray, failed: dict[int, IntegratorError],
+          errors: list[IntegratorError | None]) -> np.ndarray:
+    """Record the error of each failed position of live; the rows left."""
+    for pos, exc in failed.items():
+        errors[live[pos]] = exc
+    return np.delete(live, list(failed))

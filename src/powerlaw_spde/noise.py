@@ -10,10 +10,23 @@ nonlinear noise, each satisfying the linear-growth and gradient bounds
 as well as sup_k k^2 |g_k(xi)|^2 <= c (1 + |xi|^2), with constants L and c
 documented per family.  The infinite sum is truncated at K modes; with the
 default per-mode scale a_k = 2^-k the tail of every series is geometric.
+
+Every family is a truncated Q-Wiener noise whose K fields are mixtures of
+r <= d generator fields (Lord, Powell & Shardlow, An Introduction to
+Computational Stochastic PDEs, CUP 2014, ch. 10):
+
+    Phi(v) e_k = sum_r U[r, k] G_r(v),
+
+with G = v and U = a (r = 1) for the linear family, and G_j = amplitude
+sqrt(1 + |v|^2) e_j (additive: amplitude e_j) with U[j, k] = a_k [j = (k-1)
+mod d] for the other two.  NoiseModel.generators returns G as a model of r
+modes together with U, so the Galerkin diffusion and the pressure noise are
+built from r fields instead of K.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +68,20 @@ class NoiseModel:
         # |grad g_k|^2 = a_k^2 |xi|^2/(1+|xi|^2) <= a_k^2
         return max(self.amplitude * a_sum,
                    self.amplitude ** 2 * float(np.sum(self.per_mode_scale ** 2)))
+
+    @cached_property
+    def generators(self) -> tuple["NoiseModel", np.ndarray]:
+        """(G, U): a model G of r <= min(K, d) modes and the constant (r, K)
+        mixing U with Phi(v) e_k = sum_r U[r, k] G_r(v)."""
+        if self.family == "linear":
+            return (NoiseModel("linear", K=1, d=self.d, per_mode_scale=np.ones(1)),
+                    self.per_mode_scale[None, :])
+        r = min(self.K, self.d)
+        k = np.arange(self.K)
+        mix = np.zeros((r, self.K))
+        mix[k % self.d, k] = self.per_mode_scale
+        return (NoiseModel(self.family, K=r, d=self.d, amplitude=self.amplitude,
+                           per_mode_scale=np.ones(r)), mix)
 
 
 def _all_g(model: NoiseModel, xi: np.ndarray) -> np.ndarray:

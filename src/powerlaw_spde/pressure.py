@@ -19,7 +19,7 @@ fields) to hold exactly; see weak_residual.
 decompose and weak_residual take a trajectory in chunks of at most
 _CHUNK_POINTS grid points x steps, time being a batch axis between the grid
 and component axes: a chunk's velocity is (M^d, n, d) and its flux (H1, H2)
-(M^d, n, 2, d, d), one GEMM per field and one transform pair per operator.
+(M^d, n, 2, d, d), one transform call per field and one FFT pair per operator.
 
 The flux H is assembled from a trajectory as
 
@@ -42,8 +42,9 @@ from .noise import NoiseModel, apply_phi
 
 
 # Grid points x steps per chunk (6 steps on a 13^2 grid): the transforms are
-# batched well before this, and the temporaries (about 1 MB with 16 noise
-# modes) do not grow with the length of the trajectory.
+# batched well before this, and the temporaries do not grow with the length
+# of the trajectory.  The flux (M^d, n, 2, d, d) and its transforms set a
+# chunk's peak; the noise path holds only the r <= d generator fields.
 _CHUNK_POINTS = 1024
 
 
@@ -125,20 +126,24 @@ def assemble_H(
     params: ConstitutiveParams,
     coeffs: np.ndarray,
     forcing: np.ndarray | None,
+    implicit: np.ndarray | None = None,
 ) -> np.ndarray:
     """Tensor flux H = H1 + H2 of the velocity equation at the coefficient
     rows coeffs (n, N), stacked as (M^d, n, 2, d, d): H1 the stress part, H2
     convection plus the divergence-lifted stabilizer and the sampled body
-    force (M^d, d) or None.
+    force (M^d, d) or None.  The monotone terms (stress and stabilizer) are
+    taken at the rows implicit instead when given: C_{n+1} of the
+    semi-implicit scheme.
     """
+    at = coeffs if implicit is None else implicit
     v = synthesize(space, coeffs)
     h = np.empty(v.shape[:2] + (2, space.d, space.d))
-    h[:, :, 0] = eval_stress(params, symmetric_gradient(space, coeffs))
+    h[:, :, 0] = eval_stress(params, symmetric_gradient(space, at))
     h[:, :, 1] = -v[..., :, None] * v[..., None, :]
 
     zero_order = np.zeros_like(v)
     if params.alpha > 0.0:
-        zero_order += eval_stabilizer(params, v)
+        zero_order += eval_stabilizer(params, v if implicit is None else synthesize(space, at))
     if forcing is not None:
         zero_order -= forcing[:, None]
     if np.any(zero_order):
@@ -149,12 +154,14 @@ def assemble_H(
 
 def _noise_increments(space, model, coeffs, increments):
     """sum_k Phi e_k dbeta_k at the coefficient rows (n, N), shape
-    (M^d, n, d), and the noise norms sum_k int |Phi e_k|^2 (n,)."""
-    phi = apply_phi(model, space, synthesize(space, coeffs))  # (K, M^d, n, d)
-    # a contiguous copy, one row per step, sums in the order of a single step
-    rows = np.array(np.moveaxis(phi, 2, 0), order="C").reshape(len(coeffs), -1)
-    hs = space.quad_weight * np.sum(np.square(rows, out=rows), axis=1)
-    return np.einsum("kxnd,nk->xnd", phi, increments), hs
+    (M^d, n, d), and the noise norms sum_k int |Phi e_k|^2 (n,), both from
+    the r <= d generator fields: with Phi e_k = sum_r U[r, k] G_r, the sum
+    is sum_r G_r (U dbeta)_r and the norm sum_rs (U U^T)_rs int G_r . G_s."""
+    generators, mix = model.generators
+    fields = apply_phi(generators, space, synthesize(space, coeffs))  # (r, M^d, n, d)
+    gram = space.quad_weight * np.einsum("rxnd,sxnd->nrs", fields, fields)
+    hs = np.einsum("nrs,rs->n", gram, mix @ mix.T)
+    return np.einsum("rxnd,nr->xnd", fields, increments @ mix.T), hs
 
 
 def _chunks(space: GalerkinSpace, n_steps: int) -> list[slice]:
@@ -253,23 +260,33 @@ def weak_residual(
         + int_0^t int pi_H div phi - int pi_Phi(t) div phi
         - int int_0^t Phi dW . phi
 
-    with left-point time quadrature matching the integrator.  The pi_H and
-    pi_Phi terms exactly cancel the non-solenoidal action of H and Phi, so
-    the result measures the time-discretization and Galerkin truncation
-    error only.
+    with the time quadrature of the trajectory's scheme: left points
+    throughout for Euler-Maruyama; under the semi-implicit scheme the stress
+    and the stabilizer in H at C_{n+1}, as the implicit solve takes them.
+    The pi_H and pi_Phi terms exactly cancel the non-solenoidal action of H
+    and Phi, so against a divergence-free field the result measures the
+    solver tolerance and the Galerkin truncation error only; pi_H belongs
+    to the left points, so against gradient fields a semi-implicit run also
+    shows the time-discretization error of the monotone terms.
     """
+    n_pts = space.M ** space.d
+    if np.shape(test_field) != (n_pts, space.d):
+        raise ValueError(f"test field shape {np.shape(test_field)} is not "
+                         f"({n_pts}, {space.d}) of the trajectory's grid")
     if t_index is None:
         t_index = traj.n_steps
     w = space.quad_weight
     grad_phi = _field_gradient(space, test_field)
     div_phi = np.trace(grad_phi, axis1=-2, axis2=-1)
+    implicit = traj.cfg.scheme == "semi_implicit"
 
-    v = synthesize(space, traj.coeffs[[0, t_index]])
-    res = w * float(np.sum((v[:, 1] - v[:, 0]) * test_field))
+    change = synthesize(space, traj.coeffs[t_index] - traj.coeffs[0])
+    res = w * float(np.sum(change * test_field))
     res += traj.dt * w * float(np.sum(decomposition.pi_H_series[:t_index] * div_phi))
     res -= w * float(np.sum(decomposition.pi_Phi_series[t_index] * div_phi))
     for sl in _chunks(space, t_index):
-        h = assemble_H(space, params, traj.coeffs[sl], forcing)
+        right = traj.coeffs[sl.start + 1:sl.stop + 1] if implicit else None
+        h = assemble_H(space, params, traj.coeffs[sl], forcing, right)
         res += traj.dt * w * float(np.sum(h * grad_phi[:, None, None]))
         if model is not None and traj.increments is not None:
             dW, _ = _noise_increments(space, model, traj.coeffs[sl], traj.increments[sl])

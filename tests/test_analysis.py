@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from powerlaw_spde import analysis
-from powerlaw_spde.basis import build_space, suggest_grid, synthesize
+from powerlaw_spde import analysis, galerkin
+from powerlaw_spde.basis import build_space, suggest_grid
 from powerlaw_spde.constitutive import ConstitutiveParams
-from powerlaw_spde.galerkin import IntegratorError, SdeStepConfig, run_trajectory
+from powerlaw_spde.galerkin import IntegratorError, SdeStepConfig, run_trajectory, step
 from powerlaw_spde.noise import NoiseModel
 
 
@@ -155,16 +155,29 @@ def test_stabilization_convergence_decreases():
 
 
 def fail_seed(monkeypatch, seed, alpha=None):
-    """Make run_trajectory raise IntegratorError at step 3 for one seed
-    (and, if given, one stabilization weight)."""
+    """Make the batch row of one seed fail at step 3 with IntegratorError
+    (and, if given, only at one stabilization weight); the other rows of
+    the lockstep batch step on."""
+    batch = {"seeds": []}  # the seeds of the ensemble batch being stepped
 
-    def failing(params, *args, seed=None, **kwargs):
-        if seed == failing.seed and alpha in (None, params.alpha):
-            raise IntegratorError("injected", 3, residual=0.5)
-        return run_trajectory(params, *args, seed=seed, **kwargs)
+    def run(params, *args, seed=None, **kwargs):
+        batch["seeds"] = list(seed)
+        try:
+            return run_trajectory(params, *args, seed=seed, **kwargs)
+        finally:
+            batch["seeds"] = []
 
-    failing.seed = seed
-    monkeypatch.setattr(analysis, "run_trajectory", failing)
+    def failing_step(params, *args):
+        new, errors = step(params, *args)
+        step_index = args[4]
+        if (step_index == 3 and seed in batch["seeds"]
+                and alpha in (None, params.alpha)):
+            # no row has left the batch before step 3
+            errors[batch["seeds"].index(seed)] = IntegratorError("injected", 3, residual=0.5)
+        return new, errors
+
+    monkeypatch.setattr(analysis, "run_trajectory", run)
+    monkeypatch.setattr(galerkin, "step", failing_step)
 
 
 def test_run_ensemble_masks_integrator_failures(monkeypatch):
@@ -224,43 +237,6 @@ def test_interpolation_diagnostic_bounded():
                           np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20, seed=2)
     val = analysis.interpolation_diagnostic(traj)
     assert 0.0 <= val < np.inf
-
-
-def test_weak_solution_residual_galerkin_modes():
-    N, N_big = 8, 16
-    M = suggest_grid(2, N_big)
-    space = build_space(2, N, M)
-    test_space = build_space(2, N_big, M)
-    params = ConstitutiveParams(p=1.8, alpha=0.1, d=2)
-    model = NoiseModel(family="linear", K=8, d=2)
-    forcing = None
-    v0 = np.zeros(N)
-    v0[0], v0[2] = 1.0, 0.5
-    cfg = SdeStepConfig(dt=0.005)
-    traj = run_trajectory(params, space, model, forcing, v0, cfg, 40, seed=9)
-    # resolved modes satisfy the identity to solver precision
-    for j in (1, 4, 8):
-        res = analysis.weak_solution_residual(traj, model, forcing, space, j)
-        assert res[0] == 0.0
-        assert np.max(res) < 1e-12
-    # unresolved modes see only the Galerkin truncation error, which is small
-    # but generally nonzero
-    res_hi = analysis.weak_solution_residual(traj, model, forcing, test_space, N_big)
-    assert np.max(res_hi) < 1e-2
-    with pytest.raises(ValueError):
-        analysis.weak_solution_residual(traj, model, forcing, test_space, N_big + 1)
-
-
-def test_weak_solution_residual_semi_implicit_scheme_aware():
-    space = make_space(8)
-    params = ConstitutiveParams(p=1.8, d=2)
-    forcing = None
-    v0 = np.zeros(8)
-    v0[0] = 1.0
-    cfg = SdeStepConfig(dt=0.005, scheme="semi_implicit")
-    traj = run_trajectory(params, space, None, forcing, v0, cfg, 20)
-    res = analysis.weak_solution_residual(traj, None, forcing, space, 1)
-    assert np.max(res) < 1e-8  # right-point stress matches the implicit solve
 
 
 def test_refinement_orders():

@@ -293,7 +293,7 @@ _GRID_ENTRY = st.one_of(
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(seed=st.integers(-2 ** 40, 2 ** 64),
        flag=st.sampled_from(["--alpha-grid", "--m-grid"]),
        grid=st.lists(_GRID_ENTRY, min_size=1, max_size=3).map(",".join))
@@ -307,7 +307,7 @@ def test_ensemble_cli_boundary_never_raises(tmp_path_factory, seed, flag, grid):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(command=st.sampled_from(["simulate", "pressure"]),
        d=st.sampled_from([2, 3]),
        N=st.integers(1, 8),

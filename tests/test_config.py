@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from powerlaw_spde.config import ConfigError, SimulationConfig
+from powerlaw_spde.config import _REALS, ConfigError, SimulationConfig
 from powerlaw_spde.basis import suggest_grid
 
 
@@ -139,3 +141,31 @@ def test_alpha_override_in_build_params():
     cfg = SimulationConfig(p=1.8, alpha=0.5)
     assert cfg.build_params().alpha == 0.5
     assert cfg.build_params(alpha=0.0).alpha == 0.0
+
+
+_JSON_SCALAR = (st.none() | st.booleans() | st.integers(-10, 64) | st.integers()
+                | st.floats() | st.text(max_size=8))
+_JSON = st.recursive(_JSON_SCALAR, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8)
+_KEYS = st.sampled_from(sorted(SimulationConfig.__dataclass_fields__)) | st.text(max_size=6)
+
+
+@settings(max_examples=300)
+@given(data=st.dictionaries(_KEYS, _JSON, max_size=8))
+def test_any_json_dict_gives_a_valid_config_or_config_error(data):
+    # the mode enumeration behind the default grid grows with N
+    assume(not (isinstance(data.get("N"), int) and data["N"] > 256))
+    try:
+        cfg = SimulationConfig.from_dict(data)
+    except ConfigError:
+        return
+    assert all(math.isfinite(getattr(cfg, name)) for name in _REALS
+               if getattr(cfg, name) is not None)
+    assert SimulationConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_vanishing_m_is_refused():
+    # alpha = 1/m overflows to inf for a subnormal m
+    with pytest.raises(ConfigError) as err:
+        SimulationConfig(m=1e-320)
+    assert "'m'" in str(err.value)

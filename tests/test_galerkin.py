@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerlaw_spde import galerkin
 from powerlaw_spde.basis import build_space, suggest_grid, symmetric_gradient, synthesize
-from powerlaw_spde.constitutive import ConstitutiveParams
+from powerlaw_spde.constitutive import ConstitutiveParams, eval_stress
 from powerlaw_spde.galerkin import (
+    SCHEMES,
     IntegratorError,
     SdeStepConfig,
     assemble_diffusion,
@@ -26,7 +28,7 @@ def make_space(N=4):
 
 def drift(params, space, c, forcing=None):
     return assemble_drift(params, space, forcing_term(space, forcing), synthesize(space, c),
-                          symmetric_gradient(space, c))
+                          eval_stress(params, symmetric_gradient(space, c)))
 
 
 def test_drift_vanishes_at_rest():
@@ -81,7 +83,7 @@ def test_drift_energy_budget_identity():
     f = synthesize(space, rng.standard_normal(8))
     c = rng.standard_normal(8)
     mu = drift(params, space, c, f)
-    budget = (np.dot(stress_force(params, space, symmetric_gradient(space, c)), c)
+    budget = (np.dot(stress_force(space, eval_stress(params, symmetric_gradient(space, c))), c)
               + np.dot(stabilizer_force(params, space, synthesize(space, c)), c)
               + np.dot(forcing_term(space, f), c))
     assert abs(np.dot(mu, c) - budget) < 1e-8 * (1.0 + abs(budget))
@@ -212,9 +214,12 @@ def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
     model = NoiseModel(family="smooth_norm", K=4, d=2)
     forcing = synthesize(space, np.eye(4)[1])
     counts = call_counter(galerkin, "synthesize", "velocity_gradient", "symmetric_gradient",
-                          "apply_phi", "assemble_diffusion", "stress_force", "forcing_term")
+                          "apply_phi", "assemble_diffusion", "stress_force", "forcing_term",
+                          "eval_stress")
     run_trajectory(params, space, model, forcing, np.array([1.0, 0.5, 0.0, 0.2]),
                    SdeStepConfig(dt=0.01), 7, seed=2)
+    # the stress is evaluated once per Euler-Maruyama step, for stress_diss
+    # and the drift alike
     assert counts == {**dict.fromkeys(counts, 7), "symmetric_gradient": 0, "forcing_term": 1}
 
 
@@ -293,3 +298,45 @@ def test_noise_free_newtonian_energy_decay():
     assert np.all(np.diff(energy) < 0.0)
     # |C(t)|^2 tracks exp(-nu0 lambda t) closely at this resolution
     assert abs(energy[-1] - np.exp(-0.1)) < 1e-3
+
+
+_SERIES = ("coeffs", "stress_diss", "stab_int", "force_work", "grad_lp", "vel_rq", "mart", "qv")
+
+
+@settings(max_examples=25)
+@given(family=st.sampled_from(["linear", "smooth_norm"]), scheme=st.sampled_from(SCHEMES),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=5))
+def test_lockstep_rows_match_single_runs(family, scheme, seeds):
+    space = make_space(8)
+    params = ConstitutiveParams(p=1.6, alpha=0.1, d=2)
+    model = NoiseModel(family=family, K=6, d=2)
+    forcing = synthesize(space, np.eye(8)[1])
+    v0 = 0.8 * np.cos(np.arange(8.0))
+    cfg = SdeStepConfig(dt=0.01, scheme=scheme)
+    rows = run_trajectory(params, space, model, forcing, v0, cfg, 4, seed=seeds)
+    assert [row.seed for row in rows] == seeds
+    for seed, row in zip(seeds, rows):
+        alone = run_trajectory(params, space, model, forcing, v0, cfg, 4, seed=seed)
+        for name in _SERIES:
+            got, want = getattr(row, name), getattr(alone, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+        assert np.array_equal(row.increments, alone.increments)
+
+
+def test_failing_row_leaves_the_batch():
+    # seed 0 diverges at step 12; the other rows finish as they do alone
+    space = make_space(8)
+    params = ConstitutiveParams(p=3.0, d=2)
+    model = NoiseModel(family="linear", K=16, d=2)
+    v0, cfg = 2.0 * np.ones(8), SdeStepConfig(dt=1.0)
+    rows = run_trajectory(params, space, model, None, v0, cfg, 20, seed=range(4))
+    assert isinstance(rows[0], IntegratorError)
+    assert (rows[0].step, str(rows[0])) == (12, "step 12: non-finite diagnostics")
+    with pytest.raises(IntegratorError, match="step 12: non-finite diagnostics"):
+        run_trajectory(params, space, model, None, v0, cfg, 20, seed=0)
+    for seed in (1, 2, 3):
+        alone = run_trajectory(params, space, model, None, v0, cfg, 20, seed=seed)
+        assert np.array_equal(rows[seed].coeffs, alone.coeffs)
+    with pytest.raises(ValueError):  # an explicit path drives one trajectory
+        run_trajectory(params, space, model, None, v0, cfg, 3, seed=[1, 2],
+                       path=WienerPath.generate(1, 1.0, 16, 3))

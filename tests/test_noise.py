@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerlaw_spde.basis import build_space, suggest_grid, synthesize
 from powerlaw_spde.noise import (
@@ -162,3 +163,20 @@ def test_coarsen_aggregates_increments():
 def test_generate_rejects_bad_dt():
     with pytest.raises(ValueError):
         WienerPath.generate(0, 0.0, 4, 10)
+
+
+@settings(max_examples=60)
+@given(family=st.sampled_from(FAMILIES), d=st.sampled_from([2, 3]), K=st.integers(1, 9),
+       amplitude=st.floats(0.1, 10.0), seed=st.integers(0, 2 ** 16))
+def test_noise_fields_mix_the_generator_fields(family, d, K, amplitude, seed):
+    # Phi(v) e_k = sum_r U[r, k] G_r(v) pointwise, with r <= min(K, d)
+    model = NoiseModel(family=family, K=K, d=d, amplitude=amplitude)
+    generators, mix = model.generators
+    assert generators.K <= min(K, d) and mix.shape == (generators.K, K)
+    xi = 5.0 * np.random.default_rng(seed).standard_normal((7, 3, d))
+    fields = np.einsum("rk,r...->k...", mix, eval_g_all(generators, xi))
+    np.testing.assert_allclose(fields, eval_g_all(model, xi), rtol=1e-14, atol=0.0)
+
+
+def eval_g_all(model, xi):
+    return np.stack([eval_g(model, k, xi) for k in range(1, model.K + 1)])

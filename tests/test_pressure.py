@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -221,7 +222,9 @@ def test_weak_residual_vanishes_at_time_zero():
 
 def test_weak_residual_first_order_in_dt():
     # noise-free Newtonian semi-implicit run whose dynamics stay inside the
-    # span: the residual is pure time-discretization error and halves with dt
+    # span: read with the left-point quadrature, the residual is pure
+    # time-discretization error and halves with dt; read with the scheme's
+    # own quadrature (implicit stress at C_{n+1}) it is round-off
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
     forcing = None
@@ -234,8 +237,10 @@ def test_weak_residual_first_order_in_dt():
         cfg = SdeStepConfig(dt=dt, scheme="semi_implicit")
         traj = run_trajectory(params, space, None, forcing, v0, cfg, n_steps)
         dec = pressure.decompose(space, params, None, forcing, traj)
+        left_point = dataclasses.replace(traj, cfg=SdeStepConfig(dt=dt))
         residuals.append(pressure.weak_residual(
-            space, params, None, forcing, traj, dec, test))
+            space, params, None, forcing, left_point, dec, test))
+        assert pressure.weak_residual(space, params, None, forcing, traj, dec, test) < 1e-12
     ratio = residuals[0] / residuals[1]
     assert 1.7 < ratio < 2.3
 
@@ -250,6 +255,54 @@ def test_weak_residual_small_against_gradient_field():
     test = pressure.gradient_scalar(space, scalar)
     res = pressure.weak_residual(space, params, model, forcing, traj, dec, test)
     assert res < 1e-10
+
+
+def residual_series(space, params, model, forcing, traj, test_field):
+    """The weak residual against test_field at every recorded time."""
+    dec = pressure.decompose(space, params, model, forcing, traj)
+    return np.array([pressure.weak_residual(space, params, model, forcing, traj, dec,
+                                            test_field, t_index=t)
+                     for t in range(traj.n_steps + 1)])
+
+
+def test_weak_residual_galerkin_modes():
+    N, N_big = 8, 16
+    M = suggest_grid(2, N_big)
+    space = build_space(2, N, M)
+    test_space = build_space(2, N_big, M)
+    params = ConstitutiveParams(p=1.8, alpha=0.1, d=2)
+    model = NoiseModel(family="linear", K=8, d=2)
+    forcing = None
+    v0 = np.zeros(N)
+    v0[0], v0[2] = 1.0, 0.5
+    cfg = SdeStepConfig(dt=0.005)
+    traj = run_trajectory(params, space, model, forcing, v0, cfg, 40, seed=9)
+    # resolved modes satisfy the identity to solver precision
+    for j in (1, 4, 8):
+        res = residual_series(space, params, model, forcing, traj, space.mode_fields[j - 1])
+        assert res[0] == 0.0
+        assert np.max(res) < 1e-12
+    # unresolved modes see only the Galerkin truncation error, which is small
+    # but generally nonzero
+    res_hi = residual_series(space, params, model, forcing, traj,
+                             test_space.mode_fields[N_big - 1])
+    assert np.max(res_hi) < 1e-2
+    dec = pressure.decompose(space, params, model, forcing, traj)
+    with pytest.raises(ValueError):  # a test field off the trajectory's grid
+        pressure.weak_residual(space, params, model, forcing, traj, dec,
+                               build_space(2, N_big, M + 1).mode_fields[N_big - 1])
+
+
+def test_weak_residual_semi_implicit_scheme_aware():
+    space = make_space(8)
+    params = ConstitutiveParams(p=1.8, d=2)
+    forcing = None
+    v0 = np.zeros(8)
+    v0[0] = 1.0
+    cfg = SdeStepConfig(dt=0.005, scheme="semi_implicit")
+    traj = run_trajectory(params, space, None, forcing, v0, cfg, 20)
+    res = residual_series(space, params, None, forcing, traj, space.mode_fields[0])
+    assert np.max(res) < 1e-8  # right-point stress matches the implicit solve
 
 
 def test_estimate_check_reports_finite_ratios():
@@ -412,7 +465,7 @@ _OPERATORS = {  # name -> number of component axes of its input
 }
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(d=st.sampled_from([2, 3]), m=st.integers(4, 7), name=st.sampled_from(sorted(_OPERATORS)),
        batch=st.lists(st.integers(1, 3), min_size=1, max_size=2), seed=st.integers(0, 2 ** 16))
 def test_operators_act_slice_by_slice_on_batches(d, m, name, batch, seed):
