@@ -1,20 +1,24 @@
-"""Energy identities, Monte Carlo moments, and convergence studies."""
+"""Energy identities, Monte Carlo moments, and convergence studies.
+
+Every runner takes a galerkin.Problem and seeds; the two stabilization
+studies run the problem with its params.alpha replaced at each grid point,
+all of which are built before the first trajectory runs.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import GalerkinSpace
 from .constitutive import ConstitutiveParams
 from .galerkin import (
     IntegratorError,
-    SdeStepConfig,
+    Problem,
     Trajectory,
     interpolation_exponent,
     run_trajectory,
 )
-from .noise import NoiseModel, WienerPath
+from .noise import WienerPath
 
 
 def moment_exponent(params: ConstitutiveParams) -> float:
@@ -106,7 +110,7 @@ class EnergyReport:
 
 
 def report_from_trajectories(trajectories: list[Trajectory], beta: float | None = None) -> EnergyReport:
-    params = trajectories[0].params
+    params = trajectories[0].problem.params
     if beta is None:
         beta = moment_exponent(params)
     return EnergyReport(
@@ -128,18 +132,8 @@ def failure_summary(failures: list[dict]) -> dict:
     return {"failed_trajectories": failures, "partial": True} if failures else {}
 
 
-def run_ensemble(
-    params: ConstitutiveParams,
-    space: GalerkinSpace,
-    model: NoiseModel | None,
-    forcing: np.ndarray | None,
-    v0_coeffs: np.ndarray,
-    cfg: SdeStepConfig,
-    n_steps: int,
-    base_seed: int,
-    n_traj: int,
-    min_complete: int = 1,
-) -> tuple[list[Trajectory], list[dict]]:
+def run_ensemble(problem: Problem, base_seed: int, n_traj: int,
+                 min_complete: int = 1) -> tuple[list[Trajectory], list[dict]]:
     """Independent trajectories with seeds base_seed, base_seed+1, ...,
     stepped in lockstep as one batch.
 
@@ -152,7 +146,7 @@ def run_ensemble(
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
     seeds = range(base_seed, base_seed + n_traj)
-    rows = run_trajectory(params, space, model, forcing, v0_coeffs, cfg, n_steps, seed=seeds)
+    rows = run_trajectory(problem, seed=seeds)
     trajectories = [row for row in rows if isinstance(row, Trajectory)]
     failures = [{"seed": seed, "step": row.step, "residual": row.residual, "error": str(row)}
                 for seed, row in zip(seeds, rows) if isinstance(row, IntegratorError)]
@@ -162,22 +156,11 @@ def run_ensemble(
     return trajectories, failures
 
 
-def ensemble_moments(
-    params: ConstitutiveParams,
-    space: GalerkinSpace,
-    model: NoiseModel | None,
-    forcing: np.ndarray | None,
-    v0_coeffs: np.ndarray,
-    cfg: SdeStepConfig,
-    n_steps: int,
-    base_seed: int,
-    n_traj: int,
-    beta: float | None = None,
-) -> EnergyReport:
+def ensemble_moments(problem: Problem, base_seed: int, n_traj: int,
+                     beta: float | None = None) -> EnergyReport:
     if n_traj < 2:
         raise ValueError("ensemble statistics need at least two trajectories")
-    trajs, failures = run_ensemble(params, space, model, forcing, v0_coeffs, cfg,
-                                   n_steps, base_seed, n_traj, min_complete=2)
+    trajs, failures = run_ensemble(problem, base_seed, n_traj, min_complete=2)
     report = report_from_trajectories(trajs, beta=beta)
     report.failures = failures
     return report
@@ -192,32 +175,23 @@ def bound_ratio(
     return report.mean_total() / (1.0 + v0_l2_sq + forcing_l2q_sq)
 
 
-def alpha_independence_study(
-    params_for_alpha,
-    space: GalerkinSpace,
-    model: NoiseModel | None,
-    forcing: np.ndarray | None,
-    v0_coeffs: np.ndarray,
-    cfg: SdeStepConfig,
-    n_steps: int,
-    base_seed: int,
-    n_traj: int,
-    alphas: list[float],
-) -> list[dict]:
-    """Bound ratios across a stabilization-weight grid with shared seeds.
+def _with_alphas(problem: Problem, alphas) -> list[Problem]:
+    """The problem at each stabilization weight; an inadmissible weight
+    (q below max(2p', 3)) raises ValueError here, before any run."""
+    return [replace(problem, params=replace(problem.params, alpha=a)) for a in alphas]
 
-    params_for_alpha(alpha) must return the constitutive parameters for one
-    grid point.
-    """
-    v0_sq = float(np.sum(np.asarray(v0_coeffs) ** 2))
+
+def alpha_independence_study(problem: Problem, base_seed: int, n_traj: int,
+                             alphas: list[float]) -> list[dict]:
+    """Bound ratios across a stabilization-weight grid with shared seeds."""
+    v0_sq = float(np.sum(problem.v0 ** 2))
     # ||f||^2_{L2(Q)} of the steady force
-    f_sq = 0.0 if forcing is None else (
-        n_steps * cfg.dt * space.quad_weight * float(np.sum(forcing ** 2)))
+    f_sq = 0.0 if problem.forcing is None else (
+        problem.n_steps * problem.cfg.dt * problem.space.quad_weight
+        * float(np.sum(problem.forcing ** 2)))
     rows = []
-    for alpha in alphas:
-        params = params_for_alpha(alpha)
-        report = ensemble_moments(params, space, model, forcing, v0_coeffs,
-                                  cfg, n_steps, base_seed, n_traj)
+    for alpha, at_alpha in zip(alphas, _with_alphas(problem, alphas)):
+        report = ensemble_moments(at_alpha, base_seed, n_traj)
         rows.append({
             "alpha": alpha,
             "ratio": bound_ratio(report, v0_sq, f_sq),
@@ -228,25 +202,13 @@ def alpha_independence_study(
     return rows
 
 
-def stabilization_convergence(
-    params_for_m,
-    space: GalerkinSpace,
-    model: NoiseModel | None,
-    forcing: np.ndarray | None,
-    v0_coeffs: np.ndarray,
-    cfg: SdeStepConfig,
-    n_steps: int,
-    base_seed: int,
-    n_traj: int,
-    m_grid: list[float],
-) -> list[dict]:
-    """E||v^m - v^m'||^2_{L2(Q)} along consecutive m with shared seeds; a
-    seed that failed at either m of a pair is left out of its mean."""
-    runs = {}
-    for m in m_grid:
-        params = params_for_m(m)
-        runs[m] = run_ensemble(params, space, model, forcing, v0_coeffs,
-                               cfg, n_steps, base_seed, n_traj)
+def stabilization_convergence(problem: Problem, base_seed: int, n_traj: int,
+                              m_grid: list[float]) -> list[dict]:
+    """E||v^m - v^m'||^2_{L2(Q)} along consecutive m (alpha = 1/m) with
+    shared seeds; a seed that failed at either m of a pair is left out of
+    its mean."""
+    problems = _with_alphas(problem, [1.0 / m for m in m_grid])
+    runs = {m: run_ensemble(at_m, base_seed, n_traj) for m, at_m in zip(m_grid, problems)}
     rows = []
     for m_a, m_b in zip(m_grid[:-1], m_grid[1:]):
         by_seed = {t.seed: t for t in runs[m_b][0]}
@@ -257,7 +219,7 @@ def stabilization_convergence(
         for ta, tb in pairs:
             # ||v_a - v_b||^2_{L2(Q)} = dt sum_n |C_a - C_b|^2 (orthonormal basis)
             d = np.sum((ta.coeffs[:-1] - tb.coeffs[:-1]) ** 2, axis=1)
-            diffs.append(cfg.dt * float(np.sum(d)))
+            diffs.append(problem.cfg.dt * float(np.sum(d)))
         failures = [{"m": m, **f} for m in (m_a, m_b) for f in runs[m][1]]
         rows.append({
             "m_pair": (m_a, m_b),
@@ -269,7 +231,7 @@ def stabilization_convergence(
 
 def interpolation_diagnostic(traj: Trajectory) -> float:
     """int_Q |v|^r0 / [ (sup ||v||^2)^(p/d) * int_Q |grad v|^p + 1 ]."""
-    params = traj.params
+    params = traj.problem.params
     num = traj.vel_rq_time_integral()
     den = traj.sup_energy() ** (params.p / params.d) * traj.grad_lp_time_integral() + 1.0
     return num / den

@@ -51,18 +51,11 @@ def _write_json(path: Path, data, indent: int | None = 2) -> None:
         fh.write("\n")
 
 
-def _build(cfg: SimulationConfig) -> tuple:
-    """(params, space, noise model, forcing, v0, step config) of a config."""
-    space = cfg.build_space()
-    return (cfg.build_params(), space, cfg.build_noise(), cfg.build_forcing(space),
-            cfg.build_initial(space), cfg.build_step_config())
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    traj = run_trajectory(*_build(cfg), cfg.n_steps, seed=cfg.seed)
+    traj = run_trajectory(cfg.build_problem(), seed=cfg.seed)
 
     energy = traj.energy()
     rows = [(float(traj.times[0]), float(energy[0]), 0.0, 0.0, 0.0)] + [
@@ -86,32 +79,34 @@ def cmd_ensemble(args) -> int:
         raise ConfigError("n_traj", "ensemble requires n_traj >= 2")
     if args.alpha_grid is not None and args.m_grid is not None:
         raise ConfigError("m_grid", "cannot be combined with --alpha-grid; run each study alone")
+    # every grid point is validated (q against alpha) before the first run
     if args.alpha_grid is not None:
         alphas = _parse_grid(args.alpha_grid, "alpha_grid", positive=False)
+        for alpha in alphas:
+            dataclasses.replace(cfg, alpha=alpha, m=None)
     if args.m_grid is not None:
         m_grid = _parse_grid(args.m_grid, "m_grid", positive=True)
         if len(m_grid) < 2:
             raise ConfigError("m_grid", "needs at least two values to compare")
+        for m in m_grid:
+            dataclasses.replace(cfg, alpha=0.0, m=m)
+    problem = cfg.build_problem()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params, *run = _build(cfg)
-    run += [cfg.n_steps, cfg.seed, cfg.n_traj]
 
     if args.alpha_grid is not None:
-        rows = analysis.alpha_independence_study(
-            lambda a: cfg.build_params(alpha=a), *run, alphas)
+        rows = analysis.alpha_independence_study(problem, cfg.seed, cfg.n_traj, alphas)
         _write_csv(out / "alpha_study.csv", ["alpha", "ratio", "mean_total", "se_total"],
                    [(r["alpha"], r["ratio"], r["mean_total"], r["se_total"]) for r in rows])
         _write_json(out / "alpha_study.json", rows)
         return 0
 
     if args.m_grid is not None:
-        rows = analysis.stabilization_convergence(
-            lambda m: cfg.build_params(alpha=1.0 / m), *run, m_grid)
+        rows = analysis.stabilization_convergence(problem, cfg.seed, cfg.n_traj, m_grid)
         _write_json(out / "m_study.json", [{**r, "m_pair": list(r["m_pair"])} for r in rows])
         return 0
 
-    report = analysis.ensemble_moments(params, *run, beta=cfg.beta)
+    report = analysis.ensemble_moments(problem, cfg.seed, cfg.n_traj, beta=cfg.beta)
     _write_json(out / "ensemble.json", report.as_dict())
     _write_csv(out / "ensemble.csv",
                ["trajectory", "sup_l2_sq", "grad_lp", "stab_lq", "interp_lr0", "total"],
@@ -140,10 +135,8 @@ def cmd_pressure(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    params, space, model, forcing, v0, step_cfg = _build(cfg)
-    trajs, failures = analysis.run_ensemble(params, space, model, forcing, v0, step_cfg,
-                                            cfg.n_steps, cfg.seed, cfg.n_traj)
-    report = pressure_mod.estimate_check(space, params, model, forcing, trajs)
+    trajs, failures = analysis.run_ensemble(cfg.build_problem(), cfg.seed, cfg.n_traj)
+    report = pressure_mod.estimate_check(trajs)
     report.update(analysis.failure_summary(failures))
     _write_json(out / "pressure.json", report)
     print(json.dumps(report, indent=2))

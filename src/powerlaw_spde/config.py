@@ -1,4 +1,8 @@
-"""Run configuration: a flat, versioned key-value document (JSON on disk)."""
+"""Run configuration: a flat, versioned key-value document (JSON on disk).
+
+SimulationConfig validates every field on construction (ConfigError names
+the field) and build_problem materializes the galerkin.Problem of a run.
+"""
 from __future__ import annotations
 
 import json
@@ -11,10 +15,15 @@ import numpy as np
 
 from .basis import GalerkinSpace, build_space, suggest_grid, synthesize
 from .constitutive import ConstitutiveParams, minimal_q
-from .galerkin import SdeStepConfig
+from .galerkin import Problem, SdeStepConfig
 from .noise import FAMILIES, NoiseModel
 
 SCHEMA_VERSION = 1
+
+# Bytes allowed for the largest array of a run: a basis table (N, M^d), the
+# coefficient history (n_traj, n_steps + 1, N) or, with noise, the Brownian
+# increments (n_traj, n_steps, K).  A larger run exits 2 before it allocates.
+MAX_ARRAY_BYTES = 2 ** 31
 
 # Typed fields; a field whose default is None may also be None.
 _INTEGERS = ("version", "d", "N", "M", "K", "forcing_mode_index", "seed", "n_traj")
@@ -82,9 +91,14 @@ class SimulationConfig:
         if self.m is not None:
             if self.m <= 0:
                 raise ConfigError("m", "stabilization index must be positive")
-            self.alpha = 1.0 / self.m
-            if not math.isfinite(self.alpha):
+            alpha = 1.0 / self.m
+            if not math.isfinite(alpha):
                 raise ConfigError("m", f"alpha = 1/m overflows for m={self.m!r}")
+            # a dumped config holds both, with alpha = 1/m
+            if self.alpha not in (0.0, alpha):
+                raise ConfigError("m", f"sets alpha = 1/m = {alpha!r}, but alpha = "
+                                       f"{self.alpha!r} is given too; give one of them")
+            self.alpha = alpha
         if self.alpha < 0.0:
             raise ConfigError("alpha", "stabilization weight must be nonnegative")
         if self.q is None:
@@ -93,8 +107,13 @@ class SimulationConfig:
             raise ConfigError("q", f"must be at least max(2p', 3) = {minimal_q(self.p)}")
         if self.N < 1:
             raise ConfigError("N", "need at least one mode")
+        # N modes need (2 kmax + 1)^d >= N/(d-1) + 1 grid points: bound the
+        # tables before the modes are enumerated
+        self._check_size("N", "(N, M^d) basis table", self.N * (self.N // (self.d - 1) + 1))
+        grid_field = "N" if self.M is None else "M"
         if self.M is None:
             self.M = suggest_grid(self.d, self.N)
+        self._check_size(grid_field, "(N, M^d) basis table", self.N * self.M ** self.d)
         if self.K < 1:
             raise ConfigError("K", "need at least one Wiener mode")
         if self.dt <= 0.0:
@@ -125,6 +144,17 @@ class SimulationConfig:
             raise ConfigError("n_traj", "need at least one trajectory")
         if self.seed < 0:
             raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
+        self._check_size("T_end", "(n_traj, n_steps + 1, N) coefficient history",
+                         self.n_traj * (self.n_steps + 1) * self.N)
+        if self.noise_family is not None:
+            self._check_size("K", "(n_traj, n_steps, K) Brownian increments",
+                             self.n_traj * self.n_steps * self.K)
+
+    @staticmethod
+    def _check_size(fld: str, array: str, entries: int) -> None:
+        if 8 * entries > MAX_ARRAY_BYTES:
+            raise ConfigError(fld, f"the {array} would exceed the "
+                                   f"{MAX_ARRAY_BYTES >> 30} GiB array budget")
 
     def _check_types(self) -> None:
         for names, ok, kind in ((_INTEGERS, _is_integer, "an integer"),
@@ -166,11 +196,14 @@ class SimulationConfig:
 
     # -- materialization ---------------------------------------------------
 
-    def build_params(self, alpha: float | None = None) -> ConstitutiveParams:
-        return ConstitutiveParams(
-            p=self.p, nu0=self.nu0, q=self.q,
-            alpha=self.alpha if alpha is None else alpha, d=self.d,
-        )
+    def build_problem(self) -> Problem:
+        """The run this config describes, from the build_* parts below."""
+        space = self.build_space()
+        return Problem(self.build_params(), space, self.build_noise(), self.build_forcing(space),
+                       self.build_initial(space), self.build_step_config(), self.n_steps)
+
+    def build_params(self) -> ConstitutiveParams:
+        return ConstitutiveParams(p=self.p, nu0=self.nu0, q=self.q, alpha=self.alpha, d=self.d)
 
     def build_space(self) -> GalerkinSpace:
         # d and N are validated, so the grid bound on M is the one check left

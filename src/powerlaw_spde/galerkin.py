@@ -20,6 +20,13 @@ and each per-row sum runs over that row alone, so a row's numbers are
 bit-identical to the same seed run alone.  A row whose step fails leaves
 the block; the others step on.  The semi-implicit solve runs row by row on
 each row's own right-hand side.  A single trajectory is a block of one.
+
+A Problem names everything that fixes a run except its Wiener paths (the
+parameters, the span, the noise, the body force, the initial datum and
+the time grid) and checks once that its parts agree.  run_trajectory takes
+one, and each Trajectory carries the Problem it came from, so the
+diagnostics downstream (analysis, pressure) read it from there.  The step
+kernels below keep their narrow arguments.
 """
 from __future__ import annotations
 
@@ -291,17 +298,44 @@ def step(
     return new, errors
 
 
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """Everything that fixes a run except its Wiener paths: parameters, span,
+    noise model (or None), sampled steady body force (M^d, d) (or None),
+    initial coefficients v0, step config and number of steps.  Raises
+    ValueError naming a part that disagrees with the space."""
+
+    params: ConstitutiveParams
+    space: GalerkinSpace
+    model: NoiseModel | None
+    forcing: np.ndarray | None
+    v0: np.ndarray
+    cfg: SdeStepConfig
+    n_steps: int
+
+    def __post_init__(self):
+        d, N = self.space.d, self.space.N
+        for name, part in (("params", self.params), ("model", self.model)):
+            if part is not None and part.d != d:
+                raise ValueError(f"{name}.d = {part.d} differs from space.d = {d}")
+        if self.forcing is not None and np.shape(self.forcing) != (self.space.M ** d, d):
+            raise ValueError(f"forcing must be sampled on the grid, shape "
+                             f"({self.space.M ** d}, {d}), got {np.shape(self.forcing)}")
+        v0 = np.asarray(self.v0, dtype=float)
+        if v0.shape != (N,) or not np.all(np.isfinite(v0)):
+            raise ValueError(f"v0 must be {N} finite numbers, got shape {v0.shape}")
+        object.__setattr__(self, "v0", v0)
+
+
 @dataclass
 class Trajectory:
-    """Recorded history of one simulated path.
+    """Recorded history of one simulated path of a problem.
 
     Scalar series are per-step left-point increments without the dt factor
     except where noted; coeffs has shape (n_steps + 1, N).
     """
 
-    space: GalerkinSpace
-    params: ConstitutiveParams
-    cfg: SdeStepConfig
+    problem: Problem
     times: np.ndarray
     coeffs: np.ndarray
     increments: np.ndarray | None          # (n_steps, K) Brownian increments
@@ -316,7 +350,7 @@ class Trajectory:
 
     @property
     def dt(self) -> float:
-        return self.cfg.dt
+        return self.problem.cfg.dt
 
     @property
     def n_steps(self) -> int:
@@ -353,30 +387,21 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
 
 
 def run_trajectory(
-    params: ConstitutiveParams,
-    space: GalerkinSpace,
-    model: NoiseModel | None,
-    forcing: np.ndarray | None,
-    v0_coeffs: np.ndarray,
-    cfg: SdeStepConfig,
-    n_steps: int,
+    problem: Problem,
     seed: int | Sequence[int] | None = None,
     path: WienerPath | None = None,
 ) -> Trajectory | list[Trajectory | IntegratorError]:
     """Integrate the Galerkin SDE and record the energy bookkeeping.
 
-    forcing is the sampled body force (M^d, d) or None.  A path may be
-    supplied directly (e.g. a coarsened refinement of a fine path);
-    otherwise it is generated from the seed.  With a sequence of seeds the
-    trajectories from v0_coeffs step in lockstep, each on the path of its
-    seed, and the result is a list with, per seed, its Trajectory or the
-    IntegratorError that ended it; a single seed returns its Trajectory or
-    raises.
+    A path may be supplied directly (e.g. a coarsened refinement of a fine
+    path); otherwise it is generated from the seed.  With a sequence of
+    seeds the trajectories from problem.v0 step in lockstep, each on the
+    path of its seed, and the result is a list with, per seed, its
+    Trajectory or the IntegratorError that ended it; a single seed returns
+    its Trajectory or raises.
     """
-    v0_coeffs = np.asarray(v0_coeffs, dtype=float)
-    if v0_coeffs.shape != (space.N,) or not np.all(np.isfinite(v0_coeffs)):
-        raise ValueError(f"initial coefficients must be {space.N} finite numbers, "
-                         f"got shape {v0_coeffs.shape}")
+    params, space, model, forcing = problem.params, problem.space, problem.model, problem.forcing
+    cfg, n_steps = problem.cfg, problem.n_steps
     batched = isinstance(seed, Sequence)
     seeds = list(seed) if batched else [seed]
     if batched and path is not None:
@@ -391,7 +416,7 @@ def run_trajectory(
 
     B, N = len(seeds), space.N
     coeffs = np.empty((B, n_steps + 1, N))
-    coeffs[:, 0] = v0_coeffs
+    coeffs[:, 0] = problem.v0
     diagnostics = np.zeros((7, B, n_steps))
     errors: list[IntegratorError | None] = [None] * B
     r0 = interpolation_exponent(params)
@@ -444,7 +469,7 @@ def run_trajectory(
 
     times = cfg.dt * np.arange(n_steps + 1)
     results = [Trajectory(
-        space=space, params=params, cfg=cfg, times=times, coeffs=coeffs[row],
+        problem=problem, times=times, coeffs=coeffs[row],
         increments=None if increments is None else increments[row],
         stress_diss=diagnostics[0, row], stab_int=diagnostics[1, row],
         force_work=diagnostics[2, row], grad_lp=diagnostics[3, row],

@@ -16,7 +16,9 @@ the integer wavevectors cached on the space.  The sign conventions are
 pinned by requiring the extended weak identity (tested against gradient
 fields) to hold exactly; see weak_residual.
 
-decompose and weak_residual take a trajectory in chunks of at most
+decompose, weak_residual and estimate_check read the space, parameters,
+noise and body force from the galerkin.Problem that each trajectory
+carries.  decompose and weak_residual take a trajectory in chunks of at most
 _CHUNK_POINTS grid points x steps, time being a batch axis between the grid
 and component axes: a chunk's velocity is (M^d, n, d) and its flux (H1, H2)
 (M^d, n, 2, d, d), one transform call per field and one FFT pair per operator.
@@ -38,7 +40,7 @@ import numpy as np
 from .basis import GalerkinSpace, synthesize, symmetric_gradient
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
 from .galerkin import Trajectory
-from .noise import NoiseModel, apply_phi
+from .noise import apply_phi
 
 
 # Grid points x steps per chunk (6 steps on a 13^2 grid): the transforms are
@@ -189,29 +191,11 @@ class PressureDecomposition:
     hs_series: np.ndarray
 
 
-def solve_pi_Phi(
-    space: GalerkinSpace,
-    phi_fields_history: np.ndarray,
-    increments: np.ndarray,
-) -> np.ndarray:
-    """Discrete stochastic pressure lap^-1 div sum_n sum_k Phi^n e_k dbeta^n_k
-    at the final time, from the left-point noise fields (n_steps, K, M^d, d)
-    and the increments (n_steps, K)."""
-    if phi_fields_history.shape[0] != increments.shape[0]:
-        raise ValueError("noise field history misaligned with increments")
-    accum = np.einsum("nkxd,nk->xd", phi_fields_history, increments)
-    return inverse_laplacian(space, divergence_vector(space, accum))
-
-
-def decompose(
-    space: GalerkinSpace,
-    params: ConstitutiveParams,
-    model: NoiseModel | None,
-    forcing: np.ndarray | None,
-    traj: Trajectory,
-) -> PressureDecomposition:
+def decompose(traj: Trajectory) -> PressureDecomposition:
     """Reconstruct all pressure parts along a recorded trajectory, one chunk
     of steps at a time."""
+    space, params, model, forcing = (traj.problem.space, traj.problem.params,
+                                     traj.problem.model, traj.problem.forcing)
     n = traj.n_steps
     n_pts = space.M ** space.d
     pi_1, pi_2, H_sq = (np.zeros((n, n_pts)) for _ in range(3))
@@ -242,16 +226,8 @@ def decompose(
     )
 
 
-def weak_residual(
-    space: GalerkinSpace,
-    params: ConstitutiveParams,
-    model: NoiseModel | None,
-    forcing: np.ndarray | None,
-    traj: Trajectory,
-    decomposition: PressureDecomposition,
-    test_field: np.ndarray,
-    t_index: int | None = None,
-) -> float:
+def weak_residual(traj: Trajectory, decomposition: PressureDecomposition,
+                  test_field: np.ndarray, t_index: int | None = None) -> float:
     """Residual of the extended weak identity against an arbitrary field.
 
     Evaluates, at recorded time t = t_index * dt,
@@ -269,6 +245,8 @@ def weak_residual(
     to the left points, so against gradient fields a semi-implicit run also
     shows the time-discretization error of the monotone terms.
     """
+    space, params, model, forcing = (traj.problem.space, traj.problem.params,
+                                     traj.problem.model, traj.problem.forcing)
     n_pts = space.M ** space.d
     if np.shape(test_field) != (n_pts, space.d):
         raise ValueError(f"test field shape {np.shape(test_field)} is not "
@@ -278,7 +256,7 @@ def weak_residual(
     w = space.quad_weight
     grad_phi = _field_gradient(space, test_field)
     div_phi = np.trace(grad_phi, axis1=-2, axis2=-1)
-    implicit = traj.cfg.scheme == "semi_implicit"
+    implicit = traj.problem.cfg.scheme == "semi_implicit"
 
     change = synthesize(space, traj.coeffs[t_index] - traj.coeffs[0])
     res = w * float(np.sum(change * test_field))
@@ -294,27 +272,27 @@ def weak_residual(
     return abs(res)
 
 
-def estimate_check(
-    space: GalerkinSpace,
-    params: ConstitutiveParams,
-    model: NoiseModel | None,
-    forcing: np.ndarray | None,
-    trajectories: list[Trajectory],
-    s: float | None = None,
-) -> dict:
-    """Monte Carlo left/right sides of the three pressure estimates.
+def estimate_check(trajectories: list[Trajectory], s: float | None = None) -> dict:
+    """Monte Carlo left/right sides of the three pressure estimates over
+    trajectories of one Problem (ValueError otherwise).
 
     Uses s = p' by default.  Reports the empirical ratio of each estimate;
     the harmonic part is identically zero on the torus.  max_abs_mean is the
     largest spatial mean of pi_H or pi_Phi over every trajectory and step.
     """
+    if not trajectories:
+        raise ValueError("need at least one trajectory")
+    problem = trajectories[0].problem
+    if any(traj.problem is not problem for traj in trajectories):
+        raise ValueError("trajectories of different problems")
+    space, params = problem.space, problem.params
     if s is None:
         s = params.p / (params.p - 1.0)
     w = space.quad_weight
     lhs_H, rhs_H, lhs_Phi, rhs_Phi = [], [], [], []
     max_abs_mean = 0.0
     for traj in trajectories:
-        dec = decompose(space, params, model, forcing, traj)
+        dec = decompose(traj)
         lhs_H.append(traj.dt * w * float(np.sum(np.abs(dec.pi_H_series) ** s)))
         rhs_H.append(traj.dt * w * float(np.sum(dec.H_sq_series ** (s / 2.0))))
         lhs_Phi.append(w * float(np.max(np.sum(dec.pi_Phi_series ** 2, axis=1))))

@@ -12,7 +12,7 @@ import numpy as np
 from . import analysis, pressure, truncation
 from .basis import analyze, build_space, suggest_grid, synthesize, symmetric_gradient
 from .constitutive import ConstitutiveParams, eval_stress, growth_bounds_check, monotonicity_gap
-from .galerkin import SdeStepConfig, run_trajectory, trilinear_convection
+from .galerkin import Problem, SdeStepConfig, run_trajectory, trilinear_convection
 from .noise import NoiseModel, growth_bound_holds, mode_decay_bound_holds
 
 SUITES = ("constitutive", "basis", "noise", "truncation", "pressure", "ito", "energy")
@@ -153,9 +153,9 @@ def suite_ito() -> list[dict]:
     for s in range(n_seeds):
         paths = analysis.coupled_paths(100 + s, 2.5e-3, 8, 200, factors)
         for i, (factor, path) in enumerate(zip(factors, paths)):
-            cfg = SdeStepConfig(dt=2.5e-3 * factor)
-            traj = run_trajectory(params, space, model, None, v0, cfg,
-                                  200 // factor, seed=100 + s, path=path)
+            problem = Problem(params, space, model, None, v0,
+                              SdeStepConfig(dt=2.5e-3 * factor), 200 // factor)
+            traj = run_trajectory(problem, seed=100 + s, path=path)
             residuals[i] += analysis.energy_identity_residual(traj).residual
     residuals /= n_seeds
     order = float(np.mean(analysis.refinement_orders(list(residuals))))
@@ -169,11 +169,9 @@ def suite_energy() -> list[dict]:
     model = NoiseModel(family="linear", K=8, d=2)
     v0 = np.zeros(4)
     v0[0] = 1.0
-    cfg = SdeStepConfig(dt=5e-3)
-    rep_a = analysis.ensemble_moments(params, space, model, None, v0, cfg,
-                                      40, base_seed=100, n_traj=16)
-    rep_b = analysis.ensemble_moments(params, space, model, None, v0, cfg,
-                                      40, base_seed=900, n_traj=16)
+    problem = Problem(params, space, model, None, v0, SdeStepConfig(dt=5e-3), 40)
+    rep_a = analysis.ensemble_moments(problem, base_seed=100, n_traj=16)
+    rep_b = analysis.ensemble_moments(problem, base_seed=900, n_traj=16)
     se = max(rep_a.se_total(), rep_b.se_total(), 1e-12)
     dev = abs(rep_a.mean_total() - rep_b.mean_total()) / (3.0 * se)
     return [_check("seed_stability_3se", 1.0, dev)]

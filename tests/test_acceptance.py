@@ -18,6 +18,7 @@ from powerlaw_spde.basis import (
 from powerlaw_spde.cli import main as cli_main
 from powerlaw_spde.constitutive import ConstitutiveParams, monotonicity_gap
 from powerlaw_spde.galerkin import (
+    Problem,
     SdeStepConfig,
     run_trajectory,
     trilinear_convection,
@@ -117,16 +118,16 @@ def test_criterion_4_ito_energy_identity():
     for s in range(n_seeds):
         paths = analysis.coupled_paths(100 + s, 2.5e-3, 8, 200, factors)
         for i, (factor, path) in enumerate(zip(factors, paths)):
-            traj = run_trajectory(params, space, model, forcing, v0,
-                                  SdeStepConfig(dt=2.5e-3 * factor),
-                                  200 // factor, seed=100 + s, path=path)
+            traj = run_trajectory(Problem(params, space, model, forcing, v0,
+                                          SdeStepConfig(dt=2.5e-3 * factor), 200 // factor),
+                                  seed=100 + s, path=path)
             residuals[i] += analysis.energy_identity_residual(traj).residual
     residuals /= n_seeds
     order = float(np.mean(analysis.refinement_orders(list(residuals))))
 
     # deterministic single-mode decay: c(t) ~ exp(-nu0 lambda t / 2)
-    traj = run_trajectory(params, space, None, forcing, v0,
-                          SdeStepConfig(dt=1e-3), 500)
+    traj = run_trajectory(Problem(params, space, None, forcing, v0,
+                                  SdeStepConfig(dt=1e-3), 500))
     rate = float(np.log(traj.coeffs[-1, 0] / traj.coeffs[0, 0]) / traj.times[-1])
     target = -params.nu0 * space.eigenvalues[0] / 2.0
     rate_err = abs(rate - target) / abs(target)
@@ -148,9 +149,9 @@ def test_criterion_5_energy_estimate_uniformity():
         f_sq = n_steps * cfg.dt * space.quad_weight * float(np.sum(forcing ** 2))
         for alpha in (1.0, 0.1, 0.01):
             params = ConstitutiveParams(p=1.6, alpha=alpha, d=2)
-            report = analysis.ensemble_moments(params, space, model, forcing,
-                                               v0, cfg, n_steps, base_seed=500,
-                                               n_traj=64)
+            report = analysis.ensemble_moments(
+                Problem(params, space, model, forcing, v0, cfg, n_steps),
+                base_seed=500, n_traj=64)
             ratios.append(analysis.bound_ratio(report, 1.0, f_sq))
     spread = max(ratios) / min(ratios)
     ok = spread <= 2.0
@@ -167,8 +168,8 @@ def test_criterion_6_higher_moments_seed_stability():
     v0[0] = 1.0
     cfg = SdeStepConfig(dt=5e-3)
     reports = [
-        analysis.ensemble_moments(params, space, model, forcing, v0, cfg,
-                                  50, base_seed=seed, n_traj=64)
+        analysis.ensemble_moments(Problem(params, space, model, forcing, v0, cfg, 50),
+                                  base_seed=seed, n_traj=64)
         for seed in (1000, 5000)
     ]
     (m_a, se_a), (m_b, se_b) = (r.moment_beta() for r in reports)
@@ -217,15 +218,15 @@ def test_criterion_8_pressure_decomposition():
     test = rng.standard_normal((space.M ** 2, 2))
     residuals = []
     for dt, n in ((1e-2, 20), (5e-3, 40)):
-        traj = run_trajectory(params, space, None, forcing, v0,
-                              SdeStepConfig(dt=dt, scheme="semi_implicit"), n)
-        dec = pressure.decompose(space, params, None, forcing, traj)
+        traj = run_trajectory(Problem(params, space, None, forcing, v0,
+                                      SdeStepConfig(dt=dt, scheme="semi_implicit"), n))
+        dec = pressure.decompose(traj)
         # read with left points throughout, the semi-implicit path shows its
         # time-discretization error; under its own quadrature (implicit
         # stress at C_{n+1}) it satisfies the identity to round-off
-        left_point = dataclasses.replace(traj, cfg=SdeStepConfig(dt=dt))
-        residuals.append(pressure.weak_residual(
-            space, params, None, forcing, left_point, dec, test))
+        left_point = dataclasses.replace(
+            traj, problem=dataclasses.replace(traj.problem, cfg=SdeStepConfig(dt=dt)))
+        residuals.append(pressure.weak_residual(left_point, dec, test))
     ratio = residuals[0] / residuals[1]
     pi_h = pressure.solve_pi_h(space)
     harmonic = float(np.max(np.abs(pressure.laplacian(space, pi_h))))
@@ -265,9 +266,8 @@ def test_criterion_10_stabilization_vanishing():
     v0 = np.array([1.0, 0.5, 0.0, 0.0])
     cfg = SdeStepConfig(dt=5e-3)
     rows = analysis.stabilization_convergence(
-        lambda m: ConstitutiveParams(p=1.8, alpha=1.0 / m, d=2),
-        space, model, forcing, v0, cfg, 50, base_seed=1100, n_traj=16,
-        m_grid=[1.0, 10.0, 100.0])
+        Problem(ConstitutiveParams(p=1.8, d=2), space, model, forcing, v0, cfg, 50),
+        base_seed=1100, n_traj=16, m_grid=[1.0, 10.0, 100.0])
     diffs = [r["mean_sq_diff"] for r in rows]
     ok = diffs[1] < diffs[0]
     _verdict(10, "stabilization vanishes along m = 1, 10, 100", ok,

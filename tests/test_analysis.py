@@ -4,7 +4,7 @@ import pytest
 from powerlaw_spde import analysis, galerkin
 from powerlaw_spde.basis import build_space, suggest_grid
 from powerlaw_spde.constitutive import ConstitutiveParams
-from powerlaw_spde.galerkin import IntegratorError, SdeStepConfig, run_trajectory, step
+from powerlaw_spde.galerkin import IntegratorError, Problem, SdeStepConfig, run_trajectory, step
 from powerlaw_spde.noise import NoiseModel
 
 
@@ -24,8 +24,7 @@ def test_energy_identity_exact_for_rest_state():
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
     cfg = SdeStepConfig(dt=0.01)
-    traj = run_trajectory(params, space, None, None,
-                          np.zeros(4), cfg, 10)
+    traj = run_trajectory(Problem(params, space, None, None, np.zeros(4), cfg, 10))
     check = analysis.energy_identity_residual(traj)
     assert check.residual == 0.0
     assert np.all(check.lhs == 0.0)
@@ -37,8 +36,7 @@ def test_energy_identity_deterministic_first_order():
     v0 = np.array([1.0, 0.0, 0.5, 0.0])
     residuals = []
     for dt, n in ((1e-2, 20), (5e-3, 40), (2.5e-3, 80)):
-        traj = run_trajectory(params, space, None, None,
-                              v0, SdeStepConfig(dt=dt), n)
+        traj = run_trajectory(Problem(params, space, None, None, v0, SdeStepConfig(dt=dt), n))
         residuals.append(analysis.energy_identity_residual(traj).residual)
     orders = analysis.refinement_orders(residuals)
     assert min(orders) > 0.8  # deterministic part converges at order one
@@ -56,9 +54,9 @@ def test_energy_identity_stochastic_half_order():
     for s in range(n_seeds):
         paths = analysis.coupled_paths(100 + s, 2.5e-3, 8, 200, factors)
         for i, (factor, path) in enumerate(zip(factors, paths)):
-            traj = run_trajectory(params, space, model, forcing, v0,
-                                  SdeStepConfig(dt=2.5e-3 * factor),
-                                  200 // factor, seed=100 + s, path=path)
+            traj = run_trajectory(Problem(params, space, model, forcing, v0,
+                                          SdeStepConfig(dt=2.5e-3 * factor), 200 // factor),
+                                  seed=100 + s, path=path)
             residuals[i] += analysis.energy_identity_residual(traj).residual
     residuals /= n_seeds
     orders = analysis.refinement_orders(list(residuals))
@@ -70,8 +68,8 @@ def test_report_totals_and_moments():
     params = ConstitutiveParams(p=2.0, alpha=0.1, d=2)
     model = NoiseModel(family="linear", K=4, d=2)
     cfg = SdeStepConfig(dt=0.01)
-    trajs, failures = analysis.run_ensemble(params, space, model, None,
-                                            np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20, 5, 4)
+    problem = Problem(params, space, model, None, np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20)
+    trajs, failures = analysis.run_ensemble(problem, 5, 4)
     assert failures == []
     report = analysis.report_from_trajectories(trajs)
     assert len(report.total) == 4
@@ -90,24 +88,21 @@ def test_run_ensemble_seeds_are_consecutive():
     model = NoiseModel(family="linear", K=4, d=2)
     cfg = SdeStepConfig(dt=0.01)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
-    trajs, _ = analysis.run_ensemble(params, space, model, None,
-                                     v0, cfg, 10, 7, 3)
-    single = run_trajectory(params, space, model, None,
-                            v0, cfg, 10, seed=8)
+    problem = Problem(params, space, model, None, v0, cfg, 10)
+    trajs, _ = analysis.run_ensemble(problem, 7, 3)
+    single = run_trajectory(problem, seed=8)
     assert [t.seed for t in trajs] == [7, 8, 9]
     assert np.array_equal(trajs[1].coeffs, single.coeffs)
     with pytest.raises(ValueError):
-        analysis.ensemble_moments(params, space, model, None,
-                                  v0, cfg, 10, 7, 1)
+        analysis.ensemble_moments(problem, 7, 1)
 
 
 def test_deterministic_ensemble_has_zero_spread():
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
     cfg = SdeStepConfig(dt=0.01)
-    report = analysis.ensemble_moments(params, space, None, None,
-                                       np.array([1.0, 0.0, 0.0, 0.0]),
-                                       cfg, 20, 0, 3)
+    report = analysis.ensemble_moments(
+        Problem(params, space, None, None, np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20), 0, 3)
     assert report.se_total() == 0.0
     assert abs(report.mean_total() - report.total[0]) < 1e-15
     # without noise or forcing the energy only decays
@@ -118,9 +113,8 @@ def test_bound_ratio_normalization():
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
     cfg = SdeStepConfig(dt=0.01)
-    report = analysis.ensemble_moments(params, space, None, None,
-                                       np.array([1.0, 0.0, 0.0, 0.0]),
-                                       cfg, 20, 0, 2)
+    report = analysis.ensemble_moments(
+        Problem(params, space, None, None, np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20), 0, 2)
     r = analysis.bound_ratio(report, 1.0, 0.0)
     assert abs(r - report.mean_total() / 2.0) < 1e-14
 
@@ -131,8 +125,7 @@ def test_alpha_independence_study_rows():
     cfg = SdeStepConfig(dt=0.01)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
     rows = analysis.alpha_independence_study(
-        lambda a: ConstitutiveParams(p=1.8, alpha=a, d=2),
-        space, model, None, v0, cfg, 20, 3, 4,
+        Problem(ConstitutiveParams(p=1.8, d=2), space, model, None, v0, cfg, 20), 3, 4,
         [0.0, 0.1, 1.0])
     assert [r["alpha"] for r in rows] == [0.0, 0.1, 1.0]
     ratios = [r["ratio"] for r in rows]
@@ -146,12 +139,29 @@ def test_stabilization_convergence_decreases():
     cfg = SdeStepConfig(dt=0.005)
     v0 = np.array([1.0, 0.5, 0.0, 0.0])
     rows = analysis.stabilization_convergence(
-        lambda m: ConstitutiveParams(p=1.8, alpha=1.0 / m, d=2),
-        space, model, None, v0, cfg, 40, 11, 4,
+        Problem(ConstitutiveParams(p=1.8, d=2), space, model, None, v0, cfg, 40), 11, 4,
         [1.0, 10.0, 100.0])
     diffs = [r["mean_sq_diff"] for r in rows]
     assert len(diffs) == 2
     assert diffs[1] < diffs[0]
+
+
+def test_grid_studies_replace_only_alpha(monkeypatch):
+    # every grid point is the problem with params.alpha replaced; all are
+    # built, and an inadmissible q refused, before the first trajectory runs
+    problem = Problem(ConstitutiveParams(p=2.0, q=2.5, d=2), make_space(), None, None,
+                      np.zeros(4), SdeStepConfig(dt=0.01), 2)
+    (at_zero,) = analysis._with_alphas(problem, [0.0])
+    assert at_zero.params == problem.params
+    assert all(getattr(at_zero, name) is getattr(problem, name)
+               for name in ("space", "model", "forcing", "v0", "cfg", "n_steps"))
+    runs = []
+    monkeypatch.setattr(analysis, "run_trajectory", lambda *a, **k: runs.append(a))
+    with pytest.raises(ValueError, match="stabilization exponent q=2.5"):
+        analysis.alpha_independence_study(problem, 0, 2, [0.0, 0.1])
+    with pytest.raises(ValueError, match="stabilization exponent q=2.5"):
+        analysis.stabilization_convergence(problem, 0, 2, [1.0, 10.0])
+    assert runs == []
 
 
 def fail_seed(monkeypatch, seed, alpha=None):
@@ -160,10 +170,10 @@ def fail_seed(monkeypatch, seed, alpha=None):
     the lockstep batch step on."""
     batch = {"seeds": []}  # the seeds of the ensemble batch being stepped
 
-    def run(params, *args, seed=None, **kwargs):
+    def run(problem, seed=None, **kwargs):
         batch["seeds"] = list(seed)
         try:
-            return run_trajectory(params, *args, seed=seed, **kwargs)
+            return run_trajectory(problem, seed=seed, **kwargs)
         finally:
             batch["seeds"] = []
 
@@ -184,17 +194,17 @@ def test_run_ensemble_masks_integrator_failures(monkeypatch):
     space = make_space()
     params = ConstitutiveParams(p=2.0, d=2)
     model = NoiseModel(family="linear", K=4, d=2)
-    args = (params, space, model, None, np.array([1.0, 0.0, 0.0, 0.0]),
-            SdeStepConfig(dt=0.01), 5)
+    problem = Problem(params, space, model, None, np.array([1.0, 0.0, 0.0, 0.0]),
+                      SdeStepConfig(dt=0.01), 5)
     fail_seed(monkeypatch, 6)
-    trajs, failures = analysis.run_ensemble(*args, 5, 3)
+    trajs, failures = analysis.run_ensemble(problem, 5, 3)
     assert [t.seed for t in trajs] == [5, 7]
     assert failures == [{"seed": 6, "step": 3, "residual": 0.5, "error": "step 3: injected"}]
-    report = analysis.ensemble_moments(*args, 5, 3)
+    report = analysis.ensemble_moments(problem, 5, 3)
     assert len(report.total) == 2
     assert report.as_dict()["partial"] is True
     with pytest.raises(analysis.EnsembleError, match="1 of 2 trajectories completed, need 2"):
-        analysis.ensemble_moments(*args, 6, 2)
+        analysis.ensemble_moments(problem, 6, 2)
 
 
 def test_run_ensemble_propagates_other_errors(monkeypatch):
@@ -203,9 +213,8 @@ def test_run_ensemble_propagates_other_errors(monkeypatch):
 
     monkeypatch.setattr(analysis, "run_trajectory", broken)
     with pytest.raises(KeyError):
-        analysis.run_ensemble(ConstitutiveParams(p=2.0, d=2), make_space(), None,
-                              None, np.zeros(4),
-                              SdeStepConfig(dt=0.01), 5, 0, 2)
+        analysis.run_ensemble(Problem(ConstitutiveParams(p=2.0, d=2), make_space(), None,
+                                      None, np.zeros(4), SdeStepConfig(dt=0.01), 5), 0, 2)
 
 
 def test_stabilization_convergence_pairs_by_seed(monkeypatch):
@@ -213,15 +222,14 @@ def test_stabilization_convergence_pairs_by_seed(monkeypatch):
     model = NoiseModel(family="linear", K=4, d=2)
     cfg = SdeStepConfig(dt=0.01)
     v0 = np.array([1.0, 0.5, 0.0, 0.0])
-    params = {m: ConstitutiveParams(p=1.8, alpha=1.0 / m, d=2) for m in (1.0, 10.0)}
+    problems = {m: Problem(ConstitutiveParams(p=1.8, alpha=1.0 / m, d=2), space, model, None,
+                           v0, cfg, 10) for m in (1.0, 10.0)}
     # seed 11 fails at m = 10 only
     fail_seed(monkeypatch, 11, alpha=0.1)
-    (row,) = analysis.stabilization_convergence(
-        params.get, space, model, None, v0, cfg, 10, 11, 3, [1.0, 10.0])
+    (row,) = analysis.stabilization_convergence(problems[1.0], 11, 3, [1.0, 10.0])
     expected = []
     for seed in (12, 13):
-        a, b = (run_trajectory(params[m], space, model, None, v0, cfg,
-                               10, seed=seed) for m in (1.0, 10.0))
+        a, b = (run_trajectory(problems[m], seed=seed) for m in (1.0, 10.0))
         expected.append(cfg.dt * float(np.sum(np.sum((a.coeffs[:-1] - b.coeffs[:-1]) ** 2,
                                                      axis=1))))
     assert row["mean_sq_diff"] == float(np.mean(expected))
@@ -233,8 +241,8 @@ def test_interpolation_diagnostic_bounded():
     params = ConstitutiveParams(p=2.0, d=2)
     model = NoiseModel(family="linear", K=4, d=2)
     cfg = SdeStepConfig(dt=0.01)
-    traj = run_trajectory(params, space, model, None,
-                          np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20, seed=2)
+    traj = run_trajectory(Problem(params, space, model, None,
+                                  np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20), seed=2)
     val = analysis.interpolation_diagnostic(traj)
     assert 0.0 <= val < np.inf
 

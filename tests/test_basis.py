@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from powerlaw_spde.basis import (
     WaveMode,
@@ -103,6 +106,28 @@ def test_round_trip_identity():
     for _ in range(8):
         c = rng.standard_normal(24)
         assert np.max(np.abs(analyze(space, synthesize(space, c)) - c)) < 1e-12
+
+
+@lru_cache(maxsize=None)
+def small_space(d, N):
+    return build_space(d, N, suggest_grid(d, N))
+
+
+@st.composite
+def drawn_coefficients(draw):
+    """(space, c): d in {2, 3}, N <= 16 modes on suggest_grid(d, N), and
+    coefficients of magnitude up to 1e3."""
+    d, N = draw(st.sampled_from([2, 3])), draw(st.integers(1, 16))
+    scale = draw(st.floats(1e-3, 1e3))
+    c = draw(st.lists(st.floats(-1.0, 1.0), min_size=N, max_size=N))
+    return small_space(d, N), scale * np.array(c)
+
+
+@given(drawn=drawn_coefficients())
+def test_round_trip_identity_on_drawn_coefficients(drawn):
+    space, c = drawn
+    err = np.max(np.abs(analyze(space, synthesize(space, c)) - c))
+    assert err <= 1e-12 * max(1.0, float(np.max(np.abs(c))))
 
 
 def test_analyze_picks_out_components():

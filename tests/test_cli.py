@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -277,6 +278,33 @@ def test_alpha_and_m_grid_together_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, grid", [("--alpha-grid", "0,0.1"), ("--m-grid", "1,10")])
+def test_grid_point_with_inadmissible_q_exits_two(tmp_path, capsys, flag, grid):
+    # q = 2.5 < max(2p', 3) = 4 is accepted without the stabilizer; the
+    # second grid point used to end in a traceback after the first one ran
+    cfg = write_config(tmp_path, n_traj=2, q=2.5)
+    out = tmp_path / "study"
+    code = main(["ensemble", "--config", str(cfg), "--out", str(out), flag, grid])
+    assert code == 2
+    assert "'q'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, fld", [
+    ({"N": 100000}, "N"),                      # two 213 GiB basis tables
+    ({"N": 10 ** 9}, "N"),                     # bounded before the modes are enumerated
+    ({"T_end": 1e7, "dt": 0.01}, "T_end"),     # a 29.8 GiB coefficient history
+    ({"K": 10 ** 9, "noise_family": "linear"}, "K"),  # 37 GiB of increments
+])
+def test_oversized_run_exits_two(tmp_path, capsys, override, fld):
+    cfg = write_config(tmp_path, **override)
+    start = time.perf_counter()
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"'{fld}'" in capsys.readouterr().err
+
+
 def test_grid_with_one_trajectory_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, n_traj=1)
     code = main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "a"),
@@ -296,10 +324,12 @@ _GRID_ENTRY = st.one_of(
 @settings(max_examples=30)
 @given(seed=st.integers(-2 ** 40, 2 ** 64),
        flag=st.sampled_from(["--alpha-grid", "--m-grid"]),
-       grid=st.lists(_GRID_ENTRY, min_size=1, max_size=3).map(",".join))
-def test_ensemble_cli_boundary_never_raises(tmp_path_factory, seed, flag, grid):
+       grid=st.lists(_GRID_ENTRY, min_size=1, max_size=3).map(",".join),
+       q=st.one_of(st.none(), st.floats(2.0, 6.0)),
+       alpha=st.sampled_from([0.0, 0.1]))
+def test_ensemble_cli_boundary_never_raises(tmp_path_factory, seed, flag, grid, q, alpha):
     tmp = tmp_path_factory.mktemp("fuzz")
-    cfg = write_config(tmp, T_end=0.02, n_traj=2, alpha=0.1)
+    cfg = write_config(tmp, T_end=0.02, n_traj=2, alpha=alpha, q=q)
     # flag=value: a grid that starts with "-" is a value, not an option
     code = main(["ensemble", "--config", str(cfg), f"--seed={seed}",
                  "--out", str(tmp / "out"), f"{flag}={grid}"])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from powerlaw_spde.config import _REALS, ConfigError, SimulationConfig
 from powerlaw_spde.basis import suggest_grid
@@ -27,6 +27,7 @@ def test_field_validation_messages():
         ({"nu0": -1.0}, "nu0"),
         ({"alpha": -0.5}, "alpha"),
         ({"m": 0.0}, "m"),
+        ({"alpha": 0.5, "m": 10.0}, "m"),  # used to run with alpha = 0.1
         ({"N": 0}, "N"),
         ({"K": 0}, "K"),
         ({"dt": 0.0}, "dt"),
@@ -80,6 +81,9 @@ def test_q_validation_with_stabilizer():
 def test_m_sets_alpha():
     cfg = SimulationConfig(m=10.0)
     assert abs(cfg.alpha - 0.1) < 1e-15
+    # alpha given as 1/m agrees with m, and its default 0 defers to m
+    assert SimulationConfig(m=10.0, alpha=1.0 / 10.0) == cfg
+    assert SimulationConfig(m=10.0, alpha=0) == cfg
 
 
 def test_round_trip_dict():
@@ -101,6 +105,16 @@ def test_load_dump_round_trip(tmp_path):
     with open(path) as fh:
         raw = json.load(fh)
     assert raw["version"] == 1
+    assert SimulationConfig.load(path) == cfg
+
+
+def test_load_dump_round_trip_with_m(tmp_path):
+    # the dump holds m and alpha = 1/m, which the alpha/m rule accepts
+    cfg = SimulationConfig(p=1.6, m=3.0)
+    path = tmp_path / "config.json"
+    cfg.dump(path)
+    raw = json.loads(path.read_text())
+    assert (raw["m"], raw["alpha"]) == (3.0, 1.0 / 3.0)
     assert SimulationConfig.load(path) == cfg
 
 
@@ -137,10 +151,17 @@ def test_initial_coeffs_overflow():
         cfg.build_initial(cfg.build_space())
 
 
-def test_alpha_override_in_build_params():
-    cfg = SimulationConfig(p=1.8, alpha=0.5)
-    assert cfg.build_params().alpha == 0.5
-    assert cfg.build_params(alpha=0.0).alpha == 0.0
+def test_build_problem_holds_the_built_parts():
+    cfg = SimulationConfig(p=1.8, alpha=0.5, N=8, noise_family="smooth_norm", K=8,
+                           forcing="steady_mode", initial="single_mode", T_end=0.05)
+    problem = cfg.build_problem()
+    assert problem.params == cfg.build_params()
+    assert (problem.space.d, problem.space.N, problem.space.M) == (2, 8, cfg.M)
+    assert (problem.model.family, problem.model.K) == ("smooth_norm", 8)
+    assert np.array_equal(problem.forcing, cfg.build_forcing(problem.space))
+    assert np.array_equal(problem.v0, cfg.build_initial(problem.space))
+    assert problem.cfg == cfg.build_step_config()
+    assert problem.n_steps == 5
 
 
 _JSON_SCALAR = (st.none() | st.booleans() | st.integers(-10, 64) | st.integers()
@@ -153,8 +174,6 @@ _KEYS = st.sampled_from(sorted(SimulationConfig.__dataclass_fields__)) | st.text
 @settings(max_examples=300)
 @given(data=st.dictionaries(_KEYS, _JSON, max_size=8))
 def test_any_json_dict_gives_a_valid_config_or_config_error(data):
-    # the mode enumeration behind the default grid grows with N
-    assume(not (isinstance(data.get("N"), int) and data["N"] > 256))
     try:
         cfg = SimulationConfig.from_dict(data)
     except ConfigError:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from powerlaw_spde.constitutive import (
@@ -79,6 +80,25 @@ def test_monotonicity(p, d):
     e1 = random_symmetric(rng, 5000, d)
     e2 = random_symmetric(rng, 5000, d)
     assert np.min(monotonicity_gap(params, e1, e2)) >= -1e-12
+
+
+@st.composite
+def strain_pairs(draw):
+    """(d, e1, e2): two symmetric d x d strains with entries up to 1e3."""
+    d = draw(st.sampled_from([2, 3]))
+    scale = draw(st.floats(1e-3, 1e3))
+    a = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d * d,
+                                       max_size=2 * d * d))).reshape(2, d, d)
+    e = 0.5 * (a + np.swapaxes(a, -1, -2))
+    return d, e[0], e[1]
+
+
+@given(p=st.floats(1.0, 4.0, exclude_min=True), pair=strain_pairs())
+def test_monotonicity_on_drawn_strains(p, pair):
+    d, e1, e2 = pair
+    gap = float(monotonicity_gap(ConstitutiveParams(p=p, d=d), e1, e2))
+    size = 1.0 + np.linalg.norm(e1) + np.linalg.norm(e2)
+    assert gap >= -1e-12 * size ** p
 
 
 def test_newtonian_gap_identity():

@@ -8,6 +8,7 @@ from powerlaw_spde.constitutive import ConstitutiveParams, eval_stress
 from powerlaw_spde.galerkin import (
     SCHEMES,
     IntegratorError,
+    Problem,
     SdeStepConfig,
     assemble_diffusion,
     assemble_drift,
@@ -20,6 +21,7 @@ from powerlaw_spde.galerkin import (
     trilinear_convection,
 )
 from powerlaw_spde.noise import NoiseModel, WienerPath
+from test_basis import drawn_coefficients
 
 
 def make_space(N=4):
@@ -112,6 +114,14 @@ def test_convection_force_matches_trilinear_form():
         assert abs(force[k] - trilinear_convection(space, c, c, np.eye(8)[k])) < 1e-10
     # convection never injects energy: divergence form is orthogonal to v
     assert abs(np.dot(force, c)) < 1e-8 * (1.0 + np.linalg.norm(c) ** 3)
+
+
+@given(drawn=drawn_coefficients())
+def test_convection_is_skew_on_drawn_states(drawn):
+    # int (v (x) v) : grad v = 0 for solenoidal v, so convection does no work
+    space, c = drawn
+    work = convection_force(space, synthesize(space, c)) @ c
+    assert abs(work) <= 1e-8 * (1.0 + np.linalg.norm(c) ** 3)
 
 
 def test_diffusion_matrix_additive_and_linear():
@@ -216,8 +226,8 @@ def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
     counts = call_counter(galerkin, "synthesize", "velocity_gradient", "symmetric_gradient",
                           "apply_phi", "assemble_diffusion", "stress_force", "forcing_term",
                           "eval_stress")
-    run_trajectory(params, space, model, forcing, np.array([1.0, 0.5, 0.0, 0.2]),
-                   SdeStepConfig(dt=0.01), 7, seed=2)
+    run_trajectory(Problem(params, space, model, forcing, np.array([1.0, 0.5, 0.0, 0.2]),
+                           SdeStepConfig(dt=0.01), 7), seed=2)
     # the stress is evaluated once per Euler-Maruyama step, for stress_diss
     # and the drift alike
     assert counts == {**dict.fromkeys(counts, 7), "symmetric_gradient": 0, "forcing_term": 1}
@@ -249,9 +259,37 @@ def test_step_config_validation():
                          ids=["non_finite", "wrong_shape"])
 def test_run_trajectory_rejects_bad_initial_coeffs(v0):
     # non-finite or wrongly shaped initial data fails before the first step
-    with pytest.raises(ValueError):
-        run_trajectory(ConstitutiveParams(p=2.0, d=2), make_space(), None, None,
-                       np.array(v0), SdeStepConfig(dt=0.01), 3)
+    with pytest.raises(ValueError, match="v0 must be 4 finite numbers"):
+        Problem(ConstitutiveParams(p=2.0, d=2), make_space(), None, None,
+                np.array(v0), SdeStepConfig(dt=0.01), 3)
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"params": ConstitutiveParams(p=2.0, d=3)}, r"params\.d = 3 differs from space\.d = 2"),
+    ({"model": NoiseModel(family="linear", d=3)}, r"model\.d = 3 differs from space\.d = 2"),
+    ({"forcing": np.zeros((9, 2))}, r"forcing must be sampled on the grid, shape \(16, 2\)"),
+    ({"forcing": np.zeros((16, 3))}, r"forcing must be sampled on the grid, shape \(16, 2\)"),
+], ids=["params", "model", "forcing_points", "forcing_components"])
+def test_problem_refuses_parts_that_disagree_with_the_space(override, message):
+    space = make_space()  # d = 2 on 4^2 points
+    parts = dict(params=ConstitutiveParams(p=2.0, d=2), space=space,
+                 model=NoiseModel(family="linear", d=2), forcing=np.zeros((16, 2)),
+                 v0=np.zeros(4), cfg=SdeStepConfig(dt=0.01), n_steps=3)
+    Problem(**parts)
+    with pytest.raises(ValueError, match=message):
+        Problem(**{**parts, **override})
+
+
+def test_problem_keeps_two_d_parameters_off_a_three_d_space():
+    # d = 2 parameters on a 3-D space would record vel_rq with r0 = 2 p
+    space = build_space(3, 4, suggest_grid(3, 4))
+    with pytest.raises(ValueError, match=r"params\.d = 2 differs from space\.d = 3"):
+        Problem(ConstitutiveParams(p=2.0, d=2), space, None, None, np.zeros(4),
+                SdeStepConfig(dt=0.01), 3)
+    problem = Problem(ConstitutiveParams(p=2.0, d=3), space, None, None,
+                      [1.0, 0.0, 0.0, 0.0], SdeStepConfig(dt=0.01), 3)
+    assert problem.v0.dtype == float
+    assert run_trajectory(problem).problem is problem
 
 
 def test_interpolation_exponent():
@@ -265,14 +303,14 @@ def test_run_trajectory_shapes_and_seed_requirement():
     model = NoiseModel(family="linear", K=4, d=2)
     cfg = SdeStepConfig(dt=0.01)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
-    traj = run_trajectory(params, space, model, None,
-                          v0, cfg, 10, seed=1)
+    problem = Problem(params, space, model, None, v0, cfg, 10)
+    traj = run_trajectory(problem, seed=1)
     assert traj.coeffs.shape == (11, 4)
     assert traj.energy().shape == (11,)
     assert traj.increments.shape == (10, 4)
     assert abs(traj.times[-1] - 0.1) < 1e-12
     with pytest.raises(ValueError):
-        run_trajectory(params, space, model, None, v0, cfg, 10)
+        run_trajectory(problem)
 
 
 def test_run_trajectory_deterministic_in_seed():
@@ -281,10 +319,11 @@ def test_run_trajectory_deterministic_in_seed():
     model = NoiseModel(family="smooth_norm", K=8, d=2)
     cfg = SdeStepConfig(dt=0.005)
     v0 = np.array([1.0, 0.5, 0.0, 0.0])
-    a = run_trajectory(params, space, model, None, v0, cfg, 20, seed=4)
-    b = run_trajectory(params, space, model, None, v0, cfg, 20, seed=4)
+    problem = Problem(params, space, model, None, v0, cfg, 20)
+    a = run_trajectory(problem, seed=4)
+    b = run_trajectory(problem, seed=4)
     assert np.array_equal(a.coeffs, b.coeffs)
-    c = run_trajectory(params, space, model, None, v0, cfg, 20, seed=5)
+    c = run_trajectory(problem, seed=5)
     assert not np.array_equal(a.coeffs, c.coeffs)
 
 
@@ -293,7 +332,7 @@ def test_noise_free_newtonian_energy_decay():
     params = ConstitutiveParams(p=2.0, nu0=1.0, d=2)
     cfg = SdeStepConfig(dt=1e-3)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
-    traj = run_trajectory(params, space, None, None, v0, cfg, 100)
+    traj = run_trajectory(Problem(params, space, None, None, v0, cfg, 100))
     energy = traj.energy()
     assert np.all(np.diff(energy) < 0.0)
     # |C(t)|^2 tracks exp(-nu0 lambda t) closely at this resolution
@@ -313,10 +352,11 @@ def test_lockstep_rows_match_single_runs(family, scheme, seeds):
     forcing = synthesize(space, np.eye(8)[1])
     v0 = 0.8 * np.cos(np.arange(8.0))
     cfg = SdeStepConfig(dt=0.01, scheme=scheme)
-    rows = run_trajectory(params, space, model, forcing, v0, cfg, 4, seed=seeds)
+    problem = Problem(params, space, model, forcing, v0, cfg, 4)
+    rows = run_trajectory(problem, seed=seeds)
     assert [row.seed for row in rows] == seeds
     for seed, row in zip(seeds, rows):
-        alone = run_trajectory(params, space, model, forcing, v0, cfg, 4, seed=seed)
+        alone = run_trajectory(problem, seed=seed)
         for name in _SERIES:
             got, want = getattr(row, name), getattr(alone, name)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
@@ -329,14 +369,14 @@ def test_failing_row_leaves_the_batch():
     params = ConstitutiveParams(p=3.0, d=2)
     model = NoiseModel(family="linear", K=16, d=2)
     v0, cfg = 2.0 * np.ones(8), SdeStepConfig(dt=1.0)
-    rows = run_trajectory(params, space, model, None, v0, cfg, 20, seed=range(4))
+    problem = Problem(params, space, model, None, v0, cfg, 20)
+    rows = run_trajectory(problem, seed=range(4))
     assert isinstance(rows[0], IntegratorError)
     assert (rows[0].step, str(rows[0])) == (12, "step 12: non-finite diagnostics")
     with pytest.raises(IntegratorError, match="step 12: non-finite diagnostics"):
-        run_trajectory(params, space, model, None, v0, cfg, 20, seed=0)
+        run_trajectory(problem, seed=0)
     for seed in (1, 2, 3):
-        alone = run_trajectory(params, space, model, None, v0, cfg, 20, seed=seed)
+        alone = run_trajectory(problem, seed=seed)
         assert np.array_equal(rows[seed].coeffs, alone.coeffs)
     with pytest.raises(ValueError):  # an explicit path drives one trajectory
-        run_trajectory(params, space, model, None, v0, cfg, 3, seed=[1, 2],
-                       path=WienerPath.generate(1, 1.0, 16, 3))
+        run_trajectory(problem, seed=[1, 2], path=WienerPath.generate(1, 1.0, 16, 20))

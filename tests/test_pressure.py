@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from powerlaw_spde import pressure
 from powerlaw_spde.basis import build_space, suggest_grid, symmetric_gradient, synthesize
 from powerlaw_spde.constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
-from powerlaw_spde.galerkin import SdeStepConfig, run_trajectory
+from powerlaw_spde.galerkin import Problem, SdeStepConfig, run_trajectory
 from powerlaw_spde.noise import NoiseModel, apply_phi, hilbert_schmidt_norm_sq
 
 HELPERS = ("inverse_laplacian", "laplacian", "gradient_scalar",
@@ -164,40 +164,46 @@ def test_pi_h_vanishes():
 
 def test_pi_Phi_analytic_example():
     # one step, single noise field sin(x1) e1 with unit increment:
-    # div = cos(x1), pi_Phi = lap^-1 cos(x1) = -cos(x1)
+    # div = cos(x1), pi_Phi = lap^-1 cos(x1) = -cos(x1), the composition
+    # that decompose applies to the running noise sum
     space = make_space()
     x1 = space.points[:, 0]
-    fields = np.zeros((1, 1, space.M ** 2, 2))
-    fields[0, 0, :, 0] = np.sin(x1)
-    inc = np.ones((1, 1))
-    pi = pressure.solve_pi_Phi(space, fields, inc)
+    noise_sum = np.zeros((space.M ** 2, 2))
+    noise_sum[:, 0] = np.sin(x1)
+    pi = pressure.inverse_laplacian(space, pressure.divergence_vector(space, noise_sum))
     assert np.max(np.abs(pi - (-np.cos(x1)))) < 1e-10
 
 
 def test_pi_Phi_zero_increments():
+    # a noisy trajectory whose increments are set to zero has no
+    # stochastic pressure, while its noise norms stay positive
     space = make_space()
-    fields = np.random.default_rng(5).standard_normal((3, 2, space.M ** 2, 2))
-    inc = np.zeros((3, 2))
-    assert np.max(np.abs(pressure.solve_pi_Phi(space, fields, inc))) < 1e-14
-    with pytest.raises(ValueError):
-        pressure.solve_pi_Phi(space, fields, np.zeros((2, 2)))
+    problem = Problem(ConstitutiveParams(p=1.8, d=2), space,
+                      NoiseModel(family="smooth_norm", K=4, d=2), None,
+                      0.8 * np.cos(np.arange(8.0)), SdeStepConfig(dt=5e-3), 5)
+    traj = run_trajectory(problem, seed=5)
+    silent = dataclasses.replace(traj, increments=np.zeros_like(traj.increments))
+    dec = pressure.decompose(silent)
+    assert np.max(np.abs(dec.pi_Phi_series)) < 1e-14
+    assert np.all(dec.hs_series > 0.0)
+    assert np.max(np.abs(pressure.decompose(traj).pi_Phi_series)) > 1e-6
 
 
 def run_small(noise=True, scheme="euler_maruyama", alpha=0.0, forcing=None,
               n_steps=20, dt=5e-3, seed=3):
-    space = make_space()
     params = ConstitutiveParams(p=1.8, alpha=alpha, d=2)
     model = NoiseModel(family="linear", K=8, d=2) if noise else None
     v0 = np.zeros(8)
     v0[0], v0[2] = 1.0, 0.5
     cfg = SdeStepConfig(dt=dt, scheme=scheme)
-    traj = run_trajectory(params, space, model, forcing, v0, cfg, n_steps, seed=seed)
-    return space, params, model, forcing, traj
+    return run_trajectory(Problem(params, make_space(), model, forcing, v0, cfg, n_steps),
+                          seed=seed)
 
 
 def test_decompose_shapes_and_split():
-    space, params, model, forcing, traj = run_small()
-    dec = pressure.decompose(space, params, model, forcing, traj)
+    traj = run_small()
+    space = traj.problem.space
+    dec = pressure.decompose(traj)
     n_pts = space.M ** 2
     assert dec.pi_H_series.shape == (traj.n_steps, n_pts)
     assert dec.pi_Phi_series.shape == (traj.n_steps + 1, n_pts)
@@ -211,12 +217,11 @@ def test_decompose_shapes_and_split():
 
 
 def test_weak_residual_vanishes_at_time_zero():
-    space, params, model, forcing, traj = run_small()
-    dec = pressure.decompose(space, params, model, forcing, traj)
+    traj = run_small()
+    dec = pressure.decompose(traj)
     rng = np.random.default_rng(6)
-    test = rng.standard_normal((space.M ** 2, 2))
-    res = pressure.weak_residual(space, params, model, forcing, traj, dec,
-                                 test, t_index=0)
+    test = rng.standard_normal((traj.problem.space.M ** 2, 2))
+    res = pressure.weak_residual(traj, dec, test, t_index=0)
     assert res < 1e-14
 
 
@@ -235,12 +240,12 @@ def test_weak_residual_first_order_in_dt():
     residuals = []
     for dt, n_steps in ((1e-2, 20), (5e-3, 40)):
         cfg = SdeStepConfig(dt=dt, scheme="semi_implicit")
-        traj = run_trajectory(params, space, None, forcing, v0, cfg, n_steps)
-        dec = pressure.decompose(space, params, None, forcing, traj)
-        left_point = dataclasses.replace(traj, cfg=SdeStepConfig(dt=dt))
-        residuals.append(pressure.weak_residual(
-            space, params, None, forcing, left_point, dec, test))
-        assert pressure.weak_residual(space, params, None, forcing, traj, dec, test) < 1e-12
+        traj = run_trajectory(Problem(params, space, None, forcing, v0, cfg, n_steps))
+        dec = pressure.decompose(traj)
+        left_point = dataclasses.replace(
+            traj, problem=dataclasses.replace(traj.problem, cfg=SdeStepConfig(dt=dt)))
+        residuals.append(pressure.weak_residual(left_point, dec, test))
+        assert pressure.weak_residual(traj, dec, test) < 1e-12
     ratio = residuals[0] / residuals[1]
     assert 1.7 < ratio < 2.3
 
@@ -249,19 +254,19 @@ def test_weak_residual_small_against_gradient_field():
     # the pi terms exactly cancel the action on gradient test fields, so
     # the residual is at the time-discretization level even though the test
     # field is curl-free
-    space, params, model, forcing, traj = run_small(alpha=0.2)
-    dec = pressure.decompose(space, params, model, forcing, traj)
+    traj = run_small(alpha=0.2)
+    space = traj.problem.space
+    dec = pressure.decompose(traj)
     scalar = np.cos(space.points[:, 0] + 2.0 * space.points[:, 1])
     test = pressure.gradient_scalar(space, scalar)
-    res = pressure.weak_residual(space, params, model, forcing, traj, dec, test)
+    res = pressure.weak_residual(traj, dec, test)
     assert res < 1e-10
 
 
-def residual_series(space, params, model, forcing, traj, test_field):
+def residual_series(traj, test_field):
     """The weak residual against test_field at every recorded time."""
-    dec = pressure.decompose(space, params, model, forcing, traj)
-    return np.array([pressure.weak_residual(space, params, model, forcing, traj, dec,
-                                            test_field, t_index=t)
+    dec = pressure.decompose(traj)
+    return np.array([pressure.weak_residual(traj, dec, test_field, t_index=t)
                      for t in range(traj.n_steps + 1)])
 
 
@@ -276,21 +281,19 @@ def test_weak_residual_galerkin_modes():
     v0 = np.zeros(N)
     v0[0], v0[2] = 1.0, 0.5
     cfg = SdeStepConfig(dt=0.005)
-    traj = run_trajectory(params, space, model, forcing, v0, cfg, 40, seed=9)
+    traj = run_trajectory(Problem(params, space, model, forcing, v0, cfg, 40), seed=9)
     # resolved modes satisfy the identity to solver precision
     for j in (1, 4, 8):
-        res = residual_series(space, params, model, forcing, traj, space.mode_fields[j - 1])
+        res = residual_series(traj, space.mode_fields[j - 1])
         assert res[0] == 0.0
         assert np.max(res) < 1e-12
     # unresolved modes see only the Galerkin truncation error, which is small
     # but generally nonzero
-    res_hi = residual_series(space, params, model, forcing, traj,
-                             test_space.mode_fields[N_big - 1])
+    res_hi = residual_series(traj, test_space.mode_fields[N_big - 1])
     assert np.max(res_hi) < 1e-2
-    dec = pressure.decompose(space, params, model, forcing, traj)
+    dec = pressure.decompose(traj)
     with pytest.raises(ValueError):  # a test field off the trajectory's grid
-        pressure.weak_residual(space, params, model, forcing, traj, dec,
-                               build_space(2, N_big, M + 1).mode_fields[N_big - 1])
+        pressure.weak_residual(traj, dec, build_space(2, N_big, M + 1).mode_fields[N_big - 1])
 
 
 def test_weak_residual_semi_implicit_scheme_aware():
@@ -300,20 +303,31 @@ def test_weak_residual_semi_implicit_scheme_aware():
     v0 = np.zeros(8)
     v0[0] = 1.0
     cfg = SdeStepConfig(dt=0.005, scheme="semi_implicit")
-    traj = run_trajectory(params, space, None, forcing, v0, cfg, 20)
-    res = residual_series(space, params, None, forcing, traj, space.mode_fields[0])
+    traj = run_trajectory(Problem(params, space, None, forcing, v0, cfg, 20))
+    res = residual_series(traj, space.mode_fields[0])
     assert np.max(res) < 1e-8  # right-point stress matches the implicit solve
 
 
 def test_estimate_check_reports_finite_ratios():
-    space, params, model, forcing, traj = run_small()
-    report = pressure.estimate_check(space, params, model, forcing, [traj])
+    traj = run_small()
+    params = traj.problem.params
+    report = pressure.estimate_check([traj])
     assert abs(report["s"] - params.p / (params.p - 1.0)) < 1e-12
     assert report["chi"] == 2.0  # s = p' = 2.25 caps at 2
     assert np.isfinite(report["pi_H_ratio"]) and report["pi_H_ratio"] >= 0.0
     assert np.isfinite(report["pi_Phi_ratio"]) and report["pi_Phi_ratio"] >= 0.0
     assert report["pi_h_sup"] == 0.0
     assert report["pi_H_lhs"] <= report["pi_H_rhs"] * max(report["pi_H_ratio"], 1.0) + 1e-12
+
+
+def test_estimate_check_refuses_trajectories_of_different_problems():
+    traj = run_small(n_steps=3)
+    twin = run_small(n_steps=3)  # equal parts, but another Problem
+    assert pressure.estimate_check([traj, run_trajectory(traj.problem, seed=4)])
+    with pytest.raises(ValueError, match="different problems"):
+        pressure.estimate_check([traj, twin])
+    with pytest.raises(ValueError, match="at least one trajectory"):
+        pressure.estimate_check([])
 
 
 def chunk_steps(space):
@@ -324,14 +338,15 @@ def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypat
     # with noise and a stabilizer, each chunk of steps lifts the zero-order
     # term (2 operator calls), solves pi_H for the stacked flux parts (2) and
     # updates pi_Phi (2): six operators, each one fftn and one ifftn
-    space, params, model, forcing, traj = run_small(alpha=0.2, n_steps=8)
+    traj = run_small(alpha=0.2, n_steps=8)
+    space = traj.problem.space
     monkeypatch.setattr(pressure, "_CHUNK_POINTS", 3 * space.M ** space.d)
     n_chunks = math.ceil(traj.n_steps / chunk_steps(space))
     assert n_chunks == 3
     helper_calls = call_counter(pressure, *HELPERS)
     flux_calls = call_counter(pressure, "assemble_H")
     fft_calls = call_counter(np.fft, "fftn", "ifftn")
-    pressure.decompose(space, params, model, forcing, traj)
+    pressure.decompose(traj)
     assert sum(helper_calls.values()) == 6 * n_chunks
     assert fft_calls == {"fftn": 6 * n_chunks, "ifftn": 6 * n_chunks}
     assert flux_calls == {"assemble_H": n_chunks}
@@ -340,10 +355,10 @@ def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypat
 def test_decompose_calls_the_traced_spans(call_counter):
     # the benchmark's traced run requires decompose to enter assemble_H and
     # the transform helpers, even without noise or a zero-order term
-    space, params, model, forcing, traj = run_small(noise=False, n_steps=3)
+    traj = run_small(noise=False, n_steps=3)
     helper_calls = call_counter(pressure, *HELPERS)
     flux_calls = call_counter(pressure, "assemble_H")
-    pressure.decompose(space, params, model, forcing, traj)
+    pressure.decompose(traj)
     assert flux_calls["assemble_H"] >= 1
     assert sum(helper_calls.values()) >= 1
 
@@ -358,13 +373,14 @@ def test_wavevector_grid_is_built_once():
 
 def test_estimate_check_reads_the_decomposition(call_counter, monkeypatch):
     # the flux and the noise fields are built once per chunk, by decompose
-    space, params, model, forcing, traj_a = run_small(alpha=0.2, n_steps=6)
-    traj_b = run_small(alpha=0.2, n_steps=6, seed=4)[-1]
+    traj_a = run_small(alpha=0.2, n_steps=6)
+    traj_b = run_trajectory(traj_a.problem, seed=4)
+    space = traj_a.problem.space
     monkeypatch.setattr(pressure, "_CHUNK_POINTS", 4 * space.M ** space.d)
     n_chunks = math.ceil(6 / chunk_steps(space))
-    decs = [pressure.decompose(space, params, model, forcing, t) for t in (traj_a, traj_b)]
+    decs = [pressure.decompose(t) for t in (traj_a, traj_b)]
     counts = call_counter(pressure, "assemble_H", "apply_phi")
-    report = pressure.estimate_check(space, params, model, forcing, [traj_a, traj_b])
+    report = pressure.estimate_check([traj_a, traj_b])
     assert counts == {"assemble_H": 2 * n_chunks, "apply_phi": 2 * n_chunks}
     assert report["max_abs_mean"] == max(
         float(np.max(np.abs(np.mean(series, axis=1))))
@@ -388,9 +404,11 @@ def per_step_flux(space, params, coeffs, forcing):
     return h1, h2
 
 
-def per_step_decompose(space, params, model, forcing, traj):
+def per_step_decompose(traj):
     """Oracle: the decomposition one step at a time, with a running sum of
     the noise increments."""
+    space, params, model, forcing = (traj.problem.space, traj.problem.params,
+                                     traj.problem.model, traj.problem.forcing)
     n, n_pts = traj.n_steps, space.M ** space.d
     out = {"pi_1_series": np.zeros((n, n_pts)), "pi_2_series": np.zeros((n, n_pts)),
            "H_sq_series": np.zeros((n, n_pts)), "pi_Phi_series": np.zeros((n + 1, n_pts)),
@@ -411,8 +429,10 @@ def per_step_decompose(space, params, model, forcing, traj):
     return out
 
 
-def per_step_weak_residual(space, params, model, forcing, traj, dec, test):
+def per_step_weak_residual(traj, dec, test):
     """Oracle: the weak-identity residual at the final time, step by step."""
+    space, params, model, forcing = (traj.problem.space, traj.problem.params,
+                                     traj.problem.model, traj.problem.forcing)
     w = space.quad_weight
     grad_test = pressure._field_gradient(space, test)
     div_test = np.trace(grad_test, axis1=-2, axis2=-1)
@@ -444,18 +464,18 @@ def test_decompose_matches_per_step_oracle(d, M, family, alpha, forced, extra):
     forcing = synthesize(space, np.eye(8)[2]) if forced else None
     v0 = 0.8 * np.cos(np.arange(8.0))
     n_steps = 2 * chunk_steps(space) + extra
-    traj = run_trajectory(params, space, model, forcing, v0, SdeStepConfig(dt=4e-3),
-                          n_steps, seed=11)
-    dec = pressure.decompose(space, params, model, forcing, traj)
-    oracle = per_step_decompose(space, params, model, forcing, traj)
+    traj = run_trajectory(Problem(params, space, model, forcing, v0, SdeStepConfig(dt=4e-3),
+                                  n_steps), seed=11)
+    dec = pressure.decompose(traj)
+    oracle = per_step_decompose(traj)
     for name, expected in oracle.items():
         got = getattr(dec, name)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13 * max(
             1.0, float(np.max(np.abs(expected), initial=0.0))), name
     test = np.random.default_rng(12).standard_normal((M ** d, d))
-    res = pressure.weak_residual(space, params, model, forcing, traj, dec, test)
-    expected = per_step_weak_residual(space, params, model, forcing, traj, dec, test)
+    res = pressure.weak_residual(traj, dec, test)
+    expected = per_step_weak_residual(traj, dec, test)
     assert abs(res - expected) <= 1e-12 * max(1.0, expected)
 
 
@@ -489,18 +509,18 @@ def test_decompose_memory_is_bounded_by_a_chunk():
     forcing = synthesize(space, np.eye(8)[2])
     chunk = chunk_steps(space)
     cfg, v0 = SdeStepConfig(dt=1e-3), 0.8 * np.cos(np.arange(8.0))
-    short, long = (run_trajectory(params, space, model, forcing, v0, cfg, n, seed=5)
+    short, long = (run_trajectory(Problem(params, space, model, forcing, v0, cfg, n), seed=5)
                    for n in (chunk, 8 * chunk))
 
     def peak_above_outputs(traj):
         tracemalloc.start()
         try:
-            dec = pressure.decompose(space, params, model, forcing, traj)
+            dec = pressure.decompose(traj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         return peak - sum(a.nbytes for a in vars(dec).values())
 
-    pressure.decompose(space, params, model, forcing, short)  # fills the space's caches
+    pressure.decompose(short)  # fills the space's caches
     one, eight = peak_above_outputs(short), peak_above_outputs(long)
     assert eight <= 1.5 * one
