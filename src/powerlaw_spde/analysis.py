@@ -139,7 +139,7 @@ def run_ensemble(problem: Problem, base_seed: int, n_traj: int,
 
     Returns the completed trajectories in seed order and a record
     {seed, step, residual, error} per seed whose row failed with
-    IntegratorError and left the batch (any other exception is a bug and
+    IntegratorError and was masked (any other exception is a bug and
     propagates); raises EnsembleError when fewer than min_complete
     trajectories complete.
     """

@@ -17,8 +17,10 @@ Wiener path: one synthesis and one gradient call per step serve every row,
 the forces and Sigma are projected for all rows at once, and the
 diagnostics are per row.  Each call is a stacked matmul (one GEMM per row)
 and each per-row sum runs over that row alone, so a row's numbers are
-bit-identical to the same seed run alone.  A row whose step fails leaves
-the block; the others step on.  The semi-implicit solve runs row by row on
+bit-identical to the same seed run alone.  Row b holds seed b for the whole
+run: a row whose diagnostics or step fail records its first IntegratorError
+and rides on as a zero row, whose later values are thrown away, and the run
+stops once every row has failed.  The semi-implicit solve runs row by row on
 each row's own right-hand side.  A single trajectory is a block of one.
 
 A Problem names everything that fixes a run except its Wiener paths (the
@@ -55,20 +57,22 @@ from .noise import NoiseModel, WienerPath, apply_phi
 SCHEMES = ("euler_maruyama", "semi_implicit")
 
 
+# The semi-implicit Newton solve stops at |grad| <= NEWTON_TOL * max(1, |rhs|)
+# and fails after NEWTON_MAX_ITER iterations.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+
+
 @dataclass(frozen=True)
 class SdeStepConfig:
     dt: float
     scheme: str = "euler_maruyama"
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError("time step must be positive")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton tolerance must be positive")
 
 
 class IntegratorError(RuntimeError):
@@ -224,16 +228,16 @@ def _newton_direction(params, space, dt, fields, grad, tol):
     return direction
 
 
-def _solve_implicit(params, space, rhs, dt, tol, max_iter, step_index):
+def _solve_implicit(params, space, rhs, dt, step_index):
     # The fields are evaluated once per iterate: a trial accepted by the
     # line search carries its fields and objective into the next iteration.
     # Round-off grows with |rhs| in the gradient (|C| <= |rhs| at the
     # minimizer) and with the value in the objective: both tests scale.
-    tol = tol * max(1.0, float(np.linalg.norm(rhs)))
+    tol = NEWTON_TOL * max(1.0, float(np.linalg.norm(rhs)))
     coeffs = rhs.copy()
     fields = _implicit_fields(params, space, coeffs)
     value = _implicit_objective(params, space, coeffs, rhs, dt, fields)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         grad = _implicit_gradient(params, space, coeffs, rhs, dt, fields)
         res = float(np.linalg.norm(grad))
         if not np.isfinite(res):
@@ -258,7 +262,7 @@ def _solve_implicit(params, space, rhs, dt, tol, max_iter, step_index):
     if res <= tol:
         return coeffs
     raise IntegratorError(
-        f"Newton did not converge within {max_iter} iterations", step_index, res)
+        f"Newton did not converge within {NEWTON_MAX_ITER} iterations", step_index, res)
 
 
 def step(
@@ -278,7 +282,7 @@ def step(
     and the noise increments Sigma(C) dbeta (B, N).
 
     Returns the new rows and an IntegratorError per row whose step failed,
-    keyed by row index; a failed row of the result is meaningless.
+    keyed by batch row; a failed row of the result is meaningless.
     """
     errors = {}
     if cfg.scheme == "euler_maruyama":
@@ -288,8 +292,7 @@ def step(
         new = np.full_like(rhs, np.nan)
         for row, row_rhs in enumerate(rhs):
             try:
-                new[row] = _solve_implicit(params, space, row_rhs, cfg.dt,
-                                           cfg.newton_tol, cfg.newton_max_iter, step_index)
+                new[row] = _solve_implicit(params, space, row_rhs, cfg.dt, step_index)
             except IntegratorError as exc:
                 errors[row] = exc
     # |C|^2 per row, also non-finite for any bad entry
@@ -394,7 +397,8 @@ def run_trajectory(
     """Integrate the Galerkin SDE and record the energy bookkeeping.
 
     A path may be supplied directly (e.g. a coarsened refinement of a fine
-    path); otherwise it is generated from the seed.  With a sequence of
+    path), and must fit the problem's dt, K and n_steps (ValueError
+    otherwise); without one it is generated from the seed.  With a sequence of
     seeds the trajectories from problem.v0 step in lockstep, each on the
     path of its seed, and the result is a list with, per seed, its
     Trajectory or the IntegratorError that ended it; a single seed returns
@@ -410,6 +414,15 @@ def run_trajectory(
     if model is not None:
         if path is None and None in seeds:
             raise ValueError("need a seed or an explicit Wiener path")
+        if path is not None:
+            # a coarsened path's dt, dt_fine * factor, may differ in the last bit
+            if abs(path.dt - cfg.dt) > 1e-12 * cfg.dt:
+                raise ValueError(f"path dt = {path.dt} differs from the problem's dt = {cfg.dt}")
+            if path.K != model.K:
+                raise ValueError(f"path K = {path.K} differs from the model's K = {model.K}")
+            if path.n_steps < n_steps:
+                raise ValueError(f"path n_steps = {path.n_steps} is fewer than the "
+                                 f"problem's {n_steps}")
         paths = [path] if path is not None else [
             WienerPath.generate(s, cfg.dt, model.K, n_steps) for s in seeds]
         increments = np.stack([p.increments[:n_steps] for p in paths])  # (B, n, K)
@@ -418,15 +431,13 @@ def run_trajectory(
     coeffs = np.empty((B, n_steps + 1, N))
     coeffs[:, 0] = problem.v0
     diagnostics = np.zeros((7, B, n_steps))
-    errors: list[IntegratorError | None] = [None] * B
+    errors: dict[int, IntegratorError] = {}  # the first error of each failed row
     r0 = interpolation_exponent(params)
-
-    live = np.arange(B)  # the rows still stepping
     c = coeffs[:, 0]
     force_coeffs = forcing_term(space, forcing)  # the body force is steady
     w = space.quad_weight
-    # a diverging row overflows quietly and leaves the batch at its first
-    # non-finite diagnostic or state, with an IntegratorError
+    # a diverging row overflows quietly; at its first non-finite diagnostic
+    # or state it records an IntegratorError and rides on as a zero row
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             # one left-point evaluation feeds the diagnostics and the step
@@ -435,7 +446,7 @@ def run_trajectory(
             v = synthesize(space, c)
             stress = eval_stress(params, eps)
             noise_part = np.zeros_like(c)
-            diag = np.zeros((7, len(live)))
+            diag = diagnostics[:, :, n]
             stress_diss, stab_int, force_work, grad_lp, vel_rq, mart, qv = diag
             stress_diss[:] = w * _row_sums(stress * eps)
             grad_lp[:] = w * _row_sums(np.sum(grad ** 2, axis=(-2, -1)) ** (params.p / 2.0))
@@ -447,25 +458,19 @@ def run_trajectory(
                 force_work[:] = w * _row_sums(forcing[:, None] * v)
             if model is not None:
                 sigma = assemble_diffusion(model, space, v)  # (B, N, K)
-                noise_part = (sigma @ increments[live, n][:, :, None])[..., 0]
+                noise_part = (sigma @ increments[:, n][:, :, None])[..., 0]
                 mart[:] = np.einsum("bn,bn->b", c, noise_part)
                 qv[:] = np.sum(sigma ** 2, axis=(1, 2)) * cfg.dt
-            diagnostics[:, live, n] = diag
 
             failed = {int(row): IntegratorError("non-finite diagnostics", n)
                       for row in np.flatnonzero(~np.all(np.isfinite(diag), axis=0))}
-            if failed:
-                keep = np.setdiff1d(np.arange(len(live)), list(failed))
-                c, v, stress, noise_part = c[keep], v[:, keep], stress[:, keep], noise_part[keep]
-                live = _drop(live, failed, errors)
-            if len(live):
-                c, failed = step(params, space, force_coeffs, c, cfg, n, v, stress, noise_part)
-                coeffs[live, n + 1] = c
-                if failed:
-                    c = np.delete(c, list(failed), axis=0)
-                    live = _drop(live, failed, errors)
-            if not len(live):
+            c, step_failed = step(params, space, force_coeffs, c, cfg, n, v, stress, noise_part)
+            for row, exc in {**step_failed, **failed}.items():
+                errors.setdefault(row, exc)
+            if len(errors) == B:
                 break
+            c[list(errors)] = 0.0
+            coeffs[:, n + 1] = c
 
     times = cfg.dt * np.arange(n_steps + 1)
     results = [Trajectory(
@@ -475,17 +480,10 @@ def run_trajectory(
         force_work=diagnostics[2, row], grad_lp=diagnostics[3, row],
         vel_rq=diagnostics[4, row], mart=diagnostics[5, row], qv=diagnostics[6, row],
         seed=seeds[row],
-    ) if errors[row] is None else errors[row] for row in range(B)]
+    ) if row not in errors else errors[row] for row in range(B)]
     if batched:
         return results
-    if errors[0] is not None:
+    if errors:
         raise errors[0]
     return results[0]
 
-
-def _drop(live: np.ndarray, failed: dict[int, IntegratorError],
-          errors: list[IntegratorError | None]) -> np.ndarray:
-    """Record the error of each failed position of live; the rows left."""
-    for pos, exc in failed.items():
-        errors[live[pos]] = exc
-    return np.delete(live, list(failed))

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import analysis, pressure, truncation
 from .basis import analyze, build_space, suggest_grid, synthesize, symmetric_gradient
-from .constitutive import ConstitutiveParams, eval_stress, growth_bounds_check, monotonicity_gap
-from .galerkin import Problem, SdeStepConfig, run_trajectory, trilinear_convection
+from .constitutive import ConstitutiveParams, growth_bounds_check, monotonicity_gap
+from .galerkin import Problem, SdeStepConfig, run_trajectory
 from .noise import NoiseModel, growth_bound_holds, mode_decay_bound_holds
 
 SUITES = ("constitutive", "basis", "noise", "truncation", "pressure", "ito", "energy")

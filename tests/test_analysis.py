@@ -4,7 +4,7 @@ import pytest
 from powerlaw_spde import analysis, galerkin
 from powerlaw_spde.basis import build_space, suggest_grid
 from powerlaw_spde.constitutive import ConstitutiveParams
-from powerlaw_spde.galerkin import IntegratorError, Problem, SdeStepConfig, run_trajectory, step
+from powerlaw_spde.galerkin import SCHEMES, IntegratorError, Problem, SdeStepConfig, run_trajectory
 from powerlaw_spde.noise import NoiseModel
 
 
@@ -164,26 +164,26 @@ def test_grid_studies_replace_only_alpha(monkeypatch):
     assert runs == []
 
 
-def fail_seed(monkeypatch, seed, alpha=None):
-    """Make the batch row of one seed fail at step 3 with IntegratorError
+def fail_seed(monkeypatch, seed, alpha=None, at=3):
+    """Make the batch row of one seed fail at step `at` with IntegratorError
     (and, if given, only at one stabilization weight); the other rows of
-    the lockstep batch step on."""
+    the lockstep batch step on.  Calls stack, each adding one failure."""
     batch = {"seeds": []}  # the seeds of the ensemble batch being stepped
+    inner_run, inner_step = analysis.run_trajectory, galerkin.step
 
     def run(problem, seed=None, **kwargs):
         batch["seeds"] = list(seed)
         try:
-            return run_trajectory(problem, seed=seed, **kwargs)
+            return inner_run(problem, seed=seed, **kwargs)
         finally:
             batch["seeds"] = []
 
     def failing_step(params, *args):
-        new, errors = step(params, *args)
+        new, errors = inner_step(params, *args)
         step_index = args[4]
-        if (step_index == 3 and seed in batch["seeds"]
+        if (step_index == at and seed in batch["seeds"]
                 and alpha in (None, params.alpha)):
-            # no row has left the batch before step 3
-            errors[batch["seeds"].index(seed)] = IntegratorError("injected", 3, residual=0.5)
+            errors[batch["seeds"].index(seed)] = IntegratorError("injected", at, residual=0.5)
         return new, errors
 
     monkeypatch.setattr(analysis, "run_trajectory", run)
@@ -205,6 +205,27 @@ def test_run_ensemble_masks_integrator_failures(monkeypatch):
     assert report.as_dict()["partial"] is True
     with pytest.raises(analysis.EnsembleError, match="1 of 2 trajectories completed, need 2"):
         analysis.ensemble_moments(problem, 6, 2)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_failed_rows_keep_their_seeds(monkeypatch, scheme):
+    # row b holds seed b for the whole run: two rows fail at different
+    # steps, the later one in a higher row, and each record names its own
+    # seed; every other row is bit-identical to its seed run alone
+    problem = Problem(ConstitutiveParams(p=1.8, alpha=0.1, d=2), make_space(),
+                      NoiseModel(family="linear", K=4, d=2), None,
+                      np.array([1.0, 0.5, 0.0, 0.0]), SdeStepConfig(dt=0.01, scheme=scheme), 8)
+    fail_seed(monkeypatch, 21, at=3)
+    fail_seed(monkeypatch, 23, at=5)
+    trajs, failures = analysis.run_ensemble(problem, 20, 5)
+    assert failures == [{"seed": 21, "step": 3, "residual": 0.5, "error": "step 3: injected"},
+                        {"seed": 23, "step": 5, "residual": 0.5, "error": "step 5: injected"}]
+    assert [t.seed for t in trajs] == [20, 22, 24]
+    for traj in trajs:
+        alone = run_trajectory(problem, seed=traj.seed)
+        for name in ("coeffs", "increments", "stress_diss", "stab_int", "force_work",
+                     "grad_lp", "vel_rq", "mart", "qv"):
+            assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
 
 
 def test_run_ensemble_propagates_other_errors(monkeypatch):

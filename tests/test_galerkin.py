@@ -188,10 +188,11 @@ def test_schemes_agree_to_first_order(advance):
     assert diffs[1] < 0.3 * diffs[0]
 
 
-def test_newton_failure_reports_residual(advance):
+def test_newton_failure_reports_residual(advance, monkeypatch):
     space = make_space()
     params = ConstitutiveParams(p=3.0, d=2)
-    cfg = SdeStepConfig(dt=50.0, scheme="semi_implicit", newton_max_iter=1)
+    cfg = SdeStepConfig(dt=50.0, scheme="semi_implicit")
+    monkeypatch.setattr(galerkin, "NEWTON_MAX_ITER", 1)
     with pytest.raises(IntegratorError) as err:
         advance(params, space, 10.0 * np.ones(4), cfg, step_index=3)
     assert err.value.residual is not None and err.value.residual > 0.0
@@ -211,7 +212,7 @@ def test_newton_completes_steps_converged_to_round_off(advance, d, N, p, alpha, 
     rhs = c0 + dt * convection_force(space, synthesize(space, c0))
     fields = galerkin._implicit_fields(params, space, new)
     grad = galerkin._implicit_gradient(params, space, new, rhs, dt, fields)
-    assert np.linalg.norm(grad) <= cfg.newton_tol * np.linalg.norm(rhs)
+    assert np.linalg.norm(grad) <= galerkin.NEWTON_TOL * np.linalg.norm(rhs)
     assert np.linalg.norm(new) <= np.linalg.norm(rhs)  # a proximal step
 
 
@@ -251,8 +252,6 @@ def test_step_config_validation():
         SdeStepConfig(dt=0.0)
     with pytest.raises(ValueError):
         SdeStepConfig(dt=0.01, scheme="midpoint")
-    with pytest.raises(ValueError):
-        SdeStepConfig(dt=0.01, newton_tol=0.0)
 
 
 @pytest.mark.parametrize("v0", [[np.nan, 0.0, 0.0, 0.0], [1.0, 0.0]],
@@ -363,8 +362,9 @@ def test_lockstep_rows_match_single_runs(family, scheme, seeds):
         assert np.array_equal(row.increments, alone.increments)
 
 
-def test_failing_row_leaves_the_batch():
-    # seed 0 diverges at step 12; the other rows finish as they do alone
+def test_failing_row_is_masked():
+    # seed 0 diverges at step 12 and rides on as a zero row; the other rows
+    # finish as they do alone
     space = make_space(8)
     params = ConstitutiveParams(p=3.0, d=2)
     model = NoiseModel(family="linear", K=16, d=2)
@@ -380,3 +380,19 @@ def test_failing_row_leaves_the_batch():
         assert np.array_equal(rows[seed].coeffs, alone.coeffs)
     with pytest.raises(ValueError):  # an explicit path drives one trajectory
         run_trajectory(problem, seed=[1, 2], path=WienerPath.generate(1, 1.0, 16, 20))
+
+
+@pytest.mark.parametrize("path, field", [
+    (WienerPath.generate(1, 1.0, 4, 10), "dt"),
+    (WienerPath.generate(1, 0.01, 4, 3), "n_steps"),
+    (WienerPath.generate(1, 0.01, 6, 10), "K"),
+], ids=["dt", "n_steps", "K"])
+def test_explicit_path_must_match_the_problem(path, field):
+    problem = Problem(ConstitutiveParams(p=2.0, d=2), make_space(),
+                      NoiseModel(family="linear", K=4, d=2), None,
+                      np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.01), 10)
+    with pytest.raises(ValueError, match=rf"path {field} = "):
+        run_trajectory(problem, seed=1, path=path)
+    # a longer path, or a coarsened one whose dt is dt_fine * factor, drives it
+    run_trajectory(problem, seed=1, path=WienerPath.generate(1, 0.01, 4, 12))
+    run_trajectory(problem, seed=1, path=WienerPath.generate(1, 0.01 / 3, 4, 30).coarsen(3))
