@@ -5,7 +5,7 @@ from .basis import GalerkinSpace, WaveMode, analyze, build_space, suggest_grid, 
 from .config import SimulationConfig
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress, monotonicity_gap, stress_potential
 from .galerkin import Problem, SdeStepConfig, Trajectory, run_trajectory, step
-from .noise import NoiseModel, WienerPath, apply_phi, eval_g, u0_norm
+from .noise import NoiseModel, WienerPath, apply_phi, u0_norm
 from .truncation import TruncationFamily
 
 __all__ = [
@@ -15,7 +15,7 @@ __all__ = [
     "ConstitutiveParams", "eval_stabilizer", "eval_stress",
     "monotonicity_gap", "stress_potential",
     "Problem", "SdeStepConfig", "Trajectory", "run_trajectory", "step",
-    "NoiseModel", "WienerPath", "apply_phi", "eval_g", "u0_norm",
+    "NoiseModel", "WienerPath", "apply_phi", "u0_norm",
     "TruncationFamily",
 ]
 

@@ -229,14 +229,6 @@ def stabilization_convergence(problem: Problem, base_seed: int, n_traj: int,
     return rows
 
 
-def interpolation_diagnostic(traj: Trajectory) -> float:
-    """int_Q |v|^r0 / [ (sup ||v||^2)^(p/d) * int_Q |grad v|^p + 1 ]."""
-    params = traj.problem.params
-    num = traj.vel_rq_time_integral()
-    den = traj.sup_energy() ** (params.p / params.d) * traj.grad_lp_time_integral() + 1.0
-    return num / den
-
-
 def refinement_orders(residuals: list[float]) -> list[float]:
     """Empirical convergence orders log2(r_i / r_{i+1}) for a dt-halving grid."""
     return [float(np.log2(a / b)) for a, b in zip(residuals[:-1], residuals[1:])]

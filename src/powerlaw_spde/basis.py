@@ -145,12 +145,6 @@ class GalerkinSpace:
         return 0.5 * (self.grad_tensors + np.swapaxes(self.grad_tensors, -1, -2))
 
     @cached_property
-    def wavevectors(self) -> np.ndarray:
-        """Integer wavevectors of the grid in np.fft order, shape (M,)*d + (d,)."""
-        k = (np.arange(self.M) + self.M // 2) % self.M - self.M // 2
-        return np.stack(np.meshgrid(*([k] * self.d), indexing="ij"), axis=-1)
-
-    @cached_property
     def mode_fields(self) -> np.ndarray:
         """Dense samples of all modes, shape (N, M^d, d)."""
         return self.value_profiles[:, :, None] * self.pols[:, None, :]
@@ -274,7 +268,3 @@ def symmetric_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     """Shear-rate tensor eps(v) at every grid point, shape (M^d, d, d), or
     (M^d, n, d, d) for a block (n, N)."""
     return _transform(space.deriv_profiles, _check_coeffs(space, coeffs), space.strain_tensors)
-
-
-def l2_norm(space: GalerkinSpace, values: np.ndarray) -> float:
-    return float(np.sqrt(space.quad_weight * np.sum(values ** 2)))

@@ -178,6 +178,8 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SimulationConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config", f"must be a JSON object, got {data!r:.40}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -186,8 +188,12 @@ class SimulationConfig:
 
     @classmethod
     def load(cls, path) -> "SimulationConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON
+            raise ConfigError("config", f"cannot load {path}: {exc}") from None
+        return cls.from_dict(data)
 
     def dump(self, path) -> None:
         with open(path, "w") as fh:

@@ -397,12 +397,12 @@ def run_trajectory(
     """Integrate the Galerkin SDE and record the energy bookkeeping.
 
     A path may be supplied directly (e.g. a coarsened refinement of a fine
-    path), and must fit the problem's dt, K and n_steps (ValueError
-    otherwise); without one it is generated from the seed.  With a sequence of
-    seeds the trajectories from problem.v0 step in lockstep, each on the
-    path of its seed, and the result is a list with, per seed, its
-    Trajectory or the IntegratorError that ended it; a single seed returns
-    its Trajectory or raises.
+    path), and must fit the problem's noise model, dt, K and n_steps
+    (ValueError otherwise); without one it is generated from the seed.
+    With a sequence of seeds the trajectories from problem.v0 step in
+    lockstep, each on the path of its seed, and the result is a list with,
+    per seed, its Trajectory or the IntegratorError that ended it; a single
+    seed returns its Trajectory or raises.
     """
     params, space, model, forcing = problem.params, problem.space, problem.model, problem.forcing
     cfg, n_steps = problem.cfg, problem.n_steps
@@ -410,6 +410,8 @@ def run_trajectory(
     seeds = list(seed) if batched else [seed]
     if batched and path is not None:
         raise ValueError("an explicit Wiener path drives a single trajectory")
+    if model is None and path is not None:
+        raise ValueError("an explicit Wiener path needs a noise model; the problem has none")
     increments = None
     if model is not None:
         if path is None and None in seeds:

@@ -102,17 +102,6 @@ def _all_g(model: NoiseModel, xi: np.ndarray) -> np.ndarray:
     return a * model.amplitude * np.sqrt(1.0 + mag_sq) * u
 
 
-def eval_g(model: NoiseModel, k: int, xi: np.ndarray) -> np.ndarray:
-    """Coefficient function g_k evaluated at velocity values xi.
-
-    xi may be a single d-vector or an array (..., d); the result has the
-    same shape.
-    """
-    if not 1 <= k <= model.K:
-        raise ValueError(f"mode index {k} out of range 1..{model.K}")
-    return _all_g(model, xi)[k - 1]
-
-
 def apply_phi(model: NoiseModel, space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
     """Per-mode grid fields Phi(v) e_k, shape (K, M^d, ..., d), from the
     samples of v, shape (M^d, ..., d) (batch axes between grid and component)."""
@@ -158,17 +147,12 @@ class WienerPath:
             inc[step] = rng.standard_normal(K) * np.sqrt(dt)
         return cls(seed=seed, dt=dt, K=K, n_steps=n_steps, increments=inc)
 
-    @classmethod
-    def from_increments(cls, seed: int, dt: float, increments: np.ndarray) -> "WienerPath":
-        increments = np.asarray(increments, dtype=float)
-        return cls(seed=seed, dt=dt, K=increments.shape[1],
-                   n_steps=increments.shape[0], increments=increments)
-
     def coarsen(self, factor: int) -> "WienerPath":
         """Aggregate consecutive increments; couples refinements of one path."""
         n = (self.n_steps // factor) * factor
         agg = self.increments[:n].reshape(-1, factor, self.K).sum(axis=1)
-        return WienerPath.from_increments(self.seed, self.dt * factor, agg)
+        return WienerPath(seed=self.seed, dt=self.dt * factor, K=self.K,
+                          n_steps=len(agg), increments=agg)
 
 
 def growth_bound_holds(model: NoiseModel, xi: np.ndarray, L: float | None = None) -> bool:

@@ -10,18 +10,24 @@ mean-zero field is identically zero, so
     pi_h   = 0,
 
 all of zero spatial mean, because the symbol of lap^-1 drops the zero mode.
-Each operator is its Fourier symbol applied between one forward and one
-inverse FFT over the grid axes, all batch and component axes at once, with
-the integer wavevectors cached on the space.  The sign conventions are
-pinned by requiring the extended weak identity (tested against gradient
-fields) to hold exactly; see weak_residual.
+Each operator is its Fourier symbol applied between one real transform
+pair over the grid axes (np.fft.rfftn / irfftn), all batch and component
+axes at once.  The symbols live on the half spectrum, integer wavevectors in
+np.fft order with the last grid axis cut to its first M//2+1 bins, and are
+built once per (d, M).  On an even grid two rules keep them exact: the
+Nyquist bin carries the wavenumber -M/2, and each symbol s is replaced by
+its Hermitian part (s(k) + conj s(-k mod M)) / 2, so an odd symbol (a first
+derivative) drops the Nyquist wavenumber, which is its own negative mod M.
+The sign conventions are pinned by requiring the extended weak identity
+(tested against gradient fields) to hold exactly; see weak_residual.
 
 decompose, weak_residual and estimate_check read the space, parameters,
 noise and body force from the galerkin.Problem that each trajectory
 carries.  decompose and weak_residual take a trajectory in chunks of at most
 _CHUNK_POINTS grid points x steps, time being a batch axis between the grid
 and component axes: a chunk's velocity is (M^d, n, d) and its flux (H1, H2)
-(M^d, n, 2, d, d), one transform call per field and one FFT pair per operator.
+(M^d, n, 2, d, d), one transform call per field and one real FFT pair per
+operator.
 
 The flux H is assembled from a trajectory as
 
@@ -33,6 +39,7 @@ and is invisible to mean-zero test fields, is dropped).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,66 +57,82 @@ from .noise import apply_phi
 _CHUNK_POINTS = 1024
 
 
-def _fft(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
-    """Transform of a flattened field (M^d, ...) over its grid axes."""
+@functools.cache
+def _half_symbol(symbol, d: int, M: int) -> np.ndarray:
+    """Hermitian part of symbol(k) on the half spectrum of the M^d grid (see
+    above), shape (M,)*(d-1) + (M//2+1,) + out + in."""
+    k = (np.arange(M) + M // 2) % M - M // 2
+    k = np.stack(np.meshgrid(*[k] * (d - 1), k[:M // 2 + 1], indexing="ij"), axis=-1)
+    # -k mod M as a wavevector: a Nyquist component is its own negative
+    out = 0.5 * (symbol(k) + np.conj(symbol(np.where(2 * k == -M, k, -k))))
+    out.flags.writeable = False
+    return out
+
+
+def _apply_symbol(space: GalerkinSpace, values: np.ndarray, symbol, n_in: int) -> np.ndarray:
+    """symbol applied to a flattened real field (M^d, ..., *in) with n_in
+    input component axes: one rfftn over the grid axes, the product with the
+    cached half-spectrum symbol summed over the input axes, one irfftn;
+    shape (M^d, ..., *out)."""
+    d, axes = space.d, tuple(range(space.d))
     values = np.asarray(values, dtype=float)
-    return np.fft.fftn(values.reshape(space.grid_shape + values.shape[1:]),
-                       axes=tuple(range(space.d)))
+    hat = np.fft.rfftn(values.reshape(space.grid_shape + values.shape[1:]), axes=axes)
+    sym = _half_symbol(symbol, d, space.M)
+    n_batch, n_out = hat.ndim - d - n_in, sym.ndim - d - n_in
+    hat = sym.reshape(sym.shape[:d] + (1,) * n_batch + sym.shape[d:]) * hat.reshape(
+        hat.shape[:d + n_batch] + (1,) * n_out + hat.shape[d + n_batch:])
+    if n_in:
+        hat = np.sum(hat, axis=tuple(range(-n_in, 0)))
+    out = np.fft.irfftn(hat, s=space.grid_shape, axes=axes)
+    return out.reshape((-1,) + out.shape[d:])
 
 
-def _ifft(space: GalerkinSpace, hat: np.ndarray) -> np.ndarray:
-    """Real part of the inverse transform, flattened back to (M^d, ...)."""
-    out = np.real(np.fft.ifftn(hat, axes=tuple(range(space.d))))
-    return out.reshape((-1,) + out.shape[space.d:])
+# The Fourier symbols of the operators at integer wavevectors k (..., d).
+def _inverse_laplacian_symbol(k):
+    k_sq = np.sum(k ** 2, axis=-1)
+    return np.divide(-1.0, k_sq, out=np.zeros(k_sq.shape), where=k_sq > 0)
 
 
-def _batched(space: GalerkinSpace, symbol: np.ndarray, hat: np.ndarray, n_comp: int) -> np.ndarray:
-    """symbol (grid + component axes) shaped to broadcast over the batch axes of hat."""
-    batch = (1,) * (hat.ndim - space.d - n_comp)
-    return symbol.reshape(symbol.shape[:space.d] + batch + symbol.shape[space.d:])
+def _laplacian_symbol(k):
+    return -np.sum(k ** 2, axis=-1)
+
+
+def _gradient_symbol(k):
+    return 1j * k
+
+
+def _hessian_symbol(k):
+    return -k[..., :, None] * k[..., None, :]
 
 
 def inverse_laplacian(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
     """lap^-1 of a flattened field (M^d, ...), per component; the zero
     mode is dropped, so the output is mean-zero."""
-    hat = _fft(space, values)
-    k_sq = np.sum(space.wavevectors ** 2, axis=-1)
-    k_sq[(0,) * space.d] = 1
-    hat /= -k_sq.reshape(k_sq.shape + (1,) * (hat.ndim - space.d))
-    hat[(0,) * space.d] = 0.0
-    return _ifft(space, hat)
+    return _apply_symbol(space, values, _inverse_laplacian_symbol, 0)
 
 
 def laplacian(space: GalerkinSpace, scalar: np.ndarray) -> np.ndarray:
     """lap of a flattened scalar field (M^d, ...)."""
-    hat = _fft(space, scalar)
-    return _ifft(space, hat * _batched(space, -np.sum(space.wavevectors ** 2, axis=-1), hat, 0))
+    return _apply_symbol(space, scalar, _laplacian_symbol, 0)
 
 
 def gradient_scalar(space: GalerkinSpace, scalar: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a flattened scalar field, shape (M^d, ..., d)."""
-    hat = _fft(space, scalar)[..., None]
-    return _ifft(space, 1j * _batched(space, space.wavevectors, hat, 1) * hat)
+    """Spectral gradient of a flattened field (M^d, ...), shape (M^d, ..., d):
+    of a vector field (M^d, ..., d), [..., i, j] = d_j v_i."""
+    return _apply_symbol(space, scalar, _gradient_symbol, 0)
 
 
-def _field_gradient(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
-    """Spectral gradient of a sampled vector field, shape (M^d, ..., d, d)."""
-    hat = _fft(space, values)[..., :, None]
-    return _ifft(space, 1j * _batched(space, space.wavevectors[..., None, :], hat, 2) * hat)
+_field_gradient = gradient_scalar
 
 
 def divergence_vector(space: GalerkinSpace, vec: np.ndarray) -> np.ndarray:
     """Spectral divergence of a flattened vector field (M^d, ..., d)."""
-    hat = _fft(space, vec)
-    return _ifft(space, np.sum(1j * _batched(space, space.wavevectors, hat, 1) * hat, axis=-1))
+    return _apply_symbol(space, vec, _gradient_symbol, 1)
 
 
 def div_div_tensor(space: GalerkinSpace, mat: np.ndarray) -> np.ndarray:
     """d_i d_j H_ij for a flattened tensor field (M^d, ..., d, d)."""
-    k = space.wavevectors
-    hat = _fft(space, mat)
-    symbol = _batched(space, -k[..., :, None] * k[..., None, :], hat, 2)
-    return _ifft(space, np.sum(symbol * hat, axis=(-2, -1)))
+    return _apply_symbol(space, mat, _hessian_symbol, 2)
 
 
 def solve_pi_H(space: GalerkinSpace, H: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ class TruncationFamily:
             raise ValueError("level count must be nonnegative")
 
 
-def eval_psi(fam: TruncationFamily, s) -> np.ndarray:
+def eval_psi(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValueError("profile argument must be nonnegative")
@@ -45,7 +45,7 @@ def eval_psi(fam: TruncationFamily, s) -> np.ndarray:
     return 1.0 - np.polynomial.polynomial.polyval(t, _SMOOTH)
 
 
-def eval_psi_prime(fam: TruncationFamily, s) -> np.ndarray:
+def eval_psi_prime(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
     mask = (s > 1.0) & (s < 2.0)
@@ -61,7 +61,7 @@ def eval_Psi_L(fam: TruncationFamily, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     total = np.zeros_like(s)
     for level in range(1, fam.L + 1):
-        total += eval_psi(fam, 2.0 ** -level * s)
+        total += eval_psi(2.0 ** -level * s)
     return total
 
 
@@ -70,7 +70,7 @@ def eval_Psi_L_prime(fam: TruncationFamily, s) -> np.ndarray:
     total = np.zeros_like(s)
     for level in range(1, fam.L + 1):
         delta = 2.0 ** -level
-        total += delta * eval_psi_prime(fam, delta * s)
+        total += delta * eval_psi_prime(delta * s)
     return total
 
 
@@ -104,8 +104,7 @@ def chain_rule_constant() -> float:
     2 * 15/8 = 15/4 <= 4.
     """
     t = np.linspace(1.0, 2.0, 20001)
-    fam = TruncationFamily(L=1)
-    return float(np.max(t * np.abs(eval_psi_prime(fam, t))))
+    return float(np.max(t * np.abs(eval_psi_prime(t))))
 
 
 def gradient_bound_ratio(fam: TruncationFamily, space: GalerkinSpace, coeffs: np.ndarray) -> float:

@@ -257,17 +257,6 @@ def test_stabilization_convergence_pairs_by_seed(monkeypatch):
     assert [(f["m"], f["seed"]) for f in row["failed_trajectories"]] == [(10.0, 11)]
 
 
-def test_interpolation_diagnostic_bounded():
-    space = make_space()
-    params = ConstitutiveParams(p=2.0, d=2)
-    model = NoiseModel(family="linear", K=4, d=2)
-    cfg = SdeStepConfig(dt=0.01)
-    traj = run_trajectory(Problem(params, space, model, None,
-                                  np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20), seed=2)
-    val = analysis.interpolation_diagnostic(traj)
-    assert 0.0 <= val < np.inf
-
-
 def test_refinement_orders():
     assert np.allclose(analysis.refinement_orders([4.0, 2.0, 1.0]), [1.0, 1.0])
     assert np.allclose(analysis.refinement_orders([1.0, 0.25]), [2.0])

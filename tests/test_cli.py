@@ -82,6 +82,21 @@ def test_mistyped_or_non_finite_config_exits_two(tmp_path, capsys, override, fld
     assert f"'{fld}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document", ["[]", "3", "null", "{\"N\": 4", "\xff",
+                                      "[" * 10 ** 5 + "]" * 10 ** 5, None],
+                         ids=["list", "number", "null", "unparsable", "not-utf8", "deep", "missing"])
+def test_malformed_config_document_exits_two(tmp_path, capsys, document):
+    # a top level other than an object, unparsable JSON, bytes that are not
+    # UTF-8, nesting deeper than the parser's recursion limit and a missing
+    # file used to end in a traceback
+    path = tmp_path / "config.json"
+    if document is not None:
+        path.write_bytes(document.encode("latin-1"))
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "'config'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "ensemble", "pressure"])
 def test_grid_below_oversampling_bound_exits_two(tmp_path, capsys, command):
     # N = 12 needs M >= 5; M = 4 used to end in a ValueError traceback

@@ -172,7 +172,7 @@ _KEYS = st.sampled_from(sorted(SimulationConfig.__dataclass_fields__)) | st.text
 
 
 @settings(max_examples=300)
-@given(data=st.dictionaries(_KEYS, _JSON, max_size=8))
+@given(data=st.dictionaries(_KEYS, _JSON, max_size=8) | _JSON)
 def test_any_json_dict_gives_a_valid_config_or_config_error(data):
     try:
         cfg = SimulationConfig.from_dict(data)

@@ -396,3 +396,13 @@ def test_explicit_path_must_match_the_problem(path, field):
     # a longer path, or a coarsened one whose dt is dt_fine * factor, drives it
     run_trajectory(problem, seed=1, path=WienerPath.generate(1, 0.01, 4, 12))
     run_trajectory(problem, seed=1, path=WienerPath.generate(1, 0.01 / 3, 4, 30).coarsen(3))
+
+
+def test_explicit_path_without_noise_model_is_refused(call_counter):
+    # the path used to be ignored: the run took its steps without noise
+    problem = Problem(ConstitutiveParams(p=2.0, d=2), make_space(), None, None,
+                      np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.01), 10)
+    steps = call_counter(galerkin, "step")
+    with pytest.raises(ValueError, match="needs a noise model"):
+        run_trajectory(problem, path=WienerPath.generate(1, 0.01, 3, 10))
+    assert steps == {"step": 0}

@@ -31,3 +31,15 @@ def test_unused_imports_are_found():
                                           if p.name != "__init__.py"))
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_all_lists_exactly_the_reexports():
+    # a removed export must not leave a stale __all__ entry behind, which
+    # would break `from powerlaw_spde import *`
+    import powerlaw_spde
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert sorted(powerlaw_spde.__all__) == sorted(imported)
+    assert len(set(powerlaw_spde.__all__)) == len(powerlaw_spde.__all__)

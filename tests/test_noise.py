@@ -8,7 +8,6 @@ from powerlaw_spde.noise import (
     NoiseModel,
     WienerPath,
     apply_phi,
-    eval_g,
     growth_bound_holds,
     hilbert_schmidt_norm_sq,
     mode_decay_bound_holds,
@@ -30,35 +29,35 @@ def test_default_per_mode_scale_is_geometric():
     assert np.allclose(model.per_mode_scale, 2.0 ** -np.arange(1, 6))
 
 
+def grid_values(d, value):
+    """A space of dimension d and the constant velocity value (d,) sampled
+    on its grid, shape (M^d, d)."""
+    space = build_space(d, 2, suggest_grid(d, 2))
+    return space, np.broadcast_to(np.asarray(value, dtype=float), (space.M ** d, d))
+
+
 def test_additive_family_is_state_independent():
     model = NoiseModel(family="additive", K=4, d=2, amplitude=3.0)
-    xi = np.random.default_rng(0).standard_normal((10, 2))
-    g1 = eval_g(model, 1, xi)
-    assert np.allclose(g1, np.broadcast_to([1.5, 0.0], (10, 2)))  # a_1 c0 e1
-    g2 = eval_g(model, 2, xi)
-    assert np.allclose(g2, np.broadcast_to([0.0, 0.75], (10, 2)))  # axes cycle
+    space = build_space(2, 2, suggest_grid(2, 2))
+    xi = np.random.default_rng(0).standard_normal((space.M ** 2, 2))
+    phi = apply_phi(model, space, xi)
+    assert np.allclose(phi[0], np.broadcast_to([1.5, 0.0], xi.shape))  # a_1 c0 e1
+    assert np.allclose(phi[1], np.broadcast_to([0.0, 0.75], xi.shape))  # axes cycle
 
 
 def test_linear_family_vanishes_at_origin():
     model = NoiseModel(family="linear", K=4, d=3)
-    assert np.all(eval_g(model, 2, np.zeros(3)) == 0.0)
-    xi = np.array([2.0, -4.0, 6.0])
-    assert np.allclose(eval_g(model, 3, xi), 2.0 ** -3 * xi)
+    space, zero = grid_values(3, np.zeros(3))
+    assert np.all(apply_phi(model, space, zero)[1] == 0.0)
+    space, xi = grid_values(3, [2.0, -4.0, 6.0])
+    assert np.allclose(apply_phi(model, space, xi)[2], 2.0 ** -3 * xi)
 
 
 def test_smooth_norm_family_value():
     model = NoiseModel(family="smooth_norm", K=4, d=2)
-    xi = np.array([1.0, 0.0])
-    g1 = eval_g(model, 1, xi)
-    assert np.allclose(g1, [0.5 * np.sqrt(2.0), 0.0], atol=1e-14)
-
-
-def test_eval_g_index_range():
-    model = NoiseModel(family="linear", K=4, d=2)
-    with pytest.raises(ValueError):
-        eval_g(model, 0, np.zeros(2))
-    with pytest.raises(ValueError):
-        eval_g(model, 5, np.zeros(2))
+    space, xi = grid_values(2, [1.0, 0.0])
+    g1 = apply_phi(model, space, xi)[0]
+    assert np.allclose(g1, np.broadcast_to([0.5 * np.sqrt(2.0), 0.0], xi.shape), atol=1e-14)
 
 
 @pytest.mark.parametrize("family", ["additive", "linear", "smooth_norm"])
@@ -94,7 +93,6 @@ def test_apply_phi_shape_and_mismatch():
                         "linear": a * xi,
                         "smooth_norm": a * 1.5 * root * u}[family]
             assert np.array_equal(phi[k - 1], expected)
-            assert np.array_equal(eval_g(model, k, xi), expected)
     with pytest.raises(ValueError):
         apply_phi(model, space, np.zeros((3, 2)))
 
@@ -173,10 +171,7 @@ def test_noise_fields_mix_the_generator_fields(family, d, K, amplitude, seed):
     model = NoiseModel(family=family, K=K, d=d, amplitude=amplitude)
     generators, mix = model.generators
     assert generators.K <= min(K, d) and mix.shape == (generators.K, K)
-    xi = 5.0 * np.random.default_rng(seed).standard_normal((7, 3, d))
-    fields = np.einsum("rk,r...->k...", mix, eval_g_all(generators, xi))
-    np.testing.assert_allclose(fields, eval_g_all(model, xi), rtol=1e-14, atol=0.0)
-
-
-def eval_g_all(model, xi):
-    return np.stack([eval_g(model, k, xi) for k in range(1, model.K + 1)])
+    space = build_space(d, 2, suggest_grid(d, 2))
+    xi = 5.0 * np.random.default_rng(seed).standard_normal((space.M ** d, 3, d))
+    fields = np.einsum("rk,r...->k...", mix, apply_phi(generators, space, xi))
+    np.testing.assert_allclose(fields, apply_phi(model, space, xi), rtol=1e-14, atol=0.0)

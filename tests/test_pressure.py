@@ -337,7 +337,7 @@ def chunk_steps(space):
 def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypatch):
     # with noise and a stabilizer, each chunk of steps lifts the zero-order
     # term (2 operator calls), solves pi_H for the stacked flux parts (2) and
-    # updates pi_Phi (2): six operators, each one fftn and one ifftn
+    # updates pi_Phi (2): six operators, each one rfftn and one irfftn
     traj = run_small(alpha=0.2, n_steps=8)
     space = traj.problem.space
     monkeypatch.setattr(pressure, "_CHUNK_POINTS", 3 * space.M ** space.d)
@@ -345,10 +345,10 @@ def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypat
     assert n_chunks == 3
     helper_calls = call_counter(pressure, *HELPERS)
     flux_calls = call_counter(pressure, "assemble_H")
-    fft_calls = call_counter(np.fft, "fftn", "ifftn")
+    fft_calls = call_counter(np.fft, "rfftn", "irfftn")
     pressure.decompose(traj)
     assert sum(helper_calls.values()) == 6 * n_chunks
-    assert fft_calls == {"fftn": 6 * n_chunks, "ifftn": 6 * n_chunks}
+    assert fft_calls == {"rfftn": 6 * n_chunks, "irfftn": 6 * n_chunks}
     assert flux_calls == {"assemble_H": n_chunks}
 
 
@@ -363,12 +363,27 @@ def test_decompose_calls_the_traced_spans(call_counter):
     assert sum(helper_calls.values()) >= 1
 
 
-def test_wavevector_grid_is_built_once():
-    space = make_space(M=10)
-    k = space.wavevectors
-    assert k.shape == (10, 10, 2) and k.dtype.kind == "i"
-    assert np.array_equal(k[:, 0, 0], np.fft.fftfreq(10, 0.1).astype(int))
-    assert space.wavevectors is k
+def test_symbols_are_built_once_per_grid():
+    # the half spectrum of an even grid ends at the Nyquist bin of its last
+    # axis; that bin's wavenumber -M/2 enters the even symbols, and the odd
+    # ones drop it on every axis
+    grad = pressure._half_symbol(pressure._gradient_symbol, 2, 10)
+    lap = pressure._half_symbol(pressure._laplacian_symbol, 2, 10)
+    assert grad.shape == (10, 6, 2) and lap.shape == (10, 6)
+    assert not np.any(grad.real)
+    assert np.array_equal(grad[0, :, 1].imag, [0, 1, 2, 3, 4, 0])
+    assert np.array_equal(grad[:, 0, 0].imag, [0, 1, 2, 3, 4, 0, -4, -3, -2, -1])
+    assert (lap[0, 5], lap[5, 5]) == (-25.0, -50.0)
+    # each symbol is built at the first call on a grid and shared by every
+    # space on that grid
+    pressure._half_symbol.cache_clear()
+    rng = np.random.default_rng(5)
+    for space in (make_space(M=10), make_space(N=4, M=10)):
+        values = rng.standard_normal((100, 2))
+        pressure.inverse_laplacian(space, pressure.divergence_vector(space, values))
+        pressure.gradient_scalar(space, values)
+    info = pressure._half_symbol.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 def test_estimate_check_reads_the_decomposition(call_counter, monkeypatch):

@@ -17,37 +17,34 @@ from powerlaw_spde.truncation import (
 
 
 def test_profile_plateau_and_support():
-    fam = TruncationFamily(L=1)
-    assert eval_psi(fam, 0.5) == 1.0
-    assert eval_psi(fam, 1.0) == 1.0
-    assert eval_psi(fam, 2.0) == 0.0
-    assert eval_psi(fam, 2.5) == 0.0
-    assert abs(eval_psi(fam, 1.5) - 0.5) < 1e-15  # smoothstep midpoint
+    assert eval_psi(0.5) == 1.0
+    assert eval_psi(1.0) == 1.0
+    assert eval_psi(2.0) == 0.0
+    assert eval_psi(2.5) == 0.0
+    assert abs(eval_psi(1.5) - 0.5) < 1e-15  # smoothstep midpoint
 
 
 def test_profile_rejects_negative_argument():
     with pytest.raises(ValueError):
-        eval_psi(TruncationFamily(L=1), -0.1)
+        eval_psi(-0.1)
     with pytest.raises(ValueError):
         TruncationFamily(L=-1)
 
 
 def test_profile_derivative_bound():
-    fam = TruncationFamily(L=1)
     s = np.linspace(0.0, 3.0, 30001)
-    dpsi = eval_psi_prime(fam, s)
+    dpsi = eval_psi_prime(s)
     assert np.all(dpsi <= 0.0)
     assert np.max(-dpsi) <= 15.0 / 8.0 + 1e-12
     # quintic smoothstep: extreme slope attained at the midpoint
-    assert abs(-eval_psi_prime(fam, np.array([1.5]))[0] - 15.0 / 8.0) < 1e-12
+    assert abs(-eval_psi_prime(np.array([1.5]))[0] - 15.0 / 8.0) < 1e-12
 
 
 def test_profile_derivative_matches_finite_differences():
-    fam = TruncationFamily(L=1)
     s = np.linspace(1.05, 1.95, 19)
     h = 1e-6
-    fd = (eval_psi(fam, s + h) - eval_psi(fam, s - h)) / (2.0 * h)
-    assert np.max(np.abs(fd - eval_psi_prime(fam, s))) < 1e-8
+    fd = (eval_psi(s + h) - eval_psi(s - h)) / (2.0 * h)
+    assert np.max(np.abs(fd - eval_psi_prime(s))) < 1e-8
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 5, 10])
@@ -62,10 +59,10 @@ def test_Psi_L_plateau_and_support(L):
 def test_Psi_L_explicit_sum_value():
     fam = TruncationFamily(L=3)
     s = 5.0
-    expect = sum(float(eval_psi(fam, s / 2.0 ** level)) for level in (1, 2, 3))
+    expect = sum(float(eval_psi(s / 2.0 ** level)) for level in (1, 2, 3))
     assert abs(float(eval_Psi_L(fam, s)) - expect) < 1e-14
     # at s = 5 only the level-2 summand is in transition
-    assert abs(expect - (1.0 + float(eval_psi(fam, 1.25)))) < 1e-14
+    assert abs(expect - (1.0 + float(eval_psi(1.25)))) < 1e-14
 
 
 def test_Psi_L_monotone_in_L():
