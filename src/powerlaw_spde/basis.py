@@ -18,9 +18,16 @@ polynomials resolved by the grid.  Because each mode is a scalar profile
 times a constant vector, the basis is stored as two (N, M^d) scalar
 profile tables plus per-mode constants, and every transform is a matrix
 product on those tables (see GalerkinSpace).
+
+The profile tables are the real and imaginary parts of exp(i xi . x),
+built as products of rows of fourier_table(M), one row per axis at
+xi_j mod M.  The table reduces each phase k*m mod M before exp, so no
+entry carries the round-off of a large phase; the per-axis DFT matrices of
+the pressure operators are read from the same table.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,6 +36,16 @@ from functools import cached_property
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+
+@functools.cache
+def fourier_table(M: int) -> np.ndarray:
+    """exp(2 pi i k m / M) for k, m in 0..M-1, shape (M, M), symmetric and
+    read-only; the phase k*m is reduced mod M before exp."""
+    k = np.arange(M)
+    table = np.exp(2j * np.pi * (np.outer(k, k) % M) / M)
+    table.flags.writeable = False
+    return table
 
 
 def _is_canonical(xi: tuple[int, ...]) -> bool:
@@ -188,13 +205,16 @@ def build_space(d: int, N: int, M: int) -> GalerkinSpace:
     points = np.stack([g.ravel() for g in grids], axis=-1)  # (M^d, d)
 
     amp = np.sqrt(2.0) / TWO_PI ** (d / 2.0)
-    xis = np.array([m.xi for m in modes], dtype=float)
+    xis = np.array([m.xi for m in modes])
     pols = np.array([m.pol for m in modes])
-    phase = xis @ points.T  # (N, M^d)
+    # exp(i xi . x) on the grid (N, M^d): one table row per axis, outer products
+    table = fourier_table(M)
+    wave = table[xis[:, 0] % M]
+    for j in range(1, d):
+        wave = (wave[:, :, None] * table[xis[:, j] % M][:, None, :]).reshape(N, -1)
     is_cos = np.array([m.parity == "cos" for m in modes])[:, None]
-    cos, sin = np.cos(phase), np.sin(phase)
-    values = amp * np.where(is_cos, cos, sin)
-    derivs = amp * np.where(is_cos, -sin, cos)
+    values = amp * np.where(is_cos, wave.real, wave.imag)
+    derivs = amp * np.where(is_cos, -wave.imag, wave.real)
 
     return GalerkinSpace(
         d=d, N=N, M=M, modes=tuple(modes), points=points,

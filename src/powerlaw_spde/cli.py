@@ -46,9 +46,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, data, indent: int | None = 2) -> None:
+    # json.dumps, unlike json.dump, takes the C encoder when indent is None
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=indent)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=indent) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -149,14 +149,20 @@ def cmd_report(args) -> int:
     if not found:
         print(f"no reports under {out}", file=sys.stderr)
         return 1
+    code = 0
     for path in found:
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON
+            print(f"{path.name}: unreadable ({exc})")
+            code = 1
+            continue
         status = ""
         if isinstance(data, dict) and "passed" in data:
             status = "PASS" if data["passed"] else "FAIL"
         print(f"{path.name}: {status}")
-    return 0
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -184,6 +184,23 @@ def test_report_command(tmp_path, capsys):
     assert "verify_basis.json: PASS" in text
 
 
+def test_report_lists_unreadable_files_and_exits_one(tmp_path, capsys):
+    # a file that is not JSON, or not UTF-8, or a directory named *.json,
+    # used to end the listing in a traceback
+    out = tmp_path / "all"
+    main(["verify", "--suite", "basis", "--out", str(out)])
+    (out / "bad.json").write_text("{not json")
+    (out / "latin.json").write_bytes(b"\xff")
+    (out / "dir.json").mkdir()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("bad.json: unreadable (Expecting property name")
+    assert lines[1].startswith("dir.json: unreadable (")
+    assert lines[2].startswith("latin.json: unreadable (")
+    assert "verify_basis.json: PASS" in lines
+
+
 def test_report_empty_directory(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path / "empty")]) == 1
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from powerlaw_spde.basis import (
@@ -77,8 +77,17 @@ def dense_hessian(params, space, coeffs, dt):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_dense_views_are_the_sampled_modes(d):
-    space = make_space(d)
+@settings(max_examples=25)
+@given(n_modes=st.integers(1, 64), extra=st.integers(0, 6))
+@example(n_modes=None, extra=None)
+def test_dense_views_are_the_sampled_modes(d, n_modes, extra):
+    # the profiles, built from rows of the Fourier table, against cos/sin of
+    # the full phase: on the module's space (the explicit example) and on
+    # drawn spaces from the oversampling bound 2 kmax + 1 up
+    if n_modes is None:
+        space = make_space(d)
+    else:
+        space = build_space(d, n_modes, suggest_grid(d, n_modes, factor=2) + extra)
     amp = np.sqrt(2.0) / (2.0 * np.pi) ** (d / 2.0)
     for n, mode in enumerate(space.modes):
         xi, pol = np.asarray(mode.xi, dtype=float), np.asarray(mode.pol)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from powerlaw_spde import pressure
 from powerlaw_spde.basis import build_space, suggest_grid, symmetric_gradient, synthesize
@@ -47,45 +47,87 @@ def test_gradient_and_divergence_are_adjoint():
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(rhs))
 
 
+def per_component_oracle(space):
+    """The operators with one complex fftn per scalar component: laplacian,
+    inverse_laplacian and gradient of a scalar (M^d,), divergence of a
+    vector (M^d, d) and div div of a tensor (M^d, d, d)."""
+    d = space.d
+    ks = np.meshgrid(*([np.fft.fftfreq(space.M, 1.0 / space.M)] * d), indexing="ij")
+    k_sq = sum(k ** 2 for k in ks)
+
+    def fft(f):
+        return np.fft.fftn(f.reshape(space.grid_shape))
+
+    def ifft(hat):
+        return np.real(np.fft.ifftn(hat)).ravel()
+
+    def lap(f):
+        return ifft(-k_sq * fft(f))
+
+    def inv_lap(f):
+        return ifft(np.where(k_sq == 0, 0.0, fft(f) / np.where(k_sq == 0, 1.0, -k_sq)))
+
+    def grad(f):
+        return np.stack([ifft(1j * k * fft(f)) for k in ks], axis=-1)
+
+    def div(v):
+        return ifft(sum(1j * ks[j] * fft(v[:, j]) for j in range(d)))
+
+    def div_div(h):
+        return ifft(sum(-ks[i] * ks[j] * fft(h[:, i, j]) for i in range(d) for j in range(d)))
+
+    return lap, inv_lap, grad, div, div_div
+
+
 def test_operators_match_per_component_transforms():
     # the reference applies each symbol with one transform per component
     rng = np.random.default_rng(8)
     for space in operator_spaces():
         d, n_pts = space.d, space.M ** space.d
-        ks = np.meshgrid(*([np.fft.fftfreq(space.M, 1.0 / space.M)] * d), indexing="ij")
-        k_sq = sum(k ** 2 for k in ks)
-
-        def fft(f):
-            return np.fft.fftn(f.reshape(space.grid_shape))
-
-        def ifft(hat):
-            return np.real(np.fft.ifftn(hat)).ravel()
-
-        def inv_lap(f):
-            return ifft(np.where(k_sq == 0, 0.0, fft(f) / np.where(k_sq == 0, 1.0, -k_sq)))
-
-        def grad(f):
-            return np.stack([ifft(1j * k * fft(f)) for k in ks], axis=-1)
-
+        lap, inv_lap, grad, div, div_div = per_component_oracle(space)
         s = rng.standard_normal(n_pts)
         v = rng.standard_normal((n_pts, d))
         h = rng.standard_normal((n_pts, d, d))
         cases = [
-            (pressure.laplacian(space, s), ifft(-k_sq * fft(s))),
+            (pressure.laplacian(space, s), lap(s)),
             (pressure.inverse_laplacian(space, s), inv_lap(s)),
             (pressure.inverse_laplacian(space, v),
              np.stack([inv_lap(v[:, i]) for i in range(d)], axis=-1)),
             (pressure.gradient_scalar(space, s), grad(s)),
             (pressure._field_gradient(space, v),
              np.stack([grad(v[:, i]) for i in range(d)], axis=1)),
-            (pressure.divergence_vector(space, v),
-             ifft(sum(1j * ks[j] * fft(v[:, j]) for j in range(d)))),
-            (pressure.div_div_tensor(space, h),
-             ifft(sum(-ks[i] * ks[j] * fft(h[:, i, j]) for i in range(d) for j in range(d)))),
+            (pressure.divergence_vector(space, v), div(v)),
+            (pressure.div_div_tensor(space, h), div_div(h)),
         ]
         for got, expected in cases:
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@settings(max_examples=60)
+@given(d=st.sampled_from([2, 3]), M=st.integers(3, 16),
+       batch=st.lists(st.integers(1, 3), max_size=2), seed=st.integers(0, 2 ** 16))
+def test_operators_match_per_component_transforms_on_drawn_grids(d, M, batch, seed):
+    # odd and even grids (the per-axis DFT matrices and both Nyquist rules)
+    # and 0-2 batch axes, each batch slice against the oracle
+    assume(M ** d <= 4096)
+    space = build_space(d, 1, M)
+    lap, inv_lap, grad, div, div_div = per_component_oracle(space)
+    rng = np.random.default_rng(seed)
+    for operator, reference, comp in [
+        (pressure.laplacian, lap, ()),
+        (pressure.inverse_laplacian, inv_lap, ()),
+        (pressure.gradient_scalar, grad, ()),
+        (pressure.divergence_vector, div, (d,)),
+        (pressure.div_div_tensor, div_div, (d, d)),
+    ]:
+        values = rng.standard_normal((M ** d, *batch, *comp))
+        got = operator(space, values)
+        expected = np.stack([reference(values[(slice(None), *index)])
+                             for index in np.ndindex(*batch)], axis=1)
+        expected = expected.reshape(got.shape[:1] + tuple(batch) + got.shape[1 + len(batch):])
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_pi_H_constant_tensor_gives_zero():
@@ -337,7 +379,8 @@ def chunk_steps(space):
 def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypatch):
     # with noise and a stabilizer, each chunk of steps lifts the zero-order
     # term (2 operator calls), solves pi_H for the stacked flux parts (2) and
-    # updates pi_Phi (2): six operators, each one rfftn and one irfftn
+    # updates pi_Phi (2): six operators, each one symbol application, and
+    # the per-axis DFT matrices leave np.fft unused
     traj = run_small(alpha=0.2, n_steps=8)
     space = traj.problem.space
     monkeypatch.setattr(pressure, "_CHUNK_POINTS", 3 * space.M ** space.d)
@@ -345,10 +388,12 @@ def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypat
     assert n_chunks == 3
     helper_calls = call_counter(pressure, *HELPERS)
     flux_calls = call_counter(pressure, "assemble_H")
-    fft_calls = call_counter(np.fft, "rfftn", "irfftn")
+    symbol_calls = call_counter(pressure, "_apply_symbol")
+    fft_calls = call_counter(np.fft, *np.fft.__all__)
     pressure.decompose(traj)
     assert sum(helper_calls.values()) == 6 * n_chunks
-    assert fft_calls == {"rfftn": 6 * n_chunks, "irfftn": 6 * n_chunks}
+    assert symbol_calls == {"_apply_symbol": 6 * n_chunks}
+    assert not any(fft_calls.values())
     assert flux_calls == {"assemble_H": n_chunks}
 
 
