@@ -1,7 +1,7 @@
 """Spectral Galerkin simulation and verification for stochastic power-law
 fluids on the periodic torus."""
 
-from .basis import GalerkinSpace, WaveMode, analyze, build_space, suggest_grid, symmetric_gradient, synthesize
+from .basis import GalerkinSpace, analyze, build_space, suggest_grid, symmetric_gradient, synthesize
 from .config import SimulationConfig
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress, monotonicity_gap, stress_potential
 from .galerkin import Problem, SdeStepConfig, Trajectory, run_trajectory, step
@@ -9,8 +9,8 @@ from .noise import NoiseModel, WienerPath, apply_phi, u0_norm
 from .truncation import TruncationFamily
 
 __all__ = [
-    "GalerkinSpace", "WaveMode", "analyze", "build_space",
-    "suggest_grid", "symmetric_gradient", "synthesize",
+    "GalerkinSpace", "analyze", "build_space", "suggest_grid",
+    "symmetric_gradient", "synthesize",
     "SimulationConfig",
     "ConstitutiveParams", "eval_stabilizer", "eval_stress",
     "monotonicity_gap", "stress_potential",

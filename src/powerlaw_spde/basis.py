@@ -14,10 +14,11 @@ fields have zero spatial mean.
 
 Fields are sampled on a uniform collocation grid with M points per axis;
 inner products are trapezoidal sums, which are exact for trigonometric
-polynomials resolved by the grid.  Because each mode is a scalar profile
-times a constant vector, the basis is stored as two (N, M^d) scalar
-profile tables plus per-mode constants, and every transform is a matrix
-product on those tables (see GalerkinSpace).
+polynomials resolved by the grid.  The modes themselves are plain arrays,
+one row per mode: wavevectors, parities and polarizations.  Because each
+mode is a scalar profile times a constant vector, the basis is stored as
+two (N, M^d) scalar profile tables plus per-mode constants, and every
+transform is a matrix product on those tables (see GalerkinSpace).
 
 The profile tables are the real and imaginary parts of exp(i xi . x),
 built as products of rows of fourier_table(M), one row per axis at
@@ -80,38 +81,13 @@ def _polarizations(xi: tuple[int, ...]) -> list[tuple[float, ...]]:
     return [p1, _unit(_cross(v, p1))]
 
 
-@dataclass(frozen=True)
-class WaveMode:
-    """A single real divergence-free Fourier mode."""
-
-    xi: tuple[int, ...]
-    parity: str  # "cos" or "sin"
-    pol: tuple[float, ...]
-    pol_index: int = 0
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.xi):
-            raise ValueError("wavevector must be nonzero")
-        if self.parity not in ("cos", "sin"):
-            raise ValueError(f"unknown parity {self.parity!r}")
-        dot = sum(p * c for p, c in zip(self.pol, self.xi))
-        if abs(dot) > 1e-12:
-            raise ValueError("polarization not orthogonal to wavevector")
-        norm = sum(p * p for p in self.pol)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("polarization not unit length")
-
-    @property
-    def eigenvalue(self) -> float:
-        """Stokes eigenvalue, |xi|^2 on the torus."""
-        return float(sum(c * c for c in self.xi))
-
-
-def _enumerate_modes(d: int, count: int) -> list[WaveMode]:
-    """The first `count` modes in (eigenvalue, xi, parity, pol) order.
+def _enumerate_modes(d: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first `count` modes in (eigenvalue, xi, parity, pol) order, as
+    integer wavevectors xis (count, d), parities is_cos (count,) and unit
+    polarizations pols (count, d).
 
     The ball of wavevectors grows until it holds `count` modes; the modes
-    are ordered by key first, so only the retained ones are constructed.
+    are ordered by key first, so only the retained ones get polarizations.
     """
     n_pol = d - 1
     radius = 1
@@ -124,17 +100,21 @@ def _enumerate_modes(d: int, count: int) -> list[WaveMode]:
     keys = sorted((sum(c * c for c in vec), vec, parity, i)
                   for vec in vecs for parity in ("cos", "sin") for i in range(n_pol))[:count]
     pols = {vec: _polarizations(vec) for vec in dict.fromkeys(key[1] for key in keys)}
-    return [WaveMode(vec, parity, pols[vec][i], i) for _, vec, parity, i in keys]
+    return (np.array([vec for _, vec, _, _ in keys]),
+            np.array([parity == "cos" for _, _, parity, _ in keys]),
+            np.array([pols[vec][i] for _, vec, _, i in keys]))
 
 
 @dataclass(frozen=True)
 class GalerkinSpace:
     """Immutable span of the first N Stokes eigenmodes plus its grid.
 
-    Every mode is a scalar profile times a constant vector, so the basis is
-    stored in factored form: the value profiles a_n(x) = amp {cos|sin}(xi_n.x)
-    and derivative profiles b_n(x) on the collocation grid, plus the
-    per-mode polarizations pol_n and gradient tensors G_n = pol_n (x) xi_n.
+    The modes are arrays: wavevectors xis, parities is_cos (cos or sin) and
+    polarizations pols, one row per mode.  Every mode is a scalar profile
+    times a constant vector, so the basis is stored in factored form: the
+    value profiles a_n(x) = amp {cos|sin}(xi_n.x) and derivative profiles
+    b_n(x) on the collocation grid, plus the per-mode polarizations pol_n and
+    gradient tensors G_n = pol_n (x) xi_n.
     Then w_n = a_n pol_n, grad w_n = b_n G_n and eps(w_n) = b_n sym(G_n),
     and every transform is a GEMM on an (N, M^d) profile table followed by
     a small contraction with the per-mode constants.  The dense tables
@@ -144,7 +124,8 @@ class GalerkinSpace:
     d: int
     N: int
     M: int
-    modes: tuple[WaveMode, ...]
+    xis: np.ndarray = field(repr=False)             # (N, d) integer wavevectors
+    is_cos: np.ndarray = field(repr=False)          # (N,) cos profile, else sin
     points: np.ndarray = field(repr=False)          # (M^d, d)
     value_profiles: np.ndarray = field(repr=False)  # (N, M^d); w_n = a_n pol_n
     deriv_profiles: np.ndarray = field(repr=False)  # (N, M^d); grad w_n = b_n G_n
@@ -154,7 +135,8 @@ class GalerkinSpace:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return np.array([m.eigenvalue for m in self.modes])
+        """Stokes eigenvalues |xi_n|^2 on the torus, shape (N,)."""
+        return np.sum(self.xis ** 2, axis=1).astype(float)
 
     @cached_property
     def strain_tensors(self) -> np.ndarray:
@@ -192,8 +174,8 @@ def build_space(d: int, N: int, M: int) -> GalerkinSpace:
         raise ValueError(f"dimension must be 2 or 3, got {d}")
     if N < 1:
         raise ValueError("need at least one mode")
-    modes = _enumerate_modes(d, N)
-    kmax = max(max(abs(c) for c in m.xi) for m in modes)
+    xis, is_cos, pols = _enumerate_modes(d, N)
+    kmax = int(np.abs(xis).max())
     if M < 2 * kmax + 1:
         raise ValueError(
             f"grid resolution M={M} below oversampling bound {2 * kmax + 1} "
@@ -205,19 +187,16 @@ def build_space(d: int, N: int, M: int) -> GalerkinSpace:
     points = np.stack([g.ravel() for g in grids], axis=-1)  # (M^d, d)
 
     amp = np.sqrt(2.0) / TWO_PI ** (d / 2.0)
-    xis = np.array([m.xi for m in modes])
-    pols = np.array([m.pol for m in modes])
     # exp(i xi . x) on the grid (N, M^d): one table row per axis, outer products
     table = fourier_table(M)
     wave = table[xis[:, 0] % M]
     for j in range(1, d):
         wave = (wave[:, :, None] * table[xis[:, j] % M][:, None, :]).reshape(N, -1)
-    is_cos = np.array([m.parity == "cos" for m in modes])[:, None]
-    values = amp * np.where(is_cos, wave.real, wave.imag)
-    derivs = amp * np.where(is_cos, -wave.imag, wave.real)
+    values = amp * np.where(is_cos[:, None], wave.real, wave.imag)
+    derivs = amp * np.where(is_cos[:, None], -wave.imag, wave.real)
 
     return GalerkinSpace(
-        d=d, N=N, M=M, modes=tuple(modes), points=points,
+        d=d, N=N, M=M, xis=xis, is_cos=is_cos, points=points,
         value_profiles=values, deriv_profiles=derivs, pols=pols,
         grad_tensors=pols[:, :, None] * xis[:, None, :],
         quad_weight=(TWO_PI / M) ** d,
@@ -226,8 +205,8 @@ def build_space(d: int, N: int, M: int) -> GalerkinSpace:
 
 def suggest_grid(d: int, N: int, factor: int = 3) -> int:
     """Grid resolution resolving products of `factor` modes exactly."""
-    kmax = max(max(abs(c) for c in m.xi) for m in _enumerate_modes(d, N))
-    return factor * kmax + 1
+    xis, _, _ = _enumerate_modes(d, N)
+    return factor * int(np.abs(xis).max()) + 1
 
 
 def _check_coeffs(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:

@@ -16,6 +16,10 @@ from .galerkin import IntegratorError, run_trajectory
 FLOAT_FMT = "%.17g"
 
 
+class OutputDirError(Exception):
+    """--out names a path that cannot be made a directory (exit 2)."""
+
+
 def _load_config(args) -> SimulationConfig:
     cfg = SimulationConfig.load(args.config) if args.config else SimulationConfig()
     if getattr(args, "seed", None) is not None:
@@ -36,6 +40,16 @@ def _parse_grid(text: str, name: str, positive: bool) -> list[float]:
     return values
 
 
+def _output_dir(path: str) -> Path:
+    """The --out directory, created after validation and before any run."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputDirError(f"--out {path!r}: cannot create the directory ({exc.strerror})") from None
+    return out
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -53,9 +67,9 @@ def _write_json(path: Path, data, indent: int | None = 2) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    traj = run_trajectory(cfg.build_problem(), seed=cfg.seed)
+    problem = cfg.build_problem()
+    out = _output_dir(args.out)
+    traj = run_trajectory(problem, seed=cfg.seed)
 
     energy = traj.energy()
     rows = [(float(traj.times[0]), float(energy[0]), 0.0, 0.0, 0.0)] + [
@@ -91,8 +105,7 @@ def cmd_ensemble(args) -> int:
         for m in m_grid:
             dataclasses.replace(cfg, alpha=0.0, m=m)
     problem = cfg.build_problem()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
 
     if args.alpha_grid is not None:
         rows = analysis.alpha_independence_study(problem, cfg.seed, cfg.n_traj, alphas)
@@ -117,25 +130,22 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = verify.run_suite(args.suite)
-    except KeyError:
+    if args.suite not in verify.SUITES:
         print(f"unknown suite {args.suite!r}; choose from {verify.SUITES}", file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        with open(Path(args.out) / f"verify_{args.suite}.json", "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    out = _output_dir(args.out) if args.out else None
+    report = verify.run_suite(args.suite)
+    if out is not None:
+        _write_json(out / f"verify_{args.suite}.json", report)
+    print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 1
 
 
 def cmd_pressure(args) -> int:
     cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trajs, failures = analysis.run_ensemble(cfg.build_problem(), cfg.seed, cfg.n_traj)
+    problem = cfg.build_problem()
+    out = _output_dir(args.out)
+    trajs, failures = analysis.run_ensemble(problem, cfg.seed, cfg.n_traj)
     report = pressure_mod.estimate_check(trajs)
     report.update(analysis.failure_summary(failures))
     _write_json(out / "pressure.json", report)
@@ -204,7 +214,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OutputDirError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     except (IntegratorError, analysis.EnsembleError) as exc:

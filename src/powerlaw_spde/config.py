@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import GalerkinSpace, build_space, suggest_grid, synthesize
 from .constitutive import ConstitutiveParams, minimal_q
-from .galerkin import Problem, SdeStepConfig
+from .galerkin import SCHEMES, Problem, SdeStepConfig
 from .noise import FAMILIES, NoiseModel
 
 SCHEMA_VERSION = 1
@@ -124,7 +124,7 @@ class SimulationConfig:
         if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigError("T_end", f"must be a whole multiple of dt={self.dt}, "
                                        f"got T_end/dt = {steps!r}")
-        if self.scheme not in ("euler_maruyama", "semi_implicit"):
+        if self.scheme not in SCHEMES:
             raise ConfigError("scheme", f"unknown scheme {self.scheme!r}")
         if self.noise_family is not None and self.noise_family not in FAMILIES:
             raise ConfigError("noise_family", f"unknown family {self.noise_family!r}")
@@ -140,6 +140,9 @@ class SimulationConfig:
                               f"must be a mode index in 1..N={self.N}, got {self.forcing_mode_index}")
         if self.initial not in ("coeffs", "single_mode"):
             raise ConfigError("initial", f"unknown initial data {self.initial!r}")
+        if self.initial == "single_mode" and list(self.initial_coeffs) != [1.0]:
+            raise ConfigError("initial_coeffs", "is ignored by initial 'single_mode' (v0 = "
+                                                f"initial_scale e_1), got {self.initial_coeffs!r}")
         if self.n_traj < 1:
             raise ConfigError("n_traj", "need at least one trajectory")
         if self.seed < 0:

@@ -40,7 +40,7 @@ class NoiseModel:
     family: str
     K: int = 16
     d: int = 2
-    amplitude: float = 1.0  # the c0 prefactor of the additive family
+    amplitude: float = 1.0  # the c0 prefactor of the additive and smooth_norm families
     per_mode_scale: np.ndarray | None = None
 
     def __post_init__(self):
@@ -128,14 +128,25 @@ class WienerPath:
 
     Each step's K-vector of N(0, dt) draws is generated from an independent
     counter-derived stream, so paths for different steps can be produced in
-    any order or in parallel.
+    any order or in parallel.  The increments (n_steps, K) fix both sizes.
     """
 
     seed: int
     dt: float
-    K: int
-    n_steps: int
     increments: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "increments", np.asarray(self.increments, dtype=float))
+        if self.increments.ndim != 2:
+            raise ValueError(f"increments must be (n_steps, K), got shape {self.increments.shape}")
+
+    @property
+    def n_steps(self) -> int:
+        return self.increments.shape[0]
+
+    @property
+    def K(self) -> int:
+        return self.increments.shape[1]
 
     @classmethod
     def generate(cls, seed: int, dt: float, K: int, n_steps: int) -> "WienerPath":
@@ -145,33 +156,29 @@ class WienerPath:
         for step in range(n_steps):
             rng = np.random.default_rng((int(seed), int(step)))
             inc[step] = rng.standard_normal(K) * np.sqrt(dt)
-        return cls(seed=seed, dt=dt, K=K, n_steps=n_steps, increments=inc)
+        return cls(seed=seed, dt=dt, increments=inc)
 
     def coarsen(self, factor: int) -> "WienerPath":
         """Aggregate consecutive increments; couples refinements of one path."""
         n = (self.n_steps // factor) * factor
         agg = self.increments[:n].reshape(-1, factor, self.K).sum(axis=1)
-        return WienerPath(seed=self.seed, dt=self.dt * factor, K=self.K,
-                          n_steps=len(agg), increments=agg)
+        return WienerPath(seed=self.seed, dt=self.dt * factor, increments=agg)
 
 
-def growth_bound_holds(model: NoiseModel, xi: np.ndarray, L: float | None = None) -> bool:
-    """Check sum_k |g_k(xi)| <= L (1+|xi|) for a batch of states (..., d)."""
-    if L is None:
-        L = model.growth_constant
+def growth_bound_holds(model: NoiseModel, xi: np.ndarray) -> bool:
+    """Check sum_k |g_k(xi)| <= L (1+|xi|), L = model.growth_constant, for states (..., d)."""
     xi = np.asarray(xi, dtype=float)
     total = np.sum(np.linalg.norm(_all_g(model, xi), axis=-1), axis=0)
     mag = np.linalg.norm(xi, axis=-1)
-    return bool(np.all(total <= L * (1.0 + mag) + 1e-12))
+    return bool(np.all(total <= model.growth_constant * (1.0 + mag) + 1e-12))
 
 
-def mode_decay_bound_holds(model: NoiseModel, xi: np.ndarray, c: float | None = None) -> bool:
+def mode_decay_bound_holds(model: NoiseModel, xi: np.ndarray) -> bool:
     """Check sup_k k^2 |g_k(xi)|^2 <= c (1+|xi|^2)."""
     k_sq = np.arange(1, model.K + 1) ** 2
-    if c is None:
-        # k^2 a_k^2 <= max_k k^2 4^-k = 1/4 at k = 1 or 2 for the default
-        # scale; amplitude and the family profile enter quadratically.
-        c = float(np.max(k_sq * model.per_mode_scale ** 2)) * max(1.0, model.amplitude ** 2)
+    # k^2 a_k^2 <= max_k k^2 4^-k = 1/4 at k = 1 or 2 for the default
+    # scale; amplitude and the family profile enter quadratically.
+    c = float(np.max(k_sq * model.per_mode_scale ** 2)) * max(1.0, model.amplitude ** 2)
     xi = np.asarray(xi, dtype=float)
     mag_sq = np.sum(xi ** 2, axis=-1)
     g_sq = np.sum(_all_g(model, xi) ** 2, axis=-1)  # (K, ...)

@@ -27,8 +27,9 @@ with the last grid axis cut to its first H bins, and are built once per
 (d, M).  On an even grid two rules keep them exact: the Nyquist bin carries
 the wavenumber -M/2, and each symbol s is replaced by its Hermitian part
 (s(k) + conj s(-k mod M)) / 2, so an odd symbol (a first derivative) drops
-the Nyquist wavenumber, which is its own negative mod M.  The sign conventions are pinned by requiring the extended weak identity
-(tested against gradient fields) to hold exactly; see weak_residual.
+the Nyquist wavenumber, which is its own negative mod M.  The sign
+conventions are pinned by requiring the extended weak identity (tested
+against gradient fields) to hold exactly; see weak_residual.
 
 decompose, weak_residual and estimate_check read the space, parameters,
 noise and body force from the galerkin.Problem that each trajectory
@@ -332,11 +333,11 @@ def weak_residual(traj: Trajectory, decomposition: PressureDecomposition,
     return abs(res)
 
 
-def estimate_check(trajectories: list[Trajectory], s: float | None = None) -> dict:
+def estimate_check(trajectories: list[Trajectory]) -> dict:
     """Monte Carlo left/right sides of the three pressure estimates over
     trajectories of one Problem (ValueError otherwise).
 
-    Uses s = p' by default.  Reports the empirical ratio of each estimate;
+    Uses s = p'.  Reports the empirical ratio of each estimate;
     the harmonic part is identically zero on the torus.  max_abs_mean is the
     largest spatial mean of pi_H or pi_Phi over every trajectory and step.
     """
@@ -346,8 +347,7 @@ def estimate_check(trajectories: list[Trajectory], s: float | None = None) -> di
     if any(traj.problem is not problem for traj in trajectories):
         raise ValueError("trajectories of different problems")
     space, params = problem.space, problem.params
-    if s is None:
-        s = params.p / (params.p - 1.0)
+    s = params.p / (params.p - 1.0)
     w = space.quad_weight
     lhs_H, rhs_H, lhs_Phi, rhs_Phi = [], [], [], []
     max_abs_mean = 0.0

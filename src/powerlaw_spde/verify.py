@@ -32,14 +32,14 @@ def _random_symmetric(rng, n, d):
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def suite_constitutive(n_pairs: int = 10_000) -> list[dict]:
+def suite_constitutive() -> list[dict]:
     rng = np.random.default_rng(7)
     checks = []
     for p in (1.2, 1.6, 2.0, 2.5, 3.0):
         for d in (2, 3):
             params = ConstitutiveParams(p=p, d=d)
-            e1 = _random_symmetric(rng, n_pairs, d)
-            e2 = _random_symmetric(rng, n_pairs, d)
+            e1 = _random_symmetric(rng, 10_000, d)
+            e2 = _random_symmetric(rng, 10_000, d)
             gap = monotonicity_gap(params, e1, e2)
             checks.append(_check(f"monotonicity_p{p}_d{d}", 1e-12, -float(np.min(gap))))
             ok = growth_bounds_check(params, e1)
@@ -54,13 +54,13 @@ def suite_constitutive(n_pairs: int = 10_000) -> list[dict]:
     return checks
 
 
-def suite_basis(N: int = 32) -> list[dict]:
-    space = build_space(2, N, suggest_grid(2, N))
+def suite_basis() -> list[dict]:
+    space = build_space(2, 32, suggest_grid(2, 32))
     checks = []
     gram = space.quad_weight * np.einsum(
         "nxd,mxd->nm", space.mode_fields, space.mode_fields
     )
-    checks.append(_check("orthonormality", 1e-10, np.max(np.abs(gram - np.eye(N)))))
+    checks.append(_check("orthonormality", 1e-10, np.max(np.abs(gram - np.eye(32)))))
     div = np.einsum("nxii->nx", space.mode_grads)
     checks.append(_check("solenoidality", 1e-10, np.max(np.abs(div))))
     lam = space.eigenvalues
@@ -69,21 +69,21 @@ def suite_basis(N: int = 32) -> list[dict]:
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(16):
-        c = rng.standard_normal(N)
+        c = rng.standard_normal(32)
         worst = max(worst, float(np.max(np.abs(analyze(space, synthesize(space, c)) - c))))
     checks.append(_check("round_trip", 1e-12, worst))
-    eps = symmetric_gradient(space, rng.standard_normal((16, N)))
+    eps = symmetric_gradient(space, rng.standard_normal((16, 32)))
     worst = float(np.max(np.abs(np.trace(eps, axis1=-2, axis2=-1))))
     checks.append(_check("eps_trace_free", 1e-10, worst))
     return checks
 
 
-def suite_noise(n_states: int = 2000) -> list[dict]:
+def suite_noise() -> list[dict]:
     rng = np.random.default_rng(11)
     checks = []
     for family in ("additive", "linear", "smooth_norm"):
         model = NoiseModel(family=family, K=16, d=2)
-        xi = 10.0 * rng.standard_normal((n_states, 2))
+        xi = 10.0 * rng.standard_normal((2000, 2))
         ok1 = growth_bound_holds(model, xi)
         ok2 = mode_decay_bound_holds(model, xi)
         checks.append(_check(f"linear_growth_{family}", 0.0, 0.0 if ok1 else 1.0))

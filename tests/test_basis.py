@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from powerlaw_spde.basis import (
-    WaveMode,
+    _enumerate_modes,
     analyze,
     build_space,
     suggest_grid,
@@ -29,8 +29,8 @@ def test_rejects_undersampled_grid():
 
 def test_single_mode_has_unit_eigenvalue():
     space = build_space(2, 1, 5)
-    assert space.modes[0].eigenvalue == 1.0
-    assert space.modes[0].xi in ((1, 0), (0, 1))
+    assert space.eigenvalues[0] == 1.0
+    assert tuple(space.xis[0]) in ((1, 0), (0, 1))
 
 
 def test_mode_count_up_to_lambda_two():
@@ -48,13 +48,15 @@ def test_eigenvalues_sorted_and_at_least_one():
     assert np.all(np.diff(lam) >= 0.0)
 
 
-def test_wave_mode_invariants():
-    with pytest.raises(ValueError):
-        WaveMode((0, 0), "cos", (1.0, 0.0))
-    with pytest.raises(ValueError):
-        WaveMode((1, 0), "cos", (1.0, 0.0))  # not orthogonal
-    with pytest.raises(ValueError):
-        WaveMode((1, 0), "cos", (0.0, 2.0))  # not unit
+@given(d=st.sampled_from([2, 3]), N=st.integers(1, 300))
+def test_enumerated_modes_are_canonical_with_unit_orthogonal_polarizations(d, N):
+    xis, is_cos, pols = _enumerate_modes(d, N)
+    assert xis.shape == pols.shape == (N, d) and is_cos.shape == (N,)
+    # one representative per {xi, -xi}: nonzero, first nonzero entry positive
+    first = xis[np.arange(N), np.argmax(xis != 0, axis=1)]
+    assert np.all(first > 0)
+    assert np.all(np.abs(np.sum(pols ** 2, axis=1) - 1.0) <= 1e-12)
+    assert np.all(np.abs(np.sum(pols * xis, axis=1)) <= 1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -161,12 +163,11 @@ def test_symmetric_gradient_matches_finite_differences():
                 xs = x.copy()
                 xs[j] += sign * h
                 v = np.zeros(2)
-                for n, mode in enumerate(space.modes):
-                    xi = np.asarray(mode.xi, dtype=float)
-                    pol = np.asarray(mode.pol)
+                for n in range(space.N):
+                    xi = space.xis[n].astype(float)
                     amp = np.sqrt(2.0) / (2.0 * np.pi)
-                    f = np.cos(xs @ xi) if mode.parity == "cos" else np.sin(xs @ xi)
-                    v += c[n] * amp * f * pol
+                    f = np.cos(xs @ xi) if space.is_cos[n] else np.sin(xs @ xi)
+                    v += c[n] * amp * f * space.pols[n]
                 fd[:, j] += sign * v / (2.0 * h)
         fd_sym = 0.5 * (fd + fd.T)
         assert np.max(np.abs(eps[idx] - fd_sym)) < 1e-6

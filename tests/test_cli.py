@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from powerlaw_spde import galerkin, verify
 from powerlaw_spde.cli import main
 from powerlaw_spde.config import SimulationConfig
 from powerlaw_spde.noise import FAMILIES
@@ -121,6 +122,23 @@ def test_verify_known_suite(tmp_path):
     report = json.loads((out / "verify_constitutive.json").read_text())
     assert report["passed"] is True
     assert all("tolerance" in c and "max_deviation" in c for c in report["checks"])
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+@pytest.mark.parametrize("command", ["simulate", "ensemble", "pressure", "verify"])
+def test_unusable_out_exits_two_before_any_run(tmp_path, capsys, call_counter, command, below):
+    # --out on or below an existing file used to end in a traceback, for
+    # verify only after the whole suite had run
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "x" if below else taken
+    args = (["verify", "--suite", "basis"] if command == "verify" else
+            [command, "--config", str(write_config(tmp_path, n_traj=2))])
+    runs = {**call_counter(galerkin, "step"), **call_counter(verify, "run_suite")}
+    assert main(args + ["--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert runs == {"step": 0, "run_suite": 0}
+    assert taken.read_text() == ""
 
 
 def test_verify_unknown_suite(capsys):

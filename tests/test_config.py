@@ -40,6 +40,7 @@ def test_field_validation_messages():
         ({"noise_family": "additive"}, "noise_family"),  # Sigma = 0 on the basis
         ({"forcing": "ramp"}, "forcing"),
         ({"initial": "random"}, "initial"),
+        ({"initial": "single_mode", "initial_coeffs": [0.5, 2.0, -1.0]}, "initial_coeffs"),
         ({"n_traj": 0}, "n_traj"),
         ({"forcing_mode_index": 0}, "forcing_mode_index"),
         ({"N": 4, "forcing_mode_index": 5}, "forcing_mode_index"),

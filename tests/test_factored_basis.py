@@ -89,10 +89,10 @@ def test_dense_views_are_the_sampled_modes(d, n_modes, extra):
     else:
         space = build_space(d, n_modes, suggest_grid(d, n_modes, factor=2) + extra)
     amp = np.sqrt(2.0) / (2.0 * np.pi) ** (d / 2.0)
-    for n, mode in enumerate(space.modes):
-        xi, pol = np.asarray(mode.xi, dtype=float), np.asarray(mode.pol)
+    for n in range(space.N):
+        xi, pol = space.xis[n].astype(float), space.pols[n]
         phase = space.points @ xi
-        val, dval = ((np.cos(phase), -np.sin(phase)) if mode.parity == "cos"
+        val, dval = ((np.cos(phase), -np.sin(phase)) if space.is_cos[n]
                      else (np.sin(phase), np.cos(phase)))
         grad = amp * dval[:, None, None] * np.outer(pol, xi)
         assert np.allclose(space.mode_fields[n], amp * val[:, None] * pol, rtol=0, atol=1e-13)

@@ -398,6 +398,22 @@ def test_explicit_path_must_match_the_problem(path, field):
     run_trajectory(problem, seed=1, path=WienerPath.generate(1, 0.01 / 3, 4, 30).coarsen(3))
 
 
+def test_hand_built_path_reports_its_shape():
+    # its sizes were fields of their own, free to contradict the increments:
+    # a 3-step path passed the checks and ended in an IndexError
+    path = WienerPath(seed=0, dt=0.01, increments=np.zeros((3, 4)))
+    assert (path.n_steps, path.K) == (3, 4)
+    problem = Problem(ConstitutiveParams(p=2.0, d=2), make_space(),
+                      NoiseModel(family="linear", K=4, d=2), None,
+                      np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.01), 10)
+    with pytest.raises(ValueError, match="path n_steps = 3 is fewer"):
+        run_trajectory(problem, path=path)
+    with pytest.raises(ValueError, match="path K = 6 differs"):
+        run_trajectory(problem, path=WienerPath(0, 0.01, np.zeros((10, 6))))
+    with pytest.raises(ValueError, match=r"increments must be \(n_steps, K\)"):
+        WienerPath(0, 0.01, np.zeros(10))
+
+
 def test_explicit_path_without_noise_model_is_refused(call_counter):
     # the path used to be ignored: the run took its steps without noise
     problem = Problem(ConstitutiveParams(p=2.0, d=2), make_space(), None, None,
