@@ -10,7 +10,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constitutive import ConstitutiveParams
 from .galerkin import (
     IntegratorError,
     Problem,
@@ -21,10 +20,9 @@ from .galerkin import (
 from .noise import WienerPath
 
 
-def moment_exponent(params: ConstitutiveParams) -> float:
+def moment_exponent(p: float, d: int) -> float:
     """beta = max{2(d+2)/d, p(d+2)/d}."""
-    d = params.d
-    return max(2.0 * (d + 2) / d, params.p * (d + 2) / d)
+    return max(2.0 * (d + 2) / d, p * (d + 2) / d)
 
 
 @dataclass
@@ -110,16 +108,17 @@ class EnergyReport:
 
 
 def report_from_trajectories(trajectories: list[Trajectory], beta: float | None = None) -> EnergyReport:
-    params = trajectories[0].problem.params
+    problem = trajectories[0].problem
+    p, d = problem.params.p, problem.space.d
     if beta is None:
-        beta = moment_exponent(params)
+        beta = moment_exponent(p, d)
     return EnergyReport(
         sup_l2_sq=np.array([t.sup_energy() for t in trajectories]),
         grad_lp=np.array([t.grad_lp_time_integral() for t in trajectories]),
         stab_lq=np.array([t.stab_time_integral() for t in trajectories]),
         interp_lr0=np.array([t.vel_rq_time_integral() for t in trajectories]),
         beta=beta,
-        r0=interpolation_exponent(params),
+        r0=interpolation_exponent(p, d),
     )
 
 

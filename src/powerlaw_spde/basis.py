@@ -203,10 +203,11 @@ def build_space(d: int, N: int, M: int) -> GalerkinSpace:
     )
 
 
-def suggest_grid(d: int, N: int, factor: int = 3) -> int:
-    """Grid resolution resolving products of `factor` modes exactly."""
+def suggest_grid(d: int, N: int) -> int:
+    """Grid resolution 3 kmax + 1, which resolves products of three modes
+    exactly (the cubic convection integrand)."""
     xis, _, _ = _enumerate_modes(d, N)
-    return factor * int(np.abs(xis).max()) + 1
+    return 3 * int(np.abs(xis).max()) + 1
 
 
 def _check_coeffs(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:

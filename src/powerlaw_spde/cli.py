@@ -131,7 +131,8 @@ def cmd_ensemble(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite not in verify.SUITES:
-        print(f"unknown suite {args.suite!r}; choose from {verify.SUITES}", file=sys.stderr)
+        print(f"unknown suite {args.suite!r}; choose from {', '.join(verify.SUITES)}",
+              file=sys.stderr)
         return 2
     out = _output_dir(args.out) if args.out else None
     report = verify.run_suite(args.suite)

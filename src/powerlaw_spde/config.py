@@ -212,7 +212,7 @@ class SimulationConfig:
                        self.build_initial(space), self.build_step_config(), self.n_steps)
 
     def build_params(self) -> ConstitutiveParams:
-        return ConstitutiveParams(p=self.p, nu0=self.nu0, q=self.q, alpha=self.alpha, d=self.d)
+        return ConstitutiveParams(p=self.p, nu0=self.nu0, q=self.q, alpha=self.alpha)
 
     def build_space(self) -> GalerkinSpace:
         # d and N are validated, so the grid bound on M is the one check left
@@ -224,8 +224,7 @@ class SimulationConfig:
     def build_noise(self) -> NoiseModel | None:
         if self.noise_family is None:
             return None
-        return NoiseModel(family=self.noise_family, K=self.K, d=self.d,
-                          amplitude=self.noise_amplitude)
+        return NoiseModel(family=self.noise_family, K=self.K, amplitude=self.noise_amplitude)
 
     def build_forcing(self, space: GalerkinSpace) -> np.ndarray | None:
         """The sampled steady body force (M^d, d), or None for zero forcing."""

@@ -28,7 +28,6 @@ class ConstitutiveParams:
     nu0: float = 1.0
     q: float | None = None
     alpha: float = 0.0
-    d: int = 2
 
     def __post_init__(self):
         if self.p <= 1.0:
@@ -37,8 +36,6 @@ class ConstitutiveParams:
             raise ValueError("viscosity coefficient must be positive")
         if self.alpha < 0.0:
             raise ValueError("stabilization weight must be nonnegative")
-        if self.d not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.d}")
         if self.q is None:
             object.__setattr__(self, "q", minimal_q(self.p))
         if self.alpha > 0.0 and self.q < minimal_q(self.p) - 1e-12:
@@ -46,10 +43,6 @@ class ConstitutiveParams:
                 f"stabilization exponent q={self.q} below admissible "
                 f"minimum {minimal_q(self.p)} for p={self.p}"
             )
-
-    @property
-    def admissible_for_existence(self) -> bool:
-        return self.p > existence_threshold(self.d)
 
 
 def _check_symmetric(eps: np.ndarray) -> np.ndarray:

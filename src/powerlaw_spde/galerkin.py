@@ -52,7 +52,7 @@ from .constitutive import (
     stabilizer_potential,
     stress_potential,
 )
-from .noise import NoiseModel, WienerPath, apply_phi
+from .noise import NoiseModel, WienerPath, apply_phi, generators
 
 SCHEMES = ("euler_maruyama", "semi_implicit")
 
@@ -132,10 +132,10 @@ def assemble_drift(
 def assemble_diffusion(model: NoiseModel, space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
     """N x K matrix Sigma_kl = int g_l(v) . w_k dx from the samples of v
     (M^d, d), or (B, N, K) from batched samples (M^d, B, d).  The K fields
-    mix r <= d generator fields (NoiseModel.generators), so r projections
-    and one (r, K) product build Sigma."""
-    generators, mix = model.generators
-    fields = np.moveaxis(apply_phi(generators, space, v), 0, -2)  # (M^d, ..., r, d)
+    mix the model's first r <= d fields (generators(model, space.d)), so r
+    projections and one (r, K) product build Sigma."""
+    gen, mix = generators(model, space.d)
+    fields = np.moveaxis(apply_phi(gen, space, v), 0, -2)  # (M^d, ..., r, d)
     return np.swapaxes(analyze(space, fields), -1, -2) @ mix
 
 
@@ -318,9 +318,6 @@ class Problem:
 
     def __post_init__(self):
         d, N = self.space.d, self.space.N
-        for name, part in (("params", self.params), ("model", self.model)):
-            if part is not None and part.d != d:
-                raise ValueError(f"{name}.d = {part.d} differs from space.d = {d}")
         if self.forcing is not None and np.shape(self.forcing) != (self.space.M ** d, d):
             raise ValueError(f"forcing must be sampled on the grid, shape "
                              f"({self.space.M ** d}, {d}), got {np.shape(self.forcing)}")
@@ -376,9 +373,9 @@ class Trajectory:
         return float(self.dt * np.sum(self.vel_rq))
 
 
-def interpolation_exponent(params: ConstitutiveParams) -> float:
+def interpolation_exponent(p: float, d: int) -> float:
     """r0 = p (d+2) / d, the parabolic interpolation exponent."""
-    return params.p * (params.d + 2) / params.d
+    return p * (d + 2) / d
 
 
 def _row_sums(values: np.ndarray) -> np.ndarray:
@@ -398,7 +395,9 @@ def run_trajectory(
 
     A path may be supplied directly (e.g. a coarsened refinement of a fine
     path), and must fit the problem's noise model, dt, K and n_steps
-    (ValueError otherwise); without one it is generated from the seed.
+    (ValueError otherwise); the trajectory records the path's seed, and a
+    seed given with it must equal it.  Without one the path is generated
+    from the seed.
     With a sequence of seeds the trajectories from problem.v0 step in
     lockstep, each on the path of its seed, and the result is a list with,
     per seed, its Trajectory or the IntegratorError that ended it; a single
@@ -417,6 +416,10 @@ def run_trajectory(
         if path is None and None in seeds:
             raise ValueError("need a seed or an explicit Wiener path")
         if path is not None:
+            if seed is not None and seed != path.seed:
+                raise ValueError(f"seed = {seed} differs from the explicit path's "
+                                 f"seed = {path.seed}")
+            seeds = [path.seed]
             # a coarsened path's dt, dt_fine * factor, may differ in the last bit
             if abs(path.dt - cfg.dt) > 1e-12 * cfg.dt:
                 raise ValueError(f"path dt = {path.dt} differs from the problem's dt = {cfg.dt}")
@@ -434,7 +437,7 @@ def run_trajectory(
     coeffs[:, 0] = problem.v0
     diagnostics = np.zeros((7, B, n_steps))
     errors: dict[int, IntegratorError] = {}  # the first error of each failed row
-    r0 = interpolation_exponent(params)
+    r0 = interpolation_exponent(params.p, space.d)
     c = coeffs[:, 0]
     force_coeffs = forcing_term(space, forcing)  # the body force is steady
     w = space.quad_weight

@@ -8,8 +8,9 @@ nonlinear noise, each satisfying the linear-growth and gradient bounds
     sum_k |g_k(xi)| <= L (1 + |xi|),   sum_k |grad g_k(xi)|^2 <= L,
 
 as well as sup_k k^2 |g_k(xi)|^2 <= c (1 + |xi|^2), with constants L and c
-documented per family.  The infinite sum is truncated at K modes; with the
-default per-mode scale a_k = 2^-k the tail of every series is geometric.
+documented per family.  The infinite sum is truncated at K modes with the
+per-mode scale a_k = 2^-k, so the tail of every series is geometric.  The
+coefficients act pointwise on R^d: d is read from the values they act on.
 
 Every family is a truncated Q-Wiener noise whose K fields are mixtures of
 r <= d generator fields (Lord, Powell & Shardlow, An Introduction to
@@ -17,16 +18,17 @@ Computational Stochastic PDEs, CUP 2014, ch. 10):
 
     Phi(v) e_k = sum_r U[r, k] G_r(v),
 
-with G = v and U = a (r = 1) for the linear family, and G_j = amplitude
-sqrt(1 + |v|^2) e_j (additive: amplitude e_j) with U[j, k] = a_k [j = (k-1)
-mod d] for the other two.  NoiseModel.generators returns G as a model of r
-modes together with U, so the Galerkin diffusion and the pressure noise are
-built from r fields instead of K.
+where G is the model's own first r modes, g_1 = a_1 v (r = 1) for the
+linear family and g_j = a_j amplitude sqrt(1 + |v|^2) e_j (additive:
+a_j amplitude e_j), j <= r = min(K, d), for the other two, and U[j, k] =
+a_k / a_j [j = (k-1) mod r].  generators(model, d) returns G and U, so the
+Galerkin diffusion and the pressure noise are built from r fields instead
+of K.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -39,49 +41,48 @@ FAMILIES = ("additive", "linear", "smooth_norm")
 class NoiseModel:
     family: str
     K: int = 16
-    d: int = 2
     amplitude: float = 1.0  # the c0 prefactor of the additive and smooth_norm families
-    per_mode_scale: np.ndarray | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
         if self.K < 1:
             raise ValueError("need at least one Wiener mode")
-        if self.per_mode_scale is None:
-            scale = 2.0 ** -np.arange(1, self.K + 1)
-        else:
-            scale = np.asarray(self.per_mode_scale, dtype=float)
-            if scale.shape != (self.K,):
-                raise ValueError("per_mode_scale length must equal K")
-        object.__setattr__(self, "per_mode_scale", scale)
 
-    @property
-    def growth_constant(self) -> float:
-        """L in the linear-growth bound, per family with a_k = per_mode_scale."""
+    @cached_property
+    def per_mode_scale(self) -> np.ndarray:
+        """a_k = 2^-k, k = 1..K."""
+        scale = 2.0 ** -np.arange(1, self.K + 1)
+        scale.flags.writeable = False
+        return scale
+
+    def growth_constant(self, d: int) -> float:
+        """L in the linear-growth bound on R^d, per family with a_k = per_mode_scale."""
         a_sum = float(np.sum(self.per_mode_scale))
         if self.family == "additive":
             return self.amplitude * a_sum
         if self.family == "linear":
-            return max(a_sum, self.d * float(np.sum(self.per_mode_scale ** 2)))
+            return max(a_sum, d * float(np.sum(self.per_mode_scale ** 2)))
         # smooth_norm: |g_k| = a_k sqrt(1+|xi|^2) <= a_k (1+|xi|),
         # |grad g_k|^2 = a_k^2 |xi|^2/(1+|xi|^2) <= a_k^2
         return max(self.amplitude * a_sum,
                    self.amplitude ** 2 * float(np.sum(self.per_mode_scale ** 2)))
 
-    @cached_property
-    def generators(self) -> tuple["NoiseModel", np.ndarray]:
-        """(G, U): a model G of r <= min(K, d) modes and the constant (r, K)
-        mixing U with Phi(v) e_k = sum_r U[r, k] G_r(v)."""
-        if self.family == "linear":
-            return (NoiseModel("linear", K=1, d=self.d, per_mode_scale=np.ones(1)),
-                    self.per_mode_scale[None, :])
-        r = min(self.K, self.d)
-        k = np.arange(self.K)
-        mix = np.zeros((r, self.K))
-        mix[k % self.d, k] = self.per_mode_scale
-        return (NoiseModel(self.family, K=r, d=self.d, amplitude=self.amplitude,
-                           per_mode_scale=np.ones(r)), mix)
+
+@cache
+def generators(model: NoiseModel, d: int) -> tuple[NoiseModel, np.ndarray]:
+    """(G, U): the model's own first r modes G = NoiseModel(family, K=r,
+    amplitude), r = 1 for the linear family and min(K, d) otherwise, and the
+    constant (r, K) mixing U[r, k] = a_k / a_r with Phi(v) e_k = sum_r U[r, k]
+    G_r(v) on R^d.  Every a_k is a power of two, so the product is g_k bit
+    for bit."""
+    r = 1 if model.family == "linear" else min(model.K, d)
+    gen = NoiseModel(model.family, K=r, amplitude=model.amplitude)
+    k = np.arange(model.K)
+    mix = np.zeros((r, model.K))
+    mix[k % r, k] = model.per_mode_scale / gen.per_mode_scale[k % r]
+    mix.flags.writeable = False
+    return gen, mix
 
 
 def _all_g(model: NoiseModel, xi: np.ndarray) -> np.ndarray:
@@ -94,8 +95,9 @@ def _all_g(model: NoiseModel, xi: np.ndarray) -> np.ndarray:
     a = model.per_mode_scale.reshape((model.K,) + (1,) * xi.ndim)
     if model.family == "linear":
         return a * xi
-    u = np.eye(model.d)[np.arange(model.K) % model.d]
-    u = u.reshape((model.K,) + (1,) * (xi.ndim - 1) + (model.d,))
+    d = xi.shape[-1]
+    u = np.eye(d)[np.arange(model.K) % d]
+    u = u.reshape((model.K,) + (1,) * (xi.ndim - 1) + (d,))
     if model.family == "additive":
         return np.broadcast_to(a * model.amplitude * u, (model.K,) + xi.shape).copy()
     mag_sq = np.sum(xi ** 2, axis=-1, keepdims=True)
@@ -166,11 +168,11 @@ class WienerPath:
 
 
 def growth_bound_holds(model: NoiseModel, xi: np.ndarray) -> bool:
-    """Check sum_k |g_k(xi)| <= L (1+|xi|), L = model.growth_constant, for states (..., d)."""
+    """Check sum_k |g_k(xi)| <= L (1+|xi|), L = model.growth_constant(d), for states (..., d)."""
     xi = np.asarray(xi, dtype=float)
     total = np.sum(np.linalg.norm(_all_g(model, xi), axis=-1), axis=0)
     mag = np.linalg.norm(xi, axis=-1)
-    return bool(np.all(total <= model.growth_constant * (1.0 + mag) + 1e-12))
+    return bool(np.all(total <= model.growth_constant(xi.shape[-1]) * (1.0 + mag) + 1e-12))
 
 
 def mode_decay_bound_holds(model: NoiseModel, xi: np.ndarray) -> bool:

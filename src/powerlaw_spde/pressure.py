@@ -57,7 +57,7 @@ import numpy as np
 from .basis import GalerkinSpace, fourier_table, synthesize, symmetric_gradient
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
 from .galerkin import Trajectory
-from .noise import apply_phi
+from .noise import apply_phi, generators
 
 
 # Grid points x steps per chunk (6 steps on a 13^2 grid): the transforms are
@@ -220,8 +220,8 @@ def _noise_increments(space, model, coeffs, increments):
     (M^d, n, d), and the noise norms sum_k int |Phi e_k|^2 (n,), both from
     the r <= d generator fields: with Phi e_k = sum_r U[r, k] G_r, the sum
     is sum_r G_r (U dbeta)_r and the norm sum_rs (U U^T)_rs int G_r . G_s."""
-    generators, mix = model.generators
-    fields = apply_phi(generators, space, synthesize(space, coeffs))  # (r, M^d, n, d)
+    gen, mix = generators(model, space.d)
+    fields = apply_phi(gen, space, synthesize(space, coeffs))  # (r, M^d, n, d)
     gram = space.quad_weight * np.einsum("rxnd,sxnd->nrs", fields, fields)
     hs = np.einsum("nrs,rs->n", gram, mix @ mix.T)
     return np.einsum("rxnd,nr->xnd", fields, increments @ mix.T), hs
@@ -271,6 +271,8 @@ def decompose(traj: Trajectory) -> PressureDecomposition:
         pi_1[sl], pi_2[sl] = pi[..., 0].T, pi[..., 1].T
         if model is not None and traj.increments is not None:
             dW, hs[sl] = _noise_increments(space, model, traj.coeffs[sl], traj.increments[sl])
+            if model.family == "linear":
+                continue  # a_k v is divergence-free: pi_Phi = 0, not round-off
             # the running sum enters as the first row: additions in step order
             accum = np.cumsum(np.concatenate([accum[:, -1:], dW], axis=1), axis=1)
             pi_Phi[sl.start + 1:sl.stop + 1] = inverse_laplacian(

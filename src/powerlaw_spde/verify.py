@@ -15,8 +15,6 @@ from .constitutive import ConstitutiveParams, growth_bounds_check, monotonicity_
 from .galerkin import Problem, SdeStepConfig, run_trajectory
 from .noise import NoiseModel, growth_bound_holds, mode_decay_bound_holds
 
-SUITES = ("constitutive", "basis", "noise", "truncation", "pressure", "ito", "energy")
-
 
 def _check(name: str, tolerance: float, deviation: float) -> dict:
     return {
@@ -37,14 +35,14 @@ def suite_constitutive() -> list[dict]:
     checks = []
     for p in (1.2, 1.6, 2.0, 2.5, 3.0):
         for d in (2, 3):
-            params = ConstitutiveParams(p=p, d=d)
+            params = ConstitutiveParams(p=p)
             e1 = _random_symmetric(rng, 10_000, d)
             e2 = _random_symmetric(rng, 10_000, d)
             gap = monotonicity_gap(params, e1, e2)
             checks.append(_check(f"monotonicity_p{p}_d{d}", 1e-12, -float(np.min(gap))))
             ok = growth_bounds_check(params, e1)
             checks.append(_check(f"growth_bounds_p{p}_d{d}", 0.0, 0.0 if ok else 1.0))
-    params = ConstitutiveParams(p=2.0, d=2)
+    params = ConstitutiveParams(p=2.0)
     e1 = _random_symmetric(rng, 1000, 2)
     e2 = _random_symmetric(rng, 1000, 2)
     gap = monotonicity_gap(params, e1, e2)
@@ -82,7 +80,7 @@ def suite_noise() -> list[dict]:
     rng = np.random.default_rng(11)
     checks = []
     for family in ("additive", "linear", "smooth_norm"):
-        model = NoiseModel(family=family, K=16, d=2)
+        model = NoiseModel(family=family, K=16)
         xi = 10.0 * rng.standard_normal((2000, 2))
         ok1 = growth_bound_holds(model, xi)
         ok2 = mode_decay_bound_holds(model, xi)
@@ -142,9 +140,9 @@ def suite_pressure() -> list[dict]:
 
 
 def suite_ito() -> list[dict]:
-    params = ConstitutiveParams(p=2.0, d=2, nu0=1.0)
+    params = ConstitutiveParams(p=2.0, nu0=1.0)
     space = build_space(2, 4, suggest_grid(2, 4))
-    model = NoiseModel(family="linear", K=8, d=2)
+    model = NoiseModel(family="linear", K=8)
     v0 = np.zeros(4)
     v0[0] = 1.0
     factors = [4, 2, 1]
@@ -164,9 +162,9 @@ def suite_ito() -> list[dict]:
 
 
 def suite_energy() -> list[dict]:
-    params = ConstitutiveParams(p=1.8, d=2, alpha=0.1)
+    params = ConstitutiveParams(p=1.8, alpha=0.1)
     space = build_space(2, 4, suggest_grid(2, 4))
-    model = NoiseModel(family="linear", K=8, d=2)
+    model = NoiseModel(family="linear", K=8)
     v0 = np.zeros(4)
     v0[0] = 1.0
     problem = Problem(params, space, model, None, v0, SdeStepConfig(dt=5e-3), 40)
@@ -177,19 +175,19 @@ def suite_energy() -> list[dict]:
     return [_check("seed_stability_3se", 1.0, dev)]
 
 
+SUITES = {
+    "constitutive": suite_constitutive,
+    "basis": suite_basis,
+    "noise": suite_noise,
+    "truncation": suite_truncation,
+    "pressure": suite_pressure,
+    "ito": suite_ito,
+    "energy": suite_energy,
+}
+
+
 def run_suite(name: str) -> dict:
-    runners = {
-        "constitutive": suite_constitutive,
-        "basis": suite_basis,
-        "noise": suite_noise,
-        "truncation": suite_truncation,
-        "pressure": suite_pressure,
-        "ito": suite_ito,
-        "energy": suite_energy,
-    }
-    if name not in runners:
-        raise KeyError(name)
-    checks = runners[name]()
+    checks = SUITES[name]()
     return {
         "suite": name,
         "passed": all(c["passed"] for c in checks),

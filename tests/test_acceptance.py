@@ -54,11 +54,11 @@ def test_criterion_1_constitutive_monotonicity():
     worst_gap = 0.0
     for p in (1.2, 1.6, 2.0, 2.5, 3.0):
         for d in (2, 3):
-            params = ConstitutiveParams(p=p, d=d)
+            params = ConstitutiveParams(p=p)
             e1 = _random_symmetric(rng, 100_000, d)
             e2 = _random_symmetric(rng, 100_000, d)
             worst_gap = min(worst_gap, float(np.min(monotonicity_gap(params, e1, e2))))
-    params = ConstitutiveParams(p=2.0, nu0=1.4, d=2)
+    params = ConstitutiveParams(p=2.0, nu0=1.4)
     e1 = _random_symmetric(rng, 100_000, 2)
     e2 = _random_symmetric(rng, 100_000, 2)
     gap = monotonicity_gap(params, e1, e2)
@@ -106,9 +106,9 @@ def test_criterion_3_convection_skew_symmetry():
 
 
 def test_criterion_4_ito_energy_identity():
-    params = ConstitutiveParams(p=2.0, d=2)
+    params = ConstitutiveParams(p=2.0)
     space = build_space(2, 4, suggest_grid(2, 4))
-    model = NoiseModel(family="linear", K=8, d=2)
+    model = NoiseModel(family="linear", K=8)
     forcing = None
     v0 = np.zeros(4)
     v0[0] = 1.0
@@ -137,7 +137,7 @@ def test_criterion_4_ito_energy_identity():
 
 
 def test_criterion_5_energy_estimate_uniformity():
-    model = NoiseModel(family="linear", K=8, d=2)
+    model = NoiseModel(family="linear", K=8)
     cfg = SdeStepConfig(dt=5e-3)
     n_steps = 50
     ratios = []
@@ -148,7 +148,7 @@ def test_criterion_5_energy_estimate_uniformity():
         v0[0] = 1.0
         f_sq = n_steps * cfg.dt * space.quad_weight * float(np.sum(forcing ** 2))
         for alpha in (1.0, 0.1, 0.01):
-            params = ConstitutiveParams(p=1.6, alpha=alpha, d=2)
+            params = ConstitutiveParams(p=1.6, alpha=alpha)
             report = analysis.ensemble_moments(
                 Problem(params, space, model, forcing, v0, cfg, n_steps),
                 base_seed=500, n_traj=64)
@@ -160,9 +160,9 @@ def test_criterion_5_energy_estimate_uniformity():
 
 
 def test_criterion_6_higher_moments_seed_stability():
-    params = ConstitutiveParams(p=2.0, d=2)
+    params = ConstitutiveParams(p=2.0)
     space = build_space(2, 4, suggest_grid(2, 4))
-    model = NoiseModel(family="linear", K=8, d=2)
+    model = NoiseModel(family="linear", K=8)
     forcing = None
     v0 = np.zeros(4)
     v0[0] = 1.0
@@ -210,7 +210,7 @@ def test_criterion_8_pressure_decomposition():
     H[:, 0, 0] = np.cos(x1)
     analytic_err = float(np.max(np.abs(pressure.solve_pi_H(space, H) + np.cos(x1))))
 
-    params = ConstitutiveParams(p=2.0, d=2)
+    params = ConstitutiveParams(p=2.0)
     forcing = None
     v0 = np.zeros(8)
     v0[0] = 1.0
@@ -241,12 +241,12 @@ def test_criterion_9_noise_model_bounds():
     ok = True
     for family in ("additive", "linear", "smooth_norm"):
         for d in (2, 3):
-            model = NoiseModel(family=family, K=16, d=d)
+            model = NoiseModel(family=family, K=16)
             xi = 20.0 * rng.standard_normal((10_000, d))
             ok = ok and growth_bound_holds(model, xi)
             ok = ok and mode_decay_bound_holds(model, xi)
     space = build_space(2, 4, suggest_grid(2, 4))
-    model = NoiseModel(family="linear", K=16, d=2)
+    model = NoiseModel(family="linear", K=16)
     v0_mag = 1.3
     vals = np.stack([v0_mag * np.cos(space.points[:, 0]),
                      v0_mag * np.sin(space.points[:, 0])], axis=-1)
@@ -261,12 +261,12 @@ def test_criterion_9_noise_model_bounds():
 
 def test_criterion_10_stabilization_vanishing():
     space = build_space(2, 4, suggest_grid(2, 4))
-    model = NoiseModel(family="linear", K=8, d=2)
+    model = NoiseModel(family="linear", K=8)
     forcing = None
     v0 = np.array([1.0, 0.5, 0.0, 0.0])
     cfg = SdeStepConfig(dt=5e-3)
     rows = analysis.stabilization_convergence(
-        Problem(ConstitutiveParams(p=1.8, d=2), space, model, forcing, v0, cfg, 50),
+        Problem(ConstitutiveParams(p=1.8), space, model, forcing, v0, cfg, 50),
         base_seed=1100, n_traj=16, m_grid=[1.0, 10.0, 100.0])
     diffs = [r["mean_sq_diff"] for r in rows]
     ok = diffs[1] < diffs[0]

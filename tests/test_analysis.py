@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from powerlaw_spde import analysis, galerkin
-from powerlaw_spde.basis import build_space, suggest_grid
+from powerlaw_spde.basis import build_space, suggest_grid, synthesize
 from powerlaw_spde.constitutive import ConstitutiveParams
 from powerlaw_spde.galerkin import SCHEMES, IntegratorError, Problem, SdeStepConfig, run_trajectory
 from powerlaw_spde.noise import NoiseModel
@@ -13,16 +13,28 @@ def make_space(N=4):
 
 
 def test_moment_exponent_values():
-    assert abs(analysis.moment_exponent(ConstitutiveParams(p=2.0, d=2)) - 4.0) < 1e-14
-    assert abs(analysis.moment_exponent(ConstitutiveParams(p=3.0, d=2)) - 6.0) < 1e-14
+    assert abs(analysis.moment_exponent(2.0, 2) - 4.0) < 1e-14
+    assert abs(analysis.moment_exponent(3.0, 2) - 6.0) < 1e-14
     # below p = 2 the Newtonian branch 2(d+2)/d dominates
-    assert abs(analysis.moment_exponent(ConstitutiveParams(p=1.6, d=3))
-               - 10.0 / 3.0) < 1e-14
+    assert abs(analysis.moment_exponent(1.6, 3) - 10.0 / 3.0) < 1e-14
+
+
+def test_exponents_read_the_dimension_from_the_space():
+    # the parameters carry no dimension: r0 = 5p/3 and beta on a 3-D space
+    space = build_space(3, 4, suggest_grid(3, 4))
+    problem = Problem(ConstitutiveParams(p=2.0), space, None, None, [1.0, 0.0, 0.0, 0.0],
+                      SdeStepConfig(dt=0.01), 3)
+    traj = run_trajectory(problem)
+    report = analysis.report_from_trajectories([traj])
+    assert (report.r0, report.beta) == (10.0 / 3.0, 10.0 / 3.0)
+    v = synthesize(space, traj.coeffs[0])
+    want = space.quad_weight * np.sum(np.linalg.norm(v, axis=-1) ** (10.0 / 3.0))
+    assert abs(traj.vel_rq[0] - want) <= 1e-12 * want
 
 
 def test_energy_identity_exact_for_rest_state():
     space = make_space()
-    params = ConstitutiveParams(p=2.0, d=2)
+    params = ConstitutiveParams(p=2.0)
     cfg = SdeStepConfig(dt=0.01)
     traj = run_trajectory(Problem(params, space, None, None, np.zeros(4), cfg, 10))
     check = analysis.energy_identity_residual(traj)
@@ -32,7 +44,7 @@ def test_energy_identity_exact_for_rest_state():
 
 def test_energy_identity_deterministic_first_order():
     space = make_space()
-    params = ConstitutiveParams(p=1.8, alpha=0.1, d=2)
+    params = ConstitutiveParams(p=1.8, alpha=0.1)
     v0 = np.array([1.0, 0.0, 0.5, 0.0])
     residuals = []
     for dt, n in ((1e-2, 20), (5e-3, 40), (2.5e-3, 80)):
@@ -44,8 +56,8 @@ def test_energy_identity_deterministic_first_order():
 
 def test_energy_identity_stochastic_half_order():
     space = make_space()
-    params = ConstitutiveParams(p=2.0, d=2)
-    model = NoiseModel(family="linear", K=8, d=2)
+    params = ConstitutiveParams(p=2.0)
+    model = NoiseModel(family="linear", K=8)
     forcing = None
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
     factors = [4, 2, 1]
@@ -65,8 +77,8 @@ def test_energy_identity_stochastic_half_order():
 
 def test_report_totals_and_moments():
     space = make_space()
-    params = ConstitutiveParams(p=2.0, alpha=0.1, d=2)
-    model = NoiseModel(family="linear", K=4, d=2)
+    params = ConstitutiveParams(p=2.0, alpha=0.1)
+    model = NoiseModel(family="linear", K=4)
     cfg = SdeStepConfig(dt=0.01)
     problem = Problem(params, space, model, None, np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20)
     trajs, failures = analysis.run_ensemble(problem, 5, 4)
@@ -84,8 +96,8 @@ def test_report_totals_and_moments():
 
 def test_run_ensemble_seeds_are_consecutive():
     space = make_space()
-    params = ConstitutiveParams(p=2.0, d=2)
-    model = NoiseModel(family="linear", K=4, d=2)
+    params = ConstitutiveParams(p=2.0)
+    model = NoiseModel(family="linear", K=4)
     cfg = SdeStepConfig(dt=0.01)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
     problem = Problem(params, space, model, None, v0, cfg, 10)
@@ -99,7 +111,7 @@ def test_run_ensemble_seeds_are_consecutive():
 
 def test_deterministic_ensemble_has_zero_spread():
     space = make_space()
-    params = ConstitutiveParams(p=2.0, d=2)
+    params = ConstitutiveParams(p=2.0)
     cfg = SdeStepConfig(dt=0.01)
     report = analysis.ensemble_moments(
         Problem(params, space, None, None, np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20), 0, 3)
@@ -111,7 +123,7 @@ def test_deterministic_ensemble_has_zero_spread():
 
 def test_bound_ratio_normalization():
     space = make_space()
-    params = ConstitutiveParams(p=2.0, d=2)
+    params = ConstitutiveParams(p=2.0)
     cfg = SdeStepConfig(dt=0.01)
     report = analysis.ensemble_moments(
         Problem(params, space, None, None, np.array([1.0, 0.0, 0.0, 0.0]), cfg, 20), 0, 2)
@@ -121,11 +133,11 @@ def test_bound_ratio_normalization():
 
 def test_alpha_independence_study_rows():
     space = make_space()
-    model = NoiseModel(family="linear", K=4, d=2)
+    model = NoiseModel(family="linear", K=4)
     cfg = SdeStepConfig(dt=0.01)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
     rows = analysis.alpha_independence_study(
-        Problem(ConstitutiveParams(p=1.8, d=2), space, model, None, v0, cfg, 20), 3, 4,
+        Problem(ConstitutiveParams(p=1.8), space, model, None, v0, cfg, 20), 3, 4,
         [0.0, 0.1, 1.0])
     assert [r["alpha"] for r in rows] == [0.0, 0.1, 1.0]
     ratios = [r["ratio"] for r in rows]
@@ -135,11 +147,11 @@ def test_alpha_independence_study_rows():
 
 def test_stabilization_convergence_decreases():
     space = make_space()
-    model = NoiseModel(family="linear", K=4, d=2)
+    model = NoiseModel(family="linear", K=4)
     cfg = SdeStepConfig(dt=0.005)
     v0 = np.array([1.0, 0.5, 0.0, 0.0])
     rows = analysis.stabilization_convergence(
-        Problem(ConstitutiveParams(p=1.8, d=2), space, model, None, v0, cfg, 40), 11, 4,
+        Problem(ConstitutiveParams(p=1.8), space, model, None, v0, cfg, 40), 11, 4,
         [1.0, 10.0, 100.0])
     diffs = [r["mean_sq_diff"] for r in rows]
     assert len(diffs) == 2
@@ -149,7 +161,7 @@ def test_stabilization_convergence_decreases():
 def test_grid_studies_replace_only_alpha(monkeypatch):
     # every grid point is the problem with params.alpha replaced; all are
     # built, and an inadmissible q refused, before the first trajectory runs
-    problem = Problem(ConstitutiveParams(p=2.0, q=2.5, d=2), make_space(), None, None,
+    problem = Problem(ConstitutiveParams(p=2.0, q=2.5), make_space(), None, None,
                       np.zeros(4), SdeStepConfig(dt=0.01), 2)
     (at_zero,) = analysis._with_alphas(problem, [0.0])
     assert at_zero.params == problem.params
@@ -192,8 +204,8 @@ def fail_seed(monkeypatch, seed, alpha=None, at=3):
 
 def test_run_ensemble_masks_integrator_failures(monkeypatch):
     space = make_space()
-    params = ConstitutiveParams(p=2.0, d=2)
-    model = NoiseModel(family="linear", K=4, d=2)
+    params = ConstitutiveParams(p=2.0)
+    model = NoiseModel(family="linear", K=4)
     problem = Problem(params, space, model, None, np.array([1.0, 0.0, 0.0, 0.0]),
                       SdeStepConfig(dt=0.01), 5)
     fail_seed(monkeypatch, 6)
@@ -212,8 +224,8 @@ def test_failed_rows_keep_their_seeds(monkeypatch, scheme):
     # row b holds seed b for the whole run: two rows fail at different
     # steps, the later one in a higher row, and each record names its own
     # seed; every other row is bit-identical to its seed run alone
-    problem = Problem(ConstitutiveParams(p=1.8, alpha=0.1, d=2), make_space(),
-                      NoiseModel(family="linear", K=4, d=2), None,
+    problem = Problem(ConstitutiveParams(p=1.8, alpha=0.1), make_space(),
+                      NoiseModel(family="linear", K=4), None,
                       np.array([1.0, 0.5, 0.0, 0.0]), SdeStepConfig(dt=0.01, scheme=scheme), 8)
     fail_seed(monkeypatch, 21, at=3)
     fail_seed(monkeypatch, 23, at=5)
@@ -234,16 +246,16 @@ def test_run_ensemble_propagates_other_errors(monkeypatch):
 
     monkeypatch.setattr(analysis, "run_trajectory", broken)
     with pytest.raises(KeyError):
-        analysis.run_ensemble(Problem(ConstitutiveParams(p=2.0, d=2), make_space(), None,
+        analysis.run_ensemble(Problem(ConstitutiveParams(p=2.0), make_space(), None,
                                       None, np.zeros(4), SdeStepConfig(dt=0.01), 5), 0, 2)
 
 
 def test_stabilization_convergence_pairs_by_seed(monkeypatch):
     space = make_space()
-    model = NoiseModel(family="linear", K=4, d=2)
+    model = NoiseModel(family="linear", K=4)
     cfg = SdeStepConfig(dt=0.01)
     v0 = np.array([1.0, 0.5, 0.0, 0.0])
-    problems = {m: Problem(ConstitutiveParams(p=1.8, alpha=1.0 / m, d=2), space, model, None,
+    problems = {m: Problem(ConstitutiveParams(p=1.8, alpha=1.0 / m), space, model, None,
                            v0, cfg, 10) for m in (1.0, 10.0)}
     # seed 11 fails at m = 10 only
     fail_seed(monkeypatch, 11, alpha=0.1)

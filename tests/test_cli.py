@@ -191,6 +191,16 @@ def test_pressure_command(tmp_path):
     assert np.isfinite(report["pi_H_ratio"])
 
 
+def test_linear_noise_pressure_reports_zero_stochastic_pressure(tmp_path):
+    # linear noise a_k v is divergence-free: exactly 0, not round-off
+    cfg = write_config(tmp_path, N=8, n_traj=2, initial_coeffs=[1.0, -0.5, 0.25, 0.5])
+    out = tmp_path / "press"
+    assert main(["pressure", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "pressure.json").read_text())
+    assert report["pi_Phi_lhs"] == 0.0 and report["pi_Phi_ratio"] == 0.0
+    assert report["pi_Phi_rhs"] > 0.0
+
+
 def test_report_command(tmp_path, capsys):
     cfg = write_config(tmp_path, n_traj=2)
     out = tmp_path / "all"

@@ -125,9 +125,9 @@ def test_builders():
                            forcing_scale=0.5,
                            initial_coeffs=[1.0, 0.0, 0.25])
     params = cfg.build_params()
-    assert params.p == 1.8 and params.d == 2
+    assert params.p == 1.8
     space = cfg.build_space()
-    assert space.N == 8
+    assert space.N == 8 and space.d == 2
     model = cfg.build_noise()
     assert model.family == "linear" and model.K == 8
     forcing = cfg.build_forcing(space)

@@ -23,20 +23,20 @@ def random_symmetric(rng, n, d):
 
 
 def test_newtonian_case_is_linear():
-    params = ConstitutiveParams(p=2.0, nu0=3.0, d=2)
+    params = ConstitutiveParams(p=2.0, nu0=3.0)
     eps = random_symmetric(np.random.default_rng(0), 50, 2)
     assert np.allclose(eval_stress(params, eps), 3.0 * eps, atol=1e-14)
 
 
 def test_zero_strain_gives_zero_stress():
     for p in (1.2, 1.6, 2.0, 3.0):
-        params = ConstitutiveParams(p=p, d=3)
+        params = ConstitutiveParams(p=p)
         assert np.all(eval_stress(params, np.zeros((3, 3))) == 0.0)
 
 
 def test_shear_thinning_scale_at_unit_strain():
     # (1 + 1)^(1.6 - 2) = 2^-0.4
-    params = ConstitutiveParams(p=1.6, nu0=1.0, d=2)
+    params = ConstitutiveParams(p=1.6, nu0=1.0)
     eps = np.array([[1.0 / np.sqrt(2.0), 0.0], [0.0, -1.0 / np.sqrt(2.0)]])
     s = eval_stress(params, eps)
     assert abs(np.linalg.norm(s) - 2.0 ** -0.4) < 1e-12
@@ -44,14 +44,14 @@ def test_shear_thinning_scale_at_unit_strain():
 
 
 def test_rejects_asymmetric_strain():
-    params = ConstitutiveParams(p=1.6, d=2)
+    params = ConstitutiveParams(p=1.6)
     with pytest.raises(ValueError):
         eval_stress(params, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("p", [1.2, 1.6, 2.0, 2.5, 3.0])
 def test_potential_matches_quadrature(p):
-    params = ConstitutiveParams(p=p, nu0=1.7, d=2)
+    params = ConstitutiveParams(p=p, nu0=1.7)
     for t in (0.3, 1.0, 4.2):
         eps = np.diag([t / np.sqrt(2.0), -t / np.sqrt(2.0)])
         ref, _ = quad(lambda s: 1.7 * (1.0 + s) ** (p - 2.0) * s, 0.0, t)
@@ -61,7 +61,7 @@ def test_potential_matches_quadrature(p):
 @pytest.mark.parametrize("p", [1.4, 2.0, 2.7])
 def test_stress_is_potential_gradient(p):
     # directional finite differences of F reproduce S
-    params = ConstitutiveParams(p=p, d=2)
+    params = ConstitutiveParams(p=p)
     rng = np.random.default_rng(1)
     eps = random_symmetric(rng, 1, 2)[0]
     direction = random_symmetric(rng, 1, 2)[0]
@@ -75,7 +75,7 @@ def test_stress_is_potential_gradient(p):
 @pytest.mark.parametrize("p", [1.2, 1.6, 2.0, 2.5, 3.0])
 @pytest.mark.parametrize("d", [2, 3])
 def test_monotonicity(p, d):
-    params = ConstitutiveParams(p=p, d=d)
+    params = ConstitutiveParams(p=p)
     rng = np.random.default_rng(42)
     e1 = random_symmetric(rng, 5000, d)
     e2 = random_symmetric(rng, 5000, d)
@@ -96,13 +96,13 @@ def strain_pairs(draw):
 @given(p=st.floats(1.0, 4.0, exclude_min=True), pair=strain_pairs())
 def test_monotonicity_on_drawn_strains(p, pair):
     d, e1, e2 = pair
-    gap = float(monotonicity_gap(ConstitutiveParams(p=p, d=d), e1, e2))
+    gap = float(monotonicity_gap(ConstitutiveParams(p=p), e1, e2))
     size = 1.0 + np.linalg.norm(e1) + np.linalg.norm(e2)
     assert gap >= -1e-12 * size ** p
 
 
 def test_newtonian_gap_identity():
-    params = ConstitutiveParams(p=2.0, nu0=2.5, d=2)
+    params = ConstitutiveParams(p=2.0, nu0=2.5)
     rng = np.random.default_rng(3)
     e1 = random_symmetric(rng, 500, 2)
     e2 = random_symmetric(rng, 500, 2)
@@ -114,23 +114,20 @@ def test_newtonian_gap_identity():
 @pytest.mark.parametrize("p", [1.2, 1.6, 2.0, 2.5, 3.0])
 @pytest.mark.parametrize("d", [2, 3])
 def test_growth_and_coercivity_bounds(p, d):
-    params = ConstitutiveParams(p=p, nu0=1.3, d=d)
+    params = ConstitutiveParams(p=p, nu0=1.3)
     rng = np.random.default_rng(8)
     eps = 10.0 * random_symmetric(rng, 5000, d)
     assert growth_bounds_check(params, eps)
 
 
 def test_coercivity_constant_value():
-    params = ConstitutiveParams(p=1.6, nu0=2.0, d=2)
+    params = ConstitutiveParams(p=1.6, nu0=2.0)
     assert abs(coercivity_constant(params) - 2.0 * 2.0 ** -0.6) < 1e-14
 
 
 def test_existence_threshold_values():
     assert abs(existence_threshold(2) - 1.5) < 1e-15
     assert abs(existence_threshold(3) - 1.6) < 1e-15
-    assert ConstitutiveParams(p=1.6, d=2).admissible_for_existence
-    assert not ConstitutiveParams(p=1.5, d=2).admissible_for_existence
-    assert not ConstitutiveParams(p=1.6, d=3).admissible_for_existence
 
 
 def test_minimal_q_values():
@@ -141,38 +138,36 @@ def test_minimal_q_values():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ConstitutiveParams(p=1.0, d=2)
+        ConstitutiveParams(p=1.0)
     with pytest.raises(ValueError):
-        ConstitutiveParams(p=2.0, nu0=0.0, d=2)
+        ConstitutiveParams(p=2.0, nu0=0.0)
     with pytest.raises(ValueError):
-        ConstitutiveParams(p=2.0, alpha=-1.0, d=2)
+        ConstitutiveParams(p=2.0, alpha=-1.0)
     with pytest.raises(ValueError):
-        ConstitutiveParams(p=1.6, alpha=0.5, q=3.0, d=2)  # q below 2p'
-    with pytest.raises(ValueError):
-        ConstitutiveParams(p=2.0, d=4)
+        ConstitutiveParams(p=1.6, alpha=0.5, q=3.0)  # q below 2p'
 
 
 def test_q_autofill():
-    params = ConstitutiveParams(p=1.6, alpha=0.1, d=2)
+    params = ConstitutiveParams(p=1.6, alpha=0.1)
     assert abs(params.q - 16.0 / 3.0) < 1e-12
 
 
 def test_stabilizer_cubic_example():
-    params = ConstitutiveParams(p=2.0, q=4.0, alpha=1.0, d=2)
+    params = ConstitutiveParams(p=2.0, q=4.0, alpha=1.0)
     out = eval_stabilizer(params, np.array([2.0, 0.0]))
     assert np.allclose(out, [8.0, 0.0], atol=1e-14)  # |v|^2 v
 
 
 def test_stabilizer_zero_alpha_and_potential():
-    params = ConstitutiveParams(p=2.0, q=4.0, alpha=0.0, d=2)
+    params = ConstitutiveParams(p=2.0, q=4.0, alpha=0.0)
     assert np.all(eval_stabilizer(params, np.ones((7, 2))) == 0.0)
-    params = ConstitutiveParams(p=2.0, q=4.0, alpha=0.8, d=2)
+    params = ConstitutiveParams(p=2.0, q=4.0, alpha=0.8)
     v = np.array([3.0, 4.0])
     assert abs(stabilizer_potential(params, v) - 0.8 / 4.0 * 5.0 ** 4) < 1e-10
 
 
 def test_stabilizer_is_potential_gradient():
-    params = ConstitutiveParams(p=2.0, q=5.0, alpha=0.7, d=3)
+    params = ConstitutiveParams(p=2.0, q=5.0, alpha=0.7)
     rng = np.random.default_rng(4)
     v = rng.standard_normal(3)
     direction = rng.standard_normal(3)

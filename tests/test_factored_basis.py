@@ -87,7 +87,8 @@ def test_dense_views_are_the_sampled_modes(d, n_modes, extra):
     if n_modes is None:
         space = make_space(d)
     else:
-        space = build_space(d, n_modes, suggest_grid(d, n_modes, factor=2) + extra)
+        kmax = int(np.abs(build_space(d, n_modes, suggest_grid(d, n_modes)).xis).max())
+        space = build_space(d, n_modes, 2 * kmax + 1 + extra)
     amp = np.sqrt(2.0) / (2.0 * np.pi) ** (d / 2.0)
     for n in range(space.N):
         xi, pol = space.xis[n].astype(float), space.pols[n]
@@ -121,7 +122,7 @@ def test_transforms_match_dense_oracle(d):
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
 def test_forces_match_dense_oracle(d, p, alpha):
     space = make_space(d)
-    params = ConstitutiveParams(p=p, alpha=alpha, d=d)
+    params = ConstitutiveParams(p=p, alpha=alpha)
     c = random_coeffs(space, seed=2)
     w = space.quad_weight
     eps = np.einsum("n,nxij->xij", c, space.mode_eps)
@@ -141,7 +142,7 @@ def test_forces_match_dense_oracle(d, p, alpha):
 def test_diffusion_matches_dense_oracle(d, family):
     space = make_space(d)
     v = synthesize(space, random_coeffs(space, seed=3))
-    model = NoiseModel(family=family, K=6, d=d)
+    model = NoiseModel(family=family, K=6)
     phi = apply_phi(model, space, v)
     want = space.quad_weight * np.einsum("lxd,nxd->nl", phi, space.mode_fields)
     got = assemble_diffusion(model, space, v)
@@ -162,7 +163,7 @@ def test_diffusion_through_generators_matches_mode_fields(d, family, K, amplitud
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((batch, space.N) if batch else space.N)
     v = synthesize(space, coeffs / np.sqrt(space.N))
-    model = NoiseModel(family=family, K=K, d=d, amplitude=amplitude)
+    model = NoiseModel(family=family, K=K, amplitude=amplitude)
     want = space.quad_weight * np.einsum("kx...d,nxd->...nk", apply_phi(model, space, v),
                                          space.mode_fields)
     got = assemble_diffusion(model, space, v)
@@ -181,7 +182,7 @@ def hessian_product(params, space, coeffs, dt):
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
 def test_hessian_matches_dense_oracle(d, p, alpha):
     space = make_space(d)
-    params = ConstitutiveParams(p=p, alpha=alpha, d=d)
+    params = ConstitutiveParams(p=p, alpha=alpha)
     c = random_coeffs(space, seed=4)
     dt = 0.3
     product = hessian_product(params, space, c, dt)
@@ -197,7 +198,7 @@ def test_hessian_matches_dense_oracle(d, p, alpha):
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
 def test_hessian_is_jacobian_of_gradient(d, p, alpha):
     space = make_space(d)
-    params = ConstitutiveParams(p=p, alpha=alpha, d=d)
+    params = ConstitutiveParams(p=p, alpha=alpha)
     c = random_coeffs(space, seed=5)
     rhs = random_coeffs(space, seed=6)
     dt, h = 0.3, 1e-6
@@ -225,7 +226,7 @@ _VECTOR = hnp.arrays(float, SIZES[2], elements=st.floats(-10.0, 10.0))
        alpha=st.sampled_from([0.0, 0.1, 2.0]), dt=st.floats(1e-3, 10.0))
 def test_hessian_product_is_symmetric_and_at_least_identity(c, x, y, p, alpha, dt):
     space = make_space(2)
-    params = ConstitutiveParams(p=p, alpha=alpha, d=2)
+    params = ConstitutiveParams(p=p, alpha=alpha)
     product = hessian_product(params, space, c, dt)
     hx, hy = product(x), product(y)
     scale = norm(x) * norm(hy) + norm(y) * norm(hx)
@@ -238,7 +239,7 @@ def test_semi_implicit_step_calls_stress_force_once_per_newton_iterate(call_coun
     # the Hessian products stay out of stress_force: the gradient of each
     # Newton iterate is its only caller (the benchmark counts iterates so)
     space = make_space(3)
-    params = ConstitutiveParams(p=1.6, alpha=alpha, d=3)
+    params = ConstitutiveParams(p=1.6, alpha=alpha)
     counts = call_counter(galerkin, "stress_force", "_newton_direction",
                           "_implicit_hessian_product")
     advance(params, space, random_coeffs(space),

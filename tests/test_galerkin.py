@@ -35,7 +35,7 @@ def drift(params, space, c, forcing=None):
 
 def test_drift_vanishes_at_rest():
     space = make_space()
-    params = ConstitutiveParams(p=1.6, alpha=0.5, d=2)
+    params = ConstitutiveParams(p=1.6, alpha=0.5)
     mu = drift(params, space, np.zeros(4))
     assert np.all(mu == 0.0)
 
@@ -44,7 +44,7 @@ def test_single_mode_newtonian_drift():
     # for v = c w_k the stress force is -nu0 lambda_k c / 2 and the
     # self-convection of a single Fourier mode vanishes identically
     space = make_space(8)
-    params = ConstitutiveParams(p=2.0, nu0=1.3, d=2)
+    params = ConstitutiveParams(p=2.0, nu0=1.3)
     for k in [0, 3, 7]:
         c = np.zeros(8)
         c[k] = 0.7
@@ -59,14 +59,14 @@ def test_forcing_term_projects_onto_modes():
     f = synthesize(space, np.array([0.0, 2.0, 0.0, 0.0]))
     mu = forcing_term(space, f)
     assert np.allclose(mu, [0.0, 2.0, 0.0, 0.0], atol=1e-12)
-    assert np.allclose(drift(ConstitutiveParams(p=2.0, d=2), space, np.zeros(4), f),
+    assert np.allclose(drift(ConstitutiveParams(p=2.0), space, np.zeros(4), f),
                        mu, atol=1e-12)
     assert np.all(forcing_term(space, None) == 0.0)
 
 
 def test_stabilizer_force_dissipates():
     space = make_space()
-    params = ConstitutiveParams(p=2.0, q=4.0, alpha=0.3, d=2)
+    params = ConstitutiveParams(p=2.0, q=4.0, alpha=0.3)
     rng = np.random.default_rng(0)
     for _ in range(5):
         c = rng.standard_normal(4)
@@ -80,7 +80,7 @@ def test_drift_energy_budget_identity():
     # mu . C = -int S:eps - alpha int |v|^q + int f.v for divergence-form
     # convection (which contributes nothing to the energy)
     space = make_space(8)
-    params = ConstitutiveParams(p=1.6, alpha=0.2, d=2)
+    params = ConstitutiveParams(p=1.6, alpha=0.2)
     rng = np.random.default_rng(1)
     f = synthesize(space, rng.standard_normal(8))
     c = rng.standard_normal(8)
@@ -128,12 +128,12 @@ def test_diffusion_matrix_additive_and_linear():
     space = make_space()
     c = np.array([0.5, 0.0, 0.0, -1.0])
     v = synthesize(space, c)
-    model = NoiseModel(family="linear", K=6, d=2)
+    model = NoiseModel(family="linear", K=6)
     sigma = assemble_diffusion(model, space, v)
     # linear family: Sigma_kl = a_l c_k exactly
     expect = np.outer(c, model.per_mode_scale)
     assert np.max(np.abs(sigma - expect)) < 1e-10
-    model_add = NoiseModel(family="additive", K=6, d=2)
+    model_add = NoiseModel(family="additive", K=6)
     sigma_add = assemble_diffusion(model_add, space, v)
     # constant fields have zero projection onto mean-zero modes
     assert np.max(np.abs(sigma_add)) < 1e-12
@@ -141,7 +141,7 @@ def test_diffusion_matrix_additive_and_linear():
 
 def test_step_small_dt_limit_noise_free(advance):
     space = make_space()
-    params = ConstitutiveParams(p=1.6, d=2)
+    params = ConstitutiveParams(p=1.6)
     c0 = np.array([1.0, 0.0, 0.0, 0.0])
     for scheme in ("euler_maruyama", "semi_implicit"):
         deltas = []
@@ -155,7 +155,7 @@ def test_step_small_dt_limit_noise_free(advance):
 
 def test_explicit_single_mode_newtonian_update(advance):
     space = make_space()
-    params = ConstitutiveParams(p=2.0, nu0=1.0, d=2)
+    params = ConstitutiveParams(p=2.0, nu0=1.0)
     c0 = np.array([1.0, 0.0, 0.0, 0.0])
     new = advance(params, space, c0, SdeStepConfig(dt=0.01))
     lam = space.eigenvalues[0]
@@ -165,7 +165,7 @@ def test_explicit_single_mode_newtonian_update(advance):
 
 def test_implicit_single_mode_newtonian_update(advance):
     space = make_space()
-    params = ConstitutiveParams(p=2.0, nu0=1.0, d=2)
+    params = ConstitutiveParams(p=2.0, nu0=1.0)
     c0 = np.array([1.0, 0.0, 0.0, 0.0])
     new = advance(params, space, c0, SdeStepConfig(dt=0.01, scheme="semi_implicit"))
     lam = space.eigenvalues[0]
@@ -174,7 +174,7 @@ def test_implicit_single_mode_newtonian_update(advance):
 
 def test_schemes_agree_to_first_order(advance):
     space = make_space(8)
-    params = ConstitutiveParams(p=1.6, alpha=0.1, d=2)
+    params = ConstitutiveParams(p=1.6, alpha=0.1)
     rng = np.random.default_rng(5)
     c0 = 0.5 * rng.standard_normal(8)
     diffs = []
@@ -190,7 +190,7 @@ def test_schemes_agree_to_first_order(advance):
 
 def test_newton_failure_reports_residual(advance, monkeypatch):
     space = make_space()
-    params = ConstitutiveParams(p=3.0, d=2)
+    params = ConstitutiveParams(p=3.0)
     cfg = SdeStepConfig(dt=50.0, scheme="semi_implicit")
     monkeypatch.setattr(galerkin, "NEWTON_MAX_ITER", 1)
     with pytest.raises(IntegratorError) as err:
@@ -205,7 +205,7 @@ def test_newton_completes_steps_converged_to_round_off(advance, d, N, p, alpha, 
     # an absolute residual tolerance of 1e-10 sat below the round-off of
     # these gradients: Newton stalled there and the line search failed
     space = build_space(d, N, suggest_grid(d, N))
-    params = ConstitutiveParams(p=p, alpha=alpha, d=d)
+    params = ConstitutiveParams(p=p, alpha=alpha)
     c0 = 3.0 * np.random.default_rng(1).standard_normal(N)
     cfg = SdeStepConfig(dt=dt, scheme="semi_implicit")
     new = advance(params, space, c0, cfg)
@@ -221,8 +221,8 @@ def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
     # step, eps is the symmetric part of grad v, and the steady body force
     # is projected once per run
     space = make_space()
-    params = ConstitutiveParams(p=1.8, alpha=0.1, d=2)
-    model = NoiseModel(family="smooth_norm", K=4, d=2)
+    params = ConstitutiveParams(p=1.8, alpha=0.1)
+    model = NoiseModel(family="smooth_norm", K=4)
     forcing = synthesize(space, np.eye(4)[1])
     counts = call_counter(galerkin, "synthesize", "velocity_gradient", "symmetric_gradient",
                           "apply_phi", "assemble_diffusion", "stress_force", "forcing_term",
@@ -236,8 +236,8 @@ def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
 
 def test_step_with_noise_reproducible(advance):
     space = make_space()
-    params = ConstitutiveParams(p=2.0, d=2)
-    noise = (NoiseModel(family="linear", K=4, d=2), WienerPath.generate(9, 0.01, 4, 3))
+    params = ConstitutiveParams(p=2.0)
+    noise = (NoiseModel(family="linear", K=4), WienerPath.generate(9, 0.01, 4, 3))
     cfg = SdeStepConfig(dt=0.01)
     c0 = np.array([1.0, 0.0, 0.0, 0.0])
     a = advance(params, space, c0, cfg, noise=noise, step_index=0)
@@ -259,47 +259,33 @@ def test_step_config_validation():
 def test_run_trajectory_rejects_bad_initial_coeffs(v0):
     # non-finite or wrongly shaped initial data fails before the first step
     with pytest.raises(ValueError, match="v0 must be 4 finite numbers"):
-        Problem(ConstitutiveParams(p=2.0, d=2), make_space(), None, None,
+        Problem(ConstitutiveParams(p=2.0), make_space(), None, None,
                 np.array(v0), SdeStepConfig(dt=0.01), 3)
 
 
 @pytest.mark.parametrize("override, message", [
-    ({"params": ConstitutiveParams(p=2.0, d=3)}, r"params\.d = 3 differs from space\.d = 2"),
-    ({"model": NoiseModel(family="linear", d=3)}, r"model\.d = 3 differs from space\.d = 2"),
     ({"forcing": np.zeros((9, 2))}, r"forcing must be sampled on the grid, shape \(16, 2\)"),
     ({"forcing": np.zeros((16, 3))}, r"forcing must be sampled on the grid, shape \(16, 2\)"),
-], ids=["params", "model", "forcing_points", "forcing_components"])
+], ids=["forcing_points", "forcing_components"])
 def test_problem_refuses_parts_that_disagree_with_the_space(override, message):
     space = make_space()  # d = 2 on 4^2 points
-    parts = dict(params=ConstitutiveParams(p=2.0, d=2), space=space,
-                 model=NoiseModel(family="linear", d=2), forcing=np.zeros((16, 2)),
+    parts = dict(params=ConstitutiveParams(p=2.0), space=space,
+                 model=NoiseModel(family="linear"), forcing=np.zeros((16, 2)),
                  v0=np.zeros(4), cfg=SdeStepConfig(dt=0.01), n_steps=3)
     Problem(**parts)
     with pytest.raises(ValueError, match=message):
         Problem(**{**parts, **override})
 
 
-def test_problem_keeps_two_d_parameters_off_a_three_d_space():
-    # d = 2 parameters on a 3-D space would record vel_rq with r0 = 2 p
-    space = build_space(3, 4, suggest_grid(3, 4))
-    with pytest.raises(ValueError, match=r"params\.d = 2 differs from space\.d = 3"):
-        Problem(ConstitutiveParams(p=2.0, d=2), space, None, None, np.zeros(4),
-                SdeStepConfig(dt=0.01), 3)
-    problem = Problem(ConstitutiveParams(p=2.0, d=3), space, None, None,
-                      [1.0, 0.0, 0.0, 0.0], SdeStepConfig(dt=0.01), 3)
-    assert problem.v0.dtype == float
-    assert run_trajectory(problem).problem is problem
-
-
 def test_interpolation_exponent():
-    assert abs(interpolation_exponent(ConstitutiveParams(p=2.0, d=2)) - 4.0) < 1e-15
-    assert abs(interpolation_exponent(ConstitutiveParams(p=1.6, d=3)) - 8.0 / 3.0) < 1e-14
+    assert abs(interpolation_exponent(2.0, 2) - 4.0) < 1e-15
+    assert abs(interpolation_exponent(1.6, 3) - 8.0 / 3.0) < 1e-14
 
 
 def test_run_trajectory_shapes_and_seed_requirement():
     space = make_space()
-    params = ConstitutiveParams(p=2.0, d=2)
-    model = NoiseModel(family="linear", K=4, d=2)
+    params = ConstitutiveParams(p=2.0)
+    model = NoiseModel(family="linear", K=4)
     cfg = SdeStepConfig(dt=0.01)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
     problem = Problem(params, space, model, None, v0, cfg, 10)
@@ -314,8 +300,8 @@ def test_run_trajectory_shapes_and_seed_requirement():
 
 def test_run_trajectory_deterministic_in_seed():
     space = make_space()
-    params = ConstitutiveParams(p=1.8, d=2)
-    model = NoiseModel(family="smooth_norm", K=8, d=2)
+    params = ConstitutiveParams(p=1.8)
+    model = NoiseModel(family="smooth_norm", K=8)
     cfg = SdeStepConfig(dt=0.005)
     v0 = np.array([1.0, 0.5, 0.0, 0.0])
     problem = Problem(params, space, model, None, v0, cfg, 20)
@@ -326,9 +312,25 @@ def test_run_trajectory_deterministic_in_seed():
     assert not np.array_equal(a.coeffs, c.coeffs)
 
 
+def test_explicit_path_records_its_own_seed():
+    # the recorded seed is the one that drove the run: a path's seed, which
+    # a seed given with it must equal
+    space = make_space()
+    model = NoiseModel(family="linear", K=4)
+    problem = Problem(ConstitutiveParams(p=1.8), space, model, None,
+                      np.array([1.0, 0.5, 0.0, 0.0]), SdeStepConfig(dt=0.01), 10)
+    path = WienerPath.generate(7, 0.01, 4, 10)
+    with pytest.raises(ValueError, match="seed = 5 differs"):
+        run_trajectory(problem, seed=5, path=path)
+    by_seed = run_trajectory(problem, seed=7)
+    for traj in (run_trajectory(problem, path=path), run_trajectory(problem, seed=7, path=path)):
+        assert traj.seed == 7
+        assert np.array_equal(traj.coeffs, by_seed.coeffs)
+
+
 def test_noise_free_newtonian_energy_decay():
     space = make_space()
-    params = ConstitutiveParams(p=2.0, nu0=1.0, d=2)
+    params = ConstitutiveParams(p=2.0, nu0=1.0)
     cfg = SdeStepConfig(dt=1e-3)
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
     traj = run_trajectory(Problem(params, space, None, None, v0, cfg, 100))
@@ -346,8 +348,8 @@ _SERIES = ("coeffs", "stress_diss", "stab_int", "force_work", "grad_lp", "vel_rq
        seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=5))
 def test_lockstep_rows_match_single_runs(family, scheme, seeds):
     space = make_space(8)
-    params = ConstitutiveParams(p=1.6, alpha=0.1, d=2)
-    model = NoiseModel(family=family, K=6, d=2)
+    params = ConstitutiveParams(p=1.6, alpha=0.1)
+    model = NoiseModel(family=family, K=6)
     forcing = synthesize(space, np.eye(8)[1])
     v0 = 0.8 * np.cos(np.arange(8.0))
     cfg = SdeStepConfig(dt=0.01, scheme=scheme)
@@ -366,8 +368,8 @@ def test_failing_row_is_masked():
     # seed 0 diverges at step 12 and rides on as a zero row; the other rows
     # finish as they do alone
     space = make_space(8)
-    params = ConstitutiveParams(p=3.0, d=2)
-    model = NoiseModel(family="linear", K=16, d=2)
+    params = ConstitutiveParams(p=3.0)
+    model = NoiseModel(family="linear", K=16)
     v0, cfg = 2.0 * np.ones(8), SdeStepConfig(dt=1.0)
     problem = Problem(params, space, model, None, v0, cfg, 20)
     rows = run_trajectory(problem, seed=range(4))
@@ -388,8 +390,8 @@ def test_failing_row_is_masked():
     (WienerPath.generate(1, 0.01, 6, 10), "K"),
 ], ids=["dt", "n_steps", "K"])
 def test_explicit_path_must_match_the_problem(path, field):
-    problem = Problem(ConstitutiveParams(p=2.0, d=2), make_space(),
-                      NoiseModel(family="linear", K=4, d=2), None,
+    problem = Problem(ConstitutiveParams(p=2.0), make_space(),
+                      NoiseModel(family="linear", K=4), None,
                       np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.01), 10)
     with pytest.raises(ValueError, match=rf"path {field} = "):
         run_trajectory(problem, seed=1, path=path)
@@ -403,8 +405,8 @@ def test_hand_built_path_reports_its_shape():
     # a 3-step path passed the checks and ended in an IndexError
     path = WienerPath(seed=0, dt=0.01, increments=np.zeros((3, 4)))
     assert (path.n_steps, path.K) == (3, 4)
-    problem = Problem(ConstitutiveParams(p=2.0, d=2), make_space(),
-                      NoiseModel(family="linear", K=4, d=2), None,
+    problem = Problem(ConstitutiveParams(p=2.0), make_space(),
+                      NoiseModel(family="linear", K=4), None,
                       np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.01), 10)
     with pytest.raises(ValueError, match="path n_steps = 3 is fewer"):
         run_trajectory(problem, path=path)
@@ -416,7 +418,7 @@ def test_hand_built_path_reports_its_shape():
 
 def test_explicit_path_without_noise_model_is_refused(call_counter):
     # the path used to be ignored: the run took its steps without noise
-    problem = Problem(ConstitutiveParams(p=2.0, d=2), make_space(), None, None,
+    problem = Problem(ConstitutiveParams(p=2.0), make_space(), None, None,
                       np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.01), 10)
     steps = call_counter(galerkin, "step")
     with pytest.raises(ValueError, match="needs a noise model"):

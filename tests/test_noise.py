@@ -8,6 +8,7 @@ from powerlaw_spde.noise import (
     NoiseModel,
     WienerPath,
     apply_phi,
+    generators,
     growth_bound_holds,
     hilbert_schmidt_norm_sq,
     mode_decay_bound_holds,
@@ -17,16 +18,16 @@ from powerlaw_spde.noise import (
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        NoiseModel(family="white", K=4, d=2)
+        NoiseModel(family="white", K=4)
     with pytest.raises(ValueError):
-        NoiseModel(family="linear", K=0, d=2)
-    with pytest.raises(ValueError):
-        NoiseModel(family="linear", K=4, d=2, per_mode_scale=np.ones(3))
+        NoiseModel(family="linear", K=0)
 
 
 def test_default_per_mode_scale_is_geometric():
-    model = NoiseModel(family="linear", K=5, d=2)
+    model = NoiseModel(family="linear", K=5)
     assert np.allclose(model.per_mode_scale, 2.0 ** -np.arange(1, 6))
+    with pytest.raises(ValueError):  # read-only: shared by every use of the model
+        model.per_mode_scale[0] = 1.0
 
 
 def grid_values(d, value):
@@ -37,7 +38,7 @@ def grid_values(d, value):
 
 
 def test_additive_family_is_state_independent():
-    model = NoiseModel(family="additive", K=4, d=2, amplitude=3.0)
+    model = NoiseModel(family="additive", K=4, amplitude=3.0)
     space = build_space(2, 2, suggest_grid(2, 2))
     xi = np.random.default_rng(0).standard_normal((space.M ** 2, 2))
     phi = apply_phi(model, space, xi)
@@ -46,7 +47,7 @@ def test_additive_family_is_state_independent():
 
 
 def test_linear_family_vanishes_at_origin():
-    model = NoiseModel(family="linear", K=4, d=3)
+    model = NoiseModel(family="linear", K=4)
     space, zero = grid_values(3, np.zeros(3))
     assert np.all(apply_phi(model, space, zero)[1] == 0.0)
     space, xi = grid_values(3, [2.0, -4.0, 6.0])
@@ -54,7 +55,7 @@ def test_linear_family_vanishes_at_origin():
 
 
 def test_smooth_norm_family_value():
-    model = NoiseModel(family="smooth_norm", K=4, d=2)
+    model = NoiseModel(family="smooth_norm", K=4)
     space, xi = grid_values(2, [1.0, 0.0])
     g1 = apply_phi(model, space, xi)[0]
     assert np.allclose(g1, np.broadcast_to([0.5 * np.sqrt(2.0), 0.0], xi.shape), atol=1e-14)
@@ -63,7 +64,7 @@ def test_smooth_norm_family_value():
 @pytest.mark.parametrize("family", ["additive", "linear", "smooth_norm"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_growth_and_decay_bounds(family, d):
-    model = NoiseModel(family=family, K=16, d=d)
+    model = NoiseModel(family=family, K=16)
     rng = np.random.default_rng(11)
     xi = 20.0 * rng.standard_normal((3000, d))
     assert growth_bound_holds(model, xi)
@@ -72,10 +73,10 @@ def test_growth_and_decay_bounds(family, d):
 
 def test_linear_gradient_sum_below_one_third():
     # sum_k |grad g_k|^2 = d sum_k 4^-k <= d/3 for the linear family
-    model = NoiseModel(family="linear", K=16, d=2)
-    grad_sum = model.d * float(np.sum(model.per_mode_scale ** 2))
-    assert grad_sum <= model.d / 3.0 + 1e-15
-    assert model.growth_constant >= grad_sum - 1e-15
+    model, d = NoiseModel(family="linear", K=16), 2
+    grad_sum = d * float(np.sum(model.per_mode_scale ** 2))
+    assert grad_sum <= d / 3.0 + 1e-15
+    assert model.growth_constant(d) >= grad_sum - 1e-15
 
 
 def test_apply_phi_shape_and_mismatch():
@@ -83,7 +84,7 @@ def test_apply_phi_shape_and_mismatch():
     xi = synthesize(space, np.ones(4))
     root = np.sqrt(1.0 + np.sum(xi ** 2, axis=-1, keepdims=True))
     for family in FAMILIES:
-        model = NoiseModel(family=family, K=6, d=2, amplitude=1.5)
+        model = NoiseModel(family=family, K=6, amplitude=1.5)
         phi = apply_phi(model, space, xi)
         assert phi.shape == (6, space.M ** 2, 2)
         # one mode at a time, in the same operand order
@@ -100,7 +101,7 @@ def test_apply_phi_shape_and_mismatch():
 def test_hilbert_schmidt_norm_constant_magnitude_field():
     # |v| = v0 everywhere gives sum_k a_k^2 v0^2 (2pi)^2 -> (1/3) v0^2 (2pi)^2
     space = build_space(2, 4, suggest_grid(2, 4))
-    model = NoiseModel(family="linear", K=16, d=2)
+    model = NoiseModel(family="linear", K=16)
     v0 = 1.7
     vals = np.stack([v0 * np.cos(space.points[:, 0]),
                      v0 * np.sin(space.points[:, 0])], axis=-1)
@@ -111,7 +112,7 @@ def test_hilbert_schmidt_norm_constant_magnitude_field():
 
 def test_hilbert_schmidt_additive_is_field_independent():
     space = build_space(2, 4, suggest_grid(2, 4))
-    model = NoiseModel(family="additive", K=8, d=2)
+    model = NoiseModel(family="additive", K=8)
     a = hilbert_schmidt_norm_sq(space, apply_phi(model, space, synthesize(space, np.zeros(4))))
     b = hilbert_schmidt_norm_sq(space, apply_phi(model, space, synthesize(space, np.ones(4))))
     assert abs(a - b) < 1e-12
@@ -167,11 +168,14 @@ def test_generate_rejects_bad_dt():
 @given(family=st.sampled_from(FAMILIES), d=st.sampled_from([2, 3]), K=st.integers(1, 9),
        amplitude=st.floats(0.1, 10.0), seed=st.integers(0, 2 ** 16))
 def test_noise_fields_mix_the_generator_fields(family, d, K, amplitude, seed):
-    # Phi(v) e_k = sum_r U[r, k] G_r(v) pointwise, with r <= min(K, d)
-    model = NoiseModel(family=family, K=K, d=d, amplitude=amplitude)
-    generators, mix = model.generators
-    assert generators.K <= min(K, d) and mix.shape == (generators.K, K)
+    # Phi(v) e_k = sum_r U[r, k] G_r(v) pointwise, with G the model's own
+    # first r <= min(K, d) modes; every scale is a power of two, so bit for bit
+    model = NoiseModel(family=family, K=K, amplitude=amplitude)
+    gen, mix = generators(model, d)
+    assert gen == NoiseModel(family, K=gen.K, amplitude=amplitude)
+    assert gen.K <= min(K, d) and mix.shape == (gen.K, K)
     space = build_space(d, 2, suggest_grid(d, 2))
     xi = 5.0 * np.random.default_rng(seed).standard_normal((space.M ** d, 3, d))
-    fields = np.einsum("rk,r...->k...", mix, apply_phi(generators, space, xi))
-    np.testing.assert_allclose(fields, apply_phi(model, space, xi), rtol=1e-14, atol=0.0)
+    want = apply_phi(model, space, xi)
+    assert np.array_equal(apply_phi(gen, space, xi), want[:gen.K])
+    assert np.array_equal(np.einsum("rk,r...->k...", mix, apply_phi(gen, space, xi)), want)

@@ -220,8 +220,8 @@ def test_pi_Phi_zero_increments():
     # a noisy trajectory whose increments are set to zero has no
     # stochastic pressure, while its noise norms stay positive
     space = make_space()
-    problem = Problem(ConstitutiveParams(p=1.8, d=2), space,
-                      NoiseModel(family="smooth_norm", K=4, d=2), None,
+    problem = Problem(ConstitutiveParams(p=1.8), space,
+                      NoiseModel(family="smooth_norm", K=4), None,
                       0.8 * np.cos(np.arange(8.0)), SdeStepConfig(dt=5e-3), 5)
     traj = run_trajectory(problem, seed=5)
     silent = dataclasses.replace(traj, increments=np.zeros_like(traj.increments))
@@ -232,9 +232,9 @@ def test_pi_Phi_zero_increments():
 
 
 def run_small(noise=True, scheme="euler_maruyama", alpha=0.0, forcing=None,
-              n_steps=20, dt=5e-3, seed=3):
-    params = ConstitutiveParams(p=1.8, alpha=alpha, d=2)
-    model = NoiseModel(family="linear", K=8, d=2) if noise else None
+              n_steps=20, dt=5e-3, seed=3, family="linear"):
+    params = ConstitutiveParams(p=1.8, alpha=alpha)
+    model = NoiseModel(family=family, K=8) if noise else None
     v0 = np.zeros(8)
     v0[0], v0[2] = 1.0, 0.5
     cfg = SdeStepConfig(dt=dt, scheme=scheme)
@@ -273,7 +273,7 @@ def test_weak_residual_first_order_in_dt():
     # time-discretization error and halves with dt; read with the scheme's
     # own quadrature (implicit stress at C_{n+1}) it is round-off
     space = make_space()
-    params = ConstitutiveParams(p=2.0, d=2)
+    params = ConstitutiveParams(p=2.0)
     forcing = None
     v0 = np.zeros(8)
     v0[0] = 1.0
@@ -317,8 +317,8 @@ def test_weak_residual_galerkin_modes():
     M = suggest_grid(2, N_big)
     space = build_space(2, N, M)
     test_space = build_space(2, N_big, M)
-    params = ConstitutiveParams(p=1.8, alpha=0.1, d=2)
-    model = NoiseModel(family="linear", K=8, d=2)
+    params = ConstitutiveParams(p=1.8, alpha=0.1)
+    model = NoiseModel(family="linear", K=8)
     forcing = None
     v0 = np.zeros(N)
     v0[0], v0[2] = 1.0, 0.5
@@ -340,7 +340,7 @@ def test_weak_residual_galerkin_modes():
 
 def test_weak_residual_semi_implicit_scheme_aware():
     space = make_space(8)
-    params = ConstitutiveParams(p=1.8, d=2)
+    params = ConstitutiveParams(p=1.8)
     forcing = None
     v0 = np.zeros(8)
     v0[0] = 1.0
@@ -380,8 +380,9 @@ def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypat
     # with noise and a stabilizer, each chunk of steps lifts the zero-order
     # term (2 operator calls), solves pi_H for the stacked flux parts (2) and
     # updates pi_Phi (2): six operators, each one symbol application, and
-    # the per-axis DFT matrices leave np.fft unused
-    traj = run_small(alpha=0.2, n_steps=8)
+    # the per-axis DFT matrices leave np.fft unused (smooth_norm noise: linear
+    # noise skips pi_Phi)
+    traj = run_small(alpha=0.2, n_steps=8, family="smooth_norm")
     space = traj.problem.space
     monkeypatch.setattr(pressure, "_CHUNK_POINTS", 3 * space.M ** space.d)
     n_chunks = math.ceil(traj.n_steps / chunk_steps(space))
@@ -395,6 +396,17 @@ def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypat
     assert symbol_calls == {"_apply_symbol": 6 * n_chunks}
     assert not any(fft_calls.values())
     assert flux_calls == {"assemble_H": n_chunks}
+
+
+def test_linear_noise_has_no_stochastic_pressure(call_counter):
+    # Phi(v) e_k = a_k v is divergence-free, so pi_Phi is exactly zero and
+    # costs no transform, while the noise norms are still recorded
+    traj = run_small(n_steps=8)
+    div_calls = call_counter(pressure, "divergence_vector")
+    dec = pressure.decompose(traj)
+    assert not np.any(dec.pi_Phi_series)
+    assert np.all(dec.hs_series > 0.0)
+    assert div_calls == {"divergence_vector": 0}
 
 
 def test_decompose_calls_the_traced_spans(call_counter):
@@ -519,8 +531,8 @@ def test_decompose_matches_per_step_oracle(d, M, family, alpha, forced, extra):
     # solenoidal field has no pressure, so smooth_norm is the case that
     # checks pi_Phi
     space = build_space(d, 8, M)
-    params = ConstitutiveParams(p=1.7, alpha=alpha, d=d)
-    model = NoiseModel(family=family, K=5, d=d) if family else None
+    params = ConstitutiveParams(p=1.7, alpha=alpha)
+    model = NoiseModel(family=family, K=5) if family else None
     forcing = synthesize(space, np.eye(8)[2]) if forced else None
     v0 = 0.8 * np.cos(np.arange(8.0))
     n_steps = 2 * chunk_steps(space) + extra
@@ -564,8 +576,8 @@ def test_decompose_memory_is_bounded_by_a_chunk():
     # the temporaries of decompose are those of one chunk, however long the
     # trajectory: the peak above the outputs grows by less than half
     space = build_space(2, 8, 10)
-    params = ConstitutiveParams(p=1.7, alpha=0.3, d=2)
-    model = NoiseModel(family="smooth_norm", K=8, d=2)
+    params = ConstitutiveParams(p=1.7, alpha=0.3)
+    model = NoiseModel(family="smooth_norm", K=8)
     forcing = synthesize(space, np.eye(8)[2])
     chunk = chunk_steps(space)
     cfg, v0 = SdeStepConfig(dt=1e-3), 0.8 * np.cos(np.arange(8.0))

@@ -1,13 +1,16 @@
-"""Every target that the benchmark's tracer wraps exists in the package, and
-every benchmark workload builds and names known spans, so a rename or a new
-config rule cannot silently break a benchmark run."""
+"""Every target that the benchmark's tracer wraps exists in the package,
+every benchmark workload builds and names known spans, and every workload's
+outputs pass the benchmark's own reference check, so a rename, a new config
+rule or an output drift cannot silently break a benchmark run."""
 import ast
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from powerlaw_spde import cli, config
 from powerlaw_spde.config import SimulationConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -57,3 +60,26 @@ def test_workload_config_builds_and_calls_known_spans(name):
     workload = WORKLOADS[name]
     SimulationConfig(**workload.make_config(0)).build_problem()
     assert set(workload.called) <= set(spans())
+
+
+@pytest.fixture(scope="module")
+def runner():
+    """perfbench/run.py, loaded from the file as it is, with perfbench/ on
+    sys.path for its own imports."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_outputs_match_the_benchmark_reference(runner, name, tmp_path):
+    # one invocation at seed 0 through the benchmark's own check: the
+    # comparison with reference.json at RTOL that every benchmark run makes
+    bench = runner.Bench(name, 0, tmp_path, cli, config, np)
+    bench.invoke()
+    assert bench.failed == 0 and not bench.problems, bench.problems
