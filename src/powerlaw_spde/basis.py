@@ -16,20 +16,23 @@ Fields are sampled on a uniform collocation grid with M points per axis;
 inner products are trapezoidal sums, which are exact for trigonometric
 polynomials resolved by the grid.  The modes themselves are plain arrays,
 one row per mode: wavevectors, parities and polarizations.  Because each
-mode is a scalar profile times a constant vector, the basis is stored as
-two (N, M^d) scalar profile tables plus per-mode constants, and every
-transform is a matrix product on those tables (see GalerkinSpace).
+mode is a scalar profile times a constant vector, and the profiles of the
+modes and of their gradients are the cos and sin rows of the same
+wavevectors, the basis is stored as one table of the R = 2 n_xi distinct
+cos/sin rows (about N at d=2, N/2 at d=3) plus per-mode constants.  Every
+transform is one matrix product on that table (see GalerkinSpace); v and
+eps(v) at the same coefficients come from one product, and so do the
+projections onto w_k and eps(w_k).
 
-The profile tables are the real and imaginary parts of exp(i xi . x),
+The profile rows are the real and imaginary parts of exp(i xi . x),
 built as products of rows of fourier_table(M), one row per axis at
-xi_j mod M.  The table reduces each phase k*m mod M before exp, so no
-entry carries the round-off of a large phase; the per-axis DFT matrices of
-the pressure operators are read from the same table.
+xi_j mod M.  The Fourier table reduces each phase k*m mod M before exp, so
+no entry carries the round-off of a large phase; the per-axis DFT
+matrices of the pressure operators are read from the same table.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,14 +50,6 @@ def fourier_table(M: int) -> np.ndarray:
     table = np.exp(2j * np.pi * (np.outer(k, k) % M) / M)
     table.flags.writeable = False
     return table
-
-
-def _is_canonical(xi: tuple[int, ...]) -> bool:
-    """One representative per {xi, -xi}: first nonzero component positive."""
-    for c in xi:
-        if c != 0:
-            return c > 0
-    return False
 
 
 def _cross(a, b) -> tuple[float, float, float]:
@@ -86,23 +81,51 @@ def _enumerate_modes(d: int, count: int) -> tuple[np.ndarray, np.ndarray, np.nda
     integer wavevectors xis (count, d), parities is_cos (count,) and unit
     polarizations pols (count, d).
 
-    The ball of wavevectors grows until it holds `count` modes; the modes
-    are ordered by key first, so only the retained ones get polarizations.
+    Each wavevector carries 2 (d-1) modes, cos before sin and polarizations
+    in order, so the modes are the first ceil(count / (2 (d-1))) canonical
+    wavevectors by (|xi|^2, xi), each repeated.  The ball of candidates
+    doubles its radius until it holds enough of them; only the retained
+    wavevectors get polarizations.
     """
     n_pol = d - 1
-    radius = 1
+    n_vecs = -(-count // (2 * n_pol))
+    # the half ball of radius r holds about (pi/2) r^2 resp. (2 pi/3) r^3
+    # wavevectors, so radius n_vecs^(1/d) mostly needs no doubling
+    radius = max(1, round(n_vecs ** (1 / d)))
     while True:
-        vecs = [vec for vec in itertools.product(range(-radius, radius + 1), repeat=d)
-                if _is_canonical(vec) and sum(c * c for c in vec) <= radius * radius]
-        if 2 * n_pol * len(vecs) >= count:
+        axis = np.arange(-radius, radius + 1)
+        vecs = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+        first = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+        norms = np.sum(vecs ** 2, axis=1)
+        keep = (first > 0) & (norms <= radius * radius)
+        if np.count_nonzero(keep) >= n_vecs:
             break
-        radius += 1
-    keys = sorted((sum(c * c for c in vec), vec, parity, i)
-                  for vec in vecs for parity in ("cos", "sin") for i in range(n_pol))[:count]
-    pols = {vec: _polarizations(vec) for vec in dict.fromkeys(key[1] for key in keys)}
-    return (np.array([vec for _, vec, _, _ in keys]),
-            np.array([parity == "cos" for _, _, parity, _ in keys]),
-            np.array([pols[vec][i] for _, vec, _, i in keys]))
+        radius *= 2
+    vecs = vecs[keep][np.lexsort((*vecs[keep].T[::-1], norms[keep]))[:n_vecs]]
+    pols = np.array([_polarizations(vec) for vec in map(tuple, vecs.tolist())])  # (n_vecs, d-1, d)
+    return (np.repeat(vecs, 2 * n_pol, axis=0)[:count],
+            np.tile(np.repeat([True, False], n_pol), n_vecs)[:count],
+            np.tile(pols, (1, 2, 1)).reshape(-1, d)[:count])
+
+
+def _swap_pairs(rows: np.ndarray) -> np.ndarray:
+    """A copy of rows (..., R) with each cos/sin pair (2j, 2j+1) swapped."""
+    out = np.empty(rows.shape)
+    out[..., 0::2] = rows[..., 1::2]
+    out[..., 1::2] = rows[..., 0::2]
+    return out
+
+
+def _by_row(space: GalerkinSpace, per_mode: np.ndarray, paired: bool) -> np.ndarray:
+    """Per-mode constants (N, k) placed on the profile row that they
+    multiply, shape (k, d-1, R) with R the number of rows: [:, i, r] belongs
+    to the i-th mode of row r, or with paired to the i-th mode of row r ^ 1;
+    zero where the cut at N left no mode."""
+    R, n_pol = len(space.profiles), space.d - 1
+    out = np.zeros((R * n_pol, per_mode.shape[1]))
+    out[:space.N] = per_mode
+    out = np.ascontiguousarray(out.reshape(R, n_pol, -1).T)
+    return _swap_pairs(out) if paired else out
 
 
 @dataclass(frozen=True)
@@ -111,26 +134,31 @@ class GalerkinSpace:
 
     The modes are arrays: wavevectors xis, parities is_cos (cos or sin) and
     polarizations pols, one row per mode.  Every mode is a scalar profile
-    times a constant vector, so the basis is stored in factored form: the
-    value profiles a_n(x) = amp {cos|sin}(xi_n.x) and derivative profiles
-    b_n(x) on the collocation grid, plus the per-mode polarizations pol_n and
-    gradient tensors G_n = pol_n (x) xi_n.
-    Then w_n = a_n pol_n, grad w_n = b_n G_n and eps(w_n) = b_n sym(G_n),
-    and every transform is a GEMM on an (N, M^d) profile table followed by
-    a small contraction with the per-mode constants.  The dense tables
+    times a constant vector, so the basis is stored in factored form: one
+    table of the R = 2 n_xi distinct profiles on the collocation grid, a
+    cos row amp cos(xi.x) and a sin row amp sin(xi.x) for each distinct
+    wavevector in mode order, plus per-mode constants.
+
+    The modes of one wavevector are contiguous (cos before sin, then the
+    d-1 polarizations), so mode n reads row n // (d-1) and w_n = a_row pol_n.
+    Since d cos = -sin and d sin = cos, its gradient reads the paired row
+    row ^ 1: grad w_n = a_(row^1) G_n with G_n = -+ pol_n (x) xi_n (minus
+    for cos), and eps(w_n) = a_(row^1) sym(G_n).  Every transform is one
+    GEMM on the table: the per-mode constants are summed by row over the
+    polarizations, and a derivative part swaps each cos/sin row pair.  The
+    table keeps the sin row of a last wavevector whose sin modes fell to the
+    cut at N, since its cos modes' gradients read it.  The dense tables
     mode_fields, mode_grads and mode_eps are lazy views for oracles.
     """
 
     d: int
     N: int
     M: int
-    xis: np.ndarray = field(repr=False)             # (N, d) integer wavevectors
-    is_cos: np.ndarray = field(repr=False)          # (N,) cos profile, else sin
-    points: np.ndarray = field(repr=False)          # (M^d, d)
-    value_profiles: np.ndarray = field(repr=False)  # (N, M^d); w_n = a_n pol_n
-    deriv_profiles: np.ndarray = field(repr=False)  # (N, M^d); grad w_n = b_n G_n
-    pols: np.ndarray = field(repr=False)            # (N, d)
-    grad_tensors: np.ndarray = field(repr=False)    # (N, d, d); [n, i, j] = pol_i xi_j
+    xis: np.ndarray = field(repr=False)       # (N, d) integer wavevectors
+    is_cos: np.ndarray = field(repr=False)    # (N,) cos profile, else sin
+    pols: np.ndarray = field(repr=False)      # (N, d)
+    points: np.ndarray = field(repr=False)    # (M^d, d)
+    profiles: np.ndarray = field(repr=False)  # (R, M^d); rows 2j, 2j+1: cos, sin of xi_j
     quad_weight: float
 
     @cached_property
@@ -139,24 +167,44 @@ class GalerkinSpace:
         return np.sum(self.xis ** 2, axis=1).astype(float)
 
     @cached_property
-    def strain_tensors(self) -> np.ndarray:
-        """sym(G_n), so that eps(w_n) = b_n sym(G_n); shape (N, d, d)."""
-        return 0.5 * (self.grad_tensors + np.swapaxes(self.grad_tensors, -1, -2))
+    def value_consts(self) -> np.ndarray:
+        """pol_n on row n // (d-1), shape (d, d-1, R)."""
+        return _by_row(self, self.pols, paired=False)
+
+    @cached_property
+    def grad_consts(self) -> np.ndarray:
+        """The signed G_n on the paired row, shape (d*d, d-1, R)."""
+        sign = np.where(self.is_cos, -1.0, 1.0)[:, None, None]
+        tensors = sign * self.pols[:, :, None] * self.xis[:, None, :]
+        return _by_row(self, tensors.reshape(self.N, -1), paired=True)
+
+    @cached_property
+    def strain_consts(self) -> np.ndarray:
+        """sym(G_n) on the paired row, shape (d*d, d-1, R)."""
+        grads = self.grad_consts.reshape((self.d, self.d) + self.grad_consts.shape[1:])
+        return (0.5 * (grads + np.swapaxes(grads, 0, 1))).reshape(self.grad_consts.shape)
+
+    def _dense(self, consts: np.ndarray, paired: bool) -> np.ndarray:
+        """a_row(x) T_n for every mode, shape (N, M^d, k), from constants by
+        row; a paired mode reads row ^ 1."""
+        rows = np.arange(self.N) // (self.d - 1)
+        per_mode = (_swap_pairs(consts) if paired else consts).T.reshape(-1, len(consts))
+        return self.profiles[rows ^ paired][:, :, None] * per_mode[:self.N, None]
 
     @cached_property
     def mode_fields(self) -> np.ndarray:
         """Dense samples of all modes, shape (N, M^d, d)."""
-        return self.value_profiles[:, :, None] * self.pols[:, None, :]
+        return self._dense(self.value_consts, paired=False)
 
     @cached_property
     def mode_grads(self) -> np.ndarray:
         """Dense gradients, shape (N, M^d, d, d); [..., i, j] = d_j w_i."""
-        return self.deriv_profiles[:, :, None, None] * self.grad_tensors[:, None]
+        return self._dense(self.grad_consts, paired=True).reshape(self.N, -1, self.d, self.d)
 
     @cached_property
     def mode_eps(self) -> np.ndarray:
         """Dense symmetric gradients of all modes, shape (N, M^d, d, d)."""
-        return self.deriv_profiles[:, :, None, None] * self.strain_tensors[:, None]
+        return self._dense(self.strain_consts, paired=True).reshape(self.N, -1, self.d, self.d)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -187,19 +235,20 @@ def build_space(d: int, N: int, M: int) -> GalerkinSpace:
     points = np.stack([g.ravel() for g in grids], axis=-1)  # (M^d, d)
 
     amp = np.sqrt(2.0) / TWO_PI ** (d / 2.0)
-    # exp(i xi . x) on the grid (N, M^d): one table row per axis, outer products
+    # exp(i xi . x) on the grid for each distinct xi: one table row per
+    # axis, outer products
+    vecs = xis[::2 * (d - 1)]
     table = fourier_table(M)
-    wave = table[xis[:, 0] % M]
+    wave = table[vecs[:, 0] % M]
     for j in range(1, d):
-        wave = (wave[:, :, None] * table[xis[:, j] % M][:, None, :]).reshape(N, -1)
-    values = amp * np.where(is_cos[:, None], wave.real, wave.imag)
-    derivs = amp * np.where(is_cos[:, None], -wave.imag, wave.real)
+        wave = (wave[:, :, None] * table[vecs[:, j] % M][:, None, :]).reshape(len(vecs), -1)
+    profiles = np.empty((len(vecs), 2, M ** d))
+    np.multiply(amp, wave.real, out=profiles[:, 0])
+    np.multiply(amp, wave.imag, out=profiles[:, 1])
 
     return GalerkinSpace(
-        d=d, N=N, M=M, xis=xis, is_cos=is_cos, points=points,
-        value_profiles=values, deriv_profiles=derivs, pols=pols,
-        grad_tensors=pols[:, :, None] * xis[:, None, :],
-        quad_weight=(TWO_PI / M) ** d,
+        d=d, N=N, M=M, xis=xis, is_cos=is_cos, pols=pols, points=points,
+        profiles=profiles.reshape(2 * len(vecs), -1), quad_weight=(TWO_PI / M) ** d,
     )
 
 
@@ -218,27 +267,60 @@ def _check_coeffs(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _transform(profiles: np.ndarray, coeffs: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """sum_n c_n p_n(x) T_n for per-mode constants T_n (N, ...): shape
-    (M^d, ...) for coeffs (N,) and (M^d, n, ...) for a block (n, N).  A
+def _forward(space: GalerkinSpace, coeffs: np.ndarray, value_consts=None, deriv_consts=None):
+    """sum_n c_n [a_n T_n | b_n D_n] for value constants T (value_consts)
+    and derivative constants D (deriv_consts) by row; either may be None.
+    Shape (M^d, k) for coeffs (N,) and (M^d, n, k) for a block (n, N).  A
     block is one GEMM per row (a stacked matmul), so a row's samples are
     those of the row alone, whatever else the block holds."""
-    weighted = coeffs[..., None] * consts.reshape(len(consts), -1)  # (..., N, k)
-    out = profiles.T @ weighted  # (..., M^d, k)
-    return np.moveaxis(out.reshape(out.shape[:-1] + consts.shape[1:]), coeffs.ndim - 1, 0)
+    coeffs = _check_coeffs(space, coeffs)
+    lead = coeffs.shape[:-1]
+    R, n_pol = len(space.profiles), space.d - 1
+    if R * n_pol > space.N:
+        coeffs = np.concatenate([coeffs, np.zeros(lead + (R * n_pol - space.N,))], axis=-1)
+    c = coeffs.reshape(lead + (R, n_pol)).swapaxes(-1, -2)[..., None, :, :]
+    # row r weighs the values of its own modes and the derivatives of the
+    # modes of row r ^ 1, side by side
+    weights = []
+    if value_consts is not None:
+        weights.append(c * value_consts)
+    if deriv_consts is not None:
+        weights.append(_swap_pairs(c) * deriv_consts)
+    weights = weights[0] if len(weights) == 1 else np.concatenate(weights, axis=-3)
+    # sum over the polarizations of a row
+    weights = weights.sum(axis=-2) if n_pol > 1 else weights[..., 0, :]
+    out = space.profiles.T @ weights.swapaxes(-1, -2)  # (..., M^d, k)
+    return out.swapaxes(0, -2)  # (M^d, ..., k)
 
 
-def _project(profiles: np.ndarray, values: np.ndarray, n_comp: int) -> np.ndarray:
-    """sum_x p_n(x) F(x) for samples F (M^d, ..., *comp) with n_comp
-    component axes: shape (..., N, prod(comp)), one GEMM per batch index."""
-    rows = np.moveaxis(values, 0, -1 - n_comp)  # (..., M^d, *comp)
-    return profiles @ rows.reshape(rows.shape[:rows.ndim - n_comp] + (-1,))
+def _adjoint(space: GalerkinSpace, values: np.ndarray, value_consts=None, deriv_consts=None):
+    """quad_weight sum_x F(x) . [a_n T_n | b_n D_n] for samples F
+    (M^d, ..., k): the transpose of _forward, shape (..., N), one GEMM per
+    batch index."""
+    rows = np.moveaxis(values, 0, -2)  # (..., M^d, k)
+    lead = rows.shape[:-2]
+    moments = (space.profiles @ rows).swapaxes(-1, -2)[..., None, :]  # (..., k, 1, R)
+    split = 0 if value_consts is None else len(value_consts)
+    out = None
+    if value_consts is not None:
+        out = (moments[..., :split, :, :] * value_consts).sum(axis=-3)
+    if deriv_consts is not None:
+        # row r's moments project the derivatives of the modes of row r ^ 1
+        deriv = _swap_pairs((moments[..., split:, :, :] * deriv_consts).sum(axis=-3))
+        out = deriv if out is None else out + deriv
+    out = space.quad_weight * out.swapaxes(-1, -2)  # (..., R, d-1)
+    return out.reshape(lead + (-1,))[..., :space.N]
+
+
+def _tensor_columns(values: np.ndarray) -> np.ndarray:
+    """Tensor samples (..., d, d) as d*d columns (..., d*d)."""
+    return values.reshape(values.shape[:-2] + (-1,))
 
 
 def synthesize(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     """Samples of sum_k c_k w_k on the collocation grid, shape (M^d, d), or
     (M^d, n, d) for a block of coefficient rows (n, N)."""
-    return _transform(space.value_profiles, _check_coeffs(space, coeffs), space.pols)
+    return _forward(space, coeffs, value_consts=space.value_consts)
 
 
 def analyze(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
@@ -246,25 +328,40 @@ def analyze(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
     quadrature, shape (N,), or (..., N) for batched samples (M^d, ..., d)."""
     if values.ndim < 2 or (values.shape[0], values.shape[-1]) != (space.M ** space.d, space.d):
         raise ValueError(f"field shape {values.shape} inconsistent with space")
-    moments = _project(space.value_profiles, values, 1)  # (..., N, d)
-    return space.quad_weight * np.sum(moments * space.pols, axis=-1)
+    return _adjoint(space, values, value_consts=space.value_consts)
 
 
 def analyze_gradient(space: GalerkinSpace, values: np.ndarray, symmetric: bool = False) -> np.ndarray:
     """<F, grad w_k> for a tensor field F of shape (M^d, d, d); <F, eps(w_k)>
     when symmetric.  Shape (N,), or (..., N) for batched samples (M^d, ..., d, d)."""
-    tensors = space.strain_tensors if symmetric else space.grad_tensors
-    moments = _project(space.deriv_profiles, values, 2)  # (..., N, d*d)
-    return space.quad_weight * np.sum(moments * tensors.reshape(space.N, -1), axis=-1)
+    consts = space.strain_consts if symmetric else space.grad_consts
+    return _adjoint(space, _tensor_columns(values), deriv_consts=consts)
 
 
 def velocity_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     """Full gradient of the synthesized field, shape (M^d, d, d), or
     (M^d, n, d, d) for a block (n, N)."""
-    return _transform(space.deriv_profiles, _check_coeffs(space, coeffs), space.grad_tensors)
+    out = _forward(space, coeffs, deriv_consts=space.grad_consts)
+    return out.reshape(out.shape[:-1] + (space.d, space.d))
 
 
 def symmetric_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     """Shear-rate tensor eps(v) at every grid point, shape (M^d, d, d), or
     (M^d, n, d, d) for a block (n, N)."""
-    return _transform(space.deriv_profiles, _check_coeffs(space, coeffs), space.strain_tensors)
+    out = _forward(space, coeffs, deriv_consts=space.strain_consts)
+    return out.reshape(out.shape[:-1] + (space.d, space.d))
+
+
+def synthesize_with_strain(space: GalerkinSpace, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(synthesize, symmetric_gradient) at the same coefficients from one
+    GEMM per row on d + d^2 columns, as two views of one array."""
+    out = _forward(space, coeffs, space.value_consts, space.strain_consts)
+    d = space.d
+    return out[..., :d], out[..., d:].reshape(out.shape[:-1] + (d, d))
+
+
+def analyze_with_strain(space: GalerkinSpace, vec: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """analyze(vec) + analyze_gradient(tensor, symmetric=True) from one GEMM
+    per batch index on d + d^2 columns."""
+    values = np.concatenate([vec, _tensor_columns(tensor)], axis=-1)
+    return _adjoint(space, values, space.value_consts, space.strain_consts)

@@ -20,7 +20,8 @@ from .noise import FAMILIES, NoiseModel
 
 SCHEMA_VERSION = 1
 
-# Bytes allowed for the largest array of a run: a basis table (N, M^d), the
+# Bytes allowed for the largest array of a run: the basis table (R, M^d)
+# of R <= N + 1 cos/sin rows, bounded as (N, M^d), the
 # coefficient history (n_traj, n_steps + 1, N) or, with noise, the Brownian
 # increments (n_traj, n_steps, K).  A larger run exits 2 before it allocates.
 MAX_ARRAY_BYTES = 2 ** 31
@@ -109,11 +110,11 @@ class SimulationConfig:
             raise ConfigError("N", "need at least one mode")
         # N modes need (2 kmax + 1)^d >= N/(d-1) + 1 grid points: bound the
         # tables before the modes are enumerated
-        self._check_size("N", "(N, M^d) basis table", self.N * (self.N // (self.d - 1) + 1))
+        self._check_size("N", "(R, M^d) basis table", self.N * (self.N // (self.d - 1) + 1))
         grid_field = "N" if self.M is None else "M"
         if self.M is None:
             self.M = suggest_grid(self.d, self.N)
-        self._check_size(grid_field, "(N, M^d) basis table", self.N * self.M ** self.d)
+        self._check_size(grid_field, "(R, M^d) basis table", self.N * self.M ** self.d)
         if self.K < 1:
             raise ConfigError("K", "need at least one Wiener mode")
         if self.dt <= 0.0:

@@ -41,8 +41,10 @@ from .basis import (
     GalerkinSpace,
     analyze,
     analyze_gradient,
+    analyze_with_strain,
     symmetric_gradient,
     synthesize,
+    synthesize_with_strain,
     velocity_gradient,
 )
 from .constitutive import (
@@ -151,9 +153,12 @@ def trilinear_convection(space: GalerkinSpace, u: np.ndarray, v: np.ndarray, w: 
 def _implicit_fields(params, space, coeffs):
     """eps(v_C) and, with the stabilizer on, the samples of v_C: the fields
     that the objective, its gradient and its Hessian at C all read."""
-    eps = symmetric_gradient(space, coeffs)
-    v = synthesize(space, coeffs) if params.alpha > 0.0 else None
-    return eps, v
+    if params.alpha == 0.0:
+        return symmetric_gradient(space, coeffs), None
+    v, eps = synthesize_with_strain(space, coeffs)
+    # contiguous copies of the two views: the pointwise kernels that read
+    # them run about 30% slower on the views
+    return np.ascontiguousarray(eps), np.ascontiguousarray(v)
 
 
 def _implicit_gradient(params, space, coeffs, rhs, dt, fields):
@@ -178,7 +183,8 @@ def _implicit_hessian_product(params, space, dt, fields):
     iterate with these fields, never assembled.  With t = |eps| and eps^ =
     eps/t, D^2 F(eps)[E] = nu0 (1+t)^(p-2) (E + (p-2) t/(1+t) (eps^:E) eps^);
     the stabilizer's Hessian maps u to alpha |v|^(q-2) (u + (q-2) (v^.u) v^).
-    The coefficients are computed once per iterate; a product is four GEMMs."""
+    The coefficients are computed once per iterate; a product is two GEMMs,
+    a forward one for (u, E) = (v_x, eps(v_x)) and its adjoint."""
     eps, v = fields
     t = np.sqrt(np.sum(eps ** 2, axis=(-2, -1)))[:, None, None]
     c1 = params.nu0 * (1.0 + t) ** (params.p - 2.0)
@@ -191,13 +197,12 @@ def _implicit_hessian_product(params, space, dt, fields):
         v_rank = (params.q - 2.0) * v_hat
 
     def product(x):
-        e = symmetric_gradient(space, x)
+        e, u = _implicit_fields(params, space, x)
         flux = c1 * (e + np.sum(e_hat * e, axis=(-2, -1))[:, None, None] * e_rank)
-        out = analyze_gradient(space, flux, symmetric=True)
-        if v is not None:
-            u = synthesize(space, x)
-            out += analyze(space, a1 * (u + np.sum(v_hat * u, axis=-1)[:, None] * v_rank))
-        return x + dt * out
+        if u is None:
+            return x + dt * analyze_gradient(space, flux, symmetric=True)
+        force = a1 * (u + np.sum(v_hat * u, axis=-1)[:, None] * v_rank)
+        return x + dt * analyze_with_strain(space, force, flux)
 
     return product
 

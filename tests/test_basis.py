@@ -1,11 +1,15 @@
+import functools
+import itertools
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from powerlaw_spde import basis
 from powerlaw_spde.basis import (
     _enumerate_modes,
+    _polarizations,
     analyze,
     build_space,
     suggest_grid,
@@ -57,6 +61,56 @@ def test_enumerated_modes_are_canonical_with_unit_orthogonal_polarizations(d, N)
     assert np.all(first > 0)
     assert np.all(np.abs(np.sum(pols ** 2, axis=1) - 1.0) <= 1e-12)
     assert np.all(np.abs(np.sum(pols * xis, axis=1)) <= 1e-12)
+
+
+def _is_canonical(xi):
+    for c in xi:
+        if c != 0:
+            return c > 0
+    return False
+
+
+def enumerate_modes_by_search(d, count):
+    """The plain-Python ball search and tuple sort that _enumerate_modes
+    replaced, kept as its oracle."""
+    n_pol = d - 1
+    radius = 1
+    while True:
+        vecs = [vec for vec in itertools.product(range(-radius, radius + 1), repeat=d)
+                if _is_canonical(vec) and sum(c * c for c in vec) <= radius * radius]
+        if 2 * n_pol * len(vecs) >= count:
+            break
+        radius += 1
+    keys = sorted((sum(c * c for c in vec), vec, parity, i)
+                  for vec in vecs for parity in ("cos", "sin") for i in range(n_pol))[:count]
+    pols = {vec: _polarizations(vec) for vec in dict.fromkeys(key[1] for key in keys)}
+    return (np.array([vec for _, vec, _, _ in keys]),
+            np.array([parity == "cos" for _, _, parity, _ in keys]),
+            np.array([pols[vec][i] for _, vec, _, i in keys]))
+
+
+@lru_cache(maxsize=None)
+def searched_2048(d):
+    return enumerate_modes_by_search(d, 2048)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_enumeration_equals_the_ball_search_for_every_N_up_to_2048(d, monkeypatch):
+    # the search keeps the globally first modes, so each N's oracle is the
+    # prefix of N = 2048's; the prefix rule itself is checked below.  The
+    # polarizations of a wavevector are memoized, so each is computed once.
+    want = searched_2048(d)
+    monkeypatch.setattr(basis, "_polarizations", functools.cache(_polarizations))
+    for N in range(1, 2049):
+        for got, expected in zip(_enumerate_modes(d, N), want):
+            assert np.array_equal(got, expected[:N]), N
+
+
+@settings(max_examples=30)
+@given(d=st.sampled_from([2, 3]), N=st.integers(1, 2048))
+def test_ball_search_keeps_a_prefix(d, N):
+    for got, expected in zip(enumerate_modes_by_search(d, N), searched_2048(d)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected[:N])
 
 
 @pytest.mark.parametrize("d", [2, 3])

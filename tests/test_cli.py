@@ -351,7 +351,7 @@ def test_grid_point_with_inadmissible_q_exits_two(tmp_path, capsys, flag, grid):
 
 
 @pytest.mark.parametrize("override, fld", [
-    ({"N": 100000}, "N"),                      # two 213 GiB basis tables
+    ({"N": 100000}, "N"),                      # a 213 GiB basis table
     ({"N": 10 ** 9}, "N"),                     # bounded before the modes are enumerated
     ({"T_end": 1e7, "dt": 0.01}, "T_end"),     # a 29.8 GiB coefficient history
     ({"K": 10 ** 9, "noise_family": "linear"}, "K"),  # 37 GiB of increments

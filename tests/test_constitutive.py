@@ -49,6 +49,17 @@ def test_rejects_asymmetric_strain():
         eval_stress(params, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("check", [eval_stress, stress_potential, growth_bounds_check])
+@pytest.mark.parametrize("d", [2, 3])
+def test_strain_inputs_must_be_symmetric(check, d):
+    params = ConstitutiveParams(p=1.6)
+    eps = random_symmetric(np.random.default_rng(d), 8, d)
+    check(params, eps)  # accepted
+    eps[3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="strain input must be symmetric"):
+        check(params, eps)
+
+
 @pytest.mark.parametrize("p", [1.2, 1.6, 2.0, 2.5, 3.0])
 def test_potential_matches_quadrature(p):
     params = ConstitutiveParams(p=p, nu0=1.7)

@@ -9,10 +9,13 @@ from hypothesis.extra import numpy as hnp
 
 from powerlaw_spde.basis import (
     analyze,
+    analyze_gradient,
+    analyze_with_strain,
     build_space,
     suggest_grid,
     symmetric_gradient,
     synthesize,
+    synthesize_with_strain,
     velocity_gradient,
 )
 from powerlaw_spde.constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
@@ -115,6 +118,47 @@ def test_transforms_match_dense_oracle(d):
     fld = np.random.default_rng(1).standard_normal((space.M ** d, d))
     assert_close(analyze(space, fld),
                  space.quad_weight * np.einsum("xd,nxd->n", fld, space.mode_fields))
+
+
+@settings(max_examples=40)
+@given(d=st.sampled_from([2, 3]), n_modes=st.integers(1, 48), extra=st.integers(0, 3),
+       batch=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+# d=3, N=5: a half-filled polarization group, and the last wavevector keeps
+# only a cos mode; d=3, N=6 and d=2, N=3: the last one keeps only its cos modes
+@example(d=3, n_modes=5, extra=0, batch=2, seed=0)
+@example(d=3, n_modes=6, extra=1, batch=0, seed=1)
+@example(d=2, n_modes=3, extra=0, batch=3, seed=2)
+def test_every_transform_matches_dense_oracle_on_drawn_spaces(d, n_modes, extra, batch, seed):
+    kmax = int(np.abs(build_space(d, n_modes, suggest_grid(d, n_modes)).xis).max())
+    space = build_space(d, n_modes, 2 * kmax + 1 + extra)
+    assert len(space.profiles) == 2 * len(np.unique(space.xis, axis=0))
+    rng = np.random.default_rng(seed)
+    lead = (batch,) if batch else ()
+    c = rng.standard_normal(lead + (space.N,))
+    vec = rng.standard_normal((space.M ** d,) + lead + (d,))
+    tensor = rng.standard_normal((space.M ** d,) + lead + (d, d))
+    w = space.quad_weight
+    fields, grads, eps = space.mode_fields, space.mode_grads, space.mode_eps
+    v_want = np.einsum("...n,nxd->x...d", c, fields)
+    eps_want = np.einsum("...n,nxij->x...ij", c, eps)
+    assert_close(synthesize(space, c), v_want)
+    assert_close(velocity_gradient(space, c), np.einsum("...n,nxij->x...ij", c, grads))
+    assert_close(symmetric_gradient(space, c), eps_want)
+    vec_want = w * np.einsum("x...d,nxd->...n", vec, fields)
+    eps_proj = w * np.einsum("x...ij,nxij->...n", tensor, eps)
+    assert_close(analyze(space, vec), vec_want)
+    assert_close(analyze_gradient(space, tensor), w * np.einsum("x...ij,nxij->...n", tensor, grads))
+    assert_close(analyze_gradient(space, tensor, symmetric=True), eps_proj)
+    v, e = synthesize_with_strain(space, c)
+    assert_close(v, v_want)
+    assert_close(e, eps_want)
+    fused = analyze_with_strain(space, vec, tensor)
+    assert_close(fused, vec_want + eps_proj)
+    for row in range(batch):
+        # a block's row is the row alone, bit for bit
+        v_row, e_row = synthesize_with_strain(space, c[row])
+        assert np.array_equal(v[:, row], v_row) and np.array_equal(e[:, row], e_row)
+        assert np.array_equal(fused[row], analyze_with_strain(space, vec[:, row], tensor[:, row]))
 
 
 @pytest.mark.parametrize("d", [2, 3])

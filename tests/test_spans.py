@@ -1,7 +1,8 @@
 """Every target that the benchmark's tracer wraps exists in the package,
-every benchmark workload builds and names known spans, and every workload's
-outputs pass the benchmark's own reference check, so a rename, a new config
-rule or an output drift cannot silently break a benchmark run."""
+every benchmark workload builds and names known spans, every workload's
+outputs pass the benchmark's own reference check, and a traced run records
+calls in every span that the workload names, so a rename, a new config rule,
+an output drift or a moved call cannot silently break a benchmark run."""
 import ast
 import importlib.util
 import sys
@@ -30,17 +31,16 @@ def span_targets() -> list[str]:
     return [target for targets in spans().values() for target in targets]
 
 
-def load_workloads() -> dict:
-    """WORKLOADS of perfbench/workloads.py, loaded from the file as it is."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
+def load_perfbench(name: str):
+    """perfbench/<name>.py as a module, loaded from the file as it is."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclass resolves annotations through it
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-WORKLOADS = load_workloads()
+WORKLOADS = load_perfbench("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("target", span_targets())
@@ -83,3 +83,19 @@ def test_workload_outputs_match_the_benchmark_reference(runner, name, tmp_path):
     bench = runner.Bench(name, 0, tmp_path, cli, config, np)
     bench.invoke()
     assert bench.failed == 0 and not bench.problems, bench.problems
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_traced_workload_records_calls_in_every_named_span(runner, name, tmp_path):
+    # one invocation at seed 0 under the benchmark's own tracer: the check
+    # that a traced benchmark run makes ("spans recorded no calls")
+    tracer = load_perfbench("spans").Tracer()
+    bench = runner.Bench(name, 0, tmp_path, cli, config, np)
+    tracer.install()
+    try:
+        bench.invoke(tracer.call)
+    finally:
+        tracer.uninstall()
+    calls = {span: count for span, (_, count) in tracer.summary().items()}
+    assert bench.failed == 0 and not bench.problems, bench.problems
+    assert [span for span in WORKLOADS[name].called if not calls.get(span)] == []
