@@ -83,11 +83,17 @@ class EnergyReport:
         return float(np.std(self.total, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
     def moment_beta(self) -> tuple[float, float]:
-        """Monte Carlo mean and standard error of total^(beta/2)."""
-        powered = self.total ** (self.beta / 2.0)
-        n = len(powered)
-        se = float(np.std(powered, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return float(np.mean(powered)), se
+        """Monte Carlo mean and standard error of total^(beta/2); raises
+        EnsembleError naming beta when either overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            powered = self.total ** (self.beta / 2.0)
+            n = len(powered)
+            se = float(np.std(powered, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+            mean = float(np.mean(powered))
+        if not (np.isfinite(mean) and np.isfinite(se)):
+            raise EnsembleError(f"the moment of order beta = {self.beta!r} overflows "
+                                f"(mean {mean!r}, standard error {se!r}); lower beta")
+        return mean, se
 
     def as_dict(self) -> dict:
         mom, mom_se = self.moment_beta()
@@ -123,7 +129,8 @@ def report_from_trajectories(trajectories: list[Trajectory], beta: float | None 
 
 
 class EnsembleError(RuntimeError):
-    """Raised when too few trajectories of an ensemble complete."""
+    """Raised when too few trajectories of an ensemble complete, or when
+    their moment overflows."""
 
 
 def failure_summary(failures: list[dict]) -> dict:

@@ -21,8 +21,12 @@ modes and of their gradients are the cos and sin rows of the same
 wavevectors, the basis is stored as one table of the R = 2 n_xi distinct
 cos/sin rows (about N at d=2, N/2 at d=3) plus per-mode constants.  Every
 transform is one matrix product on that table (see GalerkinSpace); v and
-eps(v) at the same coefficients come from one product, and so do the
-projections onto w_k and eps(w_k).
+grad v at the same coefficients come from one product, and so do the
+projections onto w_k and grad w_k.
+
+The strain eps(v) = (grad v + grad v^T) / 2 is formed in one place,
+symmetric_part.  No transform projects onto eps(w_k): a symmetric tensor
+field S has <S, eps(w_k)> = <S, grad w_k>, so analyze_gradient serves.
 
 The profile rows are the real and imaginary parts of exp(i xi . x),
 built as products of rows of fourier_table(M), one row per axis at
@@ -143,12 +147,12 @@ class GalerkinSpace:
     d-1 polarizations), so mode n reads row n // (d-1) and w_n = a_row pol_n.
     Since d cos = -sin and d sin = cos, its gradient reads the paired row
     row ^ 1: grad w_n = a_(row^1) G_n with G_n = -+ pol_n (x) xi_n (minus
-    for cos), and eps(w_n) = a_(row^1) sym(G_n).  Every transform is one
-    GEMM on the table: the per-mode constants are summed by row over the
-    polarizations, and a derivative part swaps each cos/sin row pair.  The
-    table keeps the sin row of a last wavevector whose sin modes fell to the
-    cut at N, since its cos modes' gradients read it.  The dense tables
-    mode_fields, mode_grads and mode_eps are lazy views for oracles.
+    for cos).  Every transform is one GEMM on the table: the per-mode
+    constants are summed by row over the polarizations, and a derivative
+    part swaps each cos/sin row pair.  The table keeps the sin row of a last
+    wavevector whose sin modes fell to the cut at N, since its cos modes'
+    gradients read it.  The dense tables mode_fields, mode_grads and
+    mode_eps (eps(w_n) = a_(row^1) sym(G_n)) are lazy views for oracles.
     """
 
     d: int
@@ -178,12 +182,6 @@ class GalerkinSpace:
         tensors = sign * self.pols[:, :, None] * self.xis[:, None, :]
         return _by_row(self, tensors.reshape(self.N, -1), paired=True)
 
-    @cached_property
-    def strain_consts(self) -> np.ndarray:
-        """sym(G_n) on the paired row, shape (d*d, d-1, R)."""
-        grads = self.grad_consts.reshape((self.d, self.d) + self.grad_consts.shape[1:])
-        return (0.5 * (grads + np.swapaxes(grads, 0, 1))).reshape(self.grad_consts.shape)
-
     def _dense(self, consts: np.ndarray, paired: bool) -> np.ndarray:
         """a_row(x) T_n for every mode, shape (N, M^d, k), from constants by
         row; a paired mode reads row ^ 1."""
@@ -203,8 +201,13 @@ class GalerkinSpace:
 
     @cached_property
     def mode_eps(self) -> np.ndarray:
-        """Dense symmetric gradients of all modes, shape (N, M^d, d, d)."""
-        return self._dense(self.strain_consts, paired=True).reshape(self.N, -1, self.d, self.d)
+        """Dense symmetric gradients of all modes, shape (N, M^d, d, d), from
+        the constants sym(G_n) by row."""
+        d = self.d
+        # .T puts the two tensor axes last; a symmetric part is its own transpose
+        consts = symmetric_part(self.grad_consts.reshape(d, d, -1).T).T
+        return self._dense(consts.reshape(self.grad_consts.shape),
+                           paired=True).reshape(self.N, -1, d, d)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -312,11 +315,6 @@ def _adjoint(space: GalerkinSpace, values: np.ndarray, value_consts=None, deriv_
     return out.reshape(lead + (-1,))[..., :space.N]
 
 
-def _tensor_columns(values: np.ndarray) -> np.ndarray:
-    """Tensor samples (..., d, d) as d*d columns (..., d*d)."""
-    return values.reshape(values.shape[:-2] + (-1,))
-
-
 def synthesize(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     """Samples of sum_k c_k w_k on the collocation grid, shape (M^d, d), or
     (M^d, n, d) for a block of coefficient rows (n, N)."""
@@ -331,11 +329,12 @@ def analyze(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
     return _adjoint(space, values, value_consts=space.value_consts)
 
 
-def analyze_gradient(space: GalerkinSpace, values: np.ndarray, symmetric: bool = False) -> np.ndarray:
-    """<F, grad w_k> for a tensor field F of shape (M^d, d, d); <F, eps(w_k)>
-    when symmetric.  Shape (N,), or (..., N) for batched samples (M^d, ..., d, d)."""
-    consts = space.strain_consts if symmetric else space.grad_consts
-    return _adjoint(space, _tensor_columns(values), deriv_consts=consts)
+def analyze_gradient(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
+    """<F, grad w_k> for a tensor field F of shape (M^d, d, d), which is
+    <F, eps(w_k)> when F is symmetric.  Shape (N,), or (..., N) for batched
+    samples (M^d, ..., d, d)."""
+    columns = values.reshape(values.shape[:-2] + (-1,))  # (M^d, ..., d*d)
+    return _adjoint(space, columns, deriv_consts=space.grad_consts)
 
 
 def velocity_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
@@ -345,23 +344,29 @@ def velocity_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-1] + (space.d, space.d))
 
 
+def symmetric_part(grad: np.ndarray) -> np.ndarray:
+    """(G + G^T) / 2 of tensor samples (..., d, d): the strain eps(v) of a
+    velocity gradient G = grad v.  Every strain of the package is formed
+    here."""
+    return 0.5 * (grad + np.swapaxes(grad, -1, -2))
+
+
 def symmetric_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     """Shear-rate tensor eps(v) at every grid point, shape (M^d, d, d), or
     (M^d, n, d, d) for a block (n, N)."""
-    out = _forward(space, coeffs, deriv_consts=space.strain_consts)
-    return out.reshape(out.shape[:-1] + (space.d, space.d))
+    return symmetric_part(velocity_gradient(space, coeffs))
 
 
-def synthesize_with_strain(space: GalerkinSpace, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(synthesize, symmetric_gradient) at the same coefficients from one
+def synthesize_with_gradient(space: GalerkinSpace, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(synthesize, velocity_gradient) at the same coefficients from one
     GEMM per row on d + d^2 columns, as two views of one array."""
-    out = _forward(space, coeffs, space.value_consts, space.strain_consts)
+    out = _forward(space, coeffs, space.value_consts, space.grad_consts)
     d = space.d
     return out[..., :d], out[..., d:].reshape(out.shape[:-1] + (d, d))
 
 
-def analyze_with_strain(space: GalerkinSpace, vec: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """analyze(vec) + analyze_gradient(tensor, symmetric=True) from one GEMM
-    per batch index on d + d^2 columns."""
-    values = np.concatenate([vec, _tensor_columns(tensor)], axis=-1)
-    return _adjoint(space, values, space.value_consts, space.strain_consts)
+def analyze_with_gradient(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
+    """analyze of the d columns plus analyze_gradient of the d*d columns of
+    samples (M^d, ..., d + d^2) in the layout of synthesize_with_gradient,
+    from one GEMM per batch index."""
+    return _adjoint(space, values, space.value_consts, space.grad_consts)

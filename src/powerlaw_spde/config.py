@@ -148,6 +148,8 @@ class SimulationConfig:
             raise ConfigError("n_traj", "need at least one trajectory")
         if self.seed < 0:
             raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
+        if self.beta is not None and self.beta <= 0.0:
+            raise ConfigError("beta", f"moment exponent must be positive, got {self.beta!r}")
         self._check_size("T_end", "(n_traj, n_steps + 1, N) coefficient history",
                          self.n_traj * (self.n_steps + 1) * self.N)
         if self.noise_family is not None:

@@ -41,10 +41,11 @@ from .basis import (
     GalerkinSpace,
     analyze,
     analyze_gradient,
-    analyze_with_strain,
+    analyze_with_gradient,
     symmetric_gradient,
+    symmetric_part,
     synthesize,
-    synthesize_with_strain,
+    synthesize_with_gradient,
     velocity_gradient,
 )
 from .constitutive import (
@@ -88,8 +89,9 @@ class IntegratorError(RuntimeError):
 
 def stress_force(space: GalerkinSpace, stress: np.ndarray) -> np.ndarray:
     """-int S : eps(w_k) dx for each k, from the samples of the stress
-    S = S(eps(v)), (M^d, d, d) or batched (M^d, B, d, d)."""
-    return -analyze_gradient(space, stress, symmetric=True)
+    S = S(eps(v)), (M^d, d, d) or batched (M^d, B, d, d): S is symmetric,
+    so this is -int S : grad w_k, one analyze_gradient."""
+    return -analyze_gradient(space, stress)
 
 
 def stabilizer_force(params: ConstitutiveParams, space: GalerkinSpace,
@@ -155,10 +157,10 @@ def _implicit_fields(params, space, coeffs):
     that the objective, its gradient and its Hessian at C all read."""
     if params.alpha == 0.0:
         return symmetric_gradient(space, coeffs), None
-    v, eps = synthesize_with_strain(space, coeffs)
-    # contiguous copies of the two views: the pointwise kernels that read
-    # them run about 30% slower on the views
-    return np.ascontiguousarray(eps), np.ascontiguousarray(v)
+    v, grad = synthesize_with_gradient(space, coeffs)
+    # a contiguous copy of the view v: the pointwise kernels that read it
+    # run about 30% slower on the view
+    return symmetric_part(grad), np.ascontiguousarray(v)
 
 
 def _implicit_gradient(params, space, coeffs, rhs, dt, fields):
@@ -184,7 +186,8 @@ def _implicit_hessian_product(params, space, dt, fields):
     eps/t, D^2 F(eps)[E] = nu0 (1+t)^(p-2) (E + (p-2) t/(1+t) (eps^:E) eps^);
     the stabilizer's Hessian maps u to alpha |v|^(q-2) (u + (q-2) (v^.u) v^).
     The coefficients are computed once per iterate; a product is two GEMMs,
-    a forward one for (u, E) = (v_x, eps(v_x)) and its adjoint."""
+    a forward one for (u, E) = (v_x, eps(v_x)) and its adjoint.  The flux is
+    symmetric, so its projection onto eps(w_k) is the one onto grad w_k."""
     eps, v = fields
     t = np.sqrt(np.sum(eps ** 2, axis=(-2, -1)))[:, None, None]
     c1 = params.nu0 * (1.0 + t) ** (params.p - 2.0)
@@ -198,11 +201,14 @@ def _implicit_hessian_product(params, space, dt, fields):
 
     def product(x):
         e, u = _implicit_fields(params, space, x)
-        flux = c1 * (e + np.sum(e_hat * e, axis=(-2, -1))[:, None, None] * e_rank)
+        flux = e + np.sum(e_hat * e, axis=(-2, -1))[:, None, None] * e_rank
         if u is None:
-            return x + dt * analyze_gradient(space, flux, symmetric=True)
-        force = a1 * (u + np.sum(v_hat * u, axis=-1)[:, None] * v_rank)
-        return x + dt * analyze_with_strain(space, force, flux)
+            return x + dt * analyze_gradient(space, c1 * flux)
+        d = space.d
+        out = np.empty(u.shape[:-1] + (d + d * d,))
+        np.multiply(a1, u + np.sum(v_hat * u, axis=-1)[:, None] * v_rank, out=out[..., :d])
+        np.multiply(c1, flux, out=out[..., d:].reshape(flux.shape))
+        return x + dt * analyze_with_gradient(space, out)
 
     return product
 
@@ -242,13 +248,16 @@ def _solve_implicit(params, space, rhs, dt, step_index):
     coeffs = rhs.copy()
     fields = _implicit_fields(params, space, coeffs)
     value = _implicit_objective(params, space, coeffs, rhs, dt, fields)
-    for _ in range(NEWTON_MAX_ITER):
+    for iteration in range(NEWTON_MAX_ITER + 1):
         grad = _implicit_gradient(params, space, coeffs, rhs, dt, fields)
         res = float(np.linalg.norm(grad))
-        if not np.isfinite(res):
-            raise IntegratorError("non-finite Newton residual", step_index, res)
         if res <= tol:
             return coeffs
+        if iteration == NEWTON_MAX_ITER:
+            raise IntegratorError(
+                f"Newton did not converge within {NEWTON_MAX_ITER} iterations", step_index, res)
+        if not np.isfinite(res):
+            raise IntegratorError("non-finite Newton residual", step_index, res)
         direction = _newton_direction(params, space, dt, fields, grad, tol)
         # backtracking on the convex objective
         lam = 1.0
@@ -262,12 +271,6 @@ def _solve_implicit(params, space, rhs, dt, step_index):
             lam *= 0.5
         else:
             raise IntegratorError("Newton line search failed", step_index, res)
-    grad = _implicit_gradient(params, space, coeffs, rhs, dt, fields)
-    res = float(np.linalg.norm(grad))
-    if res <= tol:
-        return coeffs
-    raise IntegratorError(
-        f"Newton did not converge within {NEWTON_MAX_ITER} iterations", step_index, res)
 
 
 def step(
@@ -452,7 +455,7 @@ def run_trajectory(
         for n in range(n_steps):
             # one left-point evaluation feeds the diagnostics and the step
             grad = velocity_gradient(space, c)
-            eps = 0.5 * (grad + np.swapaxes(grad, -1, -2))
+            eps = symmetric_part(grad)
             v = synthesize(space, c)
             stress = eval_stress(params, eps)
             noise_part = np.zeros_like(c)

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GalerkinSpace, fourier_table, synthesize, symmetric_gradient
+from .basis import GalerkinSpace, fourier_table, symmetric_gradient, synthesize
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
 from .galerkin import Trajectory
 from .noise import apply_phi, generators
@@ -188,18 +188,20 @@ def assemble_H(
     space: GalerkinSpace,
     params: ConstitutiveParams,
     coeffs: np.ndarray,
+    v: np.ndarray,
     forcing: np.ndarray | None,
     implicit: np.ndarray | None = None,
 ) -> np.ndarray:
     """Tensor flux H = H1 + H2 of the velocity equation at the coefficient
-    rows coeffs (n, N), stacked as (M^d, n, 2, d, d): H1 the stress part, H2
+    rows coeffs (n, N) with samples v = synthesize(space, coeffs)
+    (M^d, n, d), stacked as (M^d, n, 2, d, d): H1 the stress part, H2
     convection plus the divergence-lifted stabilizer and the sampled body
     force (M^d, d) or None.  The monotone terms (stress and stabilizer) are
     taken at the rows implicit instead when given: C_{n+1} of the
-    semi-implicit scheme.
+    semi-implicit scheme.  H1 at a row is, bit for bit, the stress that the
+    integrator steps with at that row's left point.
     """
     at = coeffs if implicit is None else implicit
-    v = synthesize(space, coeffs)
     h = np.empty(v.shape[:2] + (2, space.d, space.d))
     h[:, :, 0] = eval_stress(params, symmetric_gradient(space, at))
     h[:, :, 1] = -v[..., :, None] * v[..., None, :]
@@ -215,13 +217,14 @@ def assemble_H(
     return h
 
 
-def _noise_increments(space, model, coeffs, increments):
-    """sum_k Phi e_k dbeta_k at the coefficient rows (n, N), shape
-    (M^d, n, d), and the noise norms sum_k int |Phi e_k|^2 (n,), both from
-    the r <= d generator fields: with Phi e_k = sum_r U[r, k] G_r, the sum
-    is sum_r G_r (U dbeta)_r and the norm sum_rs (U U^T)_rs int G_r . G_s."""
+def _noise_increments(space, model, v, increments):
+    """sum_k Phi e_k dbeta_k at the velocity samples v (M^d, n, d) of n
+    steps, shape (M^d, n, d), and the noise norms sum_k int |Phi e_k|^2
+    (n,), both from the r <= d generator fields: with Phi e_k =
+    sum_r U[r, k] G_r, the sum is sum_r G_r (U dbeta)_r and the norm
+    sum_rs (U U^T)_rs int G_r . G_s."""
     gen, mix = generators(model, space.d)
-    fields = apply_phi(gen, space, synthesize(space, coeffs))  # (r, M^d, n, d)
+    fields = apply_phi(gen, space, v)  # (r, M^d, n, d)
     gram = space.quad_weight * np.einsum("rxnd,sxnd->nrs", fields, fields)
     hs = np.einsum("nrs,rs->n", gram, mix @ mix.T)
     return np.einsum("rxnd,nr->xnd", fields, increments @ mix.T), hs
@@ -265,12 +268,13 @@ def decompose(traj: Trajectory) -> PressureDecomposition:
     accum = np.zeros((n_pts, 1, space.d))  # sum_k Phi e_k dbeta_k up to the chunk
 
     for sl in _chunks(space, n):
-        h = assemble_H(space, params, traj.coeffs[sl], forcing)
+        v = synthesize(space, traj.coeffs[sl])
+        h = assemble_H(space, params, traj.coeffs[sl], v, forcing)
         H_sq[sl] = np.sum((h[:, :, 0] + h[:, :, 1]) ** 2, axis=(-2, -1)).T
         pi = solve_pi_H(space, h)  # (M^d, n, 2)
         pi_1[sl], pi_2[sl] = pi[..., 0].T, pi[..., 1].T
         if model is not None and traj.increments is not None:
-            dW, hs[sl] = _noise_increments(space, model, traj.coeffs[sl], traj.increments[sl])
+            dW, hs[sl] = _noise_increments(space, model, v, traj.increments[sl])
             if model.family == "linear":
                 continue  # a_k v is divergence-free: pi_Phi = 0, not round-off
             # the running sum enters as the first row: additions in step order
@@ -327,10 +331,11 @@ def weak_residual(traj: Trajectory, decomposition: PressureDecomposition,
     res -= w * float(np.sum(decomposition.pi_Phi_series[t_index] * div_phi))
     for sl in _chunks(space, t_index):
         right = traj.coeffs[sl.start + 1:sl.stop + 1] if implicit else None
-        h = assemble_H(space, params, traj.coeffs[sl], forcing, right)
+        v = synthesize(space, traj.coeffs[sl])
+        h = assemble_H(space, params, traj.coeffs[sl], v, forcing, right)
         res += traj.dt * w * float(np.sum(h * grad_phi[:, None, None]))
         if model is not None and traj.increments is not None:
-            dW, _ = _noise_increments(space, model, traj.coeffs[sl], traj.increments[sl])
+            dW, _ = _noise_increments(space, model, v, traj.increments[sl])
             res -= w * float(np.sum(dW * test_field[:, None]))
     return abs(res)
 

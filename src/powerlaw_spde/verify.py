@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis, pressure, truncation
-from .basis import analyze, build_space, suggest_grid, synthesize, symmetric_gradient
+from .basis import analyze, build_space, suggest_grid, symmetric_gradient, symmetric_part, synthesize
 from .constitutive import ConstitutiveParams, growth_bounds_check, monotonicity_gap
 from .galerkin import Problem, SdeStepConfig, run_trajectory
 from .noise import NoiseModel, growth_bound_holds, mode_decay_bound_holds
@@ -26,8 +26,7 @@ def _check(name: str, tolerance: float, deviation: float) -> dict:
 
 
 def _random_symmetric(rng, n, d):
-    a = rng.standard_normal((n, d, d))
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return symmetric_part(rng.standard_normal((n, d, d)))
 
 
 def suite_constitutive() -> list[dict]:

@@ -277,6 +277,27 @@ def test_ensemble_with_overflowing_diagnostics_fails(tmp_path, capsys):
     assert not (out / "ensemble.json").exists()
 
 
+@pytest.mark.parametrize("beta", [0.0, -1e308])
+def test_nonpositive_beta_exits_two(tmp_path, capsys, beta):
+    # -1e308 used to report a moment of 0.0
+    cfg = write_config(tmp_path, beta=beta, n_traj=2)
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'beta'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_moment_exits_one(tmp_path, capsys):
+    # used to exit 0 with "moment_beta_mean": Infinity and
+    # "moment_beta_se": NaN, which is not JSON
+    cfg = write_config(tmp_path, beta=1e308, n_traj=2)
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "beta = 1e+308" in capsys.readouterr().err
+    assert not (out / "ensemble.json").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pressure_reports_failed_seed(tmp_path):
     cfg = tmp_path / "config.json"

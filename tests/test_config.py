@@ -53,6 +53,8 @@ def test_field_validation_messages():
         ({"dt": float("inf")}, "dt"),
         ({"p": 10 ** 400}, "p"),  # overflows a double
         ({"beta": float("nan")}, "beta"),
+        ({"beta": 0.0}, "beta"),
+        ({"beta": -1e308}, "beta"),  # used to report a moment of 0.0
         ({"scheme": 1}, "scheme"),
         ({"initial_coeffs": [1.0, float("nan")]}, "initial_coeffs"),
         ({"initial_coeffs": ["1"]}, "initial_coeffs"),

@@ -10,12 +10,13 @@ from hypothesis.extra import numpy as hnp
 from powerlaw_spde.basis import (
     analyze,
     analyze_gradient,
-    analyze_with_strain,
+    analyze_with_gradient,
     build_space,
     suggest_grid,
     symmetric_gradient,
+    symmetric_part,
     synthesize,
-    synthesize_with_strain,
+    synthesize_with_gradient,
     velocity_gradient,
 )
 from powerlaw_spde.constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
@@ -140,25 +141,33 @@ def test_every_transform_matches_dense_oracle_on_drawn_spaces(d, n_modes, extra,
     w = space.quad_weight
     fields, grads, eps = space.mode_fields, space.mode_grads, space.mode_eps
     v_want = np.einsum("...n,nxd->x...d", c, fields)
-    eps_want = np.einsum("...n,nxij->x...ij", c, eps)
+    grad_want = np.einsum("...n,nxij->x...ij", c, grads)
     assert_close(synthesize(space, c), v_want)
-    assert_close(velocity_gradient(space, c), np.einsum("...n,nxij->x...ij", c, grads))
-    assert_close(symmetric_gradient(space, c), eps_want)
+    assert_close(velocity_gradient(space, c), grad_want)
+    assert_close(symmetric_gradient(space, c), np.einsum("...n,nxij->x...ij", c, eps))
+    # every strain is formed by symmetric_part: eps(v) is the symmetric part
+    # of grad v bit for bit, for a single row (batch 0) and for a block
+    assert np.array_equal(symmetric_gradient(space, c),
+                          symmetric_part(velocity_gradient(space, c)))
     vec_want = w * np.einsum("x...d,nxd->...n", vec, fields)
-    eps_proj = w * np.einsum("x...ij,nxij->...n", tensor, eps)
+    grad_proj = w * np.einsum("x...ij,nxij->...n", tensor, grads)
     assert_close(analyze(space, vec), vec_want)
-    assert_close(analyze_gradient(space, tensor), w * np.einsum("x...ij,nxij->...n", tensor, grads))
-    assert_close(analyze_gradient(space, tensor, symmetric=True), eps_proj)
-    v, e = synthesize_with_strain(space, c)
+    assert_close(analyze_gradient(space, tensor), grad_proj)
+    # on a symmetric tensor the projection onto grad w_k is the one onto
+    # eps(w_k), which no transform forms
+    sym = symmetric_part(tensor)
+    assert_close(analyze_gradient(space, sym), w * np.einsum("x...ij,nxij->...n", sym, eps))
+    v, g = synthesize_with_gradient(space, c)
     assert_close(v, v_want)
-    assert_close(e, eps_want)
-    fused = analyze_with_strain(space, vec, tensor)
-    assert_close(fused, vec_want + eps_proj)
+    assert_close(g, grad_want)
+    values = np.concatenate([vec, tensor.reshape(tensor.shape[:-2] + (-1,))], axis=-1)
+    fused = analyze_with_gradient(space, values)
+    assert_close(fused, vec_want + grad_proj)
     for row in range(batch):
         # a block's row is the row alone, bit for bit
-        v_row, e_row = synthesize_with_strain(space, c[row])
-        assert np.array_equal(v[:, row], v_row) and np.array_equal(e[:, row], e_row)
-        assert np.array_equal(fused[row], analyze_with_strain(space, vec[:, row], tensor[:, row]))
+        v_row, g_row = synthesize_with_gradient(space, c[row])
+        assert np.array_equal(v[:, row], v_row) and np.array_equal(g[:, row], g_row)
+        assert np.array_equal(fused[row], analyze_with_gradient(space, values[:, row]))
 
 
 @pytest.mark.parametrize("d", [2, 3])

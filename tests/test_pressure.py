@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from powerlaw_spde import pressure
+from powerlaw_spde import galerkin, pressure
 from powerlaw_spde.basis import build_space, suggest_grid, symmetric_gradient, synthesize
 from powerlaw_spde.constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
 from powerlaw_spde.galerkin import Problem, SdeStepConfig, run_trajectory
@@ -381,7 +381,8 @@ def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypat
     # term (2 operator calls), solves pi_H for the stacked flux parts (2) and
     # updates pi_Phi (2): six operators, each one symbol application, and
     # the per-axis DFT matrices leave np.fft unused (smooth_norm noise: linear
-    # noise skips pi_Phi)
+    # noise skips pi_Phi); the flux and the noise increments of a chunk read
+    # one synthesis of its velocity
     traj = run_small(alpha=0.2, n_steps=8, family="smooth_norm")
     space = traj.problem.space
     monkeypatch.setattr(pressure, "_CHUNK_POINTS", 3 * space.M ** space.d)
@@ -390,12 +391,14 @@ def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypat
     helper_calls = call_counter(pressure, *HELPERS)
     flux_calls = call_counter(pressure, "assemble_H")
     symbol_calls = call_counter(pressure, "_apply_symbol")
+    synth_calls = call_counter(pressure, "synthesize")
     fft_calls = call_counter(np.fft, *np.fft.__all__)
     pressure.decompose(traj)
     assert sum(helper_calls.values()) == 6 * n_chunks
     assert symbol_calls == {"_apply_symbol": 6 * n_chunks}
     assert not any(fft_calls.values())
     assert flux_calls == {"assemble_H": n_chunks}
+    assert synth_calls == {"synthesize": n_chunks}
 
 
 def test_linear_noise_has_no_stochastic_pressure(call_counter):
@@ -418,6 +421,31 @@ def test_decompose_calls_the_traced_spans(call_counter):
     pressure.decompose(traj)
     assert flux_calls["assemble_H"] >= 1
     assert sum(helper_calls.values()) >= 1
+
+
+@pytest.mark.parametrize("scheme", ["euler_maruyama", "semi_implicit"])
+def test_flux_stress_is_the_integrators_stress(monkeypatch, scheme):
+    # H1 at the rows of a trajectory is, bit for bit, the stress that the
+    # integrator stepped with at those left points: both take the strain as
+    # symmetric_part of one velocity_gradient; at the rows C_{n+1} (the
+    # semi-implicit weak residual) it is the stress of the next left point
+    stresses = []
+    original = galerkin.step
+
+    def recording(*args):
+        stresses.append(args[7][:, 0].copy())  # the stress (M^d, 1, d, d)
+        return original(*args)
+
+    monkeypatch.setattr(galerkin, "step", recording)
+    traj = run_small(scheme=scheme, alpha=0.2, n_steps=6)
+    space, params, forcing = traj.problem.space, traj.problem.params, traj.problem.forcing
+    stress = np.stack(stresses, axis=1)
+    rows = traj.coeffs[:-1]
+    h = pressure.assemble_H(space, params, rows, synthesize(space, rows), forcing)
+    assert np.array_equal(h[:, :, 0], stress)
+    h = pressure.assemble_H(space, params, rows, synthesize(space, rows), forcing,
+                            traj.coeffs[1:])
+    assert np.array_equal(h[:, :-1, 0], stress[:, 1:])
 
 
 def test_symbols_are_built_once_per_grid():

@@ -1,10 +1,12 @@
 """Every target that the benchmark's tracer wraps exists in the package,
 every benchmark workload builds and names known spans, every workload's
-outputs pass the benchmark's own reference check, and a traced run records
-calls in every span that the workload names, so a rename, a new config rule,
-an output drift or a moved call cannot silently break a benchmark run."""
+outputs pass the benchmark's own reference check and are strict JSON, and a
+traced run records calls in every span that the workload names, so a rename,
+a new config rule, an output drift or a moved call cannot silently break a
+benchmark run."""
 import ast
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -76,6 +78,10 @@ def runner():
     return module
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_outputs_match_the_benchmark_reference(runner, name, tmp_path):
     # one invocation at seed 0 through the benchmark's own check: the
@@ -83,6 +89,11 @@ def test_workload_outputs_match_the_benchmark_reference(runner, name, tmp_path):
     bench = runner.Bench(name, 0, tmp_path, cli, config, np)
     bench.invoke()
     assert bench.failed == 0 and not bench.problems, bench.problems
+    # every JSON file written is strict JSON: no NaN or Infinity
+    written = sorted(bench.out.glob("*.json"))
+    assert written
+    for path in written:
+        json.loads(path.read_text(), parse_constant=reject_constant)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
