@@ -24,6 +24,22 @@ transform is one matrix product on that table (see GalerkinSpace); v and
 grad v at the same coefficients come from one product, and so do the
 projections onto w_k and grad w_k.
 
+Samples are stored component by component: the public shapes are
+(M^d, ..., k), but a forward transform returns a view of its (..., k, M^d)
+product, so each component's M^d samples are contiguous.  BLAS then runs
+the product W @ profiles with the long M^d side as its n, not its m, and
+the adjoint reads the same view with no copy.  The pointwise kernels that
+follow inherit the layout, since ufunc outputs follow their inputs', and
+run on contiguous slabs.  Measured with timeit (best of 7, single-threaded
+OpenBLAS, 2-core Xeon) against samples stored point by point, at d=3,
+N=256, M=10 on one row:
+    velocity_gradient 182 -> 84 us, synthesize_with_gradient 157 -> 91 us,
+    analyze_gradient 166 -> 122 us, symmetric_part 57 -> 12 us;
+and at d=2, N=32, M=10 on a 64-row block:
+    synthesize_with_gradient 83 -> 68 us, analyze 53 -> 37 us,
+    symmetric_part 165 -> 36 us.
+A caller that needs C-ordered memory copies (np.ascontiguousarray).
+
 The strain eps(v) = (grad v + grad v^T) / 2 is formed in one place,
 symmetric_part.  No transform projects onto eps(w_k): a symmetric tensor
 field S has <S, eps(w_k)> = <S, grad w_k>, so analyze_gradient serves.
@@ -273,7 +289,8 @@ def _check_coeffs(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
 def _forward(space: GalerkinSpace, coeffs: np.ndarray, value_consts=None, deriv_consts=None):
     """sum_n c_n [a_n T_n | b_n D_n] for value constants T (value_consts)
     and derivative constants D (deriv_consts) by row; either may be None.
-    Shape (M^d, k) for coeffs (N,) and (M^d, n, k) for a block (n, N).  A
+    Shape (M^d, k) for coeffs (N,) and (M^d, n, k) for a block (n, N), as a
+    view of the (..., k, M^d) product: samples are component-major.  A
     block is one GEMM per row (a stacked matmul), so a row's samples are
     those of the row alone, whatever else the block holds."""
     coeffs = _check_coeffs(space, coeffs)
@@ -292,17 +309,18 @@ def _forward(space: GalerkinSpace, coeffs: np.ndarray, value_consts=None, deriv_
     weights = weights[0] if len(weights) == 1 else np.concatenate(weights, axis=-3)
     # sum over the polarizations of a row
     weights = weights.sum(axis=-2) if n_pol > 1 else weights[..., 0, :]
-    out = space.profiles.T @ weights.swapaxes(-1, -2)  # (..., M^d, k)
-    return out.swapaxes(0, -2)  # (M^d, ..., k)
+    out = weights @ space.profiles  # (..., k, M^d)
+    return out.transpose(-1, *range(out.ndim - 1))  # (M^d, ..., k), a view
 
 
 def _adjoint(space: GalerkinSpace, values: np.ndarray, value_consts=None, deriv_consts=None):
     """quad_weight sum_x F(x) . [a_n T_n | b_n D_n] for samples F
-    (M^d, ..., k): the transpose of _forward, shape (..., N), one GEMM per
-    batch index."""
-    rows = np.moveaxis(values, 0, -2)  # (..., M^d, k)
-    lead = rows.shape[:-2]
-    moments = (space.profiles @ rows).swapaxes(-1, -2)[..., None, :]  # (..., k, 1, R)
+    (M^d, ..., k) in any memory layout: the transpose of _forward, shape
+    (..., N), one GEMM per batch index on the (..., k, M^d) view, which
+    needs no copy for component-major samples."""
+    columns = values.transpose(*range(1, values.ndim), 0)  # (..., k, M^d)
+    lead = columns.shape[:-2]
+    moments = (columns @ space.profiles.T)[..., None, :]  # (..., k, 1, R)
     split = 0 if value_consts is None else len(value_consts)
     out = None
     if value_consts is not None:

@@ -158,9 +158,7 @@ def _implicit_fields(params, space, coeffs):
     if params.alpha == 0.0:
         return symmetric_gradient(space, coeffs), None
     v, grad = synthesize_with_gradient(space, coeffs)
-    # a contiguous copy of the view v: the pointwise kernels that read it
-    # run about 30% slower on the view
-    return symmetric_part(grad), np.ascontiguousarray(v)
+    return symmetric_part(grad), v
 
 
 def _implicit_gradient(params, space, coeffs, rhs, dt, fields):
@@ -204,11 +202,13 @@ def _implicit_hessian_product(params, space, dt, fields):
         flux = e + np.sum(e_hat * e, axis=(-2, -1))[:, None, None] * e_rank
         if u is None:
             return x + dt * analyze_gradient(space, c1 * flux)
+        # component-first (d + d^2, M^d): the targets are transposed
+        # slices, views by construction
         d = space.d
-        out = np.empty(u.shape[:-1] + (d + d * d,))
-        np.multiply(a1, u + np.sum(v_hat * u, axis=-1)[:, None] * v_rank, out=out[..., :d])
-        np.multiply(c1, flux, out=out[..., d:].reshape(flux.shape))
-        return x + dt * analyze_with_gradient(space, out)
+        out = np.empty((d + d * d, len(u)))
+        np.multiply(a1, u + np.sum(v_hat * u, axis=-1)[:, None] * v_rank, out=out[:d].T)
+        np.multiply(c1[:, 0], flux.reshape(len(u), -1), out=out[d:].T)
+        return x + dt * analyze_with_gradient(space, out.T)
 
     return product
 

@@ -1,0 +1,35 @@
+"""The summary of tools/bench_pairs.py on fixed numbers; no benchmark runs."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "step_ms", "unit": "ms", "better": "lower"},
+           {"name": "ok_frac", "unit": "fraction", "better": "higher"}]
+
+
+def test_quartiles_of_one_and_of_five_values():
+    assert bench_pairs.quartiles([3.0]) == {"q1": 3.0, "median": 3.0, "q3": 3.0}
+    assert bench_pairs.quartiles([5.0, 1.0, 4.0, 2.0, 3.0]) == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+
+
+def test_summary_counts_the_pairs_the_change_won():
+    step = [(10.0, 8.0), (9.0, 9.5), (11.0, 7.0), (12.0, 12.0)]
+    ok = [(1.0, 1.0), (0.5, 1.0), (1.0, 0.75), (1.0, 1.0)]
+    pairs = [{"parent": {"step_ms": sp, "ok_frac": op}, "change": {"step_ms": sc, "ok_frac": oc}}
+             for (sp, sc), (op, oc) in zip(step, ok)]
+    summary = bench_pairs.summarize(pairs, METRICS)
+    step_ms = summary["step_ms"]
+    # lower is better, and the tie (12, 12) counts for neither side
+    assert step_ms["change_wins"] == 2 and step_ms["pairs"] == 4
+    assert step_ms["parent"] == {"q1": 9.75, "median": 10.5, "q3": 11.25}
+    assert step_ms["change"] == {"q1": 7.75, "median": 8.75, "q3": 10.125}
+    assert step_ms["unit"] == "ms" and step_ms["better"] == "lower"
+    # higher is better
+    assert summary["ok_frac"]["change_wins"] == 1
+    assert summary["ok_frac"]["change"]["median"] == pytest.approx(1.0)

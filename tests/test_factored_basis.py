@@ -121,23 +121,43 @@ def test_transforms_match_dense_oracle(d):
                  space.quad_weight * np.einsum("xd,nxd->n", fld, space.mode_fields))
 
 
+def _in_layout(layout, a):
+    """The values of samples a, shape (M^d, ...), C-ordered, as a
+    component-major view (np.moveaxis of a (..., M^d) array) or as a strided
+    slice of a wider array."""
+    if layout == "c_order":
+        return np.ascontiguousarray(a)
+    if layout == "component_major":
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1] + 1,))
+    wide[..., 1::2] = a
+    return wide[..., 1::2]
+
+
 @settings(max_examples=40)
 @given(d=st.sampled_from([2, 3]), n_modes=st.integers(1, 48), extra=st.integers(0, 3),
-       batch=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+       batch=st.integers(0, 3), seed=st.integers(0, 2 ** 16),
+       layout=st.sampled_from(["c_order", "component_major", "strided"]))
 # d=3, N=5: a half-filled polarization group, and the last wavevector keeps
 # only a cos mode; d=3, N=6 and d=2, N=3: the last one keeps only its cos modes
-@example(d=3, n_modes=5, extra=0, batch=2, seed=0)
-@example(d=3, n_modes=6, extra=1, batch=0, seed=1)
-@example(d=2, n_modes=3, extra=0, batch=3, seed=2)
-def test_every_transform_matches_dense_oracle_on_drawn_spaces(d, n_modes, extra, batch, seed):
+@example(d=3, n_modes=5, extra=0, batch=2, seed=0, layout="c_order")
+@example(d=3, n_modes=6, extra=1, batch=0, seed=1, layout="component_major")
+@example(d=2, n_modes=3, extra=0, batch=3, seed=2, layout="strided")
+# blocks of ensemble-em-2d's 64 rows (d=2, N=32) and pressure-2d's 8
+@example(d=2, n_modes=32, extra=0, batch=64, seed=3, layout="component_major")
+@example(d=3, n_modes=20, extra=0, batch=64, seed=4, layout="c_order")
+@example(d=2, n_modes=32, extra=1, batch=8, seed=5, layout="c_order")
+@example(d=3, n_modes=20, extra=1, batch=8, seed=6, layout="strided")
+def test_every_transform_matches_dense_oracle_on_drawn_spaces(d, n_modes, extra, batch, seed,
+                                                              layout):
     kmax = int(np.abs(build_space(d, n_modes, suggest_grid(d, n_modes)).xis).max())
     space = build_space(d, n_modes, 2 * kmax + 1 + extra)
     assert len(space.profiles) == 2 * len(np.unique(space.xis, axis=0))
     rng = np.random.default_rng(seed)
     lead = (batch,) if batch else ()
     c = rng.standard_normal(lead + (space.N,))
-    vec = rng.standard_normal((space.M ** d,) + lead + (d,))
-    tensor = rng.standard_normal((space.M ** d,) + lead + (d, d))
+    vec = _in_layout(layout, rng.standard_normal((space.M ** d,) + lead + (d,)))
+    tensor = _in_layout(layout, rng.standard_normal((space.M ** d,) + lead + (d, d)))
     w = space.quad_weight
     fields, grads, eps = space.mode_fields, space.mode_grads, space.mode_eps
     v_want = np.einsum("...n,nxd->x...d", c, fields)
@@ -160,14 +180,35 @@ def test_every_transform_matches_dense_oracle_on_drawn_spaces(d, n_modes, extra,
     v, g = synthesize_with_gradient(space, c)
     assert_close(v, v_want)
     assert_close(g, grad_want)
-    values = np.concatenate([vec, tensor.reshape(tensor.shape[:-2] + (-1,))], axis=-1)
+    values = _in_layout(layout, np.concatenate([vec, tensor.reshape(tensor.shape[:-2] + (-1,))],
+                                               axis=-1))
     fused = analyze_with_gradient(space, values)
     assert_close(fused, vec_want + grad_proj)
+    forward = [(fn, fn(space, c)) for fn in (synthesize, velocity_gradient, symmetric_gradient)]
+    adjoint = [(fn, samples, fn(space, samples)) for fn, samples in
+               ((analyze, vec), (analyze_gradient, tensor), (analyze_with_gradient, values))]
     for row in range(batch):
-        # a block's row is the row alone, bit for bit
+        # every transform is one GEMM per row: a block's row is the row
+        # alone, bit for bit
         v_row, g_row = synthesize_with_gradient(space, c[row])
         assert np.array_equal(v[:, row], v_row) and np.array_equal(g[:, row], g_row)
-        assert np.array_equal(fused[row], analyze_with_gradient(space, values[:, row]))
+        for fn, block in forward:
+            assert np.array_equal(block[:, row], fn(space, c[row])), fn.__name__
+        for fn, samples, block in adjoint:
+            assert np.array_equal(block[row], fn(space, samples[:, row])), fn.__name__
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("batch", [0, 3])
+def test_samples_are_component_major(d, batch):
+    # the forward transforms return (M^d, ..., k) views of a (..., k, M^d)
+    # array: each component's samples are contiguous
+    space = make_space(d)
+    c = np.random.default_rng(batch).standard_normal(((batch,) if batch else ()) + (space.N,))
+    v, grad = synthesize_with_gradient(space, c)
+    for out in (synthesize(space, c), velocity_gradient(space, c), v, grad):
+        assert out.strides[0] == out.itemsize
+    assert np.moveaxis(synthesize(space, c), 0, -1).flags.c_contiguous
 
 
 @pytest.mark.parametrize("d", [2, 3])

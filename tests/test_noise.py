@@ -140,6 +140,30 @@ def test_path_reproducibility_and_order_independence():
     assert not np.array_equal(other.increments, a.increments)
 
 
+# increments[1] of WienerPath.generate(seed, 0.25, 3, 2), as numpy 2.4 draws them
+_PINNED_STEP_1 = {
+    0: [0.051483840007180634, -0.49026358551513066, -0.40873916246115877],
+    1: [0.26667693919247343, 0.621122838983272, 0.09093866315909939],
+    2 ** 32 - 1: [-0.03539594741874162, -0.2890453321317199, 0.11083598848285944],
+    2 ** 32: [-0.5475960658547114, -0.026496187682048904, 0.998564694289197],
+    2 ** 40 + 3: [-0.16693757232822834, 1.2351268561116788, 0.09110364476558003],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_STEP_1))
+def test_wiener_streams_are_pinned(seed):
+    # step n of seed s is the stream default_rng((s, n)), scaled by sqrt(dt):
+    # a faster draw must keep these streams, and a numpy release that moves
+    # them fails here rather than shifting every stored result
+    dt, K, n_steps = 0.01, 16, 5
+    path = WienerPath.generate(seed, dt, K, n_steps)
+    for step in range(n_steps):
+        want = np.random.default_rng((seed, step)).standard_normal(K) * np.sqrt(dt)
+        assert np.array_equal(path.increments[step], want)
+    assert np.array_equal(WienerPath.generate(seed, 0.25, 3, 2).increments[1],
+                          _PINNED_STEP_1[seed])
+
+
 def test_increment_statistics():
     path = WienerPath.generate(1, 0.25, 4, 20000)
     inc = path.increments
