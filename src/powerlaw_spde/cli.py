@@ -97,13 +97,16 @@ def cmd_ensemble(args) -> int:
     if args.alpha_grid is not None:
         alphas = _parse_grid(args.alpha_grid, "alpha_grid", positive=False)
         for alpha in alphas:
-            dataclasses.replace(cfg, alpha=alpha, m=None)
+            dataclasses.replace(cfg, alpha=alpha)
     if args.m_grid is not None:
         m_grid = _parse_grid(args.m_grid, "m_grid", positive=True)
         if len(m_grid) < 2:
             raise ConfigError("m_grid", "needs at least two values to compare")
         for m in m_grid:
-            dataclasses.replace(cfg, alpha=0.0, m=m)
+            # the weight alpha = 1/m that analysis.stabilization_convergence runs
+            if not np.isfinite(1.0 / m):
+                raise ConfigError("m_grid", f"alpha = 1/m overflows for m = {m!r}")
+            dataclasses.replace(cfg, alpha=1.0 / m)
     problem = cfg.build_problem()
     out = _output_dir(args.out)
 

@@ -28,9 +28,8 @@ MAX_ARRAY_BYTES = 2 ** 31
 
 # Typed fields; a field whose default is None may also be None.
 _INTEGERS = ("version", "d", "N", "M", "K", "forcing_mode_index", "seed", "n_traj")
-_REALS = ("p", "nu0", "q", "alpha", "m", "dt", "T_end", "noise_amplitude",
-          "forcing_scale", "initial_scale", "beta")
-_STRINGS = ("scheme", "noise_family", "forcing", "initial")
+_REALS = ("p", "nu0", "q", "alpha", "dt", "T_end", "noise_amplitude", "forcing_scale", "beta")
+_STRINGS = ("scheme", "noise_family", "forcing")
 
 
 def _is_integer(value) -> bool:
@@ -59,8 +58,7 @@ class SimulationConfig:
     p: float = 2.0
     nu0: float = 1.0
     q: float | None = None
-    alpha: float = 0.0
-    m: float | None = None       # alternative to alpha: alpha = 1/m
+    alpha: float = 0.0           # the stabilizer weight 1/m
     N: int = 4
     M: int | None = None         # defaults to the cubic oversampling bound
     K: int = 16
@@ -68,13 +66,11 @@ class SimulationConfig:
     T_end: float = 0.1
     scheme: str = "euler_maruyama"
     noise_family: str | None = None
-    noise_amplitude: float = 1.0
+    noise_amplitude: float = 1.0  # smooth_norm only
     forcing: str = "zero"        # zero | steady_mode
-    forcing_mode_index: int = 1
-    forcing_scale: float = 1.0
-    initial: str = "coeffs"      # coeffs | single_mode
+    forcing_mode_index: int = 1  # steady_mode only
+    forcing_scale: float = 1.0   # steady_mode only
     initial_coeffs: list[float] = field(default_factory=lambda: [1.0])
-    initial_scale: float = 1.0
     seed: int = 0
     n_traj: int = 1
     beta: float | None = None
@@ -89,17 +85,6 @@ class SimulationConfig:
             raise ConfigError("p", f"growth exponent must satisfy p > 1, got {self.p}")
         if self.nu0 <= 0.0:
             raise ConfigError("nu0", "viscosity must be positive")
-        if self.m is not None:
-            if self.m <= 0:
-                raise ConfigError("m", "stabilization index must be positive")
-            alpha = 1.0 / self.m
-            if not math.isfinite(alpha):
-                raise ConfigError("m", f"alpha = 1/m overflows for m={self.m!r}")
-            # a dumped config holds both, with alpha = 1/m
-            if self.alpha not in (0.0, alpha):
-                raise ConfigError("m", f"sets alpha = 1/m = {alpha!r}, but alpha = "
-                                       f"{self.alpha!r} is given too; give one of them")
-            self.alpha = alpha
         if self.alpha < 0.0:
             raise ConfigError("alpha", "stabilization weight must be nonnegative")
         if self.q is None:
@@ -134,16 +119,19 @@ class SimulationConfig:
             raise ConfigError("noise_family", "'additive' noise is zero on the mean-free "
                                               "Galerkin space (Sigma = 0); use 'linear' or "
                                               "'smooth_norm', or null for no noise")
+        # a setting that the chosen family or forcing never reads is refused
+        if self.noise_amplitude != 1.0 and self.noise_family != "smooth_norm":
+            raise ConfigError("noise_amplitude", "scales only the 'smooth_norm' family, "
+                                                 f"not noise_family {self.noise_family!r}")
         if self.forcing not in ("zero", "steady_mode"):
             raise ConfigError("forcing", f"unknown forcing {self.forcing!r}")
+        if self.forcing == "zero":
+            for name, default in (("forcing_mode_index", 1), ("forcing_scale", 1.0)):
+                if getattr(self, name) != default:
+                    raise ConfigError(name, "is read only by forcing 'steady_mode'")
         if not 1 <= self.forcing_mode_index <= self.N:
             raise ConfigError("forcing_mode_index",
                               f"must be a mode index in 1..N={self.N}, got {self.forcing_mode_index}")
-        if self.initial not in ("coeffs", "single_mode"):
-            raise ConfigError("initial", f"unknown initial data {self.initial!r}")
-        if self.initial == "single_mode" and list(self.initial_coeffs) != [1.0]:
-            raise ConfigError("initial_coeffs", "is ignored by initial 'single_mode' (v0 = "
-                                                f"initial_scale e_1), got {self.initial_coeffs!r}")
         if self.n_traj < 1:
             raise ConfigError("n_traj", "need at least one trajectory")
         if self.seed < 0:
@@ -238,14 +226,11 @@ class SimulationConfig:
         return synthesize(space, coeffs)
 
     def build_initial(self, space: GalerkinSpace) -> np.ndarray:
+        given = np.asarray(self.initial_coeffs, dtype=float)
+        if given.size > space.N:
+            raise ConfigError("initial_coeffs", f"more than N={space.N} entries")
         v0 = np.zeros(space.N)
-        if self.initial == "single_mode":
-            v0[0] = self.initial_scale
-        else:
-            given = np.asarray(self.initial_coeffs, dtype=float)
-            if given.size > space.N:
-                raise ConfigError("initial_coeffs", f"more than N={space.N} entries")
-            v0[: given.size] = self.initial_scale * given
+        v0[: given.size] = given
         return v0
 
     def build_step_config(self) -> SdeStepConfig:

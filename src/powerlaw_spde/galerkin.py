@@ -389,8 +389,9 @@ def interpolation_exponent(p: float, d: int) -> float:
 def _row_sums(values: np.ndarray) -> np.ndarray:
     """Per-row sums of batched samples (M^d, B, ...), shape (B,).  Each row
     is summed as one contiguous block, so its sum does not depend on the
-    other rows of the batch."""
-    rows = np.moveaxis(values, 1, 0)
+    other rows of the batch; the grid axis goes last, which is a view of
+    component-major samples (B, ..., M^d) rather than a copy."""
+    rows = values.transpose(*range(1, values.ndim), 0)
     return np.sum(rows.reshape(len(rows), -1), axis=1)
 
 

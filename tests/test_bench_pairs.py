@@ -9,8 +9,13 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "step_ms", "unit": "ms", "better": "lower"},
-           {"name": "ok_frac", "unit": "fraction", "better": "higher"}]
+METRICS = [{"name": "step_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+           {"name": "ok_frac", "unit": "fraction", "better": "higher", "bound": 0.01}]
+
+
+def _pairs(step, ok):
+    return [{"parent": {"step_ms": sp, "ok_frac": op}, "change": {"step_ms": sc, "ok_frac": oc}}
+            for (sp, sc), (op, oc) in zip(step, ok)]
 
 
 def test_quartiles_of_one_and_of_five_values():
@@ -21,9 +26,7 @@ def test_quartiles_of_one_and_of_five_values():
 def test_summary_counts_the_pairs_the_change_won():
     step = [(10.0, 8.0), (9.0, 9.5), (11.0, 7.0), (12.0, 12.0)]
     ok = [(1.0, 1.0), (0.5, 1.0), (1.0, 0.75), (1.0, 1.0)]
-    pairs = [{"parent": {"step_ms": sp, "ok_frac": op}, "change": {"step_ms": sc, "ok_frac": oc}}
-             for (sp, sc), (op, oc) in zip(step, ok)]
-    summary = bench_pairs.summarize(pairs, METRICS)
+    summary = bench_pairs.summarize(_pairs(step, ok), METRICS)
     step_ms = summary["step_ms"]
     # lower is better, and the tie (12, 12) counts for neither side
     assert step_ms["change_wins"] == 2 and step_ms["pairs"] == 4
@@ -33,3 +36,22 @@ def test_summary_counts_the_pairs_the_change_won():
     # higher is better
     assert summary["ok_frac"]["change_wins"] == 1
     assert summary["ok_frac"]["change"]["median"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("step, ok, worse_by, beyond, unresolved", [
+    # step_ms 30% slower than a parent with no spread: beyond its 25% bound
+    ([(10.0, 13.0)] * 4, [(1.0, 1.0)] * 4, (0.3, 0.0), (True, False), (False, False)),
+    # a parent spread of (13 - 7) / 10 = 60% cannot resolve a 10% gain, and
+    # ok_frac 2% lower is beyond its 1% bound
+    ([(4.0, 9.0), (8.0, 9.0), (12.0, 9.0), (16.0, 9.0)], [(1.0, 0.98)] * 4,
+     (-0.1, 0.02), (False, True), (True, False)),
+    # the same spread, but every change run beats every parent run
+    ([(4.0, 3.0), (8.0, 3.0), (12.0, 3.0), (16.0, 3.0)], [(1.0, 1.0)] * 4,
+     (-0.7, 0.0), (False, False), (False, False)),
+])
+def test_summary_says_whether_the_change_got_worse(step, ok, worse_by, beyond, unresolved):
+    summary = bench_pairs.summarize(_pairs(step, ok), METRICS)
+    for name, expected, exceeds, open_ in zip(("step_ms", "ok_frac"), worse_by, beyond, unresolved):
+        assert summary[name]["worse_by"] == pytest.approx(expected)
+        assert summary[name]["beyond_bound"] is exceeds
+        assert summary[name]["unresolved"] is open_

@@ -83,6 +83,16 @@ def test_mistyped_or_non_finite_config_exits_two(tmp_path, capsys, override, fld
     assert f"'{fld}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("m", 3.0), ("initial", "single_mode"),
+                                        ("initial_scale", 2.5)])
+def test_removed_config_key_exits_two(tmp_path, capsys, key, value):
+    # alpha = 1/m and the scaled initial_coeffs are the one spelling of each
+    cfg = write_config(tmp_path, **{key: value})
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"config field '{key}': unknown configuration key" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("document", ["[]", "3", "null", "{\"N\": 4", "\xff",
                                       "[" * 10 ** 5 + "]" * 10 ** 5, None],
                          ids=["list", "number", "null", "unparsable", "not-utf8", "deep", "missing"])
@@ -332,7 +342,8 @@ def test_negative_seed_exits_two(tmp_path, capsys):
     assert "'seed'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["0,1", "1,-2", "1,nan", "1,inf", "1,x", "", "10"])
+# 1e-320 is positive, but its alpha = 1/m overflows to inf
+@pytest.mark.parametrize("grid", ["0,1", "1,-2", "1,nan", "1,inf", "1,x", "", "10", "1e-320,1"])
 def test_bad_m_grid_exits_two(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, n_traj=2)
     code = main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "m"),

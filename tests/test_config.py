@@ -26,8 +26,6 @@ def test_field_validation_messages():
         ({"d": 4}, "d"),
         ({"nu0": -1.0}, "nu0"),
         ({"alpha": -0.5}, "alpha"),
-        ({"m": 0.0}, "m"),
-        ({"alpha": 0.5, "m": 10.0}, "m"),  # used to run with alpha = 0.1
         ({"N": 0}, "N"),
         ({"K": 0}, "K"),
         ({"dt": 0.0}, "dt"),
@@ -39,8 +37,12 @@ def test_field_validation_messages():
         ({"noise_family": "white"}, "noise_family"),
         ({"noise_family": "additive"}, "noise_family"),  # Sigma = 0 on the basis
         ({"forcing": "ramp"}, "forcing"),
-        ({"initial": "random"}, "initial"),
-        ({"initial": "single_mode", "initial_coeffs": [0.5, 2.0, -1.0]}, "initial_coeffs"),
+        # settings that the chosen family or forcing never reads used to be
+        # silent no-ops
+        ({"noise_amplitude": 7.0, "noise_family": "linear"}, "noise_amplitude"),
+        ({"noise_amplitude": 0.5}, "noise_amplitude"),  # no noise at all
+        ({"forcing_scale": 9.0}, "forcing_scale"),
+        ({"forcing_mode_index": 3}, "forcing_mode_index"),
         ({"n_traj": 0}, "n_traj"),
         ({"forcing_mode_index": 0}, "forcing_mode_index"),
         ({"N": 4, "forcing_mode_index": 5}, "forcing_mode_index"),
@@ -81,14 +83,6 @@ def test_q_validation_with_stabilizer():
     assert abs(cfg.q - 16.0 / 3.0) < 1e-12
 
 
-def test_m_sets_alpha():
-    cfg = SimulationConfig(m=10.0)
-    assert abs(cfg.alpha - 0.1) < 1e-15
-    # alpha given as 1/m agrees with m, and its default 0 defers to m
-    assert SimulationConfig(m=10.0, alpha=1.0 / 10.0) == cfg
-    assert SimulationConfig(m=10.0, alpha=0) == cfg
-
-
 def test_round_trip_dict():
     cfg = SimulationConfig(p=1.8, N=8, dt=0.005, noise_family="linear", seed=3)
     again = SimulationConfig.from_dict(cfg.to_dict())
@@ -108,16 +102,6 @@ def test_load_dump_round_trip(tmp_path):
     with open(path) as fh:
         raw = json.load(fh)
     assert raw["version"] == 1
-    assert SimulationConfig.load(path) == cfg
-
-
-def test_load_dump_round_trip_with_m(tmp_path):
-    # the dump holds m and alpha = 1/m, which the alpha/m rule accepts
-    cfg = SimulationConfig(p=1.6, m=3.0)
-    path = tmp_path / "config.json"
-    cfg.dump(path)
-    raw = json.loads(path.read_text())
-    assert (raw["m"], raw["alpha"]) == (3.0, 1.0 / 3.0)
     assert SimulationConfig.load(path) == cfg
 
 
@@ -156,11 +140,12 @@ def test_initial_coeffs_overflow():
 
 def test_build_problem_holds_the_built_parts():
     cfg = SimulationConfig(p=1.8, alpha=0.5, N=8, noise_family="smooth_norm", K=8,
-                           forcing="steady_mode", initial="single_mode", T_end=0.05)
+                           noise_amplitude=0.5, forcing="steady_mode",
+                           initial_coeffs=[0.5, -1.0], T_end=0.05)
     problem = cfg.build_problem()
     assert problem.params == cfg.build_params()
     assert (problem.space.d, problem.space.N, problem.space.M) == (2, 8, cfg.M)
-    assert (problem.model.family, problem.model.K) == ("smooth_norm", 8)
+    assert (problem.model.family, problem.model.K, problem.model.amplitude) == ("smooth_norm", 8, 0.5)
     assert np.array_equal(problem.forcing, cfg.build_forcing(problem.space))
     assert np.array_equal(problem.v0, cfg.build_initial(problem.space))
     assert problem.cfg == cfg.build_step_config()
@@ -184,10 +169,3 @@ def test_any_json_dict_gives_a_valid_config_or_config_error(data):
     assert all(math.isfinite(getattr(cfg, name)) for name in _REALS
                if getattr(cfg, name) is not None)
     assert SimulationConfig.from_dict(cfg.to_dict()) == cfg
-
-
-def test_vanishing_m_is_refused():
-    # alpha = 1/m overflows to inf for a subnormal m
-    with pytest.raises(ConfigError) as err:
-        SimulationConfig(m=1e-320)
-    assert "'m'" in str(err.value)

@@ -9,8 +9,10 @@ started from that checkout's root;
 the side that runs first flips on every pair, so a drift of the host does
 not favour one side. The JSON written to --out holds every run's end-to-end
 metrics, each metric's q1, median and q3 per side, the number of pairs the
-change won (ties count for neither side), and the machine record that
-run.py prints. Exits 1 if any run was not correct, after writing the file.
+change won (ties count for neither side), whether the change's median is
+worse than the parent's by more than the metric's bound, whether the
+parent's spread is too wide to tell, and the machine record that run.py
+prints. Exits 1 if any run was not correct, after writing the file.
 """
 from __future__ import annotations
 
@@ -34,20 +36,37 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric of metrics (BENCHMARK.json's end_to_end entries): each
-    side's quartiles over the pairs {"parent": {name: value}, "change": ...}
-    and the pairs in which the change was strictly better."""
+    side's quartiles over the pairs {"parent": {name: value}, "change": ...},
+    the pairs in which the change was strictly better, and
+
+    - worse_by: the change's median minus the parent's, relative to the
+      parent's median and signed so that positive is worse;
+    - beyond_bound: whether worse_by exceeds the metric's bound;
+    - unresolved: whether the parent's quartile spread, relative to its
+      median, is wider than the bound, so that a move within the bound
+      cannot be told from noise; not so when every change run is better
+      than every parent run."""
     summary = {}
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
         parent = [pair["parent"][name] for pair in pairs]
         change = [pair["change"][name] for pair in pairs]
+        pq, cq = quartiles(parent), quartiles(change)
+        # a median of 0 (ok_frac when every parent run failed) counts absolutely
+        scale = abs(pq["median"]) or 1.0
+        worse_by = sign * (cq["median"] - pq["median"]) / scale
+        all_better = max(sign * x for x in change) < min(sign * x for x in parent)
         summary[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            "parent": quartiles(parent),
-            "change": quartiles(change),
+            "bound": metric["bound"],
+            "parent": pq,
+            "change": cq,
             "change_wins": sum(sign * (c - p) < 0.0 for p, c in zip(parent, change)),
             "pairs": len(pairs),
+            "worse_by": worse_by,
+            "beyond_bound": worse_by > metric["bound"],
+            "unresolved": (pq["q3"] - pq["q1"]) / scale > metric["bound"] and not all_better,
         }
     return summary
 
