@@ -62,6 +62,14 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+class FieldError(ValueError):
+    """A refused input value; .field names the parameter that holds it."""
+
+    def __init__(self, fld: str, message: str):
+        super().__init__(message)
+        self.field = fld
+
+
 @functools.cache
 def fourier_table(M: int) -> np.ndarray:
     """exp(2 pi i k m / M) for k, m in 0..M-1, shape (M, M), symmetric and
@@ -230,6 +238,14 @@ class GalerkinSpace:
         return (self.M,) * self.d
 
 
+def check_modes(d: int, N: int) -> None:
+    """Refuse a dimension other than 2 or 3 and fewer than one mode."""
+    if d not in (2, 3):
+        raise FieldError("d", f"dimension must be 2 or 3, got {d}")
+    if N < 1:
+        raise FieldError("N", f"need at least one mode, got {N}")
+
+
 def build_space(d: int, N: int, M: int) -> GalerkinSpace:
     """Construct the Galerkin space with N modes on an M^d grid.
 
@@ -237,17 +253,12 @@ def build_space(d: int, N: int, M: int) -> GalerkinSpace:
     largest wavevector component among the retained modes, so that all
     quadratic products of modes are integrated exactly.
     """
-    if d not in (2, 3):
-        raise ValueError(f"dimension must be 2 or 3, got {d}")
-    if N < 1:
-        raise ValueError("need at least one mode")
+    check_modes(d, N)
     xis, is_cos, pols = _enumerate_modes(d, N)
     kmax = int(np.abs(xis).max())
     if M < 2 * kmax + 1:
-        raise ValueError(
-            f"grid resolution M={M} below oversampling bound {2 * kmax + 1} "
-            f"for max wavevector component {kmax}"
-        )
+        raise FieldError("M", f"grid resolution M={M} below oversampling bound {2 * kmax + 1} "
+                              f"for max wavevector component {kmax}")
 
     axis = TWO_PI * np.arange(M) / M
     grids = np.meshgrid(*([axis] * d), indexing="ij")
@@ -274,6 +285,7 @@ def build_space(d: int, N: int, M: int) -> GalerkinSpace:
 def suggest_grid(d: int, N: int) -> int:
     """Grid resolution 3 kmax + 1, which resolves products of three modes
     exactly (the cubic convection integrand)."""
+    check_modes(d, N)
     xis, _, _ = _enumerate_modes(d, N)
     return 3 * int(np.abs(xis).max()) + 1
 
@@ -284,6 +296,12 @@ def _check_coeffs(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
     if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != space.N:
         raise ValueError(f"expected {space.N} coefficients, got shape {coeffs.shape}")
     return coeffs
+
+
+def check_samples(space: GalerkinSpace, values: np.ndarray) -> None:
+    """Refuse samples whose shape is not (M^d, ..., d)."""
+    if values.ndim < 2 or (values.shape[0], values.shape[-1]) != (space.M ** space.d, space.d):
+        raise ValueError(f"samples {values.shape} are not (M^d, ..., d) = ({space.M ** space.d}, ..., {space.d})")
 
 
 def _forward(space: GalerkinSpace, coeffs: np.ndarray, value_consts=None, deriv_consts=None):
@@ -342,8 +360,7 @@ def synthesize(space: GalerkinSpace, coeffs: np.ndarray) -> np.ndarray:
 def analyze(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
     """L2 projections <field, w_k> of a sampled field (M^d, d) by trapezoidal
     quadrature, shape (N,), or (..., N) for batched samples (M^d, ..., d)."""
-    if values.ndim < 2 or (values.shape[0], values.shape[-1]) != (space.M ** space.d, space.d):
-        raise ValueError(f"field shape {values.shape} inconsistent with space")
+    check_samples(space, values)
     return _adjoint(space, values, value_consts=space.value_consts)
 
 

@@ -20,11 +20,13 @@ class OutputDirError(Exception):
     """--out names a path that cannot be made a directory (exit 2)."""
 
 
-def _load_config(args) -> SimulationConfig:
+def _load_config(args, unread=()) -> SimulationConfig:
+    """The run config; a setting in unread, which the command never reads, keeps its default."""
     cfg = SimulationConfig.load(args.config) if args.config else SimulationConfig()
     if getattr(args, "seed", None) is not None:
         # replace() re-runs the field validation
         cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg.refuse_unread(f"the {args.command} command", *unread)
     return cfg
 
 
@@ -66,7 +68,7 @@ def _write_json(path: Path, data, indent: int | None = 2) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, unread=("n_traj", "beta"))
     problem = cfg.build_problem()
     out = _output_dir(args.out)
     traj = run_trajectory(problem, seed=cfg.seed)
@@ -88,7 +90,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    cfg = _load_config(args)
+    # a study reports no moments
+    studies = args.alpha_grid is not None or args.m_grid is not None
+    cfg = _load_config(args, unread=("beta",) if studies else ())
     if cfg.n_traj < 2:
         raise ConfigError("n_traj", "ensemble requires n_traj >= 2")
     if args.alpha_grid is not None and args.m_grid is not None:
@@ -146,7 +150,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pressure(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, unread=("beta",))
     problem = cfg.build_problem()
     out = _output_dir(args.out)
     trajs, failures = analysis.run_ensemble(problem, cfg.seed, cfg.n_traj)

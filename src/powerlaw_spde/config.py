@@ -1,22 +1,24 @@
 """Run configuration: a flat, versioned key-value document (JSON on disk).
 
-SimulationConfig validates every field on construction (ConfigError names
-the field) and build_problem materializes the galerkin.Problem of a run.
+SimulationConfig refuses a bad field on construction with ConfigError, which
+names it; each rule on a field that a domain type reads is that type's own.
+build_problem materializes the galerkin.Problem of a run.
 """
 from __future__ import annotations
 
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, field
 from typing import Any
 
 import numpy as np
 
-from .basis import GalerkinSpace, build_space, suggest_grid, synthesize
-from .constitutive import ConstitutiveParams, minimal_q
-from .galerkin import SCHEMES, Problem, SdeStepConfig
-from .noise import FAMILIES, NoiseModel
+from .basis import FieldError, GalerkinSpace, build_space, check_modes, suggest_grid, synthesize
+from .constitutive import ConstitutiveParams
+from .galerkin import Problem, SdeStepConfig
+from .noise import NoiseModel
 
 SCHEMA_VERSION = 1
 
@@ -43,12 +45,21 @@ def _is_finite_real(value) -> bool:
     return isinstance(value, float) and math.isfinite(value)
 
 
-class ConfigError(ValueError):
-    """Configuration validation failure with a field-level message."""
+class ConfigError(FieldError):
+    """Configuration validation failure; .field and the message name the field."""
 
     def __init__(self, fld: str, message: str):
-        super().__init__(f"config field '{fld}': {message}")
-        self.field = fld
+        super().__init__(fld, f"config field '{fld}': {message}")
+
+
+@contextmanager
+def _naming_config_fields():
+    """Domain refusals re-raised as ConfigError; NoiseModel's family is noise_family."""
+    try:
+        yield
+    except FieldError as exc:
+        fld = "noise_family" if exc.field == "family" else exc.field
+        raise ConfigError(fld, str(exc)) from None
 
 
 @dataclass
@@ -79,20 +90,12 @@ class SimulationConfig:
         self._check_types()
         if self.version != SCHEMA_VERSION:
             raise ConfigError("version", f"unsupported schema version {self.version}")
-        if self.d not in (2, 3):
-            raise ConfigError("d", "dimension must be 2 or 3")
-        if self.p <= 1.0:
-            raise ConfigError("p", f"growth exponent must satisfy p > 1, got {self.p}")
-        if self.nu0 <= 0.0:
-            raise ConfigError("nu0", "viscosity must be positive")
-        if self.alpha < 0.0:
-            raise ConfigError("alpha", "stabilization weight must be nonnegative")
-        if self.q is None:
-            self.q = minimal_q(self.p)
-        elif self.alpha > 0.0 and self.q < minimal_q(self.p) - 1e-12:
-            raise ConfigError("q", f"must be at least max(2p', 3) = {minimal_q(self.p)}")
-        if self.N < 1:
-            raise ConfigError("N", "need at least one mode")
+        # the rules on the fields that the domain types read are theirs
+        with _naming_config_fields():
+            check_modes(self.d, self.N)
+            self.q = self.build_params().q
+            self.build_noise()
+            self.build_step_config()
         # N modes need (2 kmax + 1)^d >= N/(d-1) + 1 grid points: bound the
         # tables before the modes are enumerated
         self._check_size("N", "(R, M^d) basis table", self.N * (self.N // (self.d - 1) + 1))
@@ -100,35 +103,26 @@ class SimulationConfig:
         if self.M is None:
             self.M = suggest_grid(self.d, self.N)
         self._check_size(grid_field, "(R, M^d) basis table", self.N * self.M ** self.d)
-        if self.K < 1:
-            raise ConfigError("K", "need at least one Wiener mode")
-        if self.dt <= 0.0:
-            raise ConfigError("dt", "time step must be positive")
         if self.T_end <= 0.0:
             raise ConfigError("T_end", "final time must be positive")
         steps = self.T_end / self.dt
         if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigError("T_end", f"must be a whole multiple of dt={self.dt}, "
                                        f"got T_end/dt = {steps!r}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError("scheme", f"unknown scheme {self.scheme!r}")
-        if self.noise_family is not None and self.noise_family not in FAMILIES:
-            raise ConfigError("noise_family", f"unknown family {self.noise_family!r}")
         if self.noise_family == "additive":
             # its constant fields project to zero on the mean-free basis
             raise ConfigError("noise_family", "'additive' noise is zero on the mean-free "
                                               "Galerkin space (Sigma = 0); use 'linear' or "
                                               "'smooth_norm', or null for no noise")
         # a setting that the chosen family or forcing never reads is refused
-        if self.noise_amplitude != 1.0 and self.noise_family != "smooth_norm":
-            raise ConfigError("noise_amplitude", "scales only the 'smooth_norm' family, "
-                                                 f"not noise_family {self.noise_family!r}")
+        if self.noise_family != "smooth_norm":
+            self.refuse_unread(f"noise_family {self.noise_family!r}", "noise_amplitude")
+        if self.noise_family is None:
+            self.refuse_unread("a run without noise", "K")
         if self.forcing not in ("zero", "steady_mode"):
             raise ConfigError("forcing", f"unknown forcing {self.forcing!r}")
         if self.forcing == "zero":
-            for name, default in (("forcing_mode_index", 1), ("forcing_scale", 1.0)):
-                if getattr(self, name) != default:
-                    raise ConfigError(name, "is read only by forcing 'steady_mode'")
+            self.refuse_unread("forcing 'zero'", "forcing_mode_index", "forcing_scale")
         if not 1 <= self.forcing_mode_index <= self.N:
             raise ConfigError("forcing_mode_index",
                               f"must be a mode index in 1..N={self.N}, got {self.forcing_mode_index}")
@@ -143,6 +137,12 @@ class SimulationConfig:
         if self.noise_family is not None:
             self._check_size("K", "(n_traj, n_steps, K) Brownian increments",
                              self.n_traj * self.n_steps * self.K)
+
+    def refuse_unread(self, reader: str, *names: str) -> None:
+        """Refuse a setting among names off its default: reader never reads it."""
+        for name in names:
+            if getattr(self, name) != self.__dataclass_fields__[name].default:
+                raise ConfigError(name, f"is not read by {reader}")
 
     @staticmethod
     def _check_size(fld: str, array: str, entries: int) -> None:
@@ -206,11 +206,9 @@ class SimulationConfig:
         return ConstitutiveParams(p=self.p, nu0=self.nu0, q=self.q, alpha=self.alpha)
 
     def build_space(self) -> GalerkinSpace:
-        # d and N are validated, so the grid bound on M is the one check left
-        try:
+        # the grid bound on M needs the modes, so it is checked here
+        with _naming_config_fields():
             return build_space(self.d, self.N, self.M)
-        except ValueError as exc:
-            raise ConfigError("M", str(exc)) from None
 
     def build_noise(self) -> NoiseModel | None:
         if self.noise_family is None:

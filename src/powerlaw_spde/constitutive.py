@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import FieldError
+
 
 def existence_threshold(d: int) -> float:
     """Smallest growth exponent covered by the existence theory."""
@@ -31,18 +33,16 @@ class ConstitutiveParams:
 
     def __post_init__(self):
         if self.p <= 1.0:
-            raise ValueError(f"growth exponent must satisfy p > 1, got {self.p}")
+            raise FieldError("p", f"growth exponent must satisfy p > 1, got {self.p}")
         if self.nu0 <= 0.0:
-            raise ValueError("viscosity coefficient must be positive")
+            raise FieldError("nu0", f"viscosity coefficient must be positive, got {self.nu0}")
         if self.alpha < 0.0:
-            raise ValueError("stabilization weight must be nonnegative")
+            raise FieldError("alpha", f"stabilization weight must be nonnegative, got {self.alpha}")
         if self.q is None:
             object.__setattr__(self, "q", minimal_q(self.p))
         if self.alpha > 0.0 and self.q < minimal_q(self.p) - 1e-12:
-            raise ValueError(
-                f"stabilization exponent q={self.q} below admissible "
-                f"minimum {minimal_q(self.p)} for p={self.p}"
-            )
+            raise FieldError("q", f"stabilization exponent q={self.q} below admissible "
+                                  f"minimum max(2p', 3) = {minimal_q(self.p)} for p={self.p}")
 
 
 def _check_symmetric(eps: np.ndarray) -> np.ndarray:

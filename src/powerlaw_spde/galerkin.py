@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    FieldError,
     GalerkinSpace,
     analyze,
     analyze_gradient,
@@ -73,9 +74,9 @@ class SdeStepConfig:
 
     def __post_init__(self):
         if self.dt <= 0.0:
-            raise ValueError("time step must be positive")
+            raise FieldError("dt", f"time step must be positive, got {self.dt}")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise FieldError("scheme", f"unknown scheme {self.scheme!r}")
 
 
 class IntegratorError(RuntimeError):

@@ -32,7 +32,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .basis import GalerkinSpace
+from .basis import FieldError, GalerkinSpace, check_samples
 
 FAMILIES = ("additive", "linear", "smooth_norm")
 
@@ -45,9 +45,9 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown noise family {self.family!r}")
+            raise FieldError("family", f"unknown noise family {self.family!r}")
         if self.K < 1:
-            raise ValueError("need at least one Wiener mode")
+            raise FieldError("K", f"need at least one Wiener mode, got {self.K}")
 
     @cached_property
     def per_mode_scale(self) -> np.ndarray:
@@ -107,8 +107,7 @@ def _all_g(model: NoiseModel, xi: np.ndarray) -> np.ndarray:
 def apply_phi(model: NoiseModel, space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
     """Per-mode grid fields Phi(v) e_k, shape (K, M^d, ..., d), from the
     samples of v, shape (M^d, ..., d) (batch axes between grid and component)."""
-    if values.ndim < 2 or (values.shape[0], values.shape[-1]) != (space.M ** space.d, space.d):
-        raise ValueError("field shape inconsistent with space")
+    check_samples(space, values)
     return _all_g(model, values)
 
 

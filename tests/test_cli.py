@@ -108,10 +108,15 @@ def test_malformed_config_document_exits_two(tmp_path, capsys, document):
     assert "'config'" in capsys.readouterr().err
 
 
+def runs_of(command):
+    """n_traj for a command that reads it: simulate runs one trajectory."""
+    return {} if command == "simulate" else {"n_traj": 2}
+
+
 @pytest.mark.parametrize("command", ["simulate", "ensemble", "pressure"])
 def test_grid_below_oversampling_bound_exits_two(tmp_path, capsys, command):
     # N = 12 needs M >= 5; M = 4 used to end in a ValueError traceback
-    cfg = write_config(tmp_path, N=12, M=4, n_traj=2)
+    cfg = write_config(tmp_path, N=12, M=4, **runs_of(command))
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "'M'" in capsys.readouterr().err
@@ -120,7 +125,7 @@ def test_grid_below_oversampling_bound_exits_two(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["simulate", "ensemble", "pressure"])
 def test_additive_noise_exits_two(tmp_path, capsys, command):
     # its constant fields project to zero, so the run used to be noise-free
-    cfg = write_config(tmp_path, noise_family="additive", n_traj=2)
+    cfg = write_config(tmp_path, noise_family="additive", **runs_of(command))
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "'noise_family'" in capsys.readouterr().err
@@ -143,7 +148,7 @@ def test_unusable_out_exits_two_before_any_run(tmp_path, capsys, call_counter, c
     taken.write_text("")
     out = taken / "x" if below else taken
     args = (["verify", "--suite", "basis"] if command == "verify" else
-            [command, "--config", str(write_config(tmp_path, n_traj=2))])
+            [command, "--config", str(write_config(tmp_path, **runs_of(command)))])
     runs = {**call_counter(galerkin, "step"), **call_counter(verify, "run_suite")}
     assert main(args + ["--out", str(out)]) == 2
     assert "--out" in capsys.readouterr().err
@@ -397,6 +402,26 @@ def test_oversized_run_exits_two(tmp_path, capsys, override, fld):
     assert f"'{fld}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, override, fld, flags", [
+    # simulate runs one trajectory and reports no moments; pressure and the
+    # grid studies report no moments: each used to run and ignore the setting
+    ("simulate", {"n_traj": 5}, "n_traj", []),
+    ("simulate", {"beta": 3.0}, "beta", []),
+    ("pressure", {"n_traj": 2, "beta": 3.0}, "beta", []),
+    ("ensemble", {"n_traj": 2, "beta": 3.0}, "beta", ["--alpha-grid", "0,0.1"]),
+    ("ensemble", {"n_traj": 2, "beta": 3.0}, "beta", ["--m-grid", "1,10"]),
+])
+def test_unread_setting_exits_two_before_any_run(tmp_path, capsys, call_counter,
+                                                 command, override, fld, flags):
+    cfg = write_config(tmp_path, **override)
+    runs = call_counter(galerkin, "step")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 2
+    assert f"config field '{fld}': is not read by the {command} command" in capsys.readouterr().err
+    assert runs == {"step": 0}
+    assert not out.exists()
+
+
 def test_grid_with_one_trajectory_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, n_traj=1)
     code = main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "a"),
@@ -446,8 +471,10 @@ def test_ensemble_cli_boundary_never_raises(tmp_path_factory, seed, flag, grid, 
 def test_run_commands_never_raise(tmp_path_factory, command, d, N, M, family, scheme,
                                   p, alpha, forcing, dt, steps, n_traj, initial):
     tmp = tmp_path_factory.mktemp("fuzz")
+    # K is read only with a noise family, n_traj only by pressure
     cfg = write_config(tmp, d=d, N=N, M=M, noise_family=family, scheme=scheme, p=p,
                        alpha=alpha, forcing=forcing, dt=dt, T_end=steps * dt,
-                       n_traj=n_traj, initial_coeffs=initial)
+                       K=16 if family is None else 4,
+                       n_traj=1 if command == "simulate" else n_traj, initial_coeffs=initial)
     code = main([command, "--config", str(cfg), "--out", str(tmp / "out")])
     assert code in (0, 1, 2)

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powerlaw_spde.config import _REALS, ConfigError, SimulationConfig
-from powerlaw_spde.basis import suggest_grid
+from powerlaw_spde.basis import build_space, suggest_grid
+from powerlaw_spde.constitutive import ConstitutiveParams
+from powerlaw_spde.galerkin import SdeStepConfig
+from powerlaw_spde.noise import NoiseModel
 
 
 def test_defaults_are_valid():
@@ -28,6 +31,7 @@ def test_field_validation_messages():
         ({"alpha": -0.5}, "alpha"),
         ({"N": 0}, "N"),
         ({"K": 0}, "K"),
+        ({"K": 3}, "K"),  # no noise_family reads it
         ({"dt": 0.0}, "dt"),
         ({"T_end": -1.0}, "T_end"),
         ({"T_end": 0.1, "dt": 0.03}, "T_end"),  # used to stop at t = 0.09
@@ -65,6 +69,27 @@ def test_field_validation_messages():
         with pytest.raises(ConfigError) as err:
             SimulationConfig(**kwargs)
         assert err.value.field == fld
+
+
+@pytest.mark.parametrize("build, kwargs, fld", [
+    (build_space, {"d": 4, "N": 4, "M": 9}, "d"),
+    (build_space, {"d": 2, "N": 0, "M": 9}, "N"),
+    (build_space, {"d": 2, "N": 12, "M": 4}, "M"),
+    (ConstitutiveParams, {"p": 1.0}, "p"),
+    (ConstitutiveParams, {"p": 2.0, "nu0": 0.0}, "nu0"),
+    (ConstitutiveParams, {"p": 2.0, "alpha": -0.1}, "alpha"),
+    (ConstitutiveParams, {"p": 2.0, "alpha": 0.1, "q": 3.5}, "q"),
+    (NoiseModel, {"family": "white"}, "family"),
+    (NoiseModel, {"family": "linear", "K": 0}, "K"),
+    (SdeStepConfig, {"dt": 0.0}, "dt"),
+    (SdeStepConfig, {"dt": 0.01, "scheme": "rk4"}, "scheme"),
+])
+def test_domain_refusal_names_its_field(build, kwargs, fld):
+    # each rule lives with the type that reads the value; the config only
+    # renames the field where it spells it differently
+    with pytest.raises(ValueError) as err:
+        build(**kwargs)
+    assert getattr(err.value, "field", None) == fld
 
 
 def test_grid_below_oversampling_bound_names_m():
