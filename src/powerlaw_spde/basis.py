@@ -30,15 +30,8 @@ product, so each component's M^d samples are contiguous.  BLAS then runs
 the product W @ profiles with the long M^d side as its n, not its m, and
 the adjoint reads the same view with no copy.  The pointwise kernels that
 follow inherit the layout, since ufunc outputs follow their inputs', and
-run on contiguous slabs.  Measured with timeit (best of 7, single-threaded
-OpenBLAS, 2-core Xeon) against samples stored point by point, at d=3,
-N=256, M=10 on one row:
-    velocity_gradient 182 -> 84 us, synthesize_with_gradient 157 -> 91 us,
-    analyze_gradient 166 -> 122 us, symmetric_part 57 -> 12 us;
-and at d=2, N=32, M=10 on a 64-row block:
-    synthesize_with_gradient 83 -> 68 us, analyze 53 -> 37 us,
-    symmetric_part 165 -> 36 us.
-A caller that needs C-ordered memory copies (np.ascontiguousarray).
+run on contiguous slabs.  A caller that needs C-ordered memory copies
+(np.ascontiguousarray).
 
 The strain eps(v) = (grad v + grad v^T) / 2 is formed in one place,
 symmetric_part.  No transform projects onto eps(w_k): a symmetric tensor
@@ -175,8 +168,8 @@ class GalerkinSpace:
     constants are summed by row over the polarizations, and a derivative
     part swaps each cos/sin row pair.  The table keeps the sin row of a last
     wavevector whose sin modes fell to the cut at N, since its cos modes'
-    gradients read it.  The dense tables mode_fields, mode_grads and
-    mode_eps (eps(w_n) = a_(row^1) sym(G_n)) are lazy views for oracles.
+    gradients read it.  The transforms of the unit block np.eye(N) sample
+    every mode and its gradient.
     """
 
     d: int
@@ -206,32 +199,16 @@ class GalerkinSpace:
         tensors = sign * self.pols[:, :, None] * self.xis[:, None, :]
         return _by_row(self, tensors.reshape(self.N, -1), paired=True)
 
-    def _dense(self, consts: np.ndarray, paired: bool) -> np.ndarray:
-        """a_row(x) T_n for every mode, shape (N, M^d, k), from constants by
-        row; a paired mode reads row ^ 1."""
-        rows = np.arange(self.N) // (self.d - 1)
-        per_mode = (_swap_pairs(consts) if paired else consts).T.reshape(-1, len(consts))
-        return self.profiles[rows ^ paired][:, :, None] * per_mode[:self.N, None]
-
-    @cached_property
-    def mode_fields(self) -> np.ndarray:
-        """Dense samples of all modes, shape (N, M^d, d)."""
-        return self._dense(self.value_consts, paired=False)
-
-    @cached_property
-    def mode_grads(self) -> np.ndarray:
-        """Dense gradients, shape (N, M^d, d, d); [..., i, j] = d_j w_i."""
-        return self._dense(self.grad_consts, paired=True).reshape(self.N, -1, self.d, self.d)
-
     @cached_property
     def mode_eps(self) -> np.ndarray:
-        """Dense symmetric gradients of all modes, shape (N, M^d, d, d), from
-        the constants sym(G_n) by row."""
-        d = self.d
-        # .T puts the two tensor axes last; a symmetric part is its own transpose
-        consts = symmetric_part(self.grad_consts.reshape(d, d, -1).T).T
-        return self._dense(consts.reshape(self.grad_consts.shape),
-                           paired=True).reshape(self.N, -1, d, d)
+        """eps(w_n) = a_(row^1) sym(G_n) for every mode, shape (N, M^d, d, d).
+        No package code reads it: it is kept only because the benchmark's
+        set-up builds it, and it goes with the benchmark change that stops
+        building it."""
+        rows = np.arange(self.N) // (self.d - 1)
+        sign = np.where(self.is_cos, -1.0, 1.0)[:, None, None]
+        strain = symmetric_part(sign * self.pols[:, :, None] * self.xis[:, None, :])
+        return self.profiles[rows ^ 1][:, :, None, None] * strain[:, None]
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -302,6 +279,14 @@ def check_samples(space: GalerkinSpace, values: np.ndarray) -> None:
     """Refuse samples whose shape is not (M^d, ..., d)."""
     if values.ndim < 2 or (values.shape[0], values.shape[-1]) != (space.M ** space.d, space.d):
         raise ValueError(f"samples {values.shape} are not (M^d, ..., d) = ({space.M ** space.d}, ..., {space.d})")
+
+
+def check_field(space: GalerkinSpace, values: np.ndarray, name: str) -> None:
+    """Refuse a single sampled field whose shape is not (M^d, d); the message
+    calls it name."""
+    if np.shape(values) != (space.M ** space.d, space.d):
+        raise ValueError(f"{name} must be sampled on the grid, shape "
+                         f"({space.M ** space.d}, {space.d}), got {np.shape(values)}")
 
 
 def _forward(space: GalerkinSpace, coeffs: np.ndarray, value_consts=None, deriv_consts=None):

@@ -7,16 +7,12 @@ an admissible test function and requires q >= max{2p', 3} when alpha > 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import FieldError
-
-
-def existence_threshold(d: int) -> float:
-    """Smallest growth exponent covered by the existence theory."""
-    return (2 * d + 2) / (d + 2)
 
 
 def minimal_q(p: float) -> float:
@@ -34,15 +30,19 @@ class ConstitutiveParams:
     def __post_init__(self):
         if self.p <= 1.0:
             raise FieldError("p", f"growth exponent must satisfy p > 1, got {self.p}")
+        q_min = minimal_q(self.p)
+        if not math.isfinite(q_min):
+            raise FieldError("p", f"growth exponent p={self.p} overflows the minimal "
+                                  f"stabilization exponent 2p/(p-1)")
         if self.nu0 <= 0.0:
             raise FieldError("nu0", f"viscosity coefficient must be positive, got {self.nu0}")
         if self.alpha < 0.0:
             raise FieldError("alpha", f"stabilization weight must be nonnegative, got {self.alpha}")
         if self.q is None:
-            object.__setattr__(self, "q", minimal_q(self.p))
-        if self.alpha > 0.0 and self.q < minimal_q(self.p) - 1e-12:
+            object.__setattr__(self, "q", q_min)
+        if self.alpha > 0.0 and self.q < q_min - 1e-12:
             raise FieldError("q", f"stabilization exponent q={self.q} below admissible "
-                                  f"minimum max(2p', 3) = {minimal_q(self.p)} for p={self.p}")
+                                  f"minimum max(2p', 3) = {q_min} for p={self.p}")
 
 
 def _check_symmetric(eps: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from .basis import (
     analyze,
     analyze_gradient,
     analyze_with_gradient,
+    check_field,
     symmetric_gradient,
     symmetric_part,
     synthesize,
@@ -326,10 +327,9 @@ class Problem:
     n_steps: int
 
     def __post_init__(self):
-        d, N = self.space.d, self.space.N
-        if self.forcing is not None and np.shape(self.forcing) != (self.space.M ** d, d):
-            raise ValueError(f"forcing must be sampled on the grid, shape "
-                             f"({self.space.M ** d}, {d}), got {np.shape(self.forcing)}")
+        N = self.space.N
+        if self.forcing is not None:
+            check_field(self.space, self.forcing, "forcing")
         v0 = np.asarray(self.v0, dtype=float)
         if v0.shape != (N,) or not np.all(np.isfinite(v0)):
             raise ValueError(f"v0 must be {N} finite numbers, got shape {v0.shape}")

@@ -116,13 +116,6 @@ def hilbert_schmidt_norm_sq(space: GalerkinSpace, phi_fields: np.ndarray) -> flo
     return float(space.quad_weight * np.sum(phi_fields ** 2))
 
 
-def u0_norm(coeff_seq: np.ndarray) -> float:
-    """Norm of sum_k alpha_k e_k in the auxiliary space: sqrt(sum alpha_k^2/k^2)."""
-    alpha = np.asarray(coeff_seq, dtype=float)
-    k = np.arange(1, alpha.size + 1)
-    return float(np.sqrt(np.sum(alpha ** 2 / k ** 2)))
-
-
 @dataclass(frozen=True)
 class WienerPath:
     """Precomputed Brownian increments, reproducible from (seed, step, mode).

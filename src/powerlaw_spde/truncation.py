@@ -25,7 +25,6 @@ _PROFILE_TIMES_U = np.polynomial.polynomial.polymul(
     np.array([1.0, 1.0]),
 )
 _PROFILE_TIMES_U_INT = np.polynomial.polynomial.polyint(_PROFILE_TIMES_U)
-_TRANSITION_MASS = float(np.polynomial.polynomial.polyval(1.0, _PROFILE_TIMES_U_INT))
 
 
 @dataclass(frozen=True)

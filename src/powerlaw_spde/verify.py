@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis, pressure, truncation
-from .basis import analyze, build_space, suggest_grid, symmetric_gradient, symmetric_part, synthesize
+from .basis import (analyze, build_space, suggest_grid, symmetric_gradient, symmetric_part,
+                    synthesize, velocity_gradient)
 from .constitutive import ConstitutiveParams, growth_bounds_check, monotonicity_gap
 from .galerkin import Problem, SdeStepConfig, run_trajectory
 from .noise import NoiseModel, growth_bound_holds, mode_decay_bound_holds
@@ -54,11 +55,10 @@ def suite_constitutive() -> list[dict]:
 def suite_basis() -> list[dict]:
     space = build_space(2, 32, suggest_grid(2, 32))
     checks = []
-    gram = space.quad_weight * np.einsum(
-        "nxd,mxd->nm", space.mode_fields, space.mode_fields
-    )
+    fields = synthesize(space, np.eye(32))
+    gram = space.quad_weight * np.einsum("xnd,xmd->nm", fields, fields)
     checks.append(_check("orthonormality", 1e-10, np.max(np.abs(gram - np.eye(32)))))
-    div = np.einsum("nxii->nx", space.mode_grads)
+    div = np.einsum("xnii->nx", velocity_gradient(space, np.eye(32)))
     checks.append(_check("solenoidality", 1e-10, np.max(np.abs(div))))
     lam = space.eigenvalues
     checks.append(_check("eigen_ordering", 0.0, float(np.max(np.maximum(

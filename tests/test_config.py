@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from powerlaw_spde.config import _REALS, ConfigError, SimulationConfig
 from powerlaw_spde.basis import build_space, suggest_grid
@@ -83,6 +83,7 @@ def test_field_validation_messages():
     (NoiseModel, {"family": "linear", "K": 0}, "K"),
     (SdeStepConfig, {"dt": 0.0}, "dt"),
     (SdeStepConfig, {"dt": 0.01, "scheme": "rk4"}, "scheme"),
+    (ConstitutiveParams, {"p": 1e308}, "p"),  # 2p/(p-1), the default q, overflows
 ])
 def test_domain_refusal_names_its_field(build, kwargs, fld):
     # each rule lives with the type that reads the value; the config only
@@ -186,6 +187,7 @@ _KEYS = st.sampled_from(sorted(SimulationConfig.__dataclass_fields__)) | st.text
 
 @settings(max_examples=300)
 @given(data=st.dictionaries(_KEYS, _JSON, max_size=8) | _JSON)
+@example(data={"p": 1e308})  # used to give q = inf
 def test_any_json_dict_gives_a_valid_config_or_config_error(data):
     try:
         cfg = SimulationConfig.from_dict(data)

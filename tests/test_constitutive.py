@@ -8,7 +8,6 @@ from powerlaw_spde.constitutive import (
     coercivity_constant,
     eval_stabilizer,
     eval_stress,
-    existence_threshold,
     growth_bounds_check,
     minimal_q,
     monotonicity_gap,
@@ -134,11 +133,6 @@ def test_growth_and_coercivity_bounds(p, d):
 def test_coercivity_constant_value():
     params = ConstitutiveParams(p=1.6, nu0=2.0)
     assert abs(coercivity_constant(params) - 2.0 * 2.0 ** -0.6) < 1e-14
-
-
-def test_existence_threshold_values():
-    assert abs(existence_threshold(2) - 1.5) < 1e-15
-    assert abs(existence_threshold(3) - 1.6) < 1e-15
 
 
 def test_minimal_q_values():

@@ -1,5 +1,7 @@
 """The factored basis (scalar profile times a constant tensor per mode)
-against dense-table oracles built from mode_fields / mode_grads / mode_eps."""
+against dense oracles sampled from the mode formula, amp cos/sin(xi . x) pol,
+which shares no table with the transforms."""
+import dataclasses
 import math
 
 import numpy as np
@@ -58,24 +60,45 @@ def assert_close(got, want):
     assert np.max(np.abs(got - want)) <= RTOL * scale
 
 
+def sampled_modes(space):
+    """Every mode w_n = amp {cos|sin}(xi_n . x) pol_n and its gradient
+    amp {-sin|cos}(xi_n . x) pol_n (x) xi_n, sampled from the formula on the
+    grid points: shapes (N, M^d, d) and (N, M^d, d, d)."""
+    amp = np.sqrt(2.0) / (2.0 * np.pi) ** (space.d / 2.0)
+    xis = space.xis.astype(float)
+    phase = xis @ space.points.T  # (N, M^d)
+    is_cos = space.is_cos[:, None]
+    val = np.where(is_cos, np.cos(phase), np.sin(phase))
+    dval = np.where(is_cos, -np.sin(phase), np.cos(phase))
+    fields = amp * val[:, :, None] * space.pols[:, None, :]
+    grads = amp * dval[:, :, None, None] * (space.pols[:, :, None] * xis[:, None, :])[:, None]
+    return fields, grads
+
+
+def strain(grads):
+    return 0.5 * (grads + np.swapaxes(grads, -1, -2))
+
+
 def dense_hessian(params, space, coeffs, dt):
-    """The Hessian of the implicit objective from the dense tables."""
+    """The Hessian of the implicit objective from the sampled modes."""
+    fields, grads = sampled_modes(space)
+    mode_strains = strain(grads)
     w = space.quad_weight * dt
-    eps = np.einsum("n,nxij->xij", coeffs, space.mode_eps)
+    eps = np.einsum("n,nxij->xij", coeffs, mode_strains)
     mag = np.sqrt(np.sum(eps ** 2, axis=(-2, -1)))
-    flat = space.mode_eps.reshape(space.N, len(eps), -1)
+    flat = mode_strains.reshape(space.N, len(eps), -1)
     c1 = params.nu0 * (1.0 + mag) ** (params.p - 2.0)
     hess = np.einsum("nxk,x,mxk->nm", flat, w * c1, flat)
     c2 = (params.p - 2.0) * params.nu0 * (1.0 + mag) ** (params.p - 3.0) / mag
-    proj = np.einsum("nxij,xij->nx", space.mode_eps, eps)
+    proj = np.einsum("nxij,xij->nx", mode_strains, eps)
     hess += (proj * (w * c2)) @ proj.T
     if params.alpha > 0.0:
-        v = np.einsum("n,nxd->xd", coeffs, space.mode_fields)
+        v = np.einsum("n,nxd->xd", coeffs, fields)
         vmag = np.linalg.norm(v, axis=-1)
         a1 = params.alpha * vmag ** (params.q - 2.0)
-        hess += np.einsum("nxd,x,mxd->nm", space.mode_fields, w * a1, space.mode_fields)
+        hess += np.einsum("nxd,x,mxd->nm", fields, w * a1, fields)
         a2 = (params.q - 2.0) * params.alpha * vmag ** (params.q - 4.0)
-        vproj = np.einsum("nxd,xd->nx", space.mode_fields, v)
+        vproj = np.einsum("nxd,xd->nx", fields, v)
         hess += (vproj * (w * a2)) @ vproj.T
     return hess + np.eye(space.N)
 
@@ -84,41 +107,53 @@ def dense_hessian(params, space, coeffs, dt):
 @settings(max_examples=25)
 @given(n_modes=st.integers(1, 64), extra=st.integers(0, 6))
 @example(n_modes=None, extra=None)
-def test_dense_views_are_the_sampled_modes(d, n_modes, extra):
-    # the profiles, built from rows of the Fourier table, against cos/sin of
-    # the full phase: on the module's space (the explicit example) and on
-    # drawn spaces from the oversampling bound 2 kmax + 1 up
+def test_unit_block_transforms_are_the_sampled_modes(d, n_modes, extra):
+    # the transforms of np.eye(N), built from rows of the Fourier table,
+    # against cos/sin of the full phase: on the module's space (the explicit
+    # example) and on drawn spaces from the oversampling bound 2 kmax + 1 up
     if n_modes is None:
         space = make_space(d)
     else:
         kmax = int(np.abs(build_space(d, n_modes, suggest_grid(d, n_modes)).xis).max())
         space = build_space(d, n_modes, 2 * kmax + 1 + extra)
-    amp = np.sqrt(2.0) / (2.0 * np.pi) ** (d / 2.0)
-    for n in range(space.N):
-        xi, pol = space.xis[n].astype(float), space.pols[n]
-        phase = space.points @ xi
-        val, dval = ((np.cos(phase), -np.sin(phase)) if space.is_cos[n]
-                     else (np.sin(phase), np.cos(phase)))
-        grad = amp * dval[:, None, None] * np.outer(pol, xi)
-        assert np.allclose(space.mode_fields[n], amp * val[:, None] * pol, rtol=0, atol=1e-13)
-        assert np.allclose(space.mode_grads[n], grad, rtol=0, atol=1e-13)
-        assert np.allclose(space.mode_eps[n], 0.5 * (grad + np.swapaxes(grad, -1, -2)),
-                           rtol=0, atol=1e-13)
+    fields, grads = sampled_modes(space)
+    unit = np.eye(space.N)
+    for got, want in ((synthesize(space, unit), fields),
+                      (velocity_gradient(space, unit), grads),
+                      (symmetric_gradient(space, unit), strain(grads))):
+        assert np.allclose(np.moveaxis(got, 1, 0), want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("transform", [synthesize, velocity_gradient])
+def test_sampled_modes_see_a_swapped_profile_pair(transform):
+    # the oracle has teeth: with the cos and sin rows of one wavevector
+    # swapped in the table, the transforms are wrong and the formula says so
+    space = make_space(2)
+    profiles = space.profiles.copy()
+    profiles[[2, 3]] = profiles[[3, 2]]
+    broken = dataclasses.replace(space, profiles=profiles)
+    fields, grads = sampled_modes(space)
+    want = fields if transform is synthesize else grads
+    assert np.allclose(np.moveaxis(transform(space, np.eye(space.N)), 1, 0), want,
+                       rtol=0, atol=1e-13)
+    error = np.max(np.abs(np.moveaxis(transform(broken, np.eye(space.N)), 1, 0) - want))
+    assert error > 1e-3
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_transforms_match_dense_oracle(d):
     space = make_space(d)
+    fields, grads = sampled_modes(space)
     c = random_coeffs(space)
     assert_close(synthesize(space, c),
-                 np.einsum("n,nxd->xd", c, space.mode_fields))
+                 np.einsum("n,nxd->xd", c, fields))
     assert_close(velocity_gradient(space, c),
-                 np.einsum("n,nxij->xij", c, space.mode_grads))
+                 np.einsum("n,nxij->xij", c, grads))
     assert_close(symmetric_gradient(space, c),
-                 np.einsum("n,nxij->xij", c, space.mode_eps))
+                 np.einsum("n,nxij->xij", c, strain(grads)))
     fld = np.random.default_rng(1).standard_normal((space.M ** d, d))
     assert_close(analyze(space, fld),
-                 space.quad_weight * np.einsum("xd,nxd->n", fld, space.mode_fields))
+                 space.quad_weight * np.einsum("xd,nxd->n", fld, fields))
 
 
 def _in_layout(layout, a):
@@ -159,7 +194,8 @@ def test_every_transform_matches_dense_oracle_on_drawn_spaces(d, n_modes, extra,
     vec = _in_layout(layout, rng.standard_normal((space.M ** d,) + lead + (d,)))
     tensor = _in_layout(layout, rng.standard_normal((space.M ** d,) + lead + (d, d)))
     w = space.quad_weight
-    fields, grads, eps = space.mode_fields, space.mode_grads, space.mode_eps
+    fields, grads = sampled_modes(space)
+    eps = strain(grads)
     v_want = np.einsum("...n,nxd->x...d", c, fields)
     grad_want = np.einsum("...n,nxij->x...ij", c, grads)
     assert_close(synthesize(space, c), v_want)
@@ -219,16 +255,18 @@ def test_forces_match_dense_oracle(d, p, alpha):
     params = ConstitutiveParams(p=p, alpha=alpha)
     c = random_coeffs(space, seed=2)
     w = space.quad_weight
-    eps = np.einsum("n,nxij->xij", c, space.mode_eps)
-    v = np.einsum("n,nxd->xd", c, space.mode_fields)
+    fields, grads = sampled_modes(space)
+    mode_strains = strain(grads)
+    eps = np.einsum("n,nxij->xij", c, mode_strains)
+    v = np.einsum("n,nxd->xd", c, fields)
     assert_close(stress_force(space, eval_stress(params, symmetric_gradient(space, c))),
-                 -w * np.einsum("xij,nxij->n", eval_stress(params, eps), space.mode_eps))
+                 -w * np.einsum("xij,nxij->n", eval_stress(params, eps), mode_strains))
     if alpha > 0.0:
         assert_close(stabilizer_force(params, space, synthesize(space, c)),
-                     -w * np.einsum("xd,nxd->n", eval_stabilizer(params, v), space.mode_fields))
+                     -w * np.einsum("xd,nxd->n", eval_stabilizer(params, v), fields))
     tensor = v[:, :, None] * v[:, None, :]
     assert_close(convection_force(space, synthesize(space, c)),
-                 w * np.einsum("xij,nxij->n", tensor, space.mode_grads))
+                 w * np.einsum("xij,nxij->n", tensor, grads))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -238,7 +276,7 @@ def test_diffusion_matches_dense_oracle(d, family):
     v = synthesize(space, random_coeffs(space, seed=3))
     model = NoiseModel(family=family, K=6)
     phi = apply_phi(model, space, v)
-    want = space.quad_weight * np.einsum("lxd,nxd->nl", phi, space.mode_fields)
+    want = space.quad_weight * np.einsum("lxd,nxd->nl", phi, sampled_modes(space)[0])
     got = assemble_diffusion(model, space, v)
     if family == "additive":
         # constant fields project to zero on the mean-free modes
@@ -259,7 +297,7 @@ def test_diffusion_through_generators_matches_mode_fields(d, family, K, amplitud
     v = synthesize(space, coeffs / np.sqrt(space.N))
     model = NoiseModel(family=family, K=K, amplitude=amplitude)
     want = space.quad_weight * np.einsum("kx...d,nxd->...nk", apply_phi(model, space, v),
-                                         space.mode_fields)
+                                         sampled_modes(space)[0])
     got = assemble_diffusion(model, space, v)
     assert got.shape == want.shape
     # the additive fields are constant and project to round-off

@@ -12,7 +12,6 @@ from powerlaw_spde.noise import (
     growth_bound_holds,
     hilbert_schmidt_norm_sq,
     mode_decay_bound_holds,
-    u0_norm,
 )
 
 
@@ -119,14 +118,6 @@ def test_hilbert_schmidt_additive_is_field_independent():
     # sum_k a_k^2 (2pi)^2 with K = 8
     target = float(np.sum(4.0 ** -np.arange(1, 9))) * (2.0 * np.pi) ** 2
     assert abs(a - target) < 1e-10
-
-
-def test_u0_norm_values():
-    assert abs(u0_norm([1.0]) - 1.0) < 1e-15
-    assert abs(u0_norm([0.0, 0.0, 2.0]) - 2.0 / 3.0) < 1e-15
-    alpha = np.ones(10)
-    target = np.sqrt(np.sum(1.0 / np.arange(1, 11) ** 2))
-    assert abs(u0_norm(alpha) - target) < 1e-14
 
 
 def test_path_reproducibility_and_order_independence():

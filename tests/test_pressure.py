@@ -305,6 +305,11 @@ def test_weak_residual_small_against_gradient_field():
     assert res < 1e-10
 
 
+def mode_field(space, n):
+    """w_n on the grid: the n-th row of the unit block, synthesized."""
+    return synthesize(space, np.eye(space.N)[n])
+
+
 def residual_series(traj, test_field):
     """The weak residual against test_field at every recorded time."""
     dec = pressure.decompose(traj)
@@ -326,16 +331,16 @@ def test_weak_residual_galerkin_modes():
     traj = run_trajectory(Problem(params, space, model, forcing, v0, cfg, 40), seed=9)
     # resolved modes satisfy the identity to solver precision
     for j in (1, 4, 8):
-        res = residual_series(traj, space.mode_fields[j - 1])
+        res = residual_series(traj, mode_field(space, j - 1))
         assert res[0] == 0.0
         assert np.max(res) < 1e-12
     # unresolved modes see only the Galerkin truncation error, which is small
     # but generally nonzero
-    res_hi = residual_series(traj, test_space.mode_fields[N_big - 1])
+    res_hi = residual_series(traj, mode_field(test_space, N_big - 1))
     assert np.max(res_hi) < 1e-2
     dec = pressure.decompose(traj)
     with pytest.raises(ValueError):  # a test field off the trajectory's grid
-        pressure.weak_residual(traj, dec, build_space(2, N_big, M + 1).mode_fields[N_big - 1])
+        pressure.weak_residual(traj, dec, mode_field(build_space(2, N_big, M + 1), N_big - 1))
 
 
 def test_weak_residual_semi_implicit_scheme_aware():
@@ -346,7 +351,7 @@ def test_weak_residual_semi_implicit_scheme_aware():
     v0[0] = 1.0
     cfg = SdeStepConfig(dt=0.005, scheme="semi_implicit")
     traj = run_trajectory(Problem(params, space, None, forcing, v0, cfg, 20))
-    res = residual_series(traj, space.mode_fields[0])
+    res = residual_series(traj, mode_field(space, 0))
     assert np.max(res) < 1e-8  # right-point stress matches the implicit solve
 
 
