@@ -25,32 +25,19 @@ def moment_exponent(p: float, d: int) -> float:
     return max(2.0 * (d + 2) / d, p * (d + 2) / d)
 
 
-@dataclass
-class ItoCheck:
-    """Both sides of the discrete energy identity for 0.5 |C(t)|^2."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    residual: float
-
-    @classmethod
-    def from_sides(cls, lhs, rhs):
-        return cls(lhs=lhs, rhs=rhs, residual=float(np.max(np.abs(lhs - rhs))))
-
-
-def energy_identity_residual(traj: Trajectory) -> ItoCheck:
-    """Discrete analogue of the Ito identity for the kinetic energy.
-
-    0.5|C(t)|^2 vs 0.5|C(0)|^2 - int int S:eps(v) - alpha int int |v|^q
+def energy_identity_residual(traj: Trajectory) -> float:
+    """Discrete analogue of the Ito identity for the kinetic energy: the
+    maximum over the recorded times of |lhs - rhs|, for lhs = 0.5|C(t)|^2
+    and rhs = 0.5|C(0)|^2 - int int S:eps(v) - alpha int int |v|^q
     + int int f.v + martingale + 0.5 * quadratic variation, with left-point
     sums for the time integrals.
     """
-    energy = 0.5 * np.sum(traj.coeffs ** 2, axis=1)
+    energy = 0.5 * traj.energy()
     dt = traj.dt
     drift_part = dt * np.cumsum(-traj.stress_diss - traj.stab_int + traj.force_work)
     noise_part = np.cumsum(traj.mart) + 0.5 * np.cumsum(traj.qv)
     rhs = energy[0] + np.concatenate(([0.0], drift_part + noise_part))
-    return ItoCheck.from_sides(energy, rhs)
+    return float(np.max(np.abs(energy - rhs)))
 
 
 @dataclass
@@ -119,10 +106,10 @@ def report_from_trajectories(trajectories: list[Trajectory], beta: float | None 
     if beta is None:
         beta = moment_exponent(p, d)
     return EnergyReport(
-        sup_l2_sq=np.array([t.sup_energy() for t in trajectories]),
-        grad_lp=np.array([t.grad_lp_time_integral() for t in trajectories]),
-        stab_lq=np.array([t.stab_time_integral() for t in trajectories]),
-        interp_lr0=np.array([t.vel_rq_time_integral() for t in trajectories]),
+        sup_l2_sq=np.array([np.max(t.energy()) for t in trajectories]),
+        grad_lp=np.array([t.dt * np.sum(t.grad_lp) for t in trajectories]),
+        stab_lq=np.array([t.dt * np.sum(t.stab_int) for t in trajectories]),
+        interp_lr0=np.array([t.dt * np.sum(t.vel_rq) for t in trajectories]),
         beta=beta,
         r0=interpolation_exponent(p, d),
     )
@@ -189,7 +176,10 @@ def _with_alphas(problem: Problem, alphas) -> list[Problem]:
 
 def alpha_independence_study(problem: Problem, base_seed: int, n_traj: int,
                              alphas: list[float]) -> list[dict]:
-    """Bound ratios across a stabilization-weight grid with shared seeds."""
+    """Bound ratios across a stabilization-weight grid with shared seeds;
+    an empty grid raises ValueError."""
+    if len(alphas) == 0:
+        raise ValueError("alphas: the stabilization-weight grid is empty")
     v0_sq = float(np.sum(problem.v0 ** 2))
     # ||f||^2_{L2(Q)} of the steady force
     f_sq = 0.0 if problem.forcing is None else (
@@ -212,7 +202,9 @@ def stabilization_convergence(problem: Problem, base_seed: int, n_traj: int,
                               m_grid: list[float]) -> list[dict]:
     """E||v^m - v^m'||^2_{L2(Q)} along consecutive m (alpha = 1/m) with
     shared seeds; a seed that failed at either m of a pair is left out of
-    its mean."""
+    its mean.  A grid of fewer than two points raises ValueError."""
+    if len(m_grid) < 2:
+        raise ValueError(f"m_grid: needs at least two values to compare, got {list(m_grid)}")
     problems = _with_alphas(problem, [1.0 / m for m in m_grid])
     runs = {m: run_ensemble(at_m, base_seed, n_traj) for m, at_m in zip(m_grid, problems)}
     rows = []

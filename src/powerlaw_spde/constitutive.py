@@ -28,18 +28,23 @@ class ConstitutiveParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.p <= 1.0:
-            raise FieldError("p", f"growth exponent must satisfy p > 1, got {self.p}")
+        # each bound is written so that nan fails it
+        if not 1.0 < self.p < math.inf:
+            raise FieldError("p", f"growth exponent must be finite with p > 1, got {self.p}")
         q_min = minimal_q(self.p)
         if not math.isfinite(q_min):
             raise FieldError("p", f"growth exponent p={self.p} overflows the minimal "
                                   f"stabilization exponent 2p/(p-1)")
-        if self.nu0 <= 0.0:
-            raise FieldError("nu0", f"viscosity coefficient must be positive, got {self.nu0}")
-        if self.alpha < 0.0:
-            raise FieldError("alpha", f"stabilization weight must be nonnegative, got {self.alpha}")
+        if not 0.0 < self.nu0 < math.inf:
+            raise FieldError("nu0", f"viscosity coefficient must be positive and finite, "
+                                    f"got {self.nu0}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise FieldError("alpha", f"stabilization weight must be nonnegative and finite, "
+                                      f"got {self.alpha}")
         if self.q is None:
             object.__setattr__(self, "q", q_min)
+        if not math.isfinite(self.q):
+            raise FieldError("q", f"stabilization exponent must be finite, got {self.q}")
         if self.alpha > 0.0 and self.q < q_min - 1e-12:
             raise FieldError("q", f"stabilization exponent q={self.q} below admissible "
                                   f"minimum max(2p', 3) = {q_min} for p={self.p}")

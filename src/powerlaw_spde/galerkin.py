@@ -10,7 +10,9 @@ all integrals by collocation quadrature with v = sum_k c_k w_k.  Two time
 discretizations are provided: explicit Euler-Maruyama, and a semi-implicit
 scheme that treats the two monotone terms (stress and stabilizer)
 implicitly via damped, matrix-free Newton-CG on a strictly convex
-objective, while convection, forcing and noise stay explicit.
+objective, while convection, forcing and noise stay explicit.  Both
+schemes step from that one explicit part, C + dt (convection + forcing) +
+Sigma dbeta.
 
 The integrator steps a block of B rows (B, N) in lockstep, one row per
 Wiener path: one synthesis and one gradient call per step serve every row,
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -74,8 +77,8 @@ class SdeStepConfig:
     scheme: str = "euler_maruyama"
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise FieldError("dt", f"time step must be positive, got {self.dt}")
+        if not 0.0 < self.dt < np.inf:  # nan fails too
+            raise FieldError("dt", f"time step must be positive and finite, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise FieldError("scheme", f"unknown scheme {self.scheme!r}")
 
@@ -116,23 +119,6 @@ def forcing_term(space: GalerkinSpace, forcing: np.ndarray | None) -> np.ndarray
     if forcing is None:
         return np.zeros(space.N)
     return analyze(space, forcing)
-
-
-def assemble_drift(
-    params: ConstitutiveParams,
-    space: GalerkinSpace,
-    force_coeffs: np.ndarray,
-    v: np.ndarray,
-    stress: np.ndarray,
-) -> np.ndarray:
-    """mu(C) from the samples of v = v_C and of the stress S(eps(v)) and the
-    projected body force force_coeffs = forcing_term(space, forcing)."""
-    return (
-        stress_force(space, stress)
-        + convection_force(space, v)
-        + stabilizer_force(params, space, v)
-        + force_coeffs
-    )
 
 
 def assemble_diffusion(model: NoiseModel, space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
@@ -289,16 +275,17 @@ def step(
     """One time step of every row of coeffs (B, N) with the configured
     scheme, given the left-point samples v (M^d, B, d) of v_C and stress
     (M^d, B, d, d) of S(eps(v_C)), the projected body force (forcing_term)
-    and the noise increments Sigma(C) dbeta (B, N).
+    and the noise increments Sigma(C) dbeta (B, N).  Both schemes step
+    from the explicit part rhs = C + dt (convection + forcing) + Sigma dbeta.
 
     Returns the new rows and an IntegratorError per row whose step failed,
     keyed by batch row; a failed row of the result is meaningless.
     """
     errors = {}
+    rhs = coeffs + cfg.dt * (convection_force(space, v) + force_coeffs) + noise_part
     if cfg.scheme == "euler_maruyama":
-        new = coeffs + cfg.dt * assemble_drift(params, space, force_coeffs, v, stress) + noise_part
+        new = rhs + cfg.dt * (stress_force(space, stress) + stabilizer_force(params, space, v))
     else:
-        rhs = coeffs + cfg.dt * (convection_force(space, v) + force_coeffs) + noise_part
         new = np.full_like(rhs, np.nan)
         for row, row_rhs in enumerate(rhs):
             try:
@@ -316,7 +303,8 @@ class Problem:
     """Everything that fixes a run except its Wiener paths: parameters, span,
     noise model (or None), sampled steady body force (M^d, d) (or None),
     initial coefficients v0, step config and number of steps.  Raises
-    ValueError naming a part that disagrees with the space."""
+    ValueError naming a part that disagrees with the space, or an n_steps
+    that is not a nonnegative integer."""
 
     params: ConstitutiveParams
     space: GalerkinSpace
@@ -327,6 +315,9 @@ class Problem:
     n_steps: int
 
     def __post_init__(self):
+        n_steps = self.n_steps
+        if isinstance(n_steps, bool) or not isinstance(n_steps, Integral) or n_steps < 0:
+            raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
         N = self.space.N
         if self.forcing is not None:
             check_field(self.space, self.forcing, "forcing")
@@ -368,18 +359,6 @@ class Trajectory:
     def energy(self) -> np.ndarray:
         """|C(t)|^2 = ||v(t)||_{L2}^2 at the recorded times."""
         return np.sum(self.coeffs ** 2, axis=1)
-
-    def sup_energy(self) -> float:
-        return float(np.max(self.energy()))
-
-    def grad_lp_time_integral(self) -> float:
-        return float(self.dt * np.sum(self.grad_lp))
-
-    def stab_time_integral(self) -> float:
-        return float(self.dt * np.sum(self.stab_int))
-
-    def vel_rq_time_integral(self) -> float:
-        return float(self.dt * np.sum(self.vel_rq))
 
 
 def interpolation_exponent(p: float, d: int) -> float:

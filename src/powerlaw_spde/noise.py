@@ -48,6 +48,8 @@ class NoiseModel:
             raise FieldError("family", f"unknown noise family {self.family!r}")
         if self.K < 1:
             raise FieldError("K", f"need at least one Wiener mode, got {self.K}")
+        if not np.isfinite(self.amplitude):
+            raise FieldError("amplitude", f"noise amplitude must be finite, got {self.amplitude}")
 
     @cached_property
     def per_mode_scale(self) -> np.ndarray:
@@ -144,8 +146,8 @@ class WienerPath:
 
     @classmethod
     def generate(cls, seed: int, dt: float, K: int, n_steps: int) -> "WienerPath":
-        if dt <= 0.0:
-            raise ValueError("time step must be positive")
+        if not 0.0 < dt < np.inf:  # nan fails too
+            raise ValueError(f"time step must be positive and finite, got {dt}")
         inc = np.empty((n_steps, K))
         for step in range(n_steps):
             rng = np.random.default_rng((int(seed), int(step)))

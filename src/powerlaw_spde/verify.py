@@ -153,7 +153,7 @@ def suite_ito() -> list[dict]:
             problem = Problem(params, space, model, None, v0,
                               SdeStepConfig(dt=2.5e-3 * factor), 200 // factor)
             traj = run_trajectory(problem, seed=100 + s, path=path)
-            residuals[i] += analysis.energy_identity_residual(traj).residual
+            residuals[i] += analysis.energy_identity_residual(traj)
     residuals /= n_seeds
     order = float(np.mean(analysis.refinement_orders(list(residuals))))
     # empirical order must be at least the strong noise order 1/2

@@ -121,7 +121,7 @@ def test_criterion_4_ito_energy_identity():
             traj = run_trajectory(Problem(params, space, model, forcing, v0,
                                           SdeStepConfig(dt=2.5e-3 * factor), 200 // factor),
                                   seed=100 + s, path=path)
-            residuals[i] += analysis.energy_identity_residual(traj).residual
+            residuals[i] += analysis.energy_identity_residual(traj)
     residuals /= n_seeds
     order = float(np.mean(analysis.refinement_orders(list(residuals))))
 

@@ -37,9 +37,8 @@ def test_energy_identity_exact_for_rest_state():
     params = ConstitutiveParams(p=2.0)
     cfg = SdeStepConfig(dt=0.01)
     traj = run_trajectory(Problem(params, space, None, None, np.zeros(4), cfg, 10))
-    check = analysis.energy_identity_residual(traj)
-    assert check.residual == 0.0
-    assert np.all(check.lhs == 0.0)
+    assert analysis.energy_identity_residual(traj) == 0.0
+    assert np.all(traj.energy() == 0.0)
 
 
 def test_energy_identity_deterministic_first_order():
@@ -49,7 +48,7 @@ def test_energy_identity_deterministic_first_order():
     residuals = []
     for dt, n in ((1e-2, 20), (5e-3, 40), (2.5e-3, 80)):
         traj = run_trajectory(Problem(params, space, None, None, v0, SdeStepConfig(dt=dt), n))
-        residuals.append(analysis.energy_identity_residual(traj).residual)
+        residuals.append(analysis.energy_identity_residual(traj))
     orders = analysis.refinement_orders(residuals)
     assert min(orders) > 0.8  # deterministic part converges at order one
 
@@ -69,7 +68,7 @@ def test_energy_identity_stochastic_half_order():
             traj = run_trajectory(Problem(params, space, model, forcing, v0,
                                           SdeStepConfig(dt=2.5e-3 * factor), 200 // factor),
                                   seed=100 + s, path=path)
-            residuals[i] += analysis.energy_identity_residual(traj).residual
+            residuals[i] += analysis.energy_identity_residual(traj)
     residuals /= n_seeds
     orders = analysis.refinement_orders(list(residuals))
     assert float(np.mean(orders)) >= 0.5
@@ -173,6 +172,20 @@ def test_grid_studies_replace_only_alpha(monkeypatch):
         analysis.alpha_independence_study(problem, 0, 2, [0.0, 0.1])
     with pytest.raises(ValueError, match="stabilization exponent q=2.5"):
         analysis.stabilization_convergence(problem, 0, 2, [1.0, 10.0])
+    assert runs == []
+
+
+def test_grid_studies_refuse_a_grid_with_no_row(monkeypatch):
+    # both used to return [] without a word
+    problem = Problem(ConstitutiveParams(p=2.0), make_space(), None, None,
+                      np.zeros(4), SdeStepConfig(dt=0.01), 2)
+    runs = []
+    monkeypatch.setattr(analysis, "run_trajectory", lambda *a, **k: runs.append(a))
+    for m_grid in ([], [10.0]):
+        with pytest.raises(ValueError, match="m_grid"):
+            analysis.stabilization_convergence(problem, 0, 2, m_grid)
+    with pytest.raises(ValueError, match="alphas"):
+        analysis.alpha_independence_study(problem, 0, 2, [])
     assert runs == []
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from powerlaw_spde.config import _REALS, ConfigError, SimulationConfig
-from powerlaw_spde.basis import build_space, suggest_grid
+from powerlaw_spde.basis import FieldError, build_space, suggest_grid
 from powerlaw_spde.constitutive import ConstitutiveParams
 from powerlaw_spde.galerkin import SdeStepConfig
 from powerlaw_spde.noise import NoiseModel
@@ -84,6 +84,14 @@ def test_field_validation_messages():
     (SdeStepConfig, {"dt": 0.0}, "dt"),
     (SdeStepConfig, {"dt": 0.01, "scheme": "rk4"}, "scheme"),
     (ConstitutiveParams, {"p": 1e308}, "p"),  # 2p/(p-1), the default q, overflows
+    # non-finite values used to be accepted
+    (SdeStepConfig, {"dt": math.nan}, "dt"),
+    (SdeStepConfig, {"dt": math.inf}, "dt"),
+    (ConstitutiveParams, {"p": 2.0, "nu0": math.nan}, "nu0"),
+    (ConstitutiveParams, {"p": 2.0, "alpha": math.nan}, "alpha"),
+    (ConstitutiveParams, {"p": 2.0, "alpha": math.inf}, "alpha"),
+    (ConstitutiveParams, {"p": 2.0, "alpha": 0.1, "q": math.nan}, "q"),
+    (NoiseModel, {"family": "smooth_norm", "amplitude": math.nan}, "amplitude"),
 ])
 def test_domain_refusal_names_its_field(build, kwargs, fld):
     # each rule lives with the type that reads the value; the config only
@@ -91,6 +99,39 @@ def test_domain_refusal_names_its_field(build, kwargs, fld):
     with pytest.raises(ValueError) as err:
         build(**kwargs)
     assert getattr(err.value, "field", None) == fld
+
+
+# valid arguments of the domain types, whose numeric fields are drawn below;
+# q=None takes the minimal q of the drawn p
+_VALID = {
+    ConstitutiveParams: {"p": 2.0, "nu0": 1.0, "q": None, "alpha": 0.1},
+    NoiseModel: {"family": "smooth_norm", "amplitude": 1.0},
+    SdeStepConfig: {"dt": 0.01},
+}
+
+
+@settings(max_examples=200)
+@given(case=st.sampled_from([(build, name) for build, kwargs in _VALID.items()
+                             for name, value in kwargs.items() if not isinstance(value, str)]),
+       value=st.sampled_from([math.nan, math.inf, -math.inf])
+       | st.floats(allow_nan=False, allow_infinity=False))
+def test_domain_types_refuse_non_finite_values(case, value):
+    # a non-finite value is refused naming its field, and not as an
+    # overflow; a finite one is kept or refused naming the same field
+    build, name = case
+    kwargs = {**_VALID[build], name: value}
+    if not math.isfinite(value):
+        with pytest.raises(FieldError) as err:
+            build(**kwargs)
+        assert err.value.field == name
+        assert "overflows" not in str(err.value)
+        return
+    try:
+        built = build(**kwargs)
+    except FieldError as err:
+        assert err.field == name
+    else:
+        assert getattr(built, name) == value
 
 
 def test_grid_below_oversampling_bound_names_m():

@@ -11,7 +11,6 @@ from powerlaw_spde.galerkin import (
     Problem,
     SdeStepConfig,
     assemble_diffusion,
-    assemble_drift,
     convection_force,
     forcing_term,
     interpolation_exponent,
@@ -29,8 +28,10 @@ def make_space(N=4):
 
 
 def drift(params, space, c, forcing=None):
-    return assemble_drift(params, space, forcing_term(space, forcing), synthesize(space, c),
-                          eval_stress(params, symmetric_gradient(space, c)))
+    v = synthesize(space, c)
+    return (stress_force(space, eval_stress(params, symmetric_gradient(space, c)))
+            + convection_force(space, v) + stabilizer_force(params, space, v)
+            + forcing_term(space, forcing))
 
 
 def test_drift_vanishes_at_rest():
@@ -275,6 +276,22 @@ def test_problem_refuses_parts_that_disagree_with_the_space(override, message):
     Problem(**parts)
     with pytest.raises(ValueError, match=message):
         Problem(**{**parts, **override})
+
+
+@pytest.mark.parametrize("n_steps", [-1, 2.5, True, "3"])
+def test_problem_refuses_an_n_steps_that_is_not_a_count(n_steps):
+    # -1 used to end in IndexError and 2.5 in TypeError inside run_trajectory
+    with pytest.raises(ValueError, match="n_steps must be a nonnegative integer"):
+        Problem(ConstitutiveParams(p=2.0), make_space(), None, None, np.zeros(4),
+                SdeStepConfig(dt=0.01), n_steps)
+
+
+def test_problem_runs_any_integer_count_of_steps():
+    for n_steps in (0, np.int64(2)):
+        traj = run_trajectory(Problem(ConstitutiveParams(p=2.0), make_space(),
+                                      NoiseModel(family="linear"), None, np.ones(4),
+                                      SdeStepConfig(dt=0.01), n_steps), seed=1)
+        assert traj.coeffs.shape == (n_steps + 1, 4)
 
 
 def test_interpolation_exponent():

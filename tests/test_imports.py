@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module, so dead
-imports cannot pile up unnoticed.  The package's __init__.py is exempt: its
-imports are the public re-exports."""
+"""Every name a package module imports is used in that module, and every
+private top-level name of the package is read somewhere in it, so dead
+imports and dead helpers cannot pile up unnoticed.  The package's
+__init__.py is exempt from the import check: its imports are the public
+re-exports."""
 import ast
 from pathlib import Path
 
@@ -31,6 +33,44 @@ def test_unused_imports_are_found():
                                           if p.name != "__init__.py"))
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name for each private top-level function, class or _UPPER
+    constant of the sources that no source reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}:{name}" for module, name in defined if name not in read)
+
+
+def test_dead_private_names_are_found():
+    sources = {
+        "a.py": "_LIMIT = 3\n_UNUSED = 4\n_lower = 5\ndef _helper():\n    return _LIMIT\n"
+                "class _Box:\n    pass\ndef public():\n    return b._shared()\n",
+        "b.py": "def _shared():\n    return 1\n",
+    }
+    assert dead_private_names(sources) == ["a.py:_Box", "a.py:_UNUSED", "a.py:_helper"]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []
 
 
 def test_all_lists_exactly_the_reexports():

@@ -179,6 +179,13 @@ def test_generate_rejects_bad_dt():
         WienerPath.generate(0, 0.0, 4, 10)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf])
+def test_generate_refuses_a_dt_that_is_not_positive_and_finite(dt):
+    # a nan dt used to give nan increments
+    with pytest.raises(ValueError, match="time step must be positive and finite"):
+        WienerPath.generate(0, dt, 2, 2)
+
+
 @settings(max_examples=60)
 @given(family=st.sampled_from(FAMILIES), d=st.sampled_from([2, 3]), K=st.integers(1, 9),
        amplitude=st.floats(0.1, 10.0), seed=st.integers(0, 2 ** 16))
