@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -46,8 +47,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise FieldError("family", f"unknown noise family {self.family!r}")
-        if self.K < 1:
-            raise FieldError("K", f"need at least one Wiener mode, got {self.K}")
+        if isinstance(self.K, bool) or not isinstance(self.K, Integral) or self.K < 1:
+            raise FieldError("K", f"need an integer K >= 1 of Wiener modes, got {self.K!r}")
         if not np.isfinite(self.amplitude):
             raise FieldError("amplitude", f"noise amplitude must be finite, got {self.amplitude}")
 
@@ -60,15 +61,14 @@ class NoiseModel:
 
     def growth_constant(self, d: int) -> float:
         """L in the linear-growth bound on R^d, per family with a_k = per_mode_scale."""
-        a_sum = float(np.sum(self.per_mode_scale))
+        a_sum, c0 = float(np.sum(self.per_mode_scale)), abs(self.amplitude)
         if self.family == "additive":
-            return self.amplitude * a_sum
+            return c0 * a_sum
         if self.family == "linear":
             return max(a_sum, d * float(np.sum(self.per_mode_scale ** 2)))
         # smooth_norm: |g_k| = a_k sqrt(1+|xi|^2) <= a_k (1+|xi|),
         # |grad g_k|^2 = a_k^2 |xi|^2/(1+|xi|^2) <= a_k^2
-        return max(self.amplitude * a_sum,
-                   self.amplitude ** 2 * float(np.sum(self.per_mode_scale ** 2)))
+        return max(c0 * a_sum, c0 ** 2 * float(np.sum(self.per_mode_scale ** 2)))
 
 
 @cache

@@ -11,7 +11,11 @@ mean-zero field is identically zero, so
 
 all of zero spatial mean, because the symbol of lap^-1 drops the zero mode.
 Each operator is its Fourier symbol applied between one real transform
-pair over the grid axes, all batch and component axes at once.  The pair is
+pair over the grid axes, all batch and component axes at once, and each
+pressure part is one operator: inverse_laplacian(..., of=...) applies lap^-1
+after a derivative as the product of the two symbols.  Between the pair,
+one batched matmul contracts the input component axes with the symbol,
+stored as one (in, out) matrix per half-spectrum bin.  The pair is
 a matmul per grid axis with a DFT matrix read from basis.fourier_table(M),
 the table that also builds the basis profiles: a real (2H, M) [cos; -sin]
 matrix takes the last axis to its H = M//2+1 half-spectrum bins, a complex
@@ -35,8 +39,8 @@ noise and body force from the galerkin.Problem that each trajectory
 carries.  decompose and weak_residual take a trajectory in chunks of at most
 _CHUNK_POINTS grid points x steps, time being a batch axis between the grid
 and component axes: a chunk's velocity is (M^d, n, d) and its flux (H1, H2)
-(M^d, n, 2, d, d), one transform call per field and one real transform
-pair per operator.
+(M^d, n, 2, d, d), one transform call per field and three operators per
+chunk: the zero-order lift, pi_H of both flux parts and pi_Phi.
 
 The flux H is assembled from a trajectory as
 
@@ -44,11 +48,13 @@ The flux H is assembled from a trajectory as
 
 where the last term rewrites the zero-order contributions as a divergence
 (their spatial mean, which has no divergence representation on the torus
-and is invisible to mean-zero test fields, is dropped).
+and is invisible to mean-zero test fields, is dropped by the zero mode of
+the symbol).
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,21 +65,27 @@ from .galerkin import Trajectory
 from .noise import apply_phi, generators
 
 
-# Grid points x steps per chunk (6 steps on a 13^2 grid): the transforms are
-# batched well before this, and the temporaries do not grow with the length
-# of the trajectory.  The flux (M^d, n, 2, d, d) and its transforms set a
-# chunk's peak; the noise path holds only the r <= d generator fields.
-_CHUNK_POINTS = 1024
+# Grid points x steps per chunk (24 steps on a 13^2 grid, 4 on a 10^3 grid):
+# the transforms are batched well by this size, and the temporaries do not
+# grow with the length of the trajectory.  The flux (M^d, n, 2, d, d) and
+# its transforms set a chunk's peak; the noise path holds only the r <= d
+# generator fields.
+_CHUNK_POINTS = 4096
 
 
 @functools.cache
-def _half_symbol(symbol, d: int, M: int) -> np.ndarray:
+def _half_symbol(symbol, n_in: int, d: int, M: int) -> np.ndarray:
     """Hermitian part of symbol(k) on the half spectrum of the M^d grid (see
-    above), shape (M,)*(d-1) + (M//2+1,) + out + in."""
+    above) as one (in, out) matrix per bin, shape (G, I) + out: G =
+    M^(d-1) (M//2+1) bins in grid order and I the size of the n_in input
+    axes, which symbol(k) puts after its output axes."""
     k = (np.arange(M) + M // 2) % M - M // 2
     k = np.stack(np.meshgrid(*[k] * (d - 1), k[:M // 2 + 1], indexing="ij"), axis=-1)
     # -k mod M as a wavevector: a Nyquist component is its own negative
-    out = 0.5 * (symbol(k) + np.conj(symbol(np.where(2 * k == -M, k, -k))))
+    full = 0.5 * (symbol(k) + np.conj(symbol(np.where(2 * k == -M, k, -k))))
+    out_shape = full.shape[d:full.ndim - n_in]
+    out = full.reshape(M ** (d - 1) * (M // 2 + 1), math.prod(out_shape), -1).transpose(0, 2, 1)
+    out = np.ascontiguousarray(out).reshape(out.shape[:2] + out_shape)
     out.flags.writeable = False
     return out
 
@@ -98,10 +110,11 @@ def _dft_matrices(M: int) -> tuple[np.ndarray, ...]:
 
 def _apply_symbol(space: GalerkinSpace, values: np.ndarray, symbol, n_in: int) -> np.ndarray:
     """symbol applied to a flattened real field (M^d, ..., *in) with n_in
-    input component axes: the half spectrum by one matmul per grid axis, the
-    product with the cached half-spectrum symbol summed over the input axes,
-    the inverse matmuls; shape (M^d, ..., *out).  Grid axis a is the middle
-    axis of the (M^a, M, -1) view, so no axis is moved."""
+    input component axes: the half spectrum by one matmul per grid axis, one
+    batched matmul (G, B, I) @ (G, I, O) with the cached half-spectrum
+    symbol that contracts the input axes bin by bin, the inverse matmuls;
+    shape (M^d, ..., *out).  Grid axis a is the middle axis of the
+    (M^a, M, -1) view, so no axis is moved."""
     d, M, H = space.d, space.M, space.M // 2 + 1
     r2c, fwd, inv, c2r = _dft_matrices(M)
     values = np.asarray(values, dtype=float)
@@ -110,18 +123,15 @@ def _apply_symbol(space: GalerkinSpace, values: np.ndarray, symbol, n_in: int) -
     hat.real, hat.imag = pair[:, :H], pair[:, H:]
     for a in range(d - 1):
         hat = fwd @ hat.reshape(M ** a, M, -1)
-    hat = hat.reshape(space.grid_shape[:-1] + (H,) + values.shape[1:])
-    sym = _half_symbol(symbol, d, M)
-    n_batch, n_out = hat.ndim - d - n_in, sym.ndim - d - n_in
-    hat = sym.reshape(sym.shape[:d] + (1,) * n_batch + sym.shape[d:]) * hat.reshape(
-        hat.shape[:d + n_batch] + (1,) * n_out + hat.shape[d + n_batch:])
-    if n_in:
-        hat = np.sum(hat, axis=tuple(range(-n_in, 0)))
-    out_shape = (M ** d,) + hat.shape[d:]
+    sym = _half_symbol(symbol, n_in, d, M)  # (G, I) + out
+    n_bins, n_cols = sym.shape[:2]
+    batch = values.shape[1:values.ndim - n_in]
+    hat = hat.reshape(n_bins, -1, n_cols) @ sym.reshape(n_bins, n_cols, -1)
     for a in range(d - 1):
         hat = inv @ hat.reshape(M ** a, M, -1)
     hat = hat.reshape(M ** (d - 1), H, -1)
-    return (c2r @ np.concatenate([hat.real, hat.imag], axis=1)).reshape(out_shape)
+    out = c2r @ np.concatenate([hat.real, hat.imag], axis=1)
+    return out.reshape((M ** d,) + batch + sym.shape[2:])
 
 
 # The Fourier symbols of the operators at integer wavevectors k (..., d).
@@ -142,10 +152,31 @@ def _hessian_symbol(k):
     return -k[..., :, None] * k[..., None, :]
 
 
-def inverse_laplacian(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
-    """lap^-1 of a flattened field (M^d, ...), per component; the zero
-    mode is dropped, so the output is mean-zero."""
-    return _apply_symbol(space, values, _inverse_laplacian_symbol, 0)
+def _inverse_gradient_symbol(k):
+    return _inverse_laplacian_symbol(k)[..., None] * _gradient_symbol(k)
+
+
+def _inverse_hessian_symbol(k):
+    return _inverse_laplacian_symbol(k)[..., None, None] * _hessian_symbol(k)
+
+
+# inverse_laplacian's `of` -> (fused symbol, number of input component axes)
+_INVERSE_OF = {
+    None: (_inverse_laplacian_symbol, 0),
+    "gradient": (_inverse_gradient_symbol, 0),
+    "divergence": (_inverse_gradient_symbol, 1),
+    "div_div": (_inverse_hessian_symbol, 2),
+}
+
+
+def inverse_laplacian(space: GalerkinSpace, values: np.ndarray, of: str | None = None) -> np.ndarray:
+    """lap^-1 of a flattened field (M^d, ...), per component, or of its
+    derivative `of` in one symbol: "gradient" (shaped as gradient_scalar;
+    it equals grad lap^-1), "divergence" of a vector field (M^d, ..., d)
+    or "div_div" of a tensor field (M^d, ..., d, d).  The zero mode is
+    dropped, so the output is mean-zero."""
+    symbol, n_in = _INVERSE_OF[of]
+    return _apply_symbol(space, values, symbol, n_in)
 
 
 def laplacian(space: GalerkinSpace, scalar: np.ndarray) -> np.ndarray:
@@ -175,7 +206,7 @@ def div_div_tensor(space: GalerkinSpace, mat: np.ndarray) -> np.ndarray:
 def solve_pi_H(space: GalerkinSpace, H: np.ndarray) -> np.ndarray:
     """pi_H = -lap^-1(div div H) for H of shape (M^d, ..., d, d), satisfying
     int pi_H lap(phi) = -int H : grad^2(phi) for resolved test modes."""
-    return -inverse_laplacian(space, div_div_tensor(space, H))
+    return -inverse_laplacian(space, H, of="div_div")
 
 
 def solve_pi_h(space: GalerkinSpace) -> np.ndarray:
@@ -211,8 +242,7 @@ def assemble_H(
     if forcing is not None:
         zero_order -= forcing[:, None]
     if np.any(zero_order):
-        zero_order = zero_order - np.mean(zero_order, axis=0)
-        h[:, :, 1] -= _field_gradient(space, inverse_laplacian(space, zero_order))
+        h[:, :, 1] -= inverse_laplacian(space, zero_order, of="gradient")
     return h
 
 
@@ -279,7 +309,7 @@ def decompose(traj: Trajectory) -> PressureDecomposition:
             # the running sum enters as the first row: additions in step order
             accum = np.cumsum(np.concatenate([accum[:, -1:], dW], axis=1), axis=1)
             pi_Phi[sl.start + 1:sl.stop + 1] = inverse_laplacian(
-                space, divergence_vector(space, accum[:, 1:])).T
+                space, accum[:, 1:], of="divergence").T
 
     return PressureDecomposition(
         pi_h=solve_pi_h(space),

@@ -92,6 +92,10 @@ def test_field_validation_messages():
     (ConstitutiveParams, {"p": 2.0, "alpha": math.inf}, "alpha"),
     (ConstitutiveParams, {"p": 2.0, "alpha": 0.1, "q": math.nan}, "q"),
     (NoiseModel, {"family": "smooth_norm", "amplitude": math.nan}, "amplitude"),
+    # K must be an integer; 2.5 used to end in a TypeError inside WienerPath
+    (NoiseModel, {"family": "linear", "K": math.nan}, "K"),
+    (NoiseModel, {"family": "linear", "K": 2.5}, "K"),
+    (NoiseModel, {"family": "linear", "K": True}, "K"),
 ])
 def test_domain_refusal_names_its_field(build, kwargs, fld):
     # each rule lives with the type that reads the value; the config only

@@ -356,7 +356,13 @@ _VECTOR = hnp.arrays(float, SIZES[2], elements=st.floats(-10.0, 10.0))
 @settings(max_examples=40)
 @given(c=_VECTOR, x=_VECTOR, y=_VECTOR, p=st.floats(1.1, 4.0),
        alpha=st.sampled_from([0.0, 0.1, 2.0]), dt=st.floats(1e-3, 10.0))
+@example(c=np.zeros(SIZES[2]), x=np.ones(SIZES[2]), y=np.full(SIZES[2], 5e-324),
+         p=2.0, alpha=0.0, dt=1.0)  # unscaled, the bound underflowed to 0
 def test_hessian_product_is_symmetric_and_at_least_identity(c, x, y, p, alpha, dt):
+    # both assertions are homogeneous in x and y, so each nonzero vector is
+    # scaled to a largest magnitude of 1 (not by its norm, whose square can
+    # underflow), which keeps the round-off bounds above the subnormals
+    x, y = (v / np.max(np.abs(v)) if np.any(v) else v for v in (x, y))
     space = make_space(2)
     params = ConstitutiveParams(p=p, alpha=alpha)
     product = hessian_product(params, space, c, dt)

@@ -70,6 +70,17 @@ def test_growth_and_decay_bounds(family, d):
     assert mode_decay_bound_holds(model, xi)
 
 
+@pytest.mark.parametrize("family", ["additive", "smooth_norm"])
+@pytest.mark.parametrize("amplitude", [0.3, 1.0, 2.5])
+def test_growth_bound_holds_for_either_sign_of_the_amplitude(family, amplitude):
+    # a sign flip of the noise is a valid run with the same bound
+    rng = np.random.default_rng(12)
+    xi = 20.0 * rng.standard_normal((500, 2))
+    plus, minus = (NoiseModel(family=family, K=8, amplitude=a) for a in (amplitude, -amplitude))
+    assert plus.growth_constant(2) == minus.growth_constant(2)
+    assert growth_bound_holds(plus, xi) and growth_bound_holds(minus, xi)
+
+
 def test_linear_gradient_sum_below_one_third():
     # sum_k |grad g_k|^2 = d sum_k 4^-k <= d/3 for the linear family
     model, d = NoiseModel(family="linear", K=16), 2

@@ -130,6 +130,32 @@ def test_operators_match_per_component_transforms_on_drawn_grids(d, M, batch, se
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@settings(max_examples=60)
+@given(d=st.sampled_from([2, 3]), M=st.integers(3, 16),
+       batch=st.lists(st.integers(1, 3), max_size=2), seed=st.integers(0, 2 ** 16))
+def test_fused_operators_match_their_compositions_on_drawn_grids(d, M, batch, seed):
+    # each fused symbol (one transform pair) equals the composition of the
+    # separate operators (two pairs) on odd and even grids, the latter with
+    # both Nyquist rules, and with 0-2 batch axes
+    assume(M ** d <= 4096)
+    space = build_space(d, 1, M)
+    rng = np.random.default_rng(seed)
+    inv_lap = pressure.inverse_laplacian
+    for of, composed, comp in [
+        ("gradient", lambda f: pressure.gradient_scalar(space, inv_lap(space, f)), (d,)),
+        ("divergence", lambda f: inv_lap(space, pressure.divergence_vector(space, f)), (d,)),
+        ("div_div", lambda f: inv_lap(space, pressure.div_div_tensor(space, f)), (d, d)),
+    ]:
+        values = rng.standard_normal((M ** d, *batch, *comp))
+        got, expected = inv_lap(space, values, of=of), composed(values)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+    h = rng.standard_normal((M ** d, *batch, d, d))
+    expected = -inv_lap(space, pressure.div_div_tensor(space, h))
+    assert np.max(np.abs(pressure.solve_pi_H(space, h) - expected)) <= (
+        1e-12 * np.max(np.abs(expected)))
+
+
 def test_pi_H_constant_tensor_gives_zero():
     space = make_space()
     H = np.ones((space.M ** 2, 2, 2))
@@ -383,8 +409,8 @@ def chunk_steps(space):
 
 def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypatch):
     # with noise and a stabilizer, each chunk of steps lifts the zero-order
-    # term (2 operator calls), solves pi_H for the stacked flux parts (2) and
-    # updates pi_Phi (2): six operators, each one symbol application, and
+    # term, solves pi_H for the stacked flux parts and updates pi_Phi: three
+    # operator calls, each one fused symbol between one transform pair, and
     # the per-axis DFT matrices leave np.fft unused (smooth_norm noise: linear
     # noise skips pi_Phi); the flux and the noise increments of a chunk read
     # one synthesis of its velocity
@@ -399,8 +425,8 @@ def test_decompose_makes_one_transform_pair_per_operator(call_counter, monkeypat
     synth_calls = call_counter(pressure, "synthesize")
     fft_calls = call_counter(np.fft, *np.fft.__all__)
     pressure.decompose(traj)
-    assert sum(helper_calls.values()) == 6 * n_chunks
-    assert symbol_calls == {"_apply_symbol": 6 * n_chunks}
+    assert sum(helper_calls.values()) == 3 * n_chunks
+    assert symbol_calls == {"_apply_symbol": 3 * n_chunks}
     assert not any(fft_calls.values())
     assert flux_calls == {"assemble_H": n_chunks}
     assert synth_calls == {"synthesize": n_chunks}
@@ -456,16 +482,18 @@ def test_flux_stress_is_the_integrators_stress(monkeypatch, scheme):
 def test_symbols_are_built_once_per_grid():
     # the half spectrum of an even grid ends at the Nyquist bin of its last
     # axis; that bin's wavenumber -M/2 enters the even symbols, and the odd
-    # ones drop it on every axis
-    grad = pressure._half_symbol(pressure._gradient_symbol, 2, 10)
-    lap = pressure._half_symbol(pressure._laplacian_symbol, 2, 10)
-    assert grad.shape == (10, 6, 2) and lap.shape == (10, 6)
+    # ones drop it on every axis; a symbol is stored as one (in, out) matrix
+    # per bin, the bins in grid order
+    grad = pressure._half_symbol(pressure._gradient_symbol, 0, 2, 10)
+    lap = pressure._half_symbol(pressure._laplacian_symbol, 0, 2, 10)
+    assert grad.shape == (60, 1, 2) and lap.shape == (60, 1)
+    grad, lap = grad.reshape(10, 6, 2), lap.reshape(10, 6)
     assert not np.any(grad.real)
     assert np.array_equal(grad[0, :, 1].imag, [0, 1, 2, 3, 4, 0])
     assert np.array_equal(grad[:, 0, 0].imag, [0, 1, 2, 3, 4, 0, -4, -3, -2, -1])
     assert (lap[0, 5], lap[5, 5]) == (-25.0, -50.0)
-    # each symbol is built at the first call on a grid and shared by every
-    # space on that grid
+    # each symbol is built at the first call on a grid with its number of
+    # input axes and shared by every space on that grid
     pressure._half_symbol.cache_clear()
     rng = np.random.default_rng(5)
     for space in (make_space(M=10), make_space(N=4, M=10)):
@@ -473,7 +501,7 @@ def test_symbols_are_built_once_per_grid():
         pressure.inverse_laplacian(space, pressure.divergence_vector(space, values))
         pressure.gradient_scalar(space, values)
     info = pressure._half_symbol.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    assert (info.misses, info.hits) == (3, 3)
 
 
 def test_estimate_check_reads_the_decomposition(call_counter, monkeypatch):
