@@ -235,4 +235,4 @@ def refinement_orders(residuals: list[float]) -> list[float]:
 def coupled_paths(seed: int, dt_fine: float, K: int, n_fine: int, factors: list[int]) -> list[WienerPath]:
     """One fine Wiener path and its coarsenings, for refinement studies."""
     fine = WienerPath.generate(seed, dt_fine, K, n_fine)
-    return [fine.coarsen(f) if f > 1 else fine for f in factors]
+    return [fine.coarsen(f) for f in factors]

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import analysis, pressure as pressure_mod, verify
 from .config import ConfigError, SimulationConfig
+from .constitutive import minimal_q
 from .galerkin import IntegratorError, run_trajectory
 
 FLOAT_FMT = "%.17g"
@@ -20,13 +21,18 @@ class OutputDirError(Exception):
     """--out names a path that cannot be made a directory (exit 2)."""
 
 
-def _load_config(args, unread=()) -> SimulationConfig:
-    """The run config; a setting in unread, which the command never reads, keeps its default."""
+def _load_config(args, unread=(), reads_q=False) -> SimulationConfig:
+    """The run config; a setting in unread, which the command never reads,
+    keeps its default, and so does q without the stabilizer (alpha = 0)
+    unless reads_q: a grid study sets alpha itself."""
     cfg = SimulationConfig.load(args.config) if args.config else SimulationConfig()
     if getattr(args, "seed", None) is not None:
         # replace() re-runs the field validation
         cfg = dataclasses.replace(cfg, seed=args.seed)
     cfg.refuse_unread(f"the {args.command} command", *unread)
+    if not reads_q and cfg.alpha == 0.0 and cfg.q != minimal_q(cfg.p):
+        raise ConfigError("q", f"is not read by the {args.command} command with alpha = 0 "
+                               f"(its default is max(2p', 3) = {minimal_q(cfg.p)!r})")
     return cfg
 
 
@@ -92,7 +98,7 @@ def cmd_simulate(args) -> int:
 def cmd_ensemble(args) -> int:
     # a study reports no moments
     studies = args.alpha_grid is not None or args.m_grid is not None
-    cfg = _load_config(args, unread=("beta",) if studies else ())
+    cfg = _load_config(args, unread=("beta",) if studies else (), reads_q=studies)
     if cfg.n_traj < 2:
         raise ConfigError("n_traj", "ensemble requires n_traj >= 2")
     if args.alpha_grid is not None and args.m_grid is not None:

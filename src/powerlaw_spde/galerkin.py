@@ -27,15 +27,16 @@ each row's own right-hand side.  A single trajectory is a block of one.
 
 A Problem names everything that fixes a run except its Wiener paths (the
 parameters, the span, the noise, the body force, the initial datum and
-the time grid) and checks once that its parts agree.  run_trajectory takes
-one, and each Trajectory carries the Problem it came from, so the
-diagnostics downstream (analysis, pressure) read it from there.  The step
-kernels below keep their narrow arguments.
+the time grid) and checks once that its parts agree.  step advances rows
+of one from their left point, which it evaluates itself; run_trajectory
+drives it along the paths, and each Trajectory carries its Problem for
+analysis and pressure.  The forces and Sigma keep their narrow arguments.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
@@ -112,13 +113,6 @@ def convection_force(space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
     """int v (x) v : grad w_k dx (divergence form) for each k, from the
     samples of v (M^d, d) or (M^d, B, d)."""
     return analyze_gradient(space, v[..., :, None] * v[..., None, :])
-
-
-def forcing_term(space: GalerkinSpace, forcing: np.ndarray | None) -> np.ndarray:
-    """int f . w_k dx for a sampled body force f, or zero without one."""
-    if forcing is None:
-        return np.zeros(space.N)
-    return analyze(space, forcing)
 
 
 def assemble_diffusion(model: NoiseModel, space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
@@ -261,43 +255,6 @@ def _solve_implicit(params, space, rhs, dt, step_index):
             raise IntegratorError("Newton line search failed", step_index, res)
 
 
-def step(
-    params: ConstitutiveParams,
-    space: GalerkinSpace,
-    force_coeffs: np.ndarray,
-    coeffs: np.ndarray,
-    cfg: SdeStepConfig,
-    step_index: int,
-    v: np.ndarray,
-    stress: np.ndarray,
-    noise_part: np.ndarray,
-) -> tuple[np.ndarray, dict[int, IntegratorError]]:
-    """One time step of every row of coeffs (B, N) with the configured
-    scheme, given the left-point samples v (M^d, B, d) of v_C and stress
-    (M^d, B, d, d) of S(eps(v_C)), the projected body force (forcing_term)
-    and the noise increments Sigma(C) dbeta (B, N).  Both schemes step
-    from the explicit part rhs = C + dt (convection + forcing) + Sigma dbeta.
-
-    Returns the new rows and an IntegratorError per row whose step failed,
-    keyed by batch row; a failed row of the result is meaningless.
-    """
-    errors = {}
-    rhs = coeffs + cfg.dt * (convection_force(space, v) + force_coeffs) + noise_part
-    if cfg.scheme == "euler_maruyama":
-        new = rhs + cfg.dt * (stress_force(space, stress) + stabilizer_force(params, space, v))
-    else:
-        new = np.full_like(rhs, np.nan)
-        for row, row_rhs in enumerate(rhs):
-            try:
-                new[row] = _solve_implicit(params, space, row_rhs, cfg.dt, step_index)
-            except IntegratorError as exc:
-                errors[row] = exc
-    # |C|^2 per row, also non-finite for any bad entry
-    for row in np.flatnonzero(~np.isfinite(np.einsum("bn,bn->b", new, new))):
-        errors.setdefault(int(row), IntegratorError("non-finite state", step_index))
-    return new, errors
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     """Everything that fixes a run except its Wiener paths: parameters, span,
@@ -325,6 +282,67 @@ class Problem:
         if v0.shape != (N,) or not np.all(np.isfinite(v0)):
             raise ValueError(f"v0 must be {N} finite numbers, got shape {v0.shape}")
         object.__setattr__(self, "v0", v0)
+
+    @cached_property
+    def force_coeffs(self) -> np.ndarray:
+        """int f . w_k dx of the steady body force (zero without one), once."""
+        if self.forcing is None:
+            return np.zeros(self.space.N)
+        return analyze(self.space, self.forcing)
+
+
+def step(problem: Problem, coeffs: np.ndarray, step_index: int, increments: np.ndarray | None
+         ) -> tuple[np.ndarray, np.ndarray, dict[int, IntegratorError]]:
+    """One time step of the rows coeffs (B, N) of the problem, driven by this
+    step's Brownian increments (B, K) (None without noise).  The left point
+    v, grad v and S(eps(v)) is evaluated once and feeds the seven diagnostics
+    (the Trajectory series, in field order), Sigma(C) dbeta and both
+    schemes, which step from rhs = C + dt (convection + forcing) + Sigma dbeta.
+
+    Returns the new rows, the diagnostics (7, B) and an IntegratorError per
+    failed row, keyed by batch row (non-finite diagnostics name a row before
+    its step does); a failed row of the result is meaningless.
+    """
+    params, space, model, forcing = problem.params, problem.space, problem.model, problem.forcing
+    dt, w = problem.cfg.dt, space.quad_weight
+    grad = velocity_gradient(space, coeffs)
+    eps = symmetric_part(grad)
+    v = synthesize(space, coeffs)
+    stress = eval_stress(params, eps)
+    noise_part = np.zeros_like(coeffs)
+    diagnostics = np.zeros((7, len(coeffs)))
+    stress_diss, stab_int, force_work, grad_lp, vel_rq, mart, qv = diagnostics
+    stress_diss[:] = w * _row_sums(stress * eps)
+    grad_lp[:] = w * _row_sums(np.sum(grad ** 2, axis=(-2, -1)) ** (params.p / 2.0))
+    vmag = np.linalg.norm(v, axis=-1)
+    vel_rq[:] = w * _row_sums(vmag ** interpolation_exponent(params.p, space.d))
+    if params.alpha > 0.0:
+        stab_int[:] = params.alpha * w * _row_sums(vmag ** params.q)
+    if forcing is not None:
+        force_work[:] = w * _row_sums(forcing[:, None] * v)
+    if model is not None:
+        sigma = assemble_diffusion(model, space, v)  # (B, N, K)
+        noise_part = (sigma @ increments[:, :, None])[..., 0]
+        mart[:] = np.einsum("bn,bn->b", coeffs, noise_part)
+        qv[:] = np.sum(sigma ** 2, axis=(1, 2)) * dt
+
+    errors = {}
+    rhs = coeffs + dt * (convection_force(space, v) + problem.force_coeffs) + noise_part
+    if problem.cfg.scheme == "euler_maruyama":
+        new = rhs + dt * (stress_force(space, stress) + stabilizer_force(params, space, v))
+    else:
+        new = np.full_like(rhs, np.nan)
+        for row, row_rhs in enumerate(rhs):
+            try:
+                new[row] = _solve_implicit(params, space, row_rhs, dt, step_index)
+            except IntegratorError as exc:
+                errors[row] = exc
+    # |C|^2 per row, also non-finite for any bad entry
+    for row in np.flatnonzero(~np.isfinite(np.einsum("bn,bn->b", new, new))):
+        errors.setdefault(int(row), IntegratorError("non-finite state", step_index))
+    for row in np.flatnonzero(~np.all(np.isfinite(diagnostics), axis=0)):
+        errors[int(row)] = IntegratorError("non-finite diagnostics", step_index)
+    return new, diagnostics, errors
 
 
 @dataclass
@@ -392,8 +410,7 @@ def run_trajectory(
     per seed, its Trajectory or the IntegratorError that ended it; a single
     seed returns its Trajectory or raises.
     """
-    params, space, model, forcing = problem.params, problem.space, problem.model, problem.forcing
-    cfg, n_steps = problem.cfg, problem.n_steps
+    model, cfg, n_steps = problem.model, problem.cfg, problem.n_steps
     batched = isinstance(seed, Sequence)
     seeds = list(seed) if batched else [seed]
     if batched and path is not None:
@@ -421,45 +438,19 @@ def run_trajectory(
             WienerPath.generate(s, cfg.dt, model.K, n_steps) for s in seeds]
         increments = np.stack([p.increments[:n_steps] for p in paths])  # (B, n, K)
 
-    B, N = len(seeds), space.N
-    coeffs = np.empty((B, n_steps + 1, N))
+    B = len(seeds)
+    coeffs = np.empty((B, n_steps + 1, problem.space.N))
     coeffs[:, 0] = problem.v0
     diagnostics = np.zeros((7, B, n_steps))
     errors: dict[int, IntegratorError] = {}  # the first error of each failed row
-    r0 = interpolation_exponent(params.p, space.d)
     c = coeffs[:, 0]
-    force_coeffs = forcing_term(space, forcing)  # the body force is steady
-    w = space.quad_weight
     # a diverging row overflows quietly; at its first non-finite diagnostic
     # or state it records an IntegratorError and rides on as a zero row
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            # one left-point evaluation feeds the diagnostics and the step
-            grad = velocity_gradient(space, c)
-            eps = symmetric_part(grad)
-            v = synthesize(space, c)
-            stress = eval_stress(params, eps)
-            noise_part = np.zeros_like(c)
-            diag = diagnostics[:, :, n]
-            stress_diss, stab_int, force_work, grad_lp, vel_rq, mart, qv = diag
-            stress_diss[:] = w * _row_sums(stress * eps)
-            grad_lp[:] = w * _row_sums(np.sum(grad ** 2, axis=(-2, -1)) ** (params.p / 2.0))
-            vmag = np.linalg.norm(v, axis=-1)
-            vel_rq[:] = w * _row_sums(vmag ** r0)
-            if params.alpha > 0.0:
-                stab_int[:] = params.alpha * w * _row_sums(vmag ** params.q)
-            if forcing is not None:
-                force_work[:] = w * _row_sums(forcing[:, None] * v)
-            if model is not None:
-                sigma = assemble_diffusion(model, space, v)  # (B, N, K)
-                noise_part = (sigma @ increments[:, n][:, :, None])[..., 0]
-                mart[:] = np.einsum("bn,bn->b", c, noise_part)
-                qv[:] = np.sum(sigma ** 2, axis=(1, 2)) * cfg.dt
-
-            failed = {int(row): IntegratorError("non-finite diagnostics", n)
-                      for row in np.flatnonzero(~np.all(np.isfinite(diag), axis=0))}
-            c, step_failed = step(params, space, force_coeffs, c, cfg, n, v, stress, noise_part)
-            for row, exc in {**step_failed, **failed}.items():
+            c, diagnostics[:, :, n], failed = step(
+                problem, c, n, None if increments is None else increments[:, n])
+            for row, exc in failed.items():
                 errors.setdefault(row, exc)
             if len(errors) == B:
                 break

@@ -155,7 +155,10 @@ class WienerPath:
         return cls(seed=seed, dt=dt, increments=inc)
 
     def coarsen(self, factor: int) -> "WienerPath":
-        """Aggregate consecutive increments; couples refinements of one path."""
+        """Aggregate consecutive increments; couples refinements of one path.
+        Raises ValueError for a factor that is not an integer >= 1."""
+        if isinstance(factor, bool) or not isinstance(factor, Integral) or factor < 1:
+            raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
         n = (self.n_steps // factor) * factor
         agg = self.increments[:n].reshape(-1, factor, self.K).sum(axis=1)
         return WienerPath(seed=self.seed, dt=self.dt * factor, increments=agg)

@@ -56,6 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -339,13 +340,17 @@ def weak_residual(traj: Trajectory, decomposition: PressureDecomposition,
     and Phi, so against a divergence-free field the result measures the
     solver tolerance and the Galerkin truncation error only; pi_H belongs
     to the left points, so against gradient fields a semi-implicit run also
-    shows the time-discretization error of the monotone terms.
+    shows the time-discretization error of the monotone terms.  Raises
+    ValueError for a t_index outside 0..n_steps.
     """
     space, params, model, forcing = (traj.problem.space, traj.problem.params,
                                      traj.problem.model, traj.problem.forcing)
     check_field(space, test_field, "test_field")
     if t_index is None:
         t_index = traj.n_steps
+    integer = isinstance(t_index, Integral) and not isinstance(t_index, bool)
+    if not integer or not 0 <= t_index <= traj.n_steps:
+        raise ValueError(f"t_index must be an integer in 0..{traj.n_steps}, got {t_index!r}")
     w = space.quad_weight
     grad_phi = _field_gradient(space, test_field)
     div_phi = np.trace(grad_phi, axis1=-2, axis2=-1)

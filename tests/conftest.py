@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from powerlaw_spde.basis import symmetric_gradient, synthesize
-from powerlaw_spde.constitutive import eval_stress
-from powerlaw_spde.galerkin import assemble_diffusion, forcing_term, step
+from powerlaw_spde.galerkin import Problem, step
 
 # Property tests run whole simulations, whose first example also pays for
 # imports and table builds: no per-example deadline.
@@ -35,19 +33,16 @@ def call_counter(monkeypatch):
 @pytest.fixture
 def advance():
     """advance(params, space, coeffs, cfg, forcing=None, noise=None,
-    step_index=0): galerkin.step from C = coeffs as a batch of one, with the
-    left-point fields evaluated here; noise is a (model, path) pair or None.
-    Raises the row's IntegratorError if its step failed."""
+    step_index=0): galerkin.step from C = coeffs as a batch of one of the
+    Problem of these parts; noise is a (model, path) pair or None.  Raises
+    the row's IntegratorError if its step failed."""
     def run(params, space, coeffs, cfg, forcing=None, noise=None, step_index=0):
-        block = np.asarray(coeffs, dtype=float)[None]
-        v = synthesize(space, block)
-        noise_part = np.zeros_like(block)
+        model, increments = None, None
         if noise is not None:
             model, path = noise
-            noise_part = assemble_diffusion(model, space, v) @ path.increments[step_index]
-        stress = eval_stress(params, symmetric_gradient(space, block))
-        new, errors = step(params, space, forcing_term(space, forcing), block, cfg,
-                           step_index, v, stress, noise_part)
+            increments = path.increments[step_index][None]
+        problem = Problem(params, space, model, forcing, coeffs, cfg, step_index + 1)
+        new, _, errors = step(problem, problem.v0[None], step_index, increments)
         if errors:
             raise errors[0]
         return new[0]

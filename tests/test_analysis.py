@@ -203,13 +203,12 @@ def fail_seed(monkeypatch, seed, alpha=None, at=3):
         finally:
             batch["seeds"] = []
 
-    def failing_step(params, *args):
-        new, errors = inner_step(params, *args)
-        step_index = args[4]
+    def failing_step(problem, coeffs, step_index, increments):
+        new, diagnostics, errors = inner_step(problem, coeffs, step_index, increments)
         if (step_index == at and seed in batch["seeds"]
-                and alpha in (None, params.alpha)):
+                and alpha in (None, problem.params.alpha)):
             errors[batch["seeds"].index(seed)] = IntegratorError("injected", at, residual=0.5)
-        return new, errors
+        return new, diagnostics, errors
 
     monkeypatch.setattr(analysis, "run_trajectory", run)
     monkeypatch.setattr(galerkin, "step", failing_step)
@@ -285,6 +284,13 @@ def test_stabilization_convergence_pairs_by_seed(monkeypatch):
 def test_refinement_orders():
     assert np.allclose(analysis.refinement_orders([4.0, 2.0, 1.0]), [1.0, 1.0])
     assert np.allclose(analysis.refinement_orders([1.0, 0.25]), [2.0])
+
+
+@pytest.mark.parametrize("factor", [0, -1, 1.5])
+def test_coupled_paths_refuse_a_bad_factor(factor):
+    # a factor <= 1 used to return the fine path
+    with pytest.raises(ValueError, match="factor"):
+        analysis.coupled_paths(1, 0.01, 4, 8, [factor, 2])
 
 
 def test_coupled_paths_are_consistent():

@@ -55,3 +55,17 @@ def test_summary_says_whether_the_change_got_worse(step, ok, worse_by, beyond, u
         assert summary[name]["worse_by"] == pytest.approx(expected)
         assert summary[name]["beyond_bound"] is exceeds
         assert summary[name]["unresolved"] is open_
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_no_pairs_is_refused_before_any_run(tmp_path, monkeypatch, pairs):
+    # zero pairs used to write an empty report and exit 0, which read as a
+    # clean comparison
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", str(_PATH.parents[1]), "--workloads", "pressure-2d",
+                          "--pairs", pairs, "--out", str(out)])
+    assert exit_.value.code == 2
+    assert runs == [] and not out.exists()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from powerlaw_spde import galerkin, verify
 from powerlaw_spde.cli import main
 from powerlaw_spde.config import SimulationConfig
+from powerlaw_spde.constitutive import minimal_q
 from powerlaw_spde.noise import FAMILIES
 
 
@@ -420,6 +421,39 @@ def test_unread_setting_exits_two_before_any_run(tmp_path, capsys, call_counter,
     assert f"config field '{fld}': is not read by the {command} command" in capsys.readouterr().err
     assert runs == {"step": 0}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "pressure", "ensemble"])
+def test_q_without_stabilizer_exits_two_before_any_run(tmp_path, capsys, call_counter, command):
+    # at alpha = 0 nothing reads q: q = 9.0 used to write a trajectory.csv
+    # byte-identical to the default's
+    cfg = write_config(tmp_path, n_traj=1 if command == "simulate" else 2, q=9.0)
+    runs = call_counter(galerkin, "step")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert (f"config field 'q': is not read by the {command} command with alpha = 0"
+            in capsys.readouterr().err)
+    assert runs == {"step": 0}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, grid", [("--alpha-grid", "0,0.1"), ("--m-grid", "1,10")])
+def test_grid_study_reads_q_at_alpha_zero(tmp_path, flag, grid):
+    # each grid point sets its own alpha > 0 (or 0), so q is read
+    cfg = write_config(tmp_path, n_traj=2, q=9.0)
+    assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 flag, grid]) == 0
+
+
+def test_written_config_reruns_with_the_default_q(tmp_path):
+    # the written config holds q = minimal_q(p), which alpha = 0 accepts
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--config", str(write_config(tmp_path, p=1.6)),
+                 "--out", str(first)]) == 0
+    assert json.loads((first / "config.json").read_text())["q"] == minimal_q(1.6)
+    assert main(["simulate", "--config", str(first / "config.json"), "--out", str(second)]) == 0
+    for name in ("trajectory.csv", "coefficients.json", "config.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_grid_with_one_trajectory_exits_two(tmp_path, capsys):

@@ -12,7 +12,6 @@ from powerlaw_spde.galerkin import (
     SdeStepConfig,
     assemble_diffusion,
     convection_force,
-    forcing_term,
     interpolation_exponent,
     run_trajectory,
     stabilizer_force,
@@ -27,11 +26,17 @@ def make_space(N=4):
     return build_space(2, N, suggest_grid(2, N))
 
 
+def force_coeffs(space, forcing):
+    """Problem.force_coeffs of a problem on this space with this body force."""
+    return Problem(ConstitutiveParams(p=2.0), space, None, forcing, np.zeros(space.N),
+                   SdeStepConfig(dt=0.01), 0).force_coeffs
+
+
 def drift(params, space, c, forcing=None):
     v = synthesize(space, c)
     return (stress_force(space, eval_stress(params, symmetric_gradient(space, c)))
             + convection_force(space, v) + stabilizer_force(params, space, v)
-            + forcing_term(space, forcing))
+            + force_coeffs(space, forcing))
 
 
 def test_drift_vanishes_at_rest():
@@ -55,14 +60,14 @@ def test_single_mode_newtonian_drift():
         assert np.max(np.abs(mu - expect)) < 1e-10
 
 
-def test_forcing_term_projects_onto_modes():
+def test_force_coeffs_project_onto_modes():
     space = make_space()
     f = synthesize(space, np.array([0.0, 2.0, 0.0, 0.0]))
-    mu = forcing_term(space, f)
+    mu = force_coeffs(space, f)
     assert np.allclose(mu, [0.0, 2.0, 0.0, 0.0], atol=1e-12)
     assert np.allclose(drift(ConstitutiveParams(p=2.0), space, np.zeros(4), f),
                        mu, atol=1e-12)
-    assert np.all(forcing_term(space, None) == 0.0)
+    assert np.all(force_coeffs(space, None) == 0.0)
 
 
 def test_stabilizer_force_dissipates():
@@ -88,7 +93,7 @@ def test_drift_energy_budget_identity():
     mu = drift(params, space, c, f)
     budget = (np.dot(stress_force(space, eval_stress(params, symmetric_gradient(space, c))), c)
               + np.dot(stabilizer_force(params, space, synthesize(space, c)), c)
-              + np.dot(forcing_term(space, f), c))
+              + np.dot(force_coeffs(space, f), c))
     assert abs(np.dot(mu, c) - budget) < 1e-8 * (1.0 + abs(budget))
 
 
@@ -219,20 +224,18 @@ def test_newton_completes_steps_converged_to_round_off(advance, d, N, p, alpha, 
 
 def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
     # the left-point v, grad v and Sigma feed both the diagnostics and the
-    # step, eps is the symmetric part of grad v, and the steady body force
-    # is projected once per run
+    # step, and eps is the symmetric part of grad v
     space = make_space()
     params = ConstitutiveParams(p=1.8, alpha=0.1)
     model = NoiseModel(family="smooth_norm", K=4)
     forcing = synthesize(space, np.eye(4)[1])
     counts = call_counter(galerkin, "synthesize", "velocity_gradient", "symmetric_gradient",
-                          "apply_phi", "assemble_diffusion", "stress_force", "forcing_term",
-                          "eval_stress")
+                          "apply_phi", "assemble_diffusion", "stress_force", "eval_stress")
     run_trajectory(Problem(params, space, model, forcing, np.array([1.0, 0.5, 0.0, 0.2]),
                            SdeStepConfig(dt=0.01), 7), seed=2)
     # the stress is evaluated once per Euler-Maruyama step, for stress_diss
     # and the drift alike
-    assert counts == {**dict.fromkeys(counts, 7), "symmetric_gradient": 0, "forcing_term": 1}
+    assert counts == {**dict.fromkeys(counts, 7), "symmetric_gradient": 0}
 
 
 def test_step_with_noise_reproducible(advance):
@@ -379,6 +382,27 @@ def test_lockstep_rows_match_single_runs(family, scheme, seeds):
             got, want = getattr(row, name), getattr(alone, name)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
         assert np.array_equal(row.increments, alone.increments)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_step_reproduces_each_recorded_step(scheme):
+    # step evaluates the left point itself: from a recorded row block and
+    # the step's increments it gives the next rows and the seven series
+    # bit for bit, the series in Trajectory field order
+    space = make_space(8)
+    forcing = synthesize(space, np.eye(8)[1])
+    problem = Problem(ConstitutiveParams(p=1.6, alpha=0.1), space,
+                      NoiseModel(family="smooth_norm", K=6), forcing,
+                      0.8 * np.cos(np.arange(8.0)), SdeStepConfig(dt=0.01, scheme=scheme), 4)
+    rows = run_trajectory(problem, seed=[3, 4, 5])
+    coeffs, increments = (np.stack([getattr(row, name) for row in rows])
+                          for name in ("coeffs", "increments"))
+    series = np.stack([[getattr(row, name) for row in rows] for name in _SERIES[1:]])
+    for n in range(problem.n_steps):
+        new, diagnostics, errors = galerkin.step(problem, coeffs[:, n], n, increments[:, n])
+        assert errors == {}
+        assert np.array_equal(new, coeffs[:, n + 1])
+        assert np.array_equal(diagnostics, series[:, :, n])
 
 
 def test_failing_row_is_masked():

@@ -185,6 +185,20 @@ def test_coarsen_aggregates_increments():
     assert np.allclose(coarse.increments.sum(axis=0), path.increments.sum(axis=0))
 
 
+@pytest.mark.parametrize("factor", [0, -2, 2.5, True])
+def test_coarsen_refuses_a_factor_that_is_not_a_positive_integer(factor):
+    # 0 used to divide by zero, -2 fail in a reshape and 2.5 in a slice
+    with pytest.raises(ValueError, match="factor"):
+        WienerPath.generate(3, 0.1, 5, 12).coarsen(factor)
+
+
+def test_coarsen_by_one_keeps_the_path():
+    path = WienerPath.generate(3, 0.1, 5, 12)
+    same = path.coarsen(np.int64(1))
+    assert (same.seed, same.dt) == (path.seed, path.dt)
+    assert np.array_equal(same.increments, path.increments)
+
+
 def test_generate_rejects_bad_dt():
     with pytest.raises(ValueError):
         WienerPath.generate(0, 0.0, 4, 10)

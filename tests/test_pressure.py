@@ -293,6 +293,20 @@ def test_weak_residual_vanishes_at_time_zero():
     assert res < 1e-14
 
 
+@pytest.mark.parametrize("t_index", [-1, 11, 2.0, True])
+def test_weak_residual_refuses_a_time_outside_the_run(t_index):
+    # t_index = -1 used to mix the last row with the time sums of no step
+    # (the flux) and of all but the last (pi_H), and n_steps + 1 ended in
+    # an IndexError
+    traj = run_small(n_steps=10)
+    dec = pressure.decompose(traj)
+    test = np.random.default_rng(1).standard_normal((traj.problem.space.M ** 2, 2))
+    with pytest.raises(ValueError, match="t_index"):
+        pressure.weak_residual(traj, dec, test, t_index=t_index)
+    last = pressure.weak_residual(traj, dec, test, t_index=np.int64(10))
+    assert last == pressure.weak_residual(traj, dec, test)
+
+
 def test_weak_residual_first_order_in_dt():
     # noise-free Newtonian semi-implicit run whose dynamics stay inside the
     # span: read with the left-point quadrature, the residual is pure
@@ -461,13 +475,15 @@ def test_flux_stress_is_the_integrators_stress(monkeypatch, scheme):
     # symmetric_part of one velocity_gradient; at the rows C_{n+1} (the
     # semi-implicit weak residual) it is the stress of the next left point
     stresses = []
-    original = galerkin.step
+    original = galerkin.eval_stress
 
-    def recording(*args):
-        stresses.append(args[7][:, 0].copy())  # the stress (M^d, 1, d, d)
-        return original(*args)
+    def recording(params, eps):
+        stress = original(params, eps)
+        if eps.ndim == 4:  # a left point (M^d, 1, d, d), not a Newton iterate
+            stresses.append(stress[:, 0].copy())
+        return stress
 
-    monkeypatch.setattr(galerkin, "step", recording)
+    monkeypatch.setattr(galerkin, "eval_stress", recording)
     traj = run_small(scheme=scheme, alpha=0.2, n_steps=6)
     space, params, forcing = traj.problem.space, traj.problem.params, traj.problem.forcing
     stress = np.stack(stresses, axis=1)

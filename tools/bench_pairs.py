@@ -96,6 +96,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (args.parent / "perfbench" / "run.py").is_file():
         parser.error(f"no perfbench/run.py under --parent {args.parent}")
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
     spec = json.loads((CHANGE / "BENCHMARK.json").read_text())
     metrics, seconds = spec["end_to_end"], spec["run_seconds"]
