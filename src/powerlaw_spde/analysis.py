@@ -233,6 +233,7 @@ def refinement_orders(residuals: list[float]) -> list[float]:
 
 
 def coupled_paths(seed: int, dt_fine: float, K: int, n_fine: int, factors: list[int]) -> list[WienerPath]:
-    """One fine Wiener path and its coarsenings, for refinement studies."""
+    """One fine Wiener path and its coarsenings, for refinement studies.
+    Raises ValueError for a factor that does not divide n_fine."""
     fine = WienerPath.generate(seed, dt_fine, K, n_fine)
     return [fine.coarsen(f) for f in factors]

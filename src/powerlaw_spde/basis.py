@@ -349,6 +349,19 @@ def analyze(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
     return _adjoint(space, values, value_consts=space.value_consts)
 
 
+def analyze_scalar(space: GalerkinSpace, scalar: np.ndarray) -> np.ndarray:
+    """<s e_j, w_k> of a sampled scalar field s (M^d,) times each unit vector
+    e_j, shape (d, N), or (..., d, N) for batched samples (M^d, ...): the
+    analyze of the d fields s e_j from one moment product per batch index,
+    combined with value_consts as _adjoint combines value columns."""
+    if scalar.ndim < 1 or scalar.shape[0] != space.M ** space.d:
+        raise ValueError(f"samples {scalar.shape} are not (M^d, ...) = ({space.M ** space.d}, ...)")
+    columns = scalar.transpose(*range(1, scalar.ndim), 0)[..., None, :]  # (..., 1, M^d)
+    moments = (columns @ space.profiles.T)[..., None, :]  # (..., 1, 1, R)
+    out = space.quad_weight * (moments * space.value_consts).swapaxes(-1, -2)  # (..., d, R, d-1)
+    return out.reshape(out.shape[:-2] + (-1,))[..., :space.N]
+
+
 def analyze_gradient(space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
     """<F, grad w_k> for a tensor field F of shape (M^d, d, d), which is
     <F, eps(w_k)> when F is symmetric.  Shape (N,), or (..., N) for batched

@@ -51,9 +51,14 @@ class ConstitutiveParams:
 
 
 def _check_symmetric(eps: np.ndarray) -> np.ndarray:
+    """eps as floats; raises ValueError unless each off-diagonal pair,
+    compared once, agrees within 1e-10."""
     eps = np.asarray(eps, dtype=float)
-    if np.max(np.abs(eps - np.swapaxes(eps, -1, -2))) > 1e-10:
-        raise ValueError("strain input must be symmetric")
+    d = eps.shape[-1]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if np.max(np.abs(eps[..., i, j] - eps[..., j, i])) > 1e-10:
+                raise ValueError("strain input must be symmetric")
     return eps
 
 

@@ -46,6 +46,7 @@ from .basis import (
     GalerkinSpace,
     analyze,
     analyze_gradient,
+    analyze_scalar,
     analyze_with_gradient,
     check_field,
     symmetric_gradient,
@@ -61,7 +62,7 @@ from .constitutive import (
     stabilizer_potential,
     stress_potential,
 )
-from .noise import NoiseModel, WienerPath, apply_phi, generators
+from .noise import NoiseModel, WienerPath, apply_phi, generators, profile
 
 SCHEMES = ("euler_maruyama", "semi_implicit")
 
@@ -117,12 +118,18 @@ def convection_force(space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
 
 def assemble_diffusion(model: NoiseModel, space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
     """N x K matrix Sigma_kl = int g_l(v) . w_k dx from the samples of v
-    (M^d, d), or (B, N, K) from batched samples (M^d, B, d).  The K fields
-    mix the model's first r <= d fields (generators(model, space.d)), so r
-    projections and one (r, K) product build Sigma."""
-    gen, mix = generators(model, space.d)
-    fields = np.moveaxis(apply_phi(gen, space, v), 0, -2)  # (M^d, ..., r, d)
-    return np.swapaxes(analyze(space, fields), -1, -2) @ mix
+    (M^d, d), or (B, N, K) from batched samples (M^d, B, d).  The additive
+    and smooth_norm fields are amplitude a_l s(v) e_((l-1) mod d), so
+    Sigma_kl = amplitude a_l <s(v) e_((l-1) mod d), w_k>, from analyze_scalar
+    of the profile s(v).  The linear fields mix the model's first field
+    (generators(model, space.d)): one projection and a (1, K) product."""
+    if model.family == "linear":
+        gen, mix = generators(model, space.d)
+        fields = np.moveaxis(apply_phi(gen, space, v), 0, -2)  # (M^d, ..., 1, d)
+        return np.swapaxes(analyze(space, fields), -1, -2) @ mix
+    proj = analyze_scalar(space, profile(model, v))  # (..., d, N)
+    axes = np.arange(model.K) % space.d
+    return np.swapaxes(proj[..., axes, :], -1, -2) * (model.amplitude * model.per_mode_scale)
 
 
 def trilinear_convection(space: GalerkinSpace, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
@@ -434,8 +441,7 @@ def run_trajectory(
             if path.n_steps < n_steps:
                 raise ValueError(f"path n_steps = {path.n_steps} is fewer than the "
                                  f"problem's {n_steps}")
-        paths = [path] if path is not None else [
-            WienerPath.generate(s, cfg.dt, model.K, n_steps) for s in seeds]
+        paths = [path] if path is not None else WienerPath.generate(seeds, cfg.dt, model.K, n_steps)
         increments = np.stack([p.increments[:n_steps] for p in paths])  # (B, n, K)
 
     B = len(seeds)

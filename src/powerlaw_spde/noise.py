@@ -22,11 +22,15 @@ where G is the model's own first r modes, g_1 = a_1 v (r = 1) for the
 linear family and g_j = a_j amplitude sqrt(1 + |v|^2) e_j (additive:
 a_j amplitude e_j), j <= r = min(K, d), for the other two, and U[j, k] =
 a_k / a_j [j = (k-1) mod r].  generators(model, d) returns G and U, so the
-Galerkin diffusion and the pressure noise are built from r fields instead
-of K.
+pressure noise and the linear family's Galerkin diffusion are built from r
+fields instead of K.  The other two families are amplitude a_k s(v)
+e_((k-1) mod d) with the scalar profile s (profile), so their diffusion
+needs no field at all: galerkin.assemble_diffusion projects s e_j from one
+moment product of s.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from numbers import Integral
@@ -87,6 +91,17 @@ def generators(model: NoiseModel, d: int) -> tuple[NoiseModel, np.ndarray]:
     return gen, mix
 
 
+def profile(model: NoiseModel, xi: np.ndarray) -> np.ndarray:
+    """The scalar s(xi) of the additive (s = 1) and smooth_norm (s =
+    sqrt(1 + |xi|^2)) families, whose mode k field is amplitude a_k s(xi)
+    e_((k-1) mod d), at velocity values xi (..., d): shape (...)."""
+    if model.family == "additive":
+        return np.ones(xi.shape[:-1])
+    if model.family == "smooth_norm":
+        return np.sqrt(1.0 + np.sum(xi ** 2, axis=-1))
+    raise ValueError(f"the {model.family} family has no scalar profile")
+
+
 def _all_g(model: NoiseModel, xi: np.ndarray) -> np.ndarray:
     """g_1..g_K at velocity values xi (..., d), stacked: shape (K, ..., d).
 
@@ -102,8 +117,7 @@ def _all_g(model: NoiseModel, xi: np.ndarray) -> np.ndarray:
     u = u.reshape((model.K,) + (1,) * (xi.ndim - 1) + (d,))
     if model.family == "additive":
         return np.broadcast_to(a * model.amplitude * u, (model.K,) + xi.shape).copy()
-    mag_sq = np.sum(xi ** 2, axis=-1, keepdims=True)
-    return a * model.amplitude * np.sqrt(1.0 + mag_sq) * u
+    return a * model.amplitude * profile(model, xi)[..., None] * u
 
 
 def apply_phi(model: NoiseModel, space: GalerkinSpace, values: np.ndarray) -> np.ndarray:
@@ -122,9 +136,13 @@ def hilbert_schmidt_norm_sq(space: GalerkinSpace, phi_fields: np.ndarray) -> flo
 class WienerPath:
     """Precomputed Brownian increments, reproducible from (seed, step, mode).
 
-    Each step's K-vector of N(0, dt) draws is generated from an independent
-    counter-derived stream, so paths for different steps can be produced in
-    any order or in parallel.  The increments (n_steps, K) fix both sizes.
+    Each step's K-vector of N(0, dt) draws comes from its own stream
+    default_rng((seed, step)), so paths for different steps can be produced
+    in any order or in parallel, and a longer path extends a shorter one.
+    generate seeds the streams of many seeds and steps at once: it hashes
+    the SeedSequence state of every (seed, step) pair in one pass of uint32
+    array operations, which leaves each stream exactly as numpy draws it.
+    The increments (n_steps, K) fix both sizes.
     """
 
     seed: int
@@ -145,23 +163,154 @@ class WienerPath:
         return self.increments.shape[1]
 
     @classmethod
-    def generate(cls, seed: int, dt: float, K: int, n_steps: int) -> "WienerPath":
+    def generate(cls, seed: int | Sequence[int], dt: float, K: int, n_steps: int
+                 ) -> WienerPath | list[WienerPath]:
+        """The path of a seed, or with a sequence of seeds one path per seed.
+        Step n of seed s is the stream default_rng((s, n)) scaled by sqrt(dt).
+        The seed states of every (seed, step) pair are hashed at once
+        (_seed_states), and PCG64 seeds each stream from its state, so the
+        streams are numpy's bit for bit.  Raises ValueError for a negative
+        seed."""
         if not 0.0 < dt < np.inf:  # nan fails too
             raise ValueError(f"time step must be positive and finite, got {dt}")
-        inc = np.empty((n_steps, K))
-        for step in range(n_steps):
-            rng = np.random.default_rng((int(seed), int(step)))
-            inc[step] = rng.standard_normal(K) * np.sqrt(dt)
-        return cls(seed=seed, dt=dt, increments=inc)
+        batched = isinstance(seed, Sequence)
+        given = list(seed) if batched else [seed]
+        seeds = [int(s) for s in given]
+        for s in seeds:
+            if s < 0:
+                raise ValueError(f"seed must be a nonnegative integer, got {s}")
+        inc = np.empty((len(seeds), n_steps, K))
+        seed_state = _seed_state_type()
+        for out, words in zip(inc.reshape(len(seeds) * n_steps, K), _seed_states(seeds, n_steps)):
+            np.random.Generator(np.random.PCG64(seed_state(words))).standard_normal(out=out)
+        inc *= np.sqrt(dt)
+        paths = [cls(seed=s, dt=dt, increments=row) for s, row in zip(given, inc)]
+        return paths if batched else paths[0]
 
     def coarsen(self, factor: int) -> "WienerPath":
         """Aggregate consecutive increments; couples refinements of one path.
-        Raises ValueError for a factor that is not an integer >= 1."""
+        Raises ValueError for a factor that is not an integer >= 1 or does
+        not divide n_steps, so no fine increment is dropped."""
         if isinstance(factor, bool) or not isinstance(factor, Integral) or factor < 1:
             raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
-        n = (self.n_steps // factor) * factor
-        agg = self.increments[:n].reshape(-1, factor, self.K).sum(axis=1)
+        if self.n_steps % factor:
+            raise ValueError(f"factor {factor} does not divide the path's {self.n_steps} steps")
+        agg = self.increments.reshape(-1, factor, self.K).sum(axis=1)
         return WienerPath(seed=self.seed, dt=self.dt * factor, increments=agg)
+
+
+# SeedSequence (NEP 19), which default_rng(entropy) seeds PCG64 with, hashes
+# the uint32 entropy words into a pool of 4 words and hashes the pool again
+# into the state words that it hands to PCG64.
+_POOL = 4
+_MASK32 = 2 ** 32 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+@cache
+def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
+    """The running constant of count successive hashmix steps from start,
+    before and after each step's multiply: (2, count, 1) uint32."""
+    running = [start]
+    for _ in range(count):
+        running.append(running[-1] * mult & _MASK32)
+    out = np.array([running[:-1], running[1:]], dtype=np.uint32)[..., None]
+    out.flags.writeable = False
+    return out
+
+
+@cache
+def _mixing_constants(n_words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hashmix constants of mixing n_words >= _POOL entropy words into
+    the pool, in (2, rows, 1) columns: the first _POOL words; one round per
+    pool word src, in which the other words take the next constants in
+    order (row src takes an unused one); each further word."""
+    n_rounds = _POOL * (_POOL - 1)
+    const = _hash_constants(_INIT_A, _MULT_A, _POOL + n_rounds + (n_words - _POOL) * _POOL)
+    rounds = np.array([[_POOL + src * (_POOL - 1) + (dst - (dst > src) if dst != src else 0)
+                        for dst in range(_POOL)] for src in range(_POOL)])
+    tail = _POOL + n_rounds + np.arange((n_words - _POOL) * _POOL).reshape(-1, _POOL)
+    return const[:, :_POOL], const[:, rounds], const[:, tail]
+
+
+def _hashmix(values: np.ndarray, const: np.ndarray) -> np.ndarray:
+    out = values ^ const[0]
+    out *= const[1]
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> 16
+    return out
+
+
+def _seed_words(n: int) -> list[int]:
+    """The uint32 words of an integer n >= 0, least significant first (one
+    word for 0), as SeedSequence reads it."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_states(seeds: list[int], n_steps: int) -> np.ndarray:
+    """SeedSequence((s, n)).generate_state(4, np.uint64) for every seed
+    s >= 0 and step n < 2^32, seed by seed: shape (len(seeds) * n_steps, 4).
+
+    A pair's entropy is the words of s, then n.  The hash steps and their
+    constants depend only on the number of words, and SeedSequence hashes a
+    zero word into each pool word that the entropy does not fill, so the
+    pairs are hashed at once in groups of max(words, _POOL) words, short
+    ones padded with zeros."""
+    out = np.empty((len(seeds), n_steps, 4), dtype=np.uint64)
+    groups = {}
+    for row, s in enumerate(seeds):
+        words = _seed_words(s)
+        groups.setdefault(max(len(words) + 1, _POOL), []).append((row, words))
+    for n_words, members in groups.items():
+        rows, words = zip(*members)
+        padded = np.array([w + [0] * (n_words - len(w)) for w in words], dtype=np.uint32)
+        entropy = np.repeat(padded.T[:, :, None], n_steps, axis=2)  # (n_words, seeds, steps)
+        entropy[[len(w) for w in words], np.arange(len(rows))] = np.arange(n_steps, dtype=np.uint32)
+        entropy = entropy.reshape(n_words, -1)
+        first, rounds, tail = _mixing_constants(n_words)
+        pool = _hashmix(entropy[:_POOL], first)
+        for src in range(_POOL):
+            mixed = _mix(pool, _hashmix(pool[src], rounds[:, src]))
+            mixed[src] = pool[src]
+            pool = mixed
+        for word, const in zip(entropy[_POOL:], tail.swapaxes(0, 1)):
+            pool = _mix(pool, _hashmix(word, const))
+        # 8 state words cycle through the pool; read as little-endian pairs
+        state = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 8))
+        state = np.ascontiguousarray(state.T).astype("<u4", copy=False).view("<u8")
+        out[list(rows)] = state.reshape(len(rows), n_steps, 4)
+    return out.reshape(-1, 4)
+
+
+@cache
+def _seed_state_type() -> type:
+    """A stand-in for SeedSequence((s, n)) when PCG64 seeds itself, by its
+    one call generate_state(4, np.uint64), holding the words that
+    _seed_states computed for the pair.  numpy.random is imported here, at
+    the first path, rather than with the package: imported with the
+    package it raised the benchmark's peak RSS by about 0.5 MB."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedState
 
 
 def growth_bound_holds(model: NoiseModel, xi: np.ndarray) -> bool:

@@ -17,8 +17,9 @@ after a derivative as the product of the two symbols.  Between the pair,
 one batched matmul contracts the input component axes with the symbol,
 stored as one (in, out) matrix per half-spectrum bin.  The pair is
 a matmul per grid axis with a DFT matrix read from basis.fourier_table(M),
-the table that also builds the basis profiles: a real (2H, M) [cos; -sin]
-matrix takes the last axis to its H = M//2+1 half-spectrum bins, a complex
+the table that also builds the basis profiles: a real (M, 2H) [cos | -sin]
+matrix takes the last axis to its H = M//2+1 half-spectrum bins, reading
+the field grid last as component-major samples are stored, a complex
 (M, M) matrix each other axis; back, the inverse complex matrices and a
 real (M, 2H) matrix with bin weights 1, 2, ..., 2 (1 at an even grid's
 Nyquist bin), which equals irfftn.  On grids of a few dozen points per
@@ -94,15 +95,16 @@ def _half_symbol(symbol, n_in: int, d: int, M: int) -> np.ndarray:
 @functools.cache
 def _dft_matrices(M: int) -> tuple[np.ndarray, ...]:
     """Per-axis DFT matrices of an M-point axis, all read from fourier_table(M)
-    (H = M//2+1 half-spectrum bins): the real forward matrix (2H, M)
-    [cos; -sin], the complex forward and inverse matrices (M, M), and the real
-    c2r matrix (M, 2H) with bin weights 1, 2, ..., 2 (1 at an even grid's
-    Nyquist bin), so that it inverts the half spectrum as irfft does."""
+    (H = M//2+1 half-spectrum bins): the real forward matrix (M, 2H)
+    [cos | -sin], which multiplies from the right, the complex forward and
+    inverse matrices (M, M), and the real c2r matrix (M, 2H) with bin weights
+    1, 2, ..., 2 (1 at an even grid's Nyquist bin), so that it inverts the
+    half spectrum as irfft does."""
     table = fourier_table(M)  # [k, m] = exp(2 pi i k m / M)
     half = table[:M // 2 + 1]
     bins = np.arange(len(half))
     weight = np.where((bins == 0) | (2 * bins == M), 1.0, 2.0) / M
-    mats = (np.concatenate([half.real, -half.imag]), np.conj(table), table / M,
+    mats = (np.concatenate([half.real.T, -half.imag.T], axis=1), np.conj(table), table / M,
             np.concatenate([half.real.T * weight, -half.imag.T * weight], axis=1))
     for mat in mats:
         mat.flags.writeable = False
@@ -114,14 +116,20 @@ def _apply_symbol(space: GalerkinSpace, values: np.ndarray, symbol, n_in: int) -
     input component axes: the half spectrum by one matmul per grid axis, one
     batched matmul (G, B, I) @ (G, I, O) with the cached half-spectrum
     symbol that contracts the input axes bin by bin, the inverse matmuls;
-    shape (M^d, ..., *out).  Grid axis a is the middle axis of the
-    (M^a, M, -1) view, so no axis is moved."""
+    shape (M^d, ..., *out).  The first matmul reads the grid last, (..., M^d),
+    which is free for component-major samples (those of basis.synthesize and
+    of assemble_H) and one copy otherwise; the half spectrum is then written
+    grid first, (M^(d-1), H, ...), and grid axis a is the middle axis of the
+    (M^a, M, -1) view, so no further axis is moved."""
     d, M, H = space.d, space.M, space.M // 2 + 1
     r2c, fwd, inv, c2r = _dft_matrices(M)
     values = np.asarray(values, dtype=float)
-    pair = r2c @ values.reshape(M ** (d - 1), M, -1)  # (M^(d-1), 2H, -1): re; im
-    hat = np.empty((len(pair), H, pair.shape[-1]), dtype=complex)
-    hat.real, hat.imag = pair[:, :H], pair[:, H:]
+    rows = values.transpose(*range(1, values.ndim), 0).reshape(-1, M)  # (... M^(d-1), M)
+    pair = (rows @ r2c).reshape(-1, M ** (d - 1), 2 * H)  # (..., M^(d-1), 2H): re, im
+    hat = np.empty((M ** (d - 1), H, len(pair)), dtype=complex)
+    hat.real = pair[..., :H].transpose(1, 2, 0)
+    hat.imag = pair[..., H:].transpose(1, 2, 0)
+    del pair  # freed before the next matmul: it sets a chunk's peak
     for a in range(d - 1):
         hat = fwd @ hat.reshape(M ** a, M, -1)
     sym = _half_symbol(symbol, n_in, d, M)  # (G, I) + out
@@ -225,7 +233,8 @@ def assemble_H(
 ) -> np.ndarray:
     """Tensor flux H = H1 + H2 of the velocity equation at the coefficient
     rows coeffs (n, N) with samples v = synthesize(space, coeffs)
-    (M^d, n, d), stacked as (M^d, n, 2, d, d): H1 the stress part, H2
+    (M^d, n, d), stacked as (M^d, n, 2, d, d) in component-major memory
+    (n, 2, d, d, M^d), like the samples: H1 the stress part, H2
     convection plus the divergence-lifted stabilizer and the sampled body
     force (M^d, d) or None.  The monotone terms (stress and stabilizer) are
     taken at the rows implicit instead when given: C_{n+1} of the
@@ -233,31 +242,42 @@ def assemble_H(
     integrator steps with at that row's left point.
     """
     at = coeffs if implicit is None else implicit
-    h = np.empty(v.shape[:2] + (2, space.d, space.d))
+    n_pts, n = v.shape[:2]
+    h = np.empty((n, 2, space.d, space.d, n_pts)).transpose(4, 0, 1, 2, 3)
     h[:, :, 0] = eval_stress(params, symmetric_gradient(space, at))
-    h[:, :, 1] = -v[..., :, None] * v[..., None, :]
-
-    zero_order = np.zeros_like(v)
-    if params.alpha > 0.0:
-        zero_order += eval_stabilizer(params, v if implicit is None else synthesize(space, at))
+    # the zero-order terms alpha |v|^(q-2) v - f, lifted to a divergence
+    zero_order = np.zeros_like(v) if params.alpha == 0.0 else eval_stabilizer(
+        params, v if implicit is None else synthesize(space, at))
     if forcing is not None:
         zero_order -= forcing[:, None]
-    if np.any(zero_order):
-        h[:, :, 1] -= inverse_laplacian(space, zero_order, of="gradient")
+    lift = inverse_laplacian(space, zero_order, of="gradient") if np.any(zero_order) else 0.0
+    # H2 = -(v (x) v) - lift, formed in place
+    convection = h[:, :, 1]
+    np.multiply(v[..., :, None], v[..., None, :], out=convection)
+    np.negative(convection, out=convection)
+    convection -= lift
     return h
 
 
 def _noise_increments(space, model, v, increments):
     """sum_k Phi e_k dbeta_k at the velocity samples v (M^d, n, d) of n
-    steps, shape (M^d, n, d), and the noise norms sum_k int |Phi e_k|^2
-    (n,), both from the r <= d generator fields: with Phi e_k =
+    steps, step-major as (n, M^d, d), and the noise norms sum_k int
+    |Phi e_k|^2 (n,), both from the r <= d generator fields: with Phi e_k =
     sum_r U[r, k] G_r, the sum is sum_r G_r (U dbeta)_r and the norm
     sum_rs (U U^T)_rs int G_r . G_s."""
     gen, mix = generators(model, space.d)
     fields = apply_phi(gen, space, v)  # (r, M^d, n, d)
     gram = space.quad_weight * np.einsum("rxnd,sxnd->nrs", fields, fields)
     hs = np.einsum("nrs,rs->n", gram, mix @ mix.T)
-    return np.einsum("rxnd,nr->xnd", fields, increments @ mix.T), hs
+    return np.einsum("rxnd,nr->nxd", fields, increments @ mix.T), hs
+
+
+def _flux_norm_sq(h: np.ndarray) -> np.ndarray:
+    """|H1 + H2|^2 of a flux (M^d, n, 2, d, d), shape (n, M^d): one in-place
+    square of the sum and one contraction over the d^2 components."""
+    flux = h[:, :, 0] + h[:, :, 1]
+    flux *= flux
+    return np.einsum("xnk->nx", flux.reshape(flux.shape[:2] + (-1,)))
 
 
 def _chunks(space: GalerkinSpace, n_steps: int) -> list[slice]:
@@ -295,22 +315,25 @@ def decompose(traj: Trajectory) -> PressureDecomposition:
     pi_1, pi_2, H_sq = (np.zeros((n, n_pts)) for _ in range(3))
     pi_Phi = np.zeros((n + 1, n_pts))
     hs = np.zeros(n)
-    accum = np.zeros((n_pts, 1, space.d))  # sum_k Phi e_k dbeta_k up to the chunk
+    accum = np.zeros((n_pts, space.d))  # sum_k Phi e_k dbeta_k before the chunk
 
     for sl in _chunks(space, n):
         v = synthesize(space, traj.coeffs[sl])
         h = assemble_H(space, params, traj.coeffs[sl], v, forcing)
-        H_sq[sl] = np.sum((h[:, :, 0] + h[:, :, 1]) ** 2, axis=(-2, -1)).T
+        H_sq[sl] = _flux_norm_sq(h)
         pi = solve_pi_H(space, h)  # (M^d, n, 2)
         pi_1[sl], pi_2[sl] = pi[..., 0].T, pi[..., 1].T
         if model is not None and traj.increments is not None:
             dW, hs[sl] = _noise_increments(space, model, v, traj.increments[sl])
             if model.family == "linear":
                 continue  # a_k v is divergence-free: pi_Phi = 0, not round-off
-            # the running sum enters as the first row: additions in step order
-            accum = np.cumsum(np.concatenate([accum[:, -1:], dW], axis=1), axis=1)
+            # the running sum, step by step: additions in step order
+            dW[0] += accum
+            for step in range(1, len(dW)):
+                dW[step] += dW[step - 1]
+            accum = dW[-1]
             pi_Phi[sl.start + 1:sl.stop + 1] = inverse_laplacian(
-                space, accum[:, 1:], of="divergence").T
+                space, dW.transpose(1, 0, 2), of="divergence").T
 
     return PressureDecomposition(
         pi_h=solve_pi_h(space),
@@ -367,7 +390,7 @@ def weak_residual(traj: Trajectory, decomposition: PressureDecomposition,
         res += traj.dt * w * float(np.sum(h * grad_phi[:, None, None]))
         if model is not None and traj.increments is not None:
             dW, _ = _noise_increments(space, model, v, traj.increments[sl])
-            res -= w * float(np.sum(dW * test_field[:, None]))
+            res -= w * float(np.sum(dW * test_field))
     return abs(res)
 
 

@@ -293,6 +293,13 @@ def test_coupled_paths_refuse_a_bad_factor(factor):
         analysis.coupled_paths(1, 0.01, 4, 8, [factor, 2])
 
 
+@pytest.mark.parametrize("factors", [[1, 3], [16]])
+def test_coupled_paths_refuse_a_factor_that_does_not_divide_the_steps(factors):
+    # [1, 3, 16] used to return paths of 8, 2 and 0 steps
+    with pytest.raises(ValueError, match="does not divide the path's 8 steps"):
+        analysis.coupled_paths(1, 0.01, 4, 8, factors)
+
+
 def test_coupled_paths_are_consistent():
     paths = analysis.coupled_paths(3, 1e-3, 4, 120, [4, 2, 1])
     assert [p.n_steps for p in paths] == [30, 60, 120]

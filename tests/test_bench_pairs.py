@@ -38,6 +38,22 @@ def test_summary_counts_the_pairs_the_change_won():
     assert summary["ok_frac"]["change"]["median"] == pytest.approx(1.0)
 
 
+def test_summary_reports_a_resolved_gain():
+    # every change run beats every parent run on step_ms: a 45% gain, read
+    # off as -worse_by; on ok_frac the tie is no gain
+    step = [(10.0, 6.0), (9.0, 5.5), (11.0, 6.5), (12.0, 5.0)]
+    ok = [(1.0, 1.0)] * 4
+    summary = bench_pairs.summarize(_pairs(step, ok), METRICS)
+    assert summary["step_ms"]["all_better"] is True
+    assert -summary["step_ms"]["worse_by"] == pytest.approx((10.5 - 5.75) / 10.5)
+    assert summary["ok_frac"]["all_better"] is False and summary["ok_frac"]["worse_by"] == 0.0
+    # one change run slower than the fastest parent run: no longer all better
+    step[0] = (10.0, 9.5)
+    summary = bench_pairs.summarize(_pairs(step, ok), METRICS)
+    assert summary["step_ms"]["all_better"] is False
+    assert summary["step_ms"]["change_wins"] == 4
+
+
 @pytest.mark.parametrize("step, ok, worse_by, beyond, unresolved", [
     # step_ms 30% slower than a parent with no spread: beyond its 25% bound
     ([(10.0, 13.0)] * 4, [(1.0, 1.0)] * 4, (0.3, 0.0), (True, False), (False, False)),

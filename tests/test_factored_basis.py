@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from powerlaw_spde.basis import (
     analyze,
     analyze_gradient,
+    analyze_scalar,
     analyze_with_gradient,
     build_space,
     suggest_grid,
@@ -303,6 +304,48 @@ def test_diffusion_through_generators_matches_mode_fields(d, family, K, amplitud
     # the additive fields are constant and project to round-off
     scale = max(float(np.max(np.abs(want))), amplitude * float(np.max(model.per_mode_scale)))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@settings(max_examples=40)
+@given(d=st.sampled_from([2, 3]), n_modes=st.integers(1, 40), rows=st.integers(1, 8),
+       family=st.sampled_from(["additive", "smooth_norm"]), K=st.integers(1, 6),
+       amplitude=st.one_of(st.floats(0.1, 0.9), st.floats(1.1, 10.0), st.floats(-10.0, -0.1)),
+       seed=st.integers(0, 2 ** 16))
+# K below and above d, on pressure-2d's 8-row block
+@example(d=2, n_modes=64, rows=8, family="smooth_norm", K=16, amplitude=2.5, seed=0)
+@example(d=3, n_modes=20, rows=1, family="smooth_norm", K=2, amplitude=0.5, seed=1)
+def test_profile_sigma_matches_the_K_field_oracle(d, n_modes, rows, family, K, amplitude, seed):
+    # the additive and smooth_norm Sigma is amplitude a_k <s e_((k-1) mod d),
+    # w_n> from one moment product of the profile s per row; the oracle
+    # projects each of the K fields apply_phi forms
+    space = build_space(d, n_modes, suggest_grid(d, n_modes))
+    rng = np.random.default_rng(seed)
+    v = synthesize(space, 2.0 * rng.standard_normal((rows, space.N)) / np.sqrt(space.N))
+    model = NoiseModel(family=family, K=K, amplitude=amplitude)
+    want = np.swapaxes(analyze(space, np.moveaxis(apply_phi(model, space, v), 0, -2)), -1, -2)
+    got = assemble_diffusion(model, space, v)
+    assert got.shape == want.shape == (rows, space.N, K)
+    # a near-constant profile projects to round-off, so the bound scales
+    # with the largest field a_1 |amplitude| as well
+    scale = max(float(np.max(np.abs(want))), abs(amplitude) * model.per_mode_scale[0])
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    for row in range(rows):
+        # one moment product per row: a block's row is the row alone
+        assert np.array_equal(got[row], assemble_diffusion(model, space, v[:, row]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_analyze_scalar_is_the_analyze_of_each_axis(d):
+    space = make_space(d)
+    scalar = np.random.default_rng(d).standard_normal((space.M ** d, 3))
+    got = analyze_scalar(space, scalar)  # (3, d, N)
+    for j in range(d):
+        axis_field = np.zeros(scalar.shape + (d,))
+        axis_field[..., j] = scalar
+        assert_close(got[:, j], analyze(space, axis_field))
+    assert np.array_equal(analyze_scalar(space, scalar[:, 1]), got[1])
+    with pytest.raises(ValueError, match=r"not \(M\^d, \.\.\.\)"):
+        analyze_scalar(space, scalar[1:])
 
 
 def hessian_product(params, space, coeffs, dt):

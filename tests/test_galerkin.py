@@ -230,12 +230,14 @@ def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
     model = NoiseModel(family="smooth_norm", K=4)
     forcing = synthesize(space, np.eye(4)[1])
     counts = call_counter(galerkin, "synthesize", "velocity_gradient", "symmetric_gradient",
-                          "apply_phi", "assemble_diffusion", "stress_force", "eval_stress")
+                          "apply_phi", "analyze_scalar", "assemble_diffusion", "stress_force",
+                          "eval_stress")
     run_trajectory(Problem(params, space, model, forcing, np.array([1.0, 0.5, 0.0, 0.2]),
                            SdeStepConfig(dt=0.01), 7), seed=2)
     # the stress is evaluated once per Euler-Maruyama step, for stress_diss
-    # and the drift alike
-    assert counts == {**dict.fromkeys(counts, 7), "symmetric_gradient": 0}
+    # and the drift alike; the smooth_norm Sigma is projected from its
+    # profile, with no field of Phi(v) formed
+    assert counts == {**dict.fromkeys(counts, 7), "symmetric_gradient": 0, "apply_phi": 0}
 
 
 def test_step_with_noise_reproducible(advance):

@@ -12,7 +12,9 @@ from powerlaw_spde.noise import (
     growth_bound_holds,
     hilbert_schmidt_norm_sq,
     mode_decay_bound_holds,
+    profile,
 )
+from powerlaw_spde.noise import _all_g
 
 
 def test_model_validation():
@@ -51,6 +53,27 @@ def test_linear_family_vanishes_at_origin():
     assert np.all(apply_phi(model, space, zero)[1] == 0.0)
     space, xi = grid_values(3, [2.0, -4.0, 6.0])
     assert np.allclose(apply_phi(model, space, xi)[2], 2.0 ** -3 * xi)
+
+
+@pytest.mark.parametrize("family", ["additive", "smooth_norm"])
+@pytest.mark.parametrize("shape", [(25, 3, 2), (25, 2), (2,)])
+def test_profile_fields_are_the_profile_along_unit_vectors(family, shape):
+    # the fields are amplitude a_k s(xi) u_k with s = profile(model, xi)
+    model = NoiseModel(family=family, K=5, amplitude=-1.5)
+    xi = np.random.default_rng(0).standard_normal(shape)
+    got = _all_g(model, xi)
+    a = model.per_mode_scale.reshape((5,) + (1,) * xi.ndim)
+    u = np.eye(xi.shape[-1])[np.arange(5) % xi.shape[-1]].reshape((5,) + (1,) * (xi.ndim - 1) + (-1,))
+    s = np.sqrt(1.0 + np.sum(xi ** 2, axis=-1, keepdims=True)) if family == "smooth_norm" else 1.0
+    want = np.broadcast_to(a * model.amplitude * s * u, (5,) + xi.shape)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(profile(model, xi), np.broadcast_to(s, xi.shape[:-1] + (1,))[..., 0])
+
+
+def test_linear_family_has_no_profile():
+    with pytest.raises(ValueError, match="linear family has no scalar profile"):
+        profile(NoiseModel(family="linear"), np.zeros((4, 2)))
 
 
 def test_smooth_norm_family_value():
@@ -166,6 +189,39 @@ def test_wiener_streams_are_pinned(seed):
                           _PINNED_STEP_1[seed])
 
 
+@settings(max_examples=60)
+@given(seeds=st.lists(st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1),
+                                st.integers(2 ** 64, 2 ** 65)), min_size=1, max_size=6),
+       n_steps=st.integers(0, 7), K=st.integers(1, 5))
+def test_batched_seeding_keeps_every_stream(seeds, n_steps, K):
+    # seeds of one, two and three entropy words hashed in one call: each row
+    # is still the stream default_rng((seed, step)), and the single-seed path
+    dt = 0.04
+    paths = WienerPath.generate(seeds, dt, K, n_steps)
+    assert [p.seed for p in paths] == seeds
+    for seed, path in zip(seeds, paths):
+        assert path.increments.shape == (n_steps, K)
+        for step in range(n_steps):
+            want = np.random.default_rng((seed, step)).standard_normal(K) * np.sqrt(dt)
+            assert np.array_equal(path.increments[step], want)
+        assert np.array_equal(path.increments, WienerPath.generate(seed, dt, K, n_steps).increments)
+
+
+def test_batched_seeding_takes_any_seed_sequence():
+    # run_ensemble passes a range; seeds of four and more words hash apart
+    seeds = range(2 ** 96 - 1, 2 ** 96 + 2)
+    paths = WienerPath.generate(seeds, 0.01, 3, 2)
+    for seed, path in zip(seeds, paths):
+        want = np.random.default_rng((seed, 1)).standard_normal(3) * 0.1
+        assert np.array_equal(path.increments[1], want)
+
+
+@pytest.mark.parametrize("seed", [-1, [3, -2]])
+def test_generate_refuses_a_negative_seed(seed):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        WienerPath.generate(seed, 0.01, 2, 3)
+
+
 def test_increment_statistics():
     path = WienerPath.generate(1, 0.25, 4, 20000)
     inc = path.increments
@@ -190,6 +246,14 @@ def test_coarsen_refuses_a_factor_that_is_not_a_positive_integer(factor):
     # 0 used to divide by zero, -2 fail in a reshape and 2.5 in a slice
     with pytest.raises(ValueError, match="factor"):
         WienerPath.generate(3, 0.1, 5, 12).coarsen(factor)
+
+
+@pytest.mark.parametrize("n_steps, factor", [(10, 3), (4, 5)])
+def test_coarsen_refuses_a_factor_that_does_not_divide_the_steps(n_steps, factor):
+    # 10 // 3 used to drop the last fine increment (the coarse path ended at
+    # t = 0.9), and a factor above n_steps gave an empty path
+    with pytest.raises(ValueError, match=f"factor {factor} does not divide"):
+        WienerPath.generate(1, 0.1, 4, n_steps).coarsen(factor)
 
 
 def test_coarsen_by_one_keeps_the_path():

@@ -9,10 +9,11 @@ started from that checkout's root;
 the side that runs first flips on every pair, so a drift of the host does
 not favour one side. The JSON written to --out holds every run's end-to-end
 metrics, each metric's q1, median and q3 per side, the number of pairs the
-change won (ties count for neither side), whether the change's median is
-worse than the parent's by more than the metric's bound, whether the
-parent's spread is too wide to tell, and the machine record that run.py
-prints. Exits 1 if any run was not correct, after writing the file.
+change won (ties count for neither side), the change's median relative to
+the parent's (worse_by, so a gain reads as -worse_by), whether it is worse
+by more than the metric's bound, whether every change run beat every parent
+run, whether the parent's spread is too wide to tell, and the machine
+record that run.py prints. Exits 1 if any run was not correct, after writing the file.
 """
 from __future__ import annotations
 
@@ -42,10 +43,11 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     - worse_by: the change's median minus the parent's, relative to the
       parent's median and signed so that positive is worse;
     - beyond_bound: whether worse_by exceeds the metric's bound;
+    - all_better: whether every change run is strictly better than every
+      parent run;
     - unresolved: whether the parent's quartile spread, relative to its
       median, is wider than the bound, so that a move within the bound
-      cannot be told from noise; not so when every change run is better
-      than every parent run."""
+      cannot be told from noise; not so when all_better."""
     summary = {}
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
@@ -66,6 +68,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "pairs": len(pairs),
             "worse_by": worse_by,
             "beyond_bound": worse_by > metric["bound"],
+            "all_better": all_better,
             "unresolved": (pq["q3"] - pq["q1"]) / scale > metric["bound"] and not all_better,
         }
     return summary
