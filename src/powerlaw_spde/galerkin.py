@@ -23,12 +23,16 @@ bit-identical to the same seed run alone.  Row b holds seed b for the whole
 run: a row whose diagnostics or step fail records its first IntegratorError
 and rides on as a zero row, whose later values are thrown away, and the run
 stops once every row has failed.  The semi-implicit solve runs row by row on
-each row's own right-hand side.  A single trajectory is a block of one.
+each row's own right-hand side rhs, and its Newton starts from rhs plus the
+row's previous implicit increment C_n - rhs_(n-1), which equals dt times the
+implicit forces at C_n to within the Newton tolerance (from rhs at the first
+step and for a masked row).  A single trajectory is a block of one.
 
 A Problem names everything that fixes a run except its Wiener paths (the
 parameters, the span, the noise, the body force, the initial datum and
 the time grid) and checks once that its parts agree.  step advances rows
-of one from their left point, which it evaluates itself; run_trajectory
+of one from their left point, which it evaluates itself, and returns the
+implicit increments that start the next step's Newton; run_trajectory
 drives it along the paths, and each Trajectory carries its Problem for
 analysis and pressure.  The forces and Sigma keep their narrow arguments.
 """
@@ -228,13 +232,14 @@ def _newton_direction(params, space, dt, fields, grad, tol):
     return direction
 
 
-def _solve_implicit(params, space, rhs, dt, step_index):
-    # The fields are evaluated once per iterate: a trial accepted by the
-    # line search carries its fields and objective into the next iteration.
-    # Round-off grows with |rhs| in the gradient (|C| <= |rhs| at the
-    # minimizer) and with the value in the objective: both tests scale.
+def _solve_implicit(params, space, rhs, dt, step_index, start):
+    # Newton starts from start: rhs, or rhs plus the previous step's implicit
+    # increment.  The fields are evaluated once per iterate: a trial accepted
+    # by the line search carries its fields and objective into the next
+    # iteration.  Round-off grows with |rhs| in the gradient (|C| <= |rhs| at
+    # the minimizer) and with the value in the objective: both tests scale.
     tol = NEWTON_TOL * max(1.0, float(np.linalg.norm(rhs)))
-    coeffs = rhs.copy()
+    coeffs = start
     fields = _implicit_fields(params, space, coeffs)
     value = _implicit_objective(params, space, coeffs, rhs, dt, fields)
     for iteration in range(NEWTON_MAX_ITER + 1):
@@ -298,19 +303,33 @@ class Problem:
         return analyze(self.space, self.forcing)
 
 
-def step(problem: Problem, coeffs: np.ndarray, step_index: int, increments: np.ndarray | None
-         ) -> tuple[np.ndarray, np.ndarray, dict[int, IntegratorError]]:
+def step(problem: Problem, coeffs: np.ndarray, step_index: int, increments: np.ndarray | None,
+         predictor: np.ndarray | None = None
+         ) -> tuple[np.ndarray, np.ndarray, dict[int, IntegratorError], np.ndarray | None]:
     """One time step of the rows coeffs (B, N) of the problem, driven by this
     step's Brownian increments (B, K) (None without noise).  The left point
     v, grad v and S(eps(v)) is evaluated once and feeds the seven diagnostics
     (the Trajectory series, in field order), Sigma(C) dbeta and both
     schemes, which step from rhs = C + dt (convection + forcing) + Sigma dbeta.
+    The semi-implicit Newton of each row starts from rhs + predictor[row],
+    the previous step's implicit increment, or from rhs without one; the
+    Euler-Maruyama scheme takes no predictor.
 
-    Returns the new rows, the diagnostics (7, B) and an IntegratorError per
+    Returns the new rows, the diagnostics (7, B), an IntegratorError per
     failed row, keyed by batch row (non-finite diagnostics name a row before
-    its step does); a failed row of the result is meaningless.
+    its step does), and the implicit increments new - rhs (B, N) that
+    predict the next step (None under Euler-Maruyama); a failed row of the
+    result is meaningless.  Raises ValueError for a predictor under
+    Euler-Maruyama or of a shape other than (B, N).
     """
     params, space, model, forcing = problem.params, problem.space, problem.model, problem.forcing
+    implicit = problem.cfg.scheme == "semi_implicit"
+    if predictor is not None:
+        if not implicit:
+            raise ValueError("predictor: the euler_maruyama scheme has no implicit increment")
+        if np.shape(predictor) != coeffs.shape:
+            raise ValueError(f"predictor must have the shape {coeffs.shape} of the rows, "
+                             f"got {np.shape(predictor)}")
     dt, w = problem.cfg.dt, space.quad_weight
     grad = velocity_gradient(space, coeffs)
     eps = symmetric_part(grad)
@@ -335,13 +354,14 @@ def step(problem: Problem, coeffs: np.ndarray, step_index: int, increments: np.n
 
     errors = {}
     rhs = coeffs + dt * (convection_force(space, v) + problem.force_coeffs) + noise_part
-    if problem.cfg.scheme == "euler_maruyama":
+    if not implicit:
         new = rhs + dt * (stress_force(space, stress) + stabilizer_force(params, space, v))
     else:
         new = np.full_like(rhs, np.nan)
+        start = rhs if predictor is None else rhs + predictor
         for row, row_rhs in enumerate(rhs):
             try:
-                new[row] = _solve_implicit(params, space, row_rhs, dt, step_index)
+                new[row] = _solve_implicit(params, space, row_rhs, dt, step_index, start[row])
             except IntegratorError as exc:
                 errors[row] = exc
     # |C|^2 per row, also non-finite for any bad entry
@@ -349,7 +369,7 @@ def step(problem: Problem, coeffs: np.ndarray, step_index: int, increments: np.n
         errors.setdefault(int(row), IntegratorError("non-finite state", step_index))
     for row in np.flatnonzero(~np.all(np.isfinite(diagnostics), axis=0)):
         errors[int(row)] = IntegratorError("non-finite diagnostics", step_index)
-    return new, diagnostics, errors
+    return new, diagnostics, errors, new - rhs if implicit else None
 
 
 @dataclass
@@ -449,18 +469,21 @@ def run_trajectory(
     coeffs[:, 0] = problem.v0
     diagnostics = np.zeros((7, B, n_steps))
     errors: dict[int, IntegratorError] = {}  # the first error of each failed row
-    c = coeffs[:, 0]
+    c, predictor = coeffs[:, 0], None
     # a diverging row overflows quietly; at its first non-finite diagnostic
-    # or state it records an IntegratorError and rides on as a zero row
+    # or state it records an IntegratorError and rides on as a zero row,
+    # with no implicit increment to predict from
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            c, diagnostics[:, :, n], failed = step(
-                problem, c, n, None if increments is None else increments[:, n])
+            c, diagnostics[:, :, n], failed, predictor = step(
+                problem, c, n, None if increments is None else increments[:, n], predictor)
             for row, exc in failed.items():
                 errors.setdefault(row, exc)
             if len(errors) == B:
                 break
             c[list(errors)] = 0.0
+            if predictor is not None:
+                predictor[list(errors)] = 0.0
             coeffs[:, n + 1] = c
 
     times = cfg.dt * np.arange(n_steps + 1)

@@ -42,7 +42,7 @@ def advance():
             model, path = noise
             increments = path.increments[step_index][None]
         problem = Problem(params, space, model, forcing, coeffs, cfg, step_index + 1)
-        new, _, errors = step(problem, problem.v0[None], step_index, increments)
+        new, _, errors, _ = step(problem, problem.v0[None], step_index, increments)
         if errors:
             raise errors[0]
         return new[0]

@@ -203,12 +203,13 @@ def fail_seed(monkeypatch, seed, alpha=None, at=3):
         finally:
             batch["seeds"] = []
 
-    def failing_step(problem, coeffs, step_index, increments):
-        new, diagnostics, errors = inner_step(problem, coeffs, step_index, increments)
+    def failing_step(problem, coeffs, step_index, increments, predictor=None):
+        new, diagnostics, errors, predictor = inner_step(
+            problem, coeffs, step_index, increments, predictor)
         if (step_index == at and seed in batch["seeds"]
                 and alpha in (None, problem.params.alpha)):
             errors[batch["seeds"].index(seed)] = IntegratorError("injected", at, residual=0.5)
-        return new, diagnostics, errors
+        return new, diagnostics, errors, predictor
 
     monkeypatch.setattr(analysis, "run_trajectory", run)
     monkeypatch.setattr(galerkin, "step", failing_step)

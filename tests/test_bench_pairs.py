@@ -1,5 +1,6 @@
 """The summary of tools/bench_pairs.py on fixed numbers; no benchmark runs."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,24 @@ def test_no_pairs_is_refused_before_any_run(tmp_path, monkeypatch, pairs):
                           "--pairs", pairs, "--out", str(out)])
     assert exit_.value.code == 2
     assert runs == [] and not out.exists()
+
+
+def test_an_unknown_workload_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    # a typo in the second name must not wait for the first workload's
+    # pairs to run before it shows up as an incorrect run
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", str(_PATH.parents[1]), "--workloads", "simulate-si-3d",
+                          "pressure_2d", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "'pressure_2d'" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
+
+
+def test_every_benchmark_workload_is_known():
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    known = bench_pairs.workload_names()
+    assert [w["name"] for w in spec["workloads"] if w["name"] not in known] == []
+    assert "ensemble-em-2d" in known  # ungated, but bench_pairs runs it too

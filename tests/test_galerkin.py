@@ -400,11 +400,59 @@ def test_step_reproduces_each_recorded_step(scheme):
     coeffs, increments = (np.stack([getattr(row, name) for row in rows])
                           for name in ("coeffs", "increments"))
     series = np.stack([[getattr(row, name) for row in rows] for name in _SERIES[1:]])
+    predictor = None
     for n in range(problem.n_steps):
-        new, diagnostics, errors = galerkin.step(problem, coeffs[:, n], n, increments[:, n])
+        new, diagnostics, errors, predictor = galerkin.step(
+            problem, coeffs[:, n], n, increments[:, n], predictor)
         assert errors == {}
         assert np.array_equal(new, coeffs[:, n + 1])
         assert np.array_equal(diagnostics, series[:, :, n])
+
+
+def _predictor_problem(scheme):
+    space = make_space(8)
+    return Problem(ConstitutiveParams(p=1.6, alpha=0.1), space, None, None,
+                   0.8 * np.cos(np.arange(8.0)), SdeStepConfig(dt=0.01, scheme=scheme), 2)
+
+
+def test_euler_maruyama_step_refuses_a_predictor():
+    # the explicit scheme has no Newton start, so a predictor would be a
+    # silent no-op
+    problem = _predictor_problem("euler_maruyama")
+    rows = problem.v0[None]
+    assert galerkin.step(problem, rows, 0, None)[3] is None
+    with pytest.raises(ValueError, match="predictor"):
+        galerkin.step(problem, rows, 0, None, np.zeros_like(rows))
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 8), (1, 7), (1, 8, 1)])
+def test_semi_implicit_step_refuses_a_predictor_of_another_shape(shape):
+    problem = _predictor_problem("semi_implicit")
+    with pytest.raises(ValueError, match="predictor"):
+        galerkin.step(problem, problem.v0[None], 0, None, np.zeros(shape))
+
+
+@settings(max_examples=20)
+@given(d=st.sampled_from([2, 3]), p=st.floats(1.2, 3.0), alpha=st.sampled_from([0.0, 0.1]),
+       dt=st.floats(1e-3, 0.1), seed=st.integers(0, 2 ** 32 - 1))
+def test_predicted_newton_start_moves_rows_only_within_the_tolerance(d, p, alpha, dt, seed):
+    # the Newton start changes the iterates, not the minimizer: threading
+    # the previous implicit increment and starting every step from rhs agree
+    # to within the Newton tolerance on every recorded row
+    N = 8 if d == 2 else 12
+    space = build_space(d, N, suggest_grid(d, N))
+    v0 = np.random.default_rng(seed).standard_normal(N)
+    problem = Problem(ConstitutiveParams(p=p, alpha=alpha), space,
+                      NoiseModel(family="linear", K=4), None, v0,
+                      SdeStepConfig(dt=dt, scheme="semi_implicit"), 4)
+    threaded = run_trajectory(problem, seed=seed)
+    rows = threaded.coeffs[:1].copy()
+    for n in range(problem.n_steps):
+        new, _, errors, _ = galerkin.step(problem, rows[-1:], n, threaded.increments[n][None])
+        assert errors == {}
+        rows = np.concatenate([rows, new])
+    scale = np.maximum(1.0, np.linalg.norm(rows, axis=1))
+    assert np.all(np.linalg.norm(threaded.coeffs - rows, axis=1) <= 1e-9 * scale)
 
 
 def test_failing_row_is_masked():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerlaw_spde import cli, config
+from powerlaw_spde import cli, config, galerkin
 from powerlaw_spde.config import SimulationConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -110,3 +110,23 @@ def test_traced_workload_records_calls_in_every_named_span(runner, name, tmp_pat
     calls = {span: count for span, (_, count) in tracer.summary().items()}
     assert bench.failed == 0 and not bench.problems, bench.problems
     assert [span for span in WORKLOADS[name].called if not calls.get(span)] == []
+
+
+def test_simulate_si_3d_takes_one_newton_direction_per_step_after_the_first(
+        call_counter, monkeypatch):
+    # the Newton work of the benchmark's semi-implicit workload, by counts:
+    # the first step starts from rhs, every later one from rhs plus the
+    # previous implicit increment, which one Newton direction corrects
+    counts = call_counter(galerkin, "_newton_direction")
+    per_step, inner_step = [], galerkin.step
+
+    def counted_step(*args):
+        before = counts["_newton_direction"]
+        result = inner_step(*args)
+        per_step.append(counts["_newton_direction"] - before)
+        return result
+
+    monkeypatch.setattr(galerkin, "step", counted_step)
+    problem = SimulationConfig(**WORKLOADS["simulate-si-3d"].make_config(101)).build_problem()
+    galerkin.run_trajectory(problem, seed=101)
+    assert per_step == [2, 1, 1, 1, 1]

@@ -14,10 +14,12 @@ the parent's (worse_by, so a gain reads as -worse_by), whether it is worse
 by more than the metric's bound, whether every change run beat every parent
 run, whether the parent's spread is too wide to tell, and the machine
 record that run.py prints. Exits 1 if any run was not correct, after writing the file.
+A workload that perfbench/workloads.py does not define exits 2 before any run.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import statistics
 import subprocess
@@ -74,6 +76,17 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def workload_names() -> list[str]:
+    """The keys of WORKLOADS in this checkout's perfbench/workloads.py, read
+    without importing it."""
+    source = (CHANGE / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WORKLOADS" for t in node.targets):
+            return [key.value for key in node.value.keys]
+    raise LookupError("no WORKLOADS in perfbench/workloads.py")
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One --trace 0 run of perfbench/run.py in checkout root: (its result
     line with the exit code as "exit", its record line)."""
@@ -101,6 +114,11 @@ def main(argv=None) -> int:
         parser.error(f"no perfbench/run.py under --parent {args.parent}")
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    known = workload_names()
+    unknown = [name for name in args.workloads if name not in known]
+    if unknown:
+        parser.error(f"--workloads: no workload {', '.join(map(repr, unknown))} in "
+                     f"perfbench/workloads.py (known: {', '.join(known)})")
 
     spec = json.loads((CHANGE / "BENCHMARK.json").read_text())
     metrics, seconds = spec["end_to_end"], spec["run_seconds"]
