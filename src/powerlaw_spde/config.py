@@ -18,7 +18,7 @@ import numpy as np
 from .basis import FieldError, GalerkinSpace, build_space, check_modes, suggest_grid, synthesize
 from .constitutive import ConstitutiveParams
 from .galerkin import Problem, SdeStepConfig
-from .noise import NoiseModel
+from .noise import NoiseModel, check_seed
 
 SCHEMA_VERSION = 1
 
@@ -96,6 +96,7 @@ class SimulationConfig:
             self.q = self.build_params().q
             self.build_noise()
             self.build_step_config()
+            check_seed(self.seed)
         # N modes need (2 kmax + 1)^d >= N/(d-1) + 1 grid points: bound the
         # tables before the modes are enumerated
         self._check_size("N", "(R, M^d) basis table", self.N * (self.N // (self.d - 1) + 1))
@@ -128,8 +129,6 @@ class SimulationConfig:
                               f"must be a mode index in 1..N={self.N}, got {self.forcing_mode_index}")
         if self.n_traj < 1:
             raise ConfigError("n_traj", "need at least one trajectory")
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be nonnegative, got {self.seed}")
         if self.beta is not None and self.beta <= 0.0:
             raise ConfigError("beta", f"moment exponent must be positive, got {self.beta!r}")
         self._check_size("T_end", "(n_traj, n_steps + 1, N) coefficient history",

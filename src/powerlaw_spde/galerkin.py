@@ -66,7 +66,7 @@ from .constitutive import (
     stabilizer_potential,
     stress_potential,
 )
-from .noise import NoiseModel, WienerPath, apply_phi, generators, profile
+from .noise import NoiseModel, WienerPath, apply_phi, check_seed, generators, is_seed_sequence, profile
 
 SCHEMES = ("euler_maruyama", "semi_implicit")
 
@@ -209,13 +209,15 @@ def _implicit_hessian_product(params, space, dt, fields):
 def _newton_direction(params, space, dt, fields, grad, tol):
     """Inexact Newton direction: preconditioned CG on H d = -g from d = 0,
     with the Jacobi preconditioner 1 + dt nu0 lambda_k / 2 (the exact
-    diagonal of H for p = 2, alpha = 0, since int |eps(w_k)|^2 = lambda_k/2)
-    and the forcing term min(1e-8, sqrt|g|) of Dembo, Eisenstat & Steihaug.
+    diagonal of H for p = 2, alpha = 0, since int |eps(w_k)|^2 = lambda_k/2),
+    stopped at the residual 1e-8 |g|, or tol / 10 if larger.  That is the
+    forcing term min(1e-8, sqrt|g|) of Dembo, Eisenstat & Steihaug: Newton
+    calls this only while |g| > tol >= NEWTON_TOL, so sqrt|g| > 1e-5.
     Any truncated CG iterate is a descent direction."""
     hess = _implicit_hessian_product(params, space, dt, fields)
     precond = 1.0 + 0.5 * dt * params.nu0 * space.eigenvalues
     g_norm = float(np.linalg.norm(grad))
-    stop = max(min(1e-8, np.sqrt(g_norm)) * g_norm, 0.1 * tol)
+    stop = max(1e-8 * g_norm, 0.1 * tol)
     direction, resid = np.zeros_like(grad), -grad
     search = resid / precond
     rz = resid @ search
@@ -431,15 +433,16 @@ def run_trajectory(
     path), and must fit the problem's noise model, dt, K and n_steps
     (ValueError otherwise); the trajectory records the path's seed, and a
     seed given with it must equal it.  Without one the path is generated
-    from the seed.
-    With a sequence of seeds the trajectories from problem.v0 step in
-    lockstep, each on the path of its seed, and the result is a list with,
-    per seed, its Trajectory or the IntegratorError that ended it; a single
-    seed returns its Trajectory or raises.
+    from the seed.  Every recorded seed must pass noise.check_seed
+    (FieldError naming seed); None is a seed only without a noise model.
+    With a sequence of seeds (a str is not one) the trajectories from
+    problem.v0 step in lockstep, each on the path of its seed, and the
+    result is a list with, per seed, its Trajectory or the IntegratorError
+    that ended it; a single seed returns its Trajectory or raises.
     """
     model, cfg, n_steps = problem.model, problem.cfg, problem.n_steps
-    batched = isinstance(seed, Sequence)
-    seeds = list(seed) if batched else [seed]
+    batched = is_seed_sequence(seed)
+    seeds = [None if s is None else check_seed(s) for s in (seed if batched else [seed])]
     if batched and path is not None:
         raise ValueError("an explicit Wiener path drives a single trajectory")
     if model is None and path is not None:
@@ -452,7 +455,7 @@ def run_trajectory(
             if seed is not None and seed != path.seed:
                 raise ValueError(f"seed = {seed} differs from the explicit path's "
                                  f"seed = {path.seed}")
-            seeds = [path.seed]
+            seeds = [check_seed(path.seed)]
             # a coarsened path's dt, dt_fine * factor, may differ in the last bit
             if abs(path.dt - cfg.dt) > 1e-12 * cfg.dt:
                 raise ValueError(f"path dt = {path.dt} differs from the problem's dt = {cfg.dt}")

@@ -27,6 +27,9 @@ fields instead of K.  The other two families are amplitude a_k s(v)
 e_((k-1) mod d) with the scalar profile s (profile), so their diffusion
 needs no field at all: galerkin.assemble_diffusion projects s e_j from one
 moment product of s.
+
+WienerPath draws step n of seed s from the stream default_rng((s, n)), and
+every seed follows one rule, check_seed.
 """
 from __future__ import annotations
 
@@ -115,8 +118,6 @@ def _all_g(model: NoiseModel, xi: np.ndarray) -> np.ndarray:
     d = xi.shape[-1]
     u = np.eye(d)[np.arange(model.K) % d]
     u = u.reshape((model.K,) + (1,) * (xi.ndim - 1) + (d,))
-    if model.family == "additive":
-        return np.broadcast_to(a * model.amplitude * u, (model.K,) + xi.shape).copy()
     return a * model.amplitude * profile(model, xi)[..., None] * u
 
 
@@ -125,6 +126,19 @@ def apply_phi(model: NoiseModel, space: GalerkinSpace, values: np.ndarray) -> np
     samples of v, shape (M^d, ..., d) (batch axes between grid and component)."""
     check_samples(space, values)
     return _all_g(model, values)
+
+
+def check_seed(seed) -> int:
+    """The seed rule: a seed is an int or a numpy integer, not a bool, and
+    >= 0.  Returns it as an int; raises FieldError naming seed otherwise."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise FieldError("seed", f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
+def is_seed_sequence(seed) -> bool:
+    """Whether seed is a sequence of seeds; a str never is."""
+    return isinstance(seed, Sequence) and not isinstance(seed, str)
 
 
 def hilbert_schmidt_norm_sq(space: GalerkinSpace, phi_fields: np.ndarray) -> float:
@@ -139,9 +153,10 @@ class WienerPath:
     Each step's K-vector of N(0, dt) draws comes from its own stream
     default_rng((seed, step)), so paths for different steps can be produced
     in any order or in parallel, and a longer path extends a shorter one.
-    generate seeds the streams of many seeds and steps at once: it hashes
-    the SeedSequence state of every (seed, step) pair in one pass of uint32
-    array operations, which leaves each stream exactly as numpy draws it.
+    A seed is an int or a numpy integer, not a bool, and >= 0 (check_seed).
+    generate seeds the streams of many seeds and steps at once: it runs
+    SeedSequence's mix_entropy and generate_state loops on uint32 arrays of
+    (seed, step) pairs, which leaves each stream exactly as numpy draws it.
     The increments (n_steps, K) fix both sizes.
     """
 
@@ -165,26 +180,23 @@ class WienerPath:
     @classmethod
     def generate(cls, seed: int | Sequence[int], dt: float, K: int, n_steps: int
                  ) -> WienerPath | list[WienerPath]:
-        """The path of a seed, or with a sequence of seeds one path per seed.
-        Step n of seed s is the stream default_rng((s, n)) scaled by sqrt(dt).
-        The seed states of every (seed, step) pair are hashed at once
-        (_seed_states), and PCG64 seeds each stream from its state, so the
-        streams are numpy's bit for bit.  Raises ValueError for a negative
-        seed."""
+        """The path of a seed, or with a sequence of seeds (a str is not one)
+        one path per seed.  Step n of seed s is the stream
+        default_rng((s, n)) scaled by sqrt(dt).  Every seed must pass
+        check_seed before any draw (FieldError naming seed).  _seed_states
+        runs SeedSequence's hashing on every (seed, step) pair at once, and
+        PCG64 seeds each stream from its state, so the streams are numpy's
+        bit for bit."""
         if not 0.0 < dt < np.inf:  # nan fails too
             raise ValueError(f"time step must be positive and finite, got {dt}")
-        batched = isinstance(seed, Sequence)
-        given = list(seed) if batched else [seed]
-        seeds = [int(s) for s in given]
-        for s in seeds:
-            if s < 0:
-                raise ValueError(f"seed must be a nonnegative integer, got {s}")
+        batched = is_seed_sequence(seed)
+        seeds = [check_seed(s) for s in (seed if batched else [seed])]
         inc = np.empty((len(seeds), n_steps, K))
         seed_state = _seed_state_type()
         for out, words in zip(inc.reshape(len(seeds) * n_steps, K), _seed_states(seeds, n_steps)):
             np.random.Generator(np.random.PCG64(seed_state(words))).standard_normal(out=out)
         inc *= np.sqrt(dt)
-        paths = [cls(seed=s, dt=dt, increments=row) for s, row in zip(given, inc)]
+        paths = [cls(seed=s, dt=dt, increments=row) for s, row in zip(seeds, inc)]
         return paths if batched else paths[0]
 
     def coarsen(self, factor: int) -> "WienerPath":
@@ -200,46 +212,31 @@ class WienerPath:
 
 
 # SeedSequence (NEP 19), which default_rng(entropy) seeds PCG64 with, hashes
-# the uint32 entropy words into a pool of 4 words and hashes the pool again
-# into the state words that it hands to PCG64.
+# the uint32 entropy words into a pool of 4 words (mix_entropy), then the
+# pool into the state words that it hands to PCG64 (generate_state).
+# _seed_states runs both loops on arrays, one column per (seed, step) pair.
 _POOL = 4
 _MASK32 = 2 ** 32 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_OTHERS = [np.array([dst for dst in range(_POOL) if dst != src]) for src in range(_POOL)]
 
 
-@cache
-def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
-    """The running constant of count successive hashmix steps from start,
-    before and after each step's multiply: (2, count, 1) uint32."""
-    running = [start]
-    for _ in range(count):
-        running.append(running[-1] * mult & _MASK32)
-    out = np.array([running[:-1], running[1:]], dtype=np.uint32)[..., None]
-    out.flags.writeable = False
-    return out
-
-
-@cache
-def _mixing_constants(n_words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The hashmix constants of mixing n_words >= _POOL entropy words into
-    the pool, in (2, rows, 1) columns: the first _POOL words; one round per
-    pool word src, in which the other words take the next constants in
-    order (row src takes an unused one); each further word."""
-    n_rounds = _POOL * (_POOL - 1)
-    const = _hash_constants(_INIT_A, _MULT_A, _POOL + n_rounds + (n_words - _POOL) * _POOL)
-    rounds = np.array([[_POOL + src * (_POOL - 1) + (dst - (dst > src) if dst != src else 0)
-                        for dst in range(_POOL)] for src in range(_POOL)])
-    tail = _POOL + n_rounds + np.arange((n_words - _POOL) * _POOL).reshape(-1, _POOL)
-    return const[:, :_POOL], const[:, rounds], const[:, tail]
-
-
-def _hashmix(values: np.ndarray, const: np.ndarray) -> np.ndarray:
-    out = values ^ const[0]
-    out *= const[1]
-    out ^= out >> 16
-    return out
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix with its running constant: each call hashes
+    values broadcast to (rows, pairs), row by row as numpy does: value ^=
+    const; const = const * mult & _MASK32; value *= const; value ^= value >> 16."""
+    def hashmix(values: np.ndarray, rows: int) -> np.ndarray:
+        nonlocal const
+        running = [const]
+        for _ in range(rows):
+            running.append(running[-1] * mult & _MASK32)
+        const, running = running[-1], np.array(running, dtype=np.uint32)
+        out = (values ^ running[:-1, None]) * running[1:, None]
+        out ^= out >> 16
+        return out
+    return hashmix
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -263,35 +260,32 @@ def _seed_states(seeds: list[int], n_steps: int) -> np.ndarray:
     """SeedSequence((s, n)).generate_state(4, np.uint64) for every seed
     s >= 0 and step n < 2^32, seed by seed: shape (len(seeds) * n_steps, 4).
 
-    A pair's entropy is the words of s, then n.  The hash steps and their
-    constants depend only on the number of words, and SeedSequence hashes a
-    zero word into each pool word that the entropy does not fill, so the
-    pairs are hashed at once in groups of max(words, _POOL) words, short
-    ones padded with zeros."""
-    out = np.empty((len(seeds), n_steps, 4), dtype=np.uint64)
+    A pair's entropy is the words of s, then n.  The hash steps depend only
+    on the number of words, so the pairs of the seeds with one word count
+    are hashed at once; SeedSequence hashes a zero word into each pool word
+    that the entropy does not fill, so short entropy is padded with zeros."""
+    out = np.empty((len(seeds), n_steps, 2 * _POOL), dtype="<u4")
     groups = {}
     for row, s in enumerate(seeds):
         words = _seed_words(s)
-        groups.setdefault(max(len(words) + 1, _POOL), []).append((row, words))
-    for n_words, members in groups.items():
+        groups.setdefault(len(words), []).append((row, words))
+    for n_seed, members in groups.items():
         rows, words = zip(*members)
-        padded = np.array([w + [0] * (n_words - len(w)) for w in words], dtype=np.uint32)
-        entropy = np.repeat(padded.T[:, :, None], n_steps, axis=2)  # (n_words, seeds, steps)
-        entropy[[len(w) for w in words], np.arange(len(rows))] = np.arange(n_steps, dtype=np.uint32)
-        entropy = entropy.reshape(n_words, -1)
-        first, rounds, tail = _mixing_constants(n_words)
-        pool = _hashmix(entropy[:_POOL], first)
-        for src in range(_POOL):
-            mixed = _mix(pool, _hashmix(pool[src], rounds[:, src]))
-            mixed[src] = pool[src]
-            pool = mixed
-        for word, const in zip(entropy[_POOL:], tail.swapaxes(0, 1)):
-            pool = _mix(pool, _hashmix(word, const))
-        # 8 state words cycle through the pool; read as little-endian pairs
-        state = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 8))
-        state = np.ascontiguousarray(state.T).astype("<u4", copy=False).view("<u8")
-        out[list(rows)] = state.reshape(len(rows), n_steps, 4)
-    return out.reshape(-1, 4)
+        entropy = np.zeros((max(n_seed + 1, _POOL), len(rows), n_steps), dtype=np.uint32)
+        entropy[:n_seed] = np.array(words, dtype=np.uint32).T[:, :, None]
+        entropy[n_seed] = np.arange(n_steps)
+        entropy = entropy.reshape(len(entropy), -1)
+        # mix_entropy: each round hashes one pool word into the other three
+        hashmix = _hashmix(_INIT_A, _MULT_A)
+        pool = hashmix(entropy[:_POOL], _POOL)
+        for src, dst in enumerate(_OTHERS):
+            pool[dst] = _mix(pool[dst], hashmix(pool[src], len(dst)))
+        for word in entropy[_POOL:]:
+            pool = _mix(pool, hashmix(word, _POOL))
+        # generate_state: 8 state words cycle through the pool
+        state = _hashmix(_INIT_B, _MULT_B)(np.concatenate([pool, pool]), 2 * _POOL)
+        out[list(rows)] = state.T.reshape(len(rows), n_steps, 2 * _POOL)
+    return out.view("<u8").reshape(-1, 4)  # little-endian pairs of state words
 
 
 @cache

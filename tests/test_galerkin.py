@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powerlaw_spde import galerkin
-from powerlaw_spde.basis import build_space, suggest_grid, symmetric_gradient, synthesize
+from powerlaw_spde.basis import FieldError, build_space, suggest_grid, symmetric_gradient, synthesize
 from powerlaw_spde.constitutive import ConstitutiveParams, eval_stress
 from powerlaw_spde.galerkin import (
     SCHEMES,
@@ -489,6 +489,37 @@ def test_explicit_path_must_match_the_problem(path, field):
     # a longer path, or a coarsened one whose dt is dt_fine * factor, drives it
     run_trajectory(problem, seed=1, path=WienerPath.generate(1, 0.01, 4, 12))
     run_trajectory(problem, seed=1, path=WienerPath.generate(1, 0.01 / 3, 4, 30).coarsen(3))
+
+
+@pytest.mark.parametrize("seed", [2.9, -0.5, True, "12", [1, 2.5]])
+@pytest.mark.parametrize("noise", [True, False])
+def test_run_refuses_a_seed_that_is_not_a_nonnegative_integer(seed, noise):
+    # seed=2.9 returned seed 2's run labelled 2.9, and seed="12" iterated the
+    # str into two trajectories with seeds '1' and '2'; a run without noise
+    # records its seed too
+    problem = Problem(ConstitutiveParams(p=2.0), make_space(),
+                      NoiseModel(family="linear", K=4) if noise else None, None,
+                      np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.01), 3)
+    with pytest.raises(FieldError, match="seed must be a nonnegative integer") as info:
+        run_trajectory(problem, seed=seed)
+    assert info.value.field == "seed"
+
+
+def test_run_records_integer_seeds_and_none_only_without_noise():
+    space, v0 = make_space(), np.array([1.0, 0.0, 0.0, 0.0])
+    problem = Problem(ConstitutiveParams(p=2.0), space, NoiseModel(family="linear", K=4), None,
+                      v0, SdeStepConfig(dt=0.01), 3)
+    base = run_trajectory(problem, seed=5)
+    for seed in (np.int64(5), [np.int64(5)], range(5, 6)):
+        run = run_trajectory(problem, seed=seed)
+        run = run[0] if isinstance(run, list) else run
+        assert type(run.seed) is int and run.seed == 5
+        assert np.array_equal(run.coeffs, base.coeffs)
+    with pytest.raises(ValueError, match="need a seed"):
+        run_trajectory(problem)
+    quiet = Problem(ConstitutiveParams(p=2.0), space, None, None, v0, SdeStepConfig(dt=0.01), 3)
+    assert run_trajectory(quiet).seed is None
+    assert [t.seed for t in run_trajectory(quiet, seed=[None, 2])] == [None, 2]
 
 
 def test_hand_built_path_reports_its_shape():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from powerlaw_spde.basis import build_space, suggest_grid, synthesize
+from powerlaw_spde.basis import FieldError, build_space, suggest_grid, synthesize
 from powerlaw_spde.noise import (
     FAMILIES,
     NoiseModel,
@@ -189,13 +189,20 @@ def test_wiener_streams_are_pinned(seed):
                           _PINNED_STEP_1[seed])
 
 
+# seeds of 1 to 7 uint32 words: with the step word, up to 8 entropy words,
+# so seeds >= 2^96 hash words beyond SeedSequence's 4-word pool
+_SEEDS_BY_WORDS = st.one_of([st.integers(0, 2 ** 32 - 1)] + [
+    st.integers(2 ** (32 * w), 2 ** (32 * w + 32) - 1) for w in range(1, 7)])
+
+
 @settings(max_examples=60)
-@given(seeds=st.lists(st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1),
-                                st.integers(2 ** 64, 2 ** 65)), min_size=1, max_size=6),
+@given(seeds=st.lists(_SEEDS_BY_WORDS, min_size=1, max_size=6),
        n_steps=st.integers(0, 7), K=st.integers(1, 5))
+@example(seeds=[2 ** 96], n_steps=3, K=2)
+@example(seeds=[5, 2 ** 128 + 7, 2 ** 40 + 3], n_steps=3, K=2)
 def test_batched_seeding_keeps_every_stream(seeds, n_steps, K):
-    # seeds of one, two and three entropy words hashed in one call: each row
-    # is still the stream default_rng((seed, step)), and the single-seed path
+    # seeds of different word counts hashed in one call: each row is still
+    # the stream default_rng((seed, step)), and the single-seed path
     dt = 0.04
     paths = WienerPath.generate(seeds, dt, K, n_steps)
     assert [p.seed for p in paths] == seeds
@@ -220,6 +227,29 @@ def test_batched_seeding_takes_any_seed_sequence():
 def test_generate_refuses_a_negative_seed(seed):
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
         WienerPath.generate(seed, 0.01, 2, 3)
+
+
+@pytest.mark.parametrize("seed", [2.9, -0.5, np.float64(2.0), True, np.bool_(True), "12", None,
+                                  [3, 2.5], [0, "1"]])
+def test_generate_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # 2.9 and -0.5 were truncated to seeds 2 and 0, True ran as seed 1, and
+    # a str is a single (refused) seed, never a sequence of seeds
+    with pytest.raises(FieldError, match="seed must be a nonnegative integer") as info:
+        WienerPath.generate(seed, 0.01, 2, 2)
+    assert info.value.field == "seed"
+
+
+def test_generate_takes_numpy_integer_and_range_seeds():
+    base = WienerPath.generate(5, 0.01, 3, 2)
+    for seed in (np.int64(5), np.uint32(5)):
+        path = WienerPath.generate(seed, 0.01, 3, 2)
+        assert type(path.seed) is int and path.seed == 5
+        assert np.array_equal(path.increments, base.increments)
+    paths = WienerPath.generate(range(4, 7), 0.01, 3, 2)
+    assert [p.seed for p in paths] == [4, 5, 6]
+    assert np.array_equal(paths[1].increments, base.increments)
+    mixed = WienerPath.generate((np.int64(4), 5), 0.01, 3, 2)
+    assert np.array_equal(mixed[1].increments, base.increments)
 
 
 def test_increment_statistics():

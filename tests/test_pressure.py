@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from powerlaw_spde import galerkin, pressure
-from powerlaw_spde.basis import build_space, suggest_grid, symmetric_gradient, synthesize
+from powerlaw_spde.basis import analyze_gradient, build_space, suggest_grid, symmetric_gradient, synthesize
 from powerlaw_spde.constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
 from powerlaw_spde.galerkin import Problem, SdeStepConfig, run_trajectory
 from powerlaw_spde.noise import NoiseModel, apply_phi, hilbert_schmidt_norm_sq
+from test_galerkin import drift
 
 HELPERS = ("inverse_laplacian", "laplacian", "gradient_scalar",
            "divergence_vector", "div_div_tensor", "_field_gradient")
@@ -493,6 +494,27 @@ def test_flux_stress_is_the_integrators_stress(monkeypatch, scheme):
     h = pressure.assemble_H(space, params, rows, synthesize(space, rows), forcing,
                             traj.coeffs[1:])
     assert np.array_equal(h[:, :-1, 0], stress[:, 1:])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.3])
+def test_flux_is_the_integrators_drift(d, alpha):
+    # <H1 + H2, grad w_k> at the rows of an Euler-Maruyama trajectory is
+    # minus the drift that the step adds at those left points: H1 is the
+    # stress force, and H2 the convection with the stabilizer and the body
+    # force lifted to a divergence
+    space = build_space(d, 8, suggest_grid(d, 8))
+    params = ConstitutiveParams(p=1.8, alpha=alpha)
+    forcing = synthesize(space, 2.0 * np.eye(space.N)[1])
+    v0 = np.zeros(space.N)
+    v0[0], v0[2] = 1.0, 0.5
+    problem = Problem(params, space, NoiseModel(family="linear", K=8), forcing, v0,
+                      SdeStepConfig(dt=5e-3), 6)
+    rows = run_trajectory(problem, seed=3).coeffs[:-1]
+    h = pressure.assemble_H(space, params, rows, synthesize(space, rows), forcing)
+    flux = analyze_gradient(space, h[:, :, 0] + h[:, :, 1])
+    want = -np.stack([drift(params, space, row, forcing) for row in rows])
+    assert np.max(np.abs(flux - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_symbols_are_built_once_per_grid():
