@@ -2,7 +2,9 @@
 
 Every runner takes a galerkin.Problem and seeds; the two stabilization
 studies run the problem with its params.alpha replaced at each grid point,
-all of which are built before the first trajectory runs.
+all of which are built before the first trajectory runs.  A dt-refinement
+study runs its levels on common Wiener paths with galerkin.run_coupled and
+reads their orders with refinement_orders.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .basis import is_count
 from .galerkin import (
     IntegratorError,
     Problem,
@@ -17,7 +20,7 @@ from .galerkin import (
     interpolation_exponent,
     run_trajectory,
 )
-from .noise import WienerPath
+from .noise import check_seed
 
 
 def moment_exponent(p: float, d: int) -> float:
@@ -134,10 +137,13 @@ def run_ensemble(problem: Problem, base_seed: int, n_traj: int,
     {seed, step, residual, error} per seed whose row failed with
     IntegratorError and was masked (any other exception is a bug and
     propagates); raises EnsembleError when fewer than min_complete
-    trajectories complete.
+    trajectories complete.  Before any run, base_seed must pass
+    noise.check_seed (FieldError naming seed), and n_traj must be an integer
+    >= 1 (ValueError naming n_traj; a bool is not one).
     """
-    if n_traj < 1:
-        raise ValueError("need at least one trajectory")
+    base_seed = check_seed(base_seed)
+    if not is_count(n_traj, 1):
+        raise ValueError(f"n_traj must be an integer >= 1 of trajectories, got {n_traj!r}")
     seeds = range(base_seed, base_seed + n_traj)
     rows = run_trajectory(problem, seed=seeds)
     trajectories = [row for row in rows if isinstance(row, Trajectory)]
@@ -231,9 +237,3 @@ def refinement_orders(residuals: list[float]) -> list[float]:
     """Empirical convergence orders log2(r_i / r_{i+1}) for a dt-halving grid."""
     return [float(np.log2(a / b)) for a, b in zip(residuals[:-1], residuals[1:])]
 
-
-def coupled_paths(seed: int, dt_fine: float, K: int, n_fine: int, factors: list[int]) -> list[WienerPath]:
-    """One fine Wiener path and its coarsenings, for refinement studies.
-    Raises ValueError for a factor that does not divide n_fine."""
-    fine = WienerPath.generate(seed, dt_fine, K, n_fine)
-    return [fine.coarsen(f) for f in factors]

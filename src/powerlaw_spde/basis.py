@@ -49,6 +49,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -61,6 +62,11 @@ class FieldError(ValueError):
     def __init__(self, fld: str, message: str):
         super().__init__(message)
         self.field = fld
+
+
+def is_count(value, minimum: int = 0) -> bool:
+    """Whether value is an int or a numpy integer, not a bool, and >= minimum."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum
 
 
 @functools.cache

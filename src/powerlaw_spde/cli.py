@@ -88,8 +88,8 @@ def cmd_simulate(args) -> int:
                rows)
     _write_json(out / "coefficients.json", {
         "config": cfg.to_dict(),
-        "times": [float(t) for t in traj.times],
-        "coeffs": [[float(c) for c in row] for row in traj.coeffs],
+        "times": traj.times.tolist(),
+        "coeffs": traj.coeffs.tolist(),
     }, indent=None)
     cfg.dump(out / "config.json")
     return 0

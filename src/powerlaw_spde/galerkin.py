@@ -32,16 +32,17 @@ A Problem names everything that fixes a run except its Wiener paths (the
 parameters, the span, the noise, the body force, the initial datum and
 the time grid) and checks once that its parts agree.  step advances rows
 of one from their left point, which it evaluates itself, and returns the
-implicit increments that start the next step's Newton; run_trajectory
-drives it along the paths, and each Trajectory carries its Problem for
-analysis and pressure.  The forces and Sigma keep their narrow arguments.
+implicit increments that start the next step's Newton.  run_coupled drives
+it along each seed's Wiener path at one or more refinement levels, the
+coarser ones on sums of consecutive increments; run_trajectory is its level
+of factor 1.  Each Trajectory carries its Problem for analysis and
+pressure.  The forces and Sigma keep their narrow arguments.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .basis import (
     analyze_scalar,
     analyze_with_gradient,
     check_field,
+    is_count,
     symmetric_gradient,
     symmetric_part,
     synthesize,
@@ -286,9 +288,8 @@ class Problem:
     n_steps: int
 
     def __post_init__(self):
-        n_steps = self.n_steps
-        if isinstance(n_steps, bool) or not isinstance(n_steps, Integral) or n_steps < 0:
-            raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
+        if not is_count(self.n_steps):
+            raise ValueError(f"n_steps must be a nonnegative integer, got {self.n_steps!r}")
         N = self.space.N
         if self.forcing is not None:
             check_field(self.space, self.forcing, "forcing")
@@ -324,7 +325,7 @@ def step(problem: Problem, coeffs: np.ndarray, step_index: int, increments: np.n
     result is meaningless.  Raises ValueError for a predictor under
     Euler-Maruyama or of a shape other than (B, N).
     """
-    params, space, model, forcing = problem.params, problem.space, problem.model, problem.forcing
+    params, space, model = problem.params, problem.space, problem.model
     implicit = problem.cfg.scheme == "semi_implicit"
     if predictor is not None:
         if not implicit:
@@ -346,8 +347,9 @@ def step(problem: Problem, coeffs: np.ndarray, step_index: int, increments: np.n
     vel_rq[:] = w * _row_sums(vmag ** interpolation_exponent(params.p, space.d))
     if params.alpha > 0.0:
         stab_int[:] = params.alpha * w * _row_sums(vmag ** params.q)
-    if forcing is not None:
-        force_work[:] = w * _row_sums(forcing[:, None] * v)
+    if problem.forcing is not None:
+        # w sum f . v = C . (w sum f . w_k): analyze is linear
+        force_work[:] = coeffs @ problem.force_coeffs
     if model is not None:
         sigma = assemble_diffusion(model, space, v)  # (B, N, K)
         noise_part = (sigma @ increments[:, :, None])[..., 0]
@@ -422,85 +424,90 @@ def _row_sums(values: np.ndarray) -> np.ndarray:
     return np.sum(rows.reshape(len(rows), -1), axis=1)
 
 
-def run_trajectory(
-    problem: Problem,
-    seed: int | Sequence[int] | None = None,
-    path: WienerPath | None = None,
-) -> Trajectory | list[Trajectory | IntegratorError]:
-    """Integrate the Galerkin SDE and record the energy bookkeeping.
+def run_coupled(problem: Problem, seeds: Sequence[int | None], factors: Sequence[int]
+                ) -> list[list[Trajectory | IntegratorError]]:
+    """Integrate the Galerkin SDE at each refinement factor f on common
+    Wiener paths, recording the energy bookkeeping.
 
-    A path may be supplied directly (e.g. a coarsened refinement of a fine
-    path), and must fit the problem's noise model, dt, K and n_steps
-    (ValueError otherwise); the trajectory records the path's seed, and a
-    seed given with it must equal it.  Without one the path is generated
-    from the seed.  Every recorded seed must pass noise.check_seed
-    (FieldError naming seed); None is a seed only without a noise model.
-    With a sequence of seeds (a str is not one) the trajectories from
-    problem.v0 step in lockstep, each on the path of its seed, and the
-    result is a list with, per seed, its Trajectory or the IntegratorError
-    that ended it; a single seed returns its Trajectory or raises.
+    Each seed's path is drawn once at the problem's dt; level f steps the
+    problem at dt f for n_steps / f steps (the problem itself at f = 1) on
+    the sums of f consecutive increments, as in the refinement experiments
+    of Higham (SIAM Rev. 43, 2001).  At each level the rows of all seeds
+    step in lockstep from problem.v0.  Returns, per factor and per seed, its
+    Trajectory or the IntegratorError that ended it.  Raises before any
+    draw: ValueError for seeds that are not a nonempty sequence (a str is
+    not one), a None seed with a noise model, an empty factor list or a
+    factor that is not an integer >= 1 dividing n_steps; FieldError naming
+    seed for a seed that fails noise.check_seed.
     """
     model, cfg, n_steps = problem.model, problem.cfg, problem.n_steps
-    batched = is_seed_sequence(seed)
-    seeds = [None if s is None else check_seed(s) for s in (seed if batched else [seed])]
-    if batched and path is not None:
-        raise ValueError("an explicit Wiener path drives a single trajectory")
-    if model is None and path is not None:
-        raise ValueError("an explicit Wiener path needs a noise model; the problem has none")
-    increments = None
-    if model is not None:
-        if path is None and None in seeds:
-            raise ValueError("need a seed or an explicit Wiener path")
-        if path is not None:
-            if seed is not None and seed != path.seed:
-                raise ValueError(f"seed = {seed} differs from the explicit path's "
-                                 f"seed = {path.seed}")
-            seeds = [check_seed(path.seed)]
-            # a coarsened path's dt, dt_fine * factor, may differ in the last bit
-            if abs(path.dt - cfg.dt) > 1e-12 * cfg.dt:
-                raise ValueError(f"path dt = {path.dt} differs from the problem's dt = {cfg.dt}")
-            if path.K != model.K:
-                raise ValueError(f"path K = {path.K} differs from the model's K = {model.K}")
-            if path.n_steps < n_steps:
-                raise ValueError(f"path n_steps = {path.n_steps} is fewer than the "
-                                 f"problem's {n_steps}")
-        paths = [path] if path is not None else WienerPath.generate(seeds, cfg.dt, model.K, n_steps)
-        increments = np.stack([p.increments[:n_steps] for p in paths])  # (B, n, K)
-
+    if not is_seed_sequence(seeds) or len(seeds) == 0:
+        raise ValueError(f"seeds must be a nonempty sequence of seeds, got {seeds!r}")
+    seeds = [None if s is None else check_seed(s) for s in seeds]
+    if model is not None and None in seeds:
+        raise ValueError("need a seed for every path of a problem with noise")
+    if len(factors) == 0:
+        raise ValueError("factors: need at least one refinement factor")
+    for f in factors:
+        if not is_count(f, 1):
+            raise ValueError(f"factor must be an integer >= 1, got {f!r}")
+        if n_steps % f:
+            raise ValueError(f"factor {f} does not divide the problem's {n_steps} steps")
+    levels = [problem if f == 1 else replace(problem, cfg=replace(cfg, dt=cfg.dt * f),
+                                             n_steps=n_steps // f) for f in factors]
     B = len(seeds)
-    coeffs = np.empty((B, n_steps + 1, problem.space.N))
-    coeffs[:, 0] = problem.v0
-    diagnostics = np.zeros((7, B, n_steps))
-    errors: dict[int, IntegratorError] = {}  # the first error of each failed row
-    c, predictor = coeffs[:, 0], None
-    # a diverging row overflows quietly; at its first non-finite diagnostic
-    # or state it records an IntegratorError and rides on as a zero row,
-    # with no implicit increment to predict from
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            c, diagnostics[:, :, n], failed, predictor = step(
-                problem, c, n, None if increments is None else increments[:, n], predictor)
-            for row, exc in failed.items():
-                errors.setdefault(row, exc)
-            if len(errors) == B:
-                break
-            c[list(errors)] = 0.0
-            if predictor is not None:
-                predictor[list(errors)] = 0.0
-            coeffs[:, n + 1] = c
+    fine = None
+    if model is not None:
+        paths = WienerPath.generate(seeds, cfg.dt, model.K, n_steps)
+        fine = np.stack([p.increments for p in paths])  # (B, n_steps, K)
 
-    times = cfg.dt * np.arange(n_steps + 1)
-    results = [Trajectory(
-        problem=problem, times=times, coeffs=coeffs[row],
-        increments=None if increments is None else increments[row],
-        stress_diss=diagnostics[0, row], stab_int=diagnostics[1, row],
-        force_work=diagnostics[2, row], grad_lp=diagnostics[3, row],
-        vel_rq=diagnostics[4, row], mart=diagnostics[5, row], qv=diagnostics[6, row],
-        seed=seeds[row],
-    ) if row not in errors else errors[row] for row in range(B)]
+    results = []
+    for f, level in zip(factors, levels):
+        n_level = level.n_steps
+        increments = None if fine is None else fine.reshape(B, n_level, f, model.K).sum(axis=2)
+        coeffs = np.empty((B, n_level + 1, problem.space.N))
+        coeffs[:, 0] = problem.v0
+        diagnostics = np.zeros((7, B, n_level))
+        errors: dict[int, IntegratorError] = {}  # the first error of each failed row
+        c, predictor = coeffs[:, 0], None
+        # a diverging row overflows quietly; at its first non-finite diagnostic
+        # or state it records an IntegratorError and rides on as a zero row,
+        # with no implicit increment to predict from
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(n_level):
+                c, diagnostics[:, :, n], failed, predictor = step(
+                    level, c, n, None if increments is None else increments[:, n], predictor)
+                for row, exc in failed.items():
+                    errors.setdefault(row, exc)
+                if len(errors) == B:
+                    break
+                c[list(errors)] = 0.0
+                if predictor is not None:
+                    predictor[list(errors)] = 0.0
+                coeffs[:, n + 1] = c
+
+        times = level.cfg.dt * np.arange(n_level + 1)
+        results.append([Trajectory(
+            problem=level, times=times, coeffs=coeffs[row],
+            increments=None if increments is None else increments[row],
+            stress_diss=diagnostics[0, row], stab_int=diagnostics[1, row],
+            force_work=diagnostics[2, row], grad_lp=diagnostics[3, row],
+            vel_rq=diagnostics[4, row], mart=diagnostics[5, row], qv=diagnostics[6, row],
+            seed=seeds[row],
+        ) if row not in errors else errors[row] for row in range(B)])
+    return results
+
+
+def run_trajectory(problem: Problem, seed: int | Sequence[int] | None = None
+                   ) -> Trajectory | list[Trajectory | IntegratorError]:
+    """run_coupled at the factor 1 alone.  A single seed returns its
+    Trajectory or raises the IntegratorError that ended it; a sequence of
+    seeds (a str is not one) returns, per seed, its Trajectory or that
+    IntegratorError."""
+    batched = is_seed_sequence(seed)
+    (rows,) = run_coupled(problem, seed if batched else [seed], [1])
     if batched:
-        return results
-    if errors:
-        raise errors[0]
-    return results[0]
-
+        return rows
+    if isinstance(rows[0], IntegratorError):
+        raise rows[0]
+    return rows[0]

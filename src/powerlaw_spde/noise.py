@@ -36,11 +36,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from numbers import Integral
 
 import numpy as np
 
-from .basis import FieldError, GalerkinSpace, check_samples
+from .basis import FieldError, GalerkinSpace, check_samples, is_count
 
 FAMILIES = ("additive", "linear", "smooth_norm")
 
@@ -54,7 +53,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise FieldError("family", f"unknown noise family {self.family!r}")
-        if isinstance(self.K, bool) or not isinstance(self.K, Integral) or self.K < 1:
+        if not is_count(self.K, 1):
             raise FieldError("K", f"need an integer K >= 1 of Wiener modes, got {self.K!r}")
         if not np.isfinite(self.amplitude):
             raise FieldError("amplitude", f"noise amplitude must be finite, got {self.amplitude}")
@@ -131,7 +130,7 @@ def apply_phi(model: NoiseModel, space: GalerkinSpace, values: np.ndarray) -> np
 def check_seed(seed) -> int:
     """The seed rule: a seed is an int or a numpy integer, not a bool, and
     >= 0.  Returns it as an int; raises FieldError naming seed otherwise."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+    if not is_count(seed):
         raise FieldError("seed", f"seed must be a nonnegative integer, got {seed!r}")
     return int(seed)
 
@@ -186,9 +185,15 @@ class WienerPath:
         check_seed before any draw (FieldError naming seed).  _seed_states
         runs SeedSequence's hashing on every (seed, step) pair at once, and
         PCG64 seeds each stream from its state, so the streams are numpy's
-        bit for bit."""
+        bit for bit.  Before any draw, raises FieldError naming K unless it
+        is an integer >= 1, and naming n_steps unless it is an integer >= 0
+        (a bool is neither)."""
         if not 0.0 < dt < np.inf:  # nan fails too
             raise ValueError(f"time step must be positive and finite, got {dt}")
+        if not is_count(K, 1):
+            raise FieldError("K", f"need an integer K >= 1 of Wiener modes, got {K!r}")
+        if not is_count(n_steps):
+            raise FieldError("n_steps", f"n_steps must be a nonnegative integer, got {n_steps!r}")
         batched = is_seed_sequence(seed)
         seeds = [check_seed(s) for s in (seed if batched else [seed])]
         inc = np.empty((len(seeds), n_steps, K))
@@ -198,17 +203,6 @@ class WienerPath:
         inc *= np.sqrt(dt)
         paths = [cls(seed=s, dt=dt, increments=row) for s, row in zip(seeds, inc)]
         return paths if batched else paths[0]
-
-    def coarsen(self, factor: int) -> "WienerPath":
-        """Aggregate consecutive increments; couples refinements of one path.
-        Raises ValueError for a factor that is not an integer >= 1 or does
-        not divide n_steps, so no fine increment is dropped."""
-        if isinstance(factor, bool) or not isinstance(factor, Integral) or factor < 1:
-            raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
-        if self.n_steps % factor:
-            raise ValueError(f"factor {factor} does not divide the path's {self.n_steps} steps")
-        agg = self.increments.reshape(-1, factor, self.K).sum(axis=1)
-        return WienerPath(seed=self.seed, dt=self.dt * factor, increments=agg)
 
 
 # SeedSequence (NEP 19), which default_rng(entropy) seeds PCG64 with, hashes

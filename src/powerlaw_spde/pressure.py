@@ -57,11 +57,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .basis import GalerkinSpace, check_field, fourier_table, symmetric_gradient, synthesize
+from .basis import GalerkinSpace, check_field, fourier_table, is_count, symmetric_gradient, synthesize
 from .constitutive import ConstitutiveParams, eval_stabilizer, eval_stress
 from .galerkin import Trajectory
 from .noise import apply_phi, generators
@@ -371,8 +370,7 @@ def weak_residual(traj: Trajectory, decomposition: PressureDecomposition,
     check_field(space, test_field, "test_field")
     if t_index is None:
         t_index = traj.n_steps
-    integer = isinstance(t_index, Integral) and not isinstance(t_index, bool)
-    if not integer or not 0 <= t_index <= traj.n_steps:
+    if not is_count(t_index) or t_index > traj.n_steps:
         raise ValueError(f"t_index must be an integer in 0..{traj.n_steps}, got {t_index!r}")
     w = space.quad_weight
     grad_phi = _field_gradient(space, test_field)

@@ -13,8 +13,8 @@ from . import analysis, pressure, truncation
 from .basis import (analyze, build_space, suggest_grid, symmetric_gradient, symmetric_part,
                     synthesize, velocity_gradient)
 from .constitutive import ConstitutiveParams, growth_bounds_check, monotonicity_gap
-from .galerkin import Problem, SdeStepConfig, run_trajectory
-from .noise import NoiseModel, growth_bound_holds, mode_decay_bound_holds
+from .galerkin import Problem, SdeStepConfig, run_coupled
+from .noise import NoiseModel, WienerPath, growth_bound_holds, mode_decay_bound_holds
 
 
 def _check(name: str, tolerance: float, deviation: float) -> dict:
@@ -85,8 +85,8 @@ def suite_noise() -> list[dict]:
         ok2 = mode_decay_bound_holds(model, xi)
         checks.append(_check(f"linear_growth_{family}", 0.0, 0.0 if ok1 else 1.0))
         checks.append(_check(f"mode_decay_{family}", 0.0, 0.0 if ok2 else 1.0))
-    path_a = analysis.WienerPath.generate(5, 1e-2, 8, 50)
-    path_b = analysis.WienerPath.generate(5, 1e-2, 8, 50)
+    path_a = WienerPath.generate(5, 1e-2, 8, 50)
+    path_b = WienerPath.generate(5, 1e-2, 8, 50)
     checks.append(_check("path_reproducibility", 0.0,
                          float(np.max(np.abs(path_a.increments - path_b.increments)))))
     return checks
@@ -144,15 +144,13 @@ def suite_ito() -> list[dict]:
     model = NoiseModel(family="linear", K=8)
     v0 = np.zeros(4)
     v0[0] = 1.0
-    factors = [4, 2, 1]
-    residuals = np.zeros(3)
+    problem = Problem(params, space, model, None, v0, SdeStepConfig(dt=2.5e-3), 200)
     n_seeds = 16
-    for s in range(n_seeds):
-        paths = analysis.coupled_paths(100 + s, 2.5e-3, 8, 200, factors)
-        for i, (factor, path) in enumerate(zip(factors, paths)):
-            problem = Problem(params, space, model, None, v0,
-                              SdeStepConfig(dt=2.5e-3 * factor), 200 // factor)
-            traj = run_trajectory(problem, seed=100 + s, path=path)
+    # dt = 1e-2, 5e-3, 2.5e-3 on one Wiener path per seed
+    levels = run_coupled(problem, range(100, 100 + n_seeds), [4, 2, 1])
+    residuals = np.zeros(3)
+    for i, level in enumerate(levels):
+        for traj in level:
             residuals[i] += analysis.energy_identity_residual(traj)
     residuals /= n_seeds
     order = float(np.mean(analysis.refinement_orders(list(residuals))))

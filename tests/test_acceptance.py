@@ -20,6 +20,7 @@ from powerlaw_spde.constitutive import ConstitutiveParams, monotonicity_gap
 from powerlaw_spde.galerkin import (
     Problem,
     SdeStepConfig,
+    run_coupled,
     run_trajectory,
     trilinear_convection,
 )
@@ -112,15 +113,13 @@ def test_criterion_4_ito_energy_identity():
     forcing = None
     v0 = np.zeros(4)
     v0[0] = 1.0
-    factors = [4, 2, 1]  # dt = 1e-2, 5e-3, 2.5e-3 over [0, 0.5]
-    residuals = np.zeros(3)
     n_seeds = 32
-    for s in range(n_seeds):
-        paths = analysis.coupled_paths(100 + s, 2.5e-3, 8, 200, factors)
-        for i, (factor, path) in enumerate(zip(factors, paths)):
-            traj = run_trajectory(Problem(params, space, model, forcing, v0,
-                                          SdeStepConfig(dt=2.5e-3 * factor), 200 // factor),
-                                  seed=100 + s, path=path)
+    # dt = 1e-2, 5e-3, 2.5e-3 over [0, 0.5] on one Wiener path per seed
+    levels = run_coupled(Problem(params, space, model, forcing, v0, SdeStepConfig(dt=2.5e-3), 200),
+                         range(100, 100 + n_seeds), [4, 2, 1])
+    residuals = np.zeros(3)
+    for i, level in enumerate(levels):
+        for traj in level:
             residuals[i] += analysis.energy_identity_residual(traj)
     residuals /= n_seeds
     order = float(np.mean(analysis.refinement_orders(list(residuals))))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerlaw_spde import analysis, galerkin
-from powerlaw_spde.basis import build_space, suggest_grid, synthesize
+from powerlaw_spde.basis import FieldError, build_space, suggest_grid, synthesize
 from powerlaw_spde.constitutive import ConstitutiveParams
 from powerlaw_spde.galerkin import SCHEMES, IntegratorError, Problem, SdeStepConfig, run_trajectory
 from powerlaw_spde.noise import NoiseModel
@@ -59,15 +60,12 @@ def test_energy_identity_stochastic_half_order():
     model = NoiseModel(family="linear", K=8)
     forcing = None
     v0 = np.array([1.0, 0.0, 0.0, 0.0])
-    factors = [4, 2, 1]
-    residuals = np.zeros(3)
+    problem = Problem(params, space, model, forcing, v0, SdeStepConfig(dt=2.5e-3), 200)
     n_seeds = 24
-    for s in range(n_seeds):
-        paths = analysis.coupled_paths(100 + s, 2.5e-3, 8, 200, factors)
-        for i, (factor, path) in enumerate(zip(factors, paths)):
-            traj = run_trajectory(Problem(params, space, model, forcing, v0,
-                                          SdeStepConfig(dt=2.5e-3 * factor), 200 // factor),
-                                  seed=100 + s, path=path)
+    levels = galerkin.run_coupled(problem, range(100, 100 + n_seeds), [4, 2, 1])
+    residuals = np.zeros(3)
+    for i, level in enumerate(levels):
+        for traj in level:
             residuals[i] += analysis.energy_identity_residual(traj)
     residuals /= n_seeds
     orders = analysis.refinement_orders(list(residuals))
@@ -106,6 +104,23 @@ def test_run_ensemble_seeds_are_consecutive():
     assert np.array_equal(trajs[1].coeffs, single.coeffs)
     with pytest.raises(ValueError):
         analysis.ensemble_moments(problem, 7, 1)
+
+
+@pytest.mark.parametrize("base_seed", [2.5, True, -1])
+def test_run_ensemble_refuses_a_base_seed_that_breaks_the_seed_rule(base_seed, call_counter):
+    # 2.5 ended in a TypeError from range() and True ran seeds 1, 2 and 3
+    runs = call_counter(analysis, "run_trajectory")
+    with pytest.raises(FieldError, match="seed must be a nonnegative integer") as info:
+        analysis.run_ensemble(_study_problem(), base_seed, 3)
+    assert (info.value.field, runs) == ("seed", {"run_trajectory": 0})
+
+
+@pytest.mark.parametrize("n_traj", [2.5, True, 0, "3"])
+def test_run_ensemble_refuses_an_n_traj_that_is_not_a_positive_integer(n_traj, call_counter):
+    runs = call_counter(analysis, "run_trajectory")
+    with pytest.raises(ValueError, match="n_traj must be an integer >= 1"):
+        analysis.run_ensemble(_study_problem(), 0, n_traj)
+    assert runs == {"run_trajectory": 0}
 
 
 def test_deterministic_ensemble_has_zero_spread():
@@ -287,24 +302,46 @@ def test_refinement_orders():
     assert np.allclose(analysis.refinement_orders([1.0, 0.25]), [2.0])
 
 
-@pytest.mark.parametrize("factor", [0, -1, 1.5])
-def test_coupled_paths_refuse_a_bad_factor(factor):
-    # a factor <= 1 used to return the fine path
+def _study_problem(n_steps=8):
+    return Problem(ConstitutiveParams(p=2.0), make_space(), NoiseModel(family="linear", K=4),
+                   None, np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.01), n_steps)
+
+
+@pytest.mark.parametrize("factor", [0, -1, 1.5, 2.5, True])
+def test_coupled_paths_refuse_a_bad_factor(factor, call_counter):
+    # a factor <= 1 used to return the fine path; a bad factor anywhere in
+    # the list refuses the study before any level steps
+    steps = call_counter(galerkin, "step")
     with pytest.raises(ValueError, match="factor"):
-        analysis.coupled_paths(1, 0.01, 4, 8, [factor, 2])
+        galerkin.run_coupled(_study_problem(), [1, 2], [2, factor])
+    assert steps == {"step": 0}
 
 
 @pytest.mark.parametrize("factors", [[1, 3], [16]])
-def test_coupled_paths_refuse_a_factor_that_does_not_divide_the_steps(factors):
+def test_coupled_paths_refuse_a_factor_that_does_not_divide_the_steps(factors, call_counter):
     # [1, 3, 16] used to return paths of 8, 2 and 0 steps
-    with pytest.raises(ValueError, match="does not divide the path's 8 steps"):
-        analysis.coupled_paths(1, 0.01, 4, 8, factors)
+    steps = call_counter(galerkin, "step")
+    with pytest.raises(ValueError, match="does not divide the problem's 8 steps"):
+        galerkin.run_coupled(_study_problem(), [1], factors)
+    assert steps == {"step": 0}
 
 
-def test_coupled_paths_are_consistent():
-    paths = analysis.coupled_paths(3, 1e-3, 4, 120, [4, 2, 1])
-    assert [p.n_steps for p in paths] == [30, 60, 120]
-    assert np.allclose(paths[0].increments.sum(axis=0),
-                       paths[2].increments.sum(axis=0))
-    assert np.allclose(paths[1].increments[0],
-                       paths[2].increments[:2].sum(axis=0))
+@settings(max_examples=25)
+@given(data=st.data(), n_steps=st.integers(1, 12),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3))
+def test_coupled_paths_are_consistent(data, n_steps, seeds):
+    # each level steps at f dt on the sums of f consecutive increments of
+    # its seed's path, bit for bit, and every level ends at T
+    divisors = [f for f in range(1, n_steps + 1) if n_steps % f == 0]
+    factors = data.draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
+    problem = _study_problem(n_steps)
+    fine = galerkin.run_coupled(problem, seeds, [1])[0]
+    for f, level in zip(factors, galerkin.run_coupled(problem, seeds, factors)):
+        for traj, fine_traj in zip(level, fine):
+            assert traj.seed == fine_traj.seed
+            assert traj.dt == problem.cfg.dt * f and traj.n_steps == n_steps // f
+            for n in range(n_steps // f):
+                want = fine_traj.increments[n * f]
+                for k in range(1, f):
+                    want = want + fine_traj.increments[n * f + k]
+                assert np.array_equal(traj.increments[n], want)

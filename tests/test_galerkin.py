@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,10 +295,14 @@ def test_problem_refuses_an_n_steps_that_is_not_a_count(n_steps):
 
 def test_problem_runs_any_integer_count_of_steps():
     for n_steps in (0, np.int64(2)):
-        traj = run_trajectory(Problem(ConstitutiveParams(p=2.0), make_space(),
-                                      NoiseModel(family="linear"), None, np.ones(4),
-                                      SdeStepConfig(dt=0.01), n_steps), seed=1)
+        problem = Problem(ConstitutiveParams(p=2.0), make_space(), NoiseModel(family="linear"),
+                          None, np.ones(4), SdeStepConfig(dt=0.01), n_steps)
+        traj = run_trajectory(problem, seed=1)
         assert traj.coeffs.shape == (n_steps + 1, 4)
+        # every factor divides 0 steps; each level runs none
+        if n_steps == 0:
+            for (level,) in galerkin.run_coupled(problem, [1], [1, 2]):
+                assert level.coeffs.shape == (1, 4) and level.increments.shape == (0, 16)
 
 
 def test_interpolation_exponent():
@@ -332,22 +338,6 @@ def test_run_trajectory_deterministic_in_seed():
     assert np.array_equal(a.coeffs, b.coeffs)
     c = run_trajectory(problem, seed=5)
     assert not np.array_equal(a.coeffs, c.coeffs)
-
-
-def test_explicit_path_records_its_own_seed():
-    # the recorded seed is the one that drove the run: a path's seed, which
-    # a seed given with it must equal
-    space = make_space()
-    model = NoiseModel(family="linear", K=4)
-    problem = Problem(ConstitutiveParams(p=1.8), space, model, None,
-                      np.array([1.0, 0.5, 0.0, 0.0]), SdeStepConfig(dt=0.01), 10)
-    path = WienerPath.generate(7, 0.01, 4, 10)
-    with pytest.raises(ValueError, match="seed = 5 differs"):
-        run_trajectory(problem, seed=5, path=path)
-    by_seed = run_trajectory(problem, seed=7)
-    for traj in (run_trajectory(problem, path=path), run_trajectory(problem, seed=7, path=path)):
-        assert traj.seed == 7
-        assert np.array_equal(traj.coeffs, by_seed.coeffs)
 
 
 def test_noise_free_newtonian_energy_decay():
@@ -471,24 +461,6 @@ def test_failing_row_is_masked():
     for seed in (1, 2, 3):
         alone = run_trajectory(problem, seed=seed)
         assert np.array_equal(rows[seed].coeffs, alone.coeffs)
-    with pytest.raises(ValueError):  # an explicit path drives one trajectory
-        run_trajectory(problem, seed=[1, 2], path=WienerPath.generate(1, 1.0, 16, 20))
-
-
-@pytest.mark.parametrize("path, field", [
-    (WienerPath.generate(1, 1.0, 4, 10), "dt"),
-    (WienerPath.generate(1, 0.01, 4, 3), "n_steps"),
-    (WienerPath.generate(1, 0.01, 6, 10), "K"),
-], ids=["dt", "n_steps", "K"])
-def test_explicit_path_must_match_the_problem(path, field):
-    problem = Problem(ConstitutiveParams(p=2.0), make_space(),
-                      NoiseModel(family="linear", K=4), None,
-                      np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.01), 10)
-    with pytest.raises(ValueError, match=rf"path {field} = "):
-        run_trajectory(problem, seed=1, path=path)
-    # a longer path, or a coarsened one whose dt is dt_fine * factor, drives it
-    run_trajectory(problem, seed=1, path=WienerPath.generate(1, 0.01, 4, 12))
-    run_trajectory(problem, seed=1, path=WienerPath.generate(1, 0.01 / 3, 4, 30).coarsen(3))
 
 
 @pytest.mark.parametrize("seed", [2.9, -0.5, True, "12", [1, 2.5]])
@@ -523,26 +495,68 @@ def test_run_records_integer_seeds_and_none_only_without_noise():
 
 
 def test_hand_built_path_reports_its_shape():
-    # its sizes were fields of their own, free to contradict the increments:
-    # a 3-step path passed the checks and ended in an IndexError
+    # its sizes were fields of their own, free to contradict the increments
     path = WienerPath(seed=0, dt=0.01, increments=np.zeros((3, 4)))
     assert (path.n_steps, path.K) == (3, 4)
-    problem = Problem(ConstitutiveParams(p=2.0), make_space(),
-                      NoiseModel(family="linear", K=4), None,
-                      np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.01), 10)
-    with pytest.raises(ValueError, match="path n_steps = 3 is fewer"):
-        run_trajectory(problem, path=path)
-    with pytest.raises(ValueError, match="path K = 6 differs"):
-        run_trajectory(problem, path=WienerPath(0, 0.01, np.zeros((10, 6))))
     with pytest.raises(ValueError, match=r"increments must be \(n_steps, K\)"):
         WienerPath(0, 0.01, np.zeros(10))
 
 
-def test_explicit_path_without_noise_model_is_refused(call_counter):
-    # the path used to be ignored: the run took its steps without noise
-    problem = Problem(ConstitutiveParams(p=2.0), make_space(), None, None,
-                      np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.01), 10)
-    steps = call_counter(galerkin, "step")
-    with pytest.raises(ValueError, match="needs a noise model"):
-        run_trajectory(problem, path=WienerPath.generate(1, 0.01, 3, 10))
-    assert steps == {"step": 0}
+def _coupled_problem(model=NoiseModel(family="linear", K=4), n_steps=6):
+    return Problem(ConstitutiveParams(p=1.8, alpha=0.1), make_space(), model, None,
+                   np.array([1.0, 0.5, 0.0, 0.2]), SdeStepConfig(dt=0.01), n_steps)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_coupled_factor_one_is_run_trajectory(scheme):
+    problem = replace(_coupled_problem(), cfg=SdeStepConfig(dt=0.01, scheme=scheme))
+    (level,) = galerkin.run_coupled(problem, [4, 7], [1])
+    assert all(traj.problem is problem for traj in level)
+    for runs in ([run_trajectory(problem, seed=s) for s in (4, 7)],
+                 run_trajectory(problem, seed=[4, 7])):
+        for traj, run in zip(level, runs):
+            assert traj.seed == run.seed
+            for name in _SERIES + ("times", "increments"):
+                assert np.array_equal(getattr(traj, name), getattr(run, name)), name
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([2, 3]))
+def test_force_work_is_the_rows_against_the_projected_force(seed, d):
+    # step reads the body force only through Problem.force_coeffs:
+    # C . (w sum f . w_k) = w sum f . v for any sampled f, as analyze is linear
+    space = build_space(d, 8, suggest_grid(d, 8))
+    rng = np.random.default_rng(seed)
+    forcing = rng.standard_normal(space.points.shape)
+    rows = rng.standard_normal((3, 8))
+    problem = Problem(ConstitutiveParams(p=2.0), space, None, forcing, rows[0],
+                      SdeStepConfig(dt=0.01), 1)
+    force_work = galerkin.step(problem, rows, 0, None)[1][2]
+    terms = forcing[:, None] * synthesize(space, rows)  # (M^d, 3, d)
+    want = space.quad_weight * np.sum(terms, axis=(0, 2))
+    scale = space.quad_weight * np.sum(np.abs(terms), axis=(0, 2))
+    assert np.all(np.abs(force_work - want) <= 1e-13 * scale)
+
+
+def test_run_coupled_runs_a_noise_free_problem_with_seed_none():
+    problem = _coupled_problem(model=None)
+    levels = galerkin.run_coupled(problem, [None], [1, 2, 3])
+    assert [(traj.seed, traj.n_steps, traj.increments) for (traj,) in levels] == [
+        (None, 6, None), (None, 3, None), (None, 2, None)]
+    assert np.array_equal(levels[0][0].coeffs, run_trajectory(problem).coeffs)
+
+
+@pytest.mark.parametrize("seeds, factors, error, message", [
+    ([1], [], ValueError, "factors: need at least one"),
+    ([1, None], [1], ValueError, "need a seed"),
+    ([1, 2.5], [1], FieldError, "seed must be a nonnegative integer"),
+    ([-1], [2], FieldError, "seed must be a nonnegative integer"),
+    ([], [1], ValueError, "seeds must be a nonempty sequence"),
+    (3, [1], ValueError, "seeds must be a nonempty sequence"),
+], ids=["no_factor", "seed_none_with_noise", "float_seed", "negative_seed", "no_seed",
+        "seed_not_a_sequence"])
+def test_run_coupled_refuses_before_any_draw(seeds, factors, error, message, call_counter):
+    draws = call_counter(WienerPath, "generate")
+    with pytest.raises(error, match=message):
+        galerkin.run_coupled(_coupled_problem(), seeds, factors)
+    assert draws == {"generate": 0}

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from powerlaw_spde import noise
 from powerlaw_spde.basis import FieldError, build_space, suggest_grid, synthesize
+from powerlaw_spde.constitutive import ConstitutiveParams
+from powerlaw_spde.galerkin import Problem, SdeStepConfig, run_coupled
 from powerlaw_spde.noise import (
     FAMILIES,
     NoiseModel,
@@ -261,36 +264,62 @@ def test_increment_statistics():
     assert abs(corr) < 0.02
 
 
+def _coupled_problem(n_steps, model=NoiseModel(family="linear", K=5)):
+    return Problem(ConstitutiveParams(p=2.0), build_space(2, 4, suggest_grid(2, 4)), model,
+                   None, np.array([1.0, 0.0, 0.0, 0.0]), SdeStepConfig(dt=0.1), n_steps)
+
+
 def test_coarsen_aggregates_increments():
+    # run_coupled's level of factor 3 steps at 3 dt on the sums of three
+    # consecutive increments of the seed's path
     path = WienerPath.generate(3, 0.1, 5, 12)
-    coarse = path.coarsen(3)
+    (coarse,) = run_coupled(_coupled_problem(12), [3], [3])[0]
     assert coarse.n_steps == 4
-    assert abs(coarse.dt - 0.3) < 1e-15
-    assert np.allclose(coarse.increments[0], path.increments[:3].sum(axis=0))
+    assert coarse.dt == 0.1 * 3
+    assert np.array_equal(coarse.increments[0], path.increments[:3].sum(axis=0))
     # total displacement preserved
     assert np.allclose(coarse.increments.sum(axis=0), path.increments.sum(axis=0))
 
 
 @pytest.mark.parametrize("factor", [0, -2, 2.5, True])
-def test_coarsen_refuses_a_factor_that_is_not_a_positive_integer(factor):
-    # 0 used to divide by zero, -2 fail in a reshape and 2.5 in a slice
-    with pytest.raises(ValueError, match="factor"):
-        WienerPath.generate(3, 0.1, 5, 12).coarsen(factor)
+def test_coarsen_refuses_a_factor_that_is_not_a_positive_integer(factor, call_counter):
+    # 0 used to divide by zero, -2 fail in a reshape and 2.5 in a slice;
+    # the refusal comes before any draw
+    draws = call_counter(WienerPath, "generate")
+    with pytest.raises(ValueError, match="factor must be an integer >= 1"):
+        run_coupled(_coupled_problem(12), [3], [factor])
+    assert draws == {"generate": 0}
 
 
 @pytest.mark.parametrize("n_steps, factor", [(10, 3), (4, 5)])
-def test_coarsen_refuses_a_factor_that_does_not_divide_the_steps(n_steps, factor):
+def test_coarsen_refuses_a_factor_that_does_not_divide_the_steps(n_steps, factor, call_counter):
     # 10 // 3 used to drop the last fine increment (the coarse path ended at
     # t = 0.9), and a factor above n_steps gave an empty path
+    draws = call_counter(WienerPath, "generate")
     with pytest.raises(ValueError, match=f"factor {factor} does not divide"):
-        WienerPath.generate(1, 0.1, 4, n_steps).coarsen(factor)
+        run_coupled(_coupled_problem(n_steps), [1], [factor])
+    assert draws == {"generate": 0}
 
 
 def test_coarsen_by_one_keeps_the_path():
-    path = WienerPath.generate(3, 0.1, 5, 12)
-    same = path.coarsen(np.int64(1))
-    assert (same.seed, same.dt) == (path.seed, path.dt)
-    assert np.array_equal(same.increments, path.increments)
+    # the level of factor 1 is the problem itself on the generated path
+    problem = _coupled_problem(12)
+    (same,) = run_coupled(problem, [3], [np.int64(1)])[0]
+    assert (same.seed, same.problem) == (3, problem)
+    assert np.array_equal(same.increments, WienerPath.generate(3, 0.1, 5, 12).increments)
+
+
+@pytest.mark.parametrize("K, n_steps, field", [
+    (2.5, 3, "K"), (0, 3, "K"), (True, 3, "K"), (2, 2.0, "n_steps"), (2, -1, "n_steps"),
+    (2, True, "n_steps"),
+])
+def test_generate_refuses_sizes_that_are_not_counts(K, n_steps, field, monkeypatch):
+    # K = 2.5 and n_steps = 2.0 ended in numpy's TypeError, n_steps = -1 in a
+    # ValueError that named nothing, and K = 0 returned an empty path
+    monkeypatch.setattr(noise, "_seed_states", None)  # any draw would fail
+    with pytest.raises(FieldError, match=field) as info:
+        WienerPath.generate(1, 0.01, K, n_steps)
+    assert info.value.field == field
 
 
 def test_generate_rejects_bad_dt():
