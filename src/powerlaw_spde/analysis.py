@@ -208,9 +208,14 @@ def stabilization_convergence(problem: Problem, base_seed: int, n_traj: int,
                               m_grid: list[float]) -> list[dict]:
     """E||v^m - v^m'||^2_{L2(Q)} along consecutive m (alpha = 1/m) with
     shared seeds; a seed that failed at either m of a pair is left out of
-    its mean.  A grid of fewer than two points raises ValueError."""
+    its mean.  Before any run, raises ValueError naming m_grid for a grid
+    of fewer than two points or an entry m that is not finite and > 0 or
+    whose 1/m is not finite."""
     if len(m_grid) < 2:
         raise ValueError(f"m_grid: needs at least two values to compare, got {list(m_grid)}")
+    for m in m_grid:
+        if not (0.0 < m < np.inf and np.isfinite(1.0 / m)):
+            raise ValueError(f"m_grid: every m must be finite and > 0 with a finite 1/m, got {m!r}")
     problems = _with_alphas(problem, [1.0 / m for m in m_grid])
     runs = {m: run_ensemble(at_m, base_seed, n_traj) for m, at_m in zip(m_grid, problems)}
     rows = []

@@ -32,11 +32,13 @@ A Problem names everything that fixes a run except its Wiener paths (the
 parameters, the span, the noise, the body force, the initial datum and
 the time grid) and checks once that its parts agree.  step advances rows
 of one from their left point, which it evaluates itself, and returns the
-implicit increments that start the next step's Newton.  run_coupled drives
-it along each seed's Wiener path at one or more refinement levels, the
-coarser ones on sums of consecutive increments; run_trajectory is its level
-of factor 1.  Each Trajectory carries its Problem for analysis and
-pressure.  The forces and Sigma keep their narrow arguments.
+implicit increments that start the next step's Newton.  run_coupled draws
+the Brownian increments of all its seeds as one (B, n_steps, K) array
+(WienerPath.generate) and drives step along it at one or more refinement
+levels, the coarser ones on sums of consecutive increments;
+run_trajectory is its level of factor 1.  Each Trajectory carries its
+Problem for analysis and pressure.  The forces and Sigma keep their narrow
+arguments.
 """
 from __future__ import annotations
 
@@ -429,10 +431,11 @@ def run_coupled(problem: Problem, seeds: Sequence[int | None], factors: Sequence
     """Integrate the Galerkin SDE at each refinement factor f on common
     Wiener paths, recording the energy bookkeeping.
 
-    Each seed's path is drawn once at the problem's dt; level f steps the
-    problem at dt f for n_steps / f steps (the problem itself at f = 1) on
-    the sums of f consecutive increments, as in the refinement experiments
-    of Higham (SIAM Rev. 43, 2001).  At each level the rows of all seeds
+    The increments of every seed are drawn once at the problem's dt, as one
+    (B, n_steps, K) array; level f steps the problem at dt f for n_steps / f
+    steps (the problem itself at f = 1) on the sums of f consecutive
+    increments, as in the refinement experiments of Higham (SIAM Rev. 43,
+    2001).  At each level the rows of all seeds
     step in lockstep from problem.v0.  Returns, per factor and per seed, its
     Trajectory or the IntegratorError that ended it.  Raises before any
     draw: ValueError for seeds that are not a nonempty sequence (a str is
@@ -456,10 +459,7 @@ def run_coupled(problem: Problem, seeds: Sequence[int | None], factors: Sequence
     levels = [problem if f == 1 else replace(problem, cfg=replace(cfg, dt=cfg.dt * f),
                                              n_steps=n_steps // f) for f in factors]
     B = len(seeds)
-    fine = None
-    if model is not None:
-        paths = WienerPath.generate(seeds, cfg.dt, model.K, n_steps)
-        fine = np.stack([p.increments for p in paths])  # (B, n_steps, K)
+    fine = None if model is None else WienerPath.generate(seeds, cfg.dt, model.K, n_steps)
 
     results = []
     for f, level in zip(factors, levels):

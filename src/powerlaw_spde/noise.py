@@ -28,13 +28,14 @@ e_((k-1) mod d) with the scalar profile s (profile), so their diffusion
 needs no field at all: galerkin.assemble_diffusion projects s e_j from one
 moment product of s.
 
-WienerPath draws step n of seed s from the stream default_rng((s, n)), and
-every seed follows one rule, check_seed.
+WienerPath.generate draws the increments of a sequence of seeds as one
+(len(seeds), n_steps, K) array, step n of seed s from the stream
+default_rng((s, n)); every seed follows one rule, check_seed.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -145,64 +146,44 @@ def hilbert_schmidt_norm_sq(space: GalerkinSpace, phi_fields: np.ndarray) -> flo
     return float(space.quad_weight * np.sum(phi_fields ** 2))
 
 
-@dataclass(frozen=True)
 class WienerPath:
-    """Precomputed Brownian increments, reproducible from (seed, step, mode).
+    """Brownian increments, reproducible from (seed, step, mode).
 
     Each step's K-vector of N(0, dt) draws comes from its own stream
-    default_rng((seed, step)), so paths for different steps can be produced
-    in any order or in parallel, and a longer path extends a shorter one.
-    A seed is an int or a numpy integer, not a bool, and >= 0 (check_seed).
-    generate seeds the streams of many seeds and steps at once: it runs
-    SeedSequence's mix_entropy and generate_state loops on uint32 arrays of
-    (seed, step) pairs, which leaves each stream exactly as numpy draws it.
-    The increments (n_steps, K) fix both sizes.
+    default_rng((seed, step)), so steps can be produced in any order or in
+    parallel, and a longer run extends a shorter one.  A seed is an int or
+    a numpy integer, not a bool, and >= 0 (check_seed).  generate seeds the
+    streams of many seeds and steps at once: it runs SeedSequence's
+    mix_entropy and generate_state loops on uint32 arrays of (seed, step)
+    pairs, which leaves each stream exactly as numpy draws it.
     """
 
-    seed: int
-    dt: float
-    increments: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "increments", np.asarray(self.increments, dtype=float))
-        if self.increments.ndim != 2:
-            raise ValueError(f"increments must be (n_steps, K), got shape {self.increments.shape}")
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.increments.shape[1]
-
     @classmethod
-    def generate(cls, seed: int | Sequence[int], dt: float, K: int, n_steps: int
-                 ) -> WienerPath | list[WienerPath]:
-        """The path of a seed, or with a sequence of seeds (a str is not one)
-        one path per seed.  Step n of seed s is the stream
-        default_rng((s, n)) scaled by sqrt(dt).  Every seed must pass
-        check_seed before any draw (FieldError naming seed).  _seed_states
-        runs SeedSequence's hashing on every (seed, step) pair at once, and
-        PCG64 seeds each stream from its state, so the streams are numpy's
-        bit for bit.  Before any draw, raises FieldError naming K unless it
-        is an integer >= 1, and naming n_steps unless it is an integer >= 0
-        (a bool is neither)."""
+    def generate(cls, seeds: Sequence[int], dt: float, K: int, n_steps: int) -> np.ndarray:
+        """The increments of each seed of a sequence (a str is not one),
+        shape (len(seeds), n_steps, K): step n of seed s is the stream
+        default_rng((s, n)) scaled by sqrt(dt).  _seed_states runs
+        SeedSequence's hashing on every (seed, step) pair at once, and PCG64
+        seeds each stream from its state, so the streams are numpy's bit for
+        bit.  Before any draw, raises FieldError naming dt unless it is
+        positive and finite, K unless it is an integer >= 1, n_steps unless
+        it is an integer >= 0 (a bool is neither), seeds unless they are a
+        sequence and seed for a seed that fails check_seed."""
         if not 0.0 < dt < np.inf:  # nan fails too
-            raise ValueError(f"time step must be positive and finite, got {dt}")
+            raise FieldError("dt", f"time step must be positive and finite, got {dt}")
         if not is_count(K, 1):
             raise FieldError("K", f"need an integer K >= 1 of Wiener modes, got {K!r}")
         if not is_count(n_steps):
             raise FieldError("n_steps", f"n_steps must be a nonnegative integer, got {n_steps!r}")
-        batched = is_seed_sequence(seed)
-        seeds = [check_seed(s) for s in (seed if batched else [seed])]
+        if not is_seed_sequence(seeds):
+            raise FieldError("seeds", f"seeds must be a sequence of seeds, got {seeds!r}")
+        seeds = [check_seed(s) for s in seeds]
         inc = np.empty((len(seeds), n_steps, K))
         seed_state = _seed_state_type()
         for out, words in zip(inc.reshape(len(seeds) * n_steps, K), _seed_states(seeds, n_steps)):
             np.random.Generator(np.random.PCG64(seed_state(words))).standard_normal(out=out)
         inc *= np.sqrt(dt)
-        paths = [cls(seed=s, dt=dt, increments=row) for s, row in zip(seeds, inc)]
-        return paths if batched else paths[0]
+        return inc
 
 
 # SeedSequence (NEP 19), which default_rng(entropy) seeds PCG64 with, hashes
@@ -287,7 +268,7 @@ def _seed_state_type() -> type:
     """A stand-in for SeedSequence((s, n)) when PCG64 seeds itself, by its
     one call generate_state(4, np.uint64), holding the words that
     _seed_states computed for the pair.  numpy.random is imported here, at
-    the first path, rather than with the package: imported with the
+    the first draw, rather than with the package: imported with the
     package it raised the benchmark's peak RSS by about 0.5 MB."""
     from numpy.random.bit_generator import ISeedSequence
 

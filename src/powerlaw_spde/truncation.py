@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import GalerkinSpace, synthesize, velocity_gradient
+from .basis import GalerkinSpace, is_count, synthesize, velocity_gradient
 
 # quintic smoothstep 6t^5 - 15t^4 + 10t^3 on [0, 1]
 _SMOOTH = np.array([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
@@ -32,8 +32,8 @@ class TruncationFamily:
     L: int
 
     def __post_init__(self):
-        if self.L < 0:
-            raise ValueError("level count must be nonnegative")
+        if not is_count(self.L):
+            raise ValueError(f"L: the level count must be an integer >= 0, got {self.L!r}")
 
 
 def eval_psi(s) -> np.ndarray:

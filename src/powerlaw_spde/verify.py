@@ -85,10 +85,9 @@ def suite_noise() -> list[dict]:
         ok2 = mode_decay_bound_holds(model, xi)
         checks.append(_check(f"linear_growth_{family}", 0.0, 0.0 if ok1 else 1.0))
         checks.append(_check(f"mode_decay_{family}", 0.0, 0.0 if ok2 else 1.0))
-    path_a = WienerPath.generate(5, 1e-2, 8, 50)
-    path_b = WienerPath.generate(5, 1e-2, 8, 50)
-    checks.append(_check("path_reproducibility", 0.0,
-                         float(np.max(np.abs(path_a.increments - path_b.increments)))))
+    path_a = WienerPath.generate([5], 1e-2, 8, 50)
+    path_b = WienerPath.generate([5], 1e-2, 8, 50)
+    checks.append(_check("path_reproducibility", 0.0, float(np.max(np.abs(path_a - path_b)))))
     return checks
 
 

@@ -34,13 +34,14 @@ def call_counter(monkeypatch):
 def advance():
     """advance(params, space, coeffs, cfg, forcing=None, noise=None,
     step_index=0): galerkin.step from C = coeffs as a batch of one of the
-    Problem of these parts; noise is a (model, path) pair or None.  Raises
-    the row's IntegratorError if its step failed."""
+    Problem of these parts; noise is a (model, increments) pair, with the
+    (n_steps, K) increments of one seed, or None.  Raises the row's
+    IntegratorError if its step failed."""
     def run(params, space, coeffs, cfg, forcing=None, noise=None, step_index=0):
         model, increments = None, None
         if noise is not None:
             model, path = noise
-            increments = path.increments[step_index][None]
+            increments = path[step_index][None]
         problem = Problem(params, space, model, forcing, coeffs, cfg, step_index + 1)
         new, _, errors, _ = step(problem, problem.v0[None], step_index, increments)
         if errors:

@@ -196,7 +196,8 @@ def test_grid_studies_refuse_a_grid_with_no_row(monkeypatch):
                       np.zeros(4), SdeStepConfig(dt=0.01), 2)
     runs = []
     monkeypatch.setattr(analysis, "run_trajectory", lambda *a, **k: runs.append(a))
-    for m_grid in ([], [10.0]):
+    # [0.0, 1.0] divided by zero, and [1e-320, 1.0] was refused as alpha = inf
+    for m_grid in ([], [10.0], [0.0, 1.0], [1e-320, 1.0], [-1.0, 1.0], [np.nan, 1.0]):
         with pytest.raises(ValueError, match="m_grid"):
             analysis.stabilization_convergence(problem, 0, 2, m_grid)
     with pytest.raises(ValueError, match="alphas"):

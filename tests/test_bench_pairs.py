@@ -107,3 +107,41 @@ def test_every_benchmark_workload_is_known():
     known = bench_pairs.workload_names()
     assert [w["name"] for w in spec["workloads"] if w["name"] not in known] == []
     assert "ensemble-em-2d" in known  # ungated, but bench_pairs runs it too
+
+
+def _package_tree(root: Path, sources: dict[str, str]) -> Path:
+    package = root / "src" / "powerlaw_spde"
+    package.mkdir(parents=True)
+    for name, text in sources.items():
+        (package / name).write_text(text)
+    return root
+
+
+def test_source_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    # newline characters, as `wc -l src/powerlaw_spde/*.py` counts them: a
+    # last line without one does not count, and only the package's own
+    # modules do
+    parent = _package_tree(tmp_path / "parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3"})
+    change = _package_tree(tmp_path / "change", {"a.py": "x = 1\n", "README.md": "one\ntwo\n"})
+    (parent / "src" / "powerlaw_spde" / "sub").mkdir()
+    (parent / "src" / "powerlaw_spde" / "sub" / "c.py").write_text("w = 4\n")
+    (change / "tests").mkdir()
+    (change / "tests" / "test_a.py").write_text("\n" * 5)
+    assert bench_pairs.source_lines(parent) == 2
+    assert bench_pairs.source_lines(change) == 1
+
+
+def test_the_report_holds_both_source_line_counts(tmp_path, monkeypatch):
+    parent = _package_tree(tmp_path / "parent", {"a.py": "x = 1\ny = 2\n"})
+    (parent / "perfbench").mkdir()
+    (parent / "perfbench" / "run.py").write_text("")
+    spec = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda *args: ({"correct": True, "exit": 0, "metrics": metrics}, {}))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--workloads", "pressure-2d",
+                             "--pairs", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["source_lines"] == {"parent": 2,
+                                      "change": bench_pairs.source_lines(_PATH.parents[1])}

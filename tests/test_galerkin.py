@@ -245,7 +245,7 @@ def test_run_trajectory_evaluates_fields_once_per_step(call_counter):
 def test_step_with_noise_reproducible(advance):
     space = make_space()
     params = ConstitutiveParams(p=2.0)
-    noise = (NoiseModel(family="linear", K=4), WienerPath.generate(9, 0.01, 4, 3))
+    noise = (NoiseModel(family="linear", K=4), WienerPath.generate([9], 0.01, 4, 3)[0])
     cfg = SdeStepConfig(dt=0.01)
     c0 = np.array([1.0, 0.0, 0.0, 0.0])
     a = advance(params, space, c0, cfg, noise=noise, step_index=0)
@@ -492,14 +492,6 @@ def test_run_records_integer_seeds_and_none_only_without_noise():
     quiet = Problem(ConstitutiveParams(p=2.0), space, None, None, v0, SdeStepConfig(dt=0.01), 3)
     assert run_trajectory(quiet).seed is None
     assert [t.seed for t in run_trajectory(quiet, seed=[None, 2])] == [None, 2]
-
-
-def test_hand_built_path_reports_its_shape():
-    # its sizes were fields of their own, free to contradict the increments
-    path = WienerPath(seed=0, dt=0.01, increments=np.zeros((3, 4)))
-    assert (path.n_steps, path.K) == (3, 4)
-    with pytest.raises(ValueError, match=r"increments must be \(n_steps, K\)"):
-        WienerPath(0, 0.01, np.zeros(10))
 
 
 def _coupled_problem(model=NoiseModel(family="linear", K=4), n_steps=6):

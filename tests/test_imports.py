@@ -89,7 +89,7 @@ def test_all_lists_exactly_the_reexports():
 
 
 def test_numpy_random_loads_at_the_first_wiener_path():
-    # noise._seed_state_type imports numpy.random at the first path rather
+    # noise._seed_state_type imports numpy.random at the first draw rather
     # than with the package, which kept about 0.5 MB off the peak RSS of
     # every command: importing every module and building a noisy Problem
     # must leave it unloaded, in a fresh interpreter
@@ -105,8 +105,8 @@ from powerlaw_spde.galerkin import Problem, SdeStepConfig
 from powerlaw_spde.noise import NoiseModel, WienerPath
 Problem(ConstitutiveParams(p=2.0), build_space(2, 4, suggest_grid(2, 4)),
         NoiseModel(family="linear", K=4), None, np.ones(4), SdeStepConfig(dt=0.01), 3)
-assert "numpy.random" not in sys.modules, "numpy.random loaded before the first path"
-WienerPath.generate(0, 0.01, 4, 3)
+assert "numpy.random" not in sys.modules, "numpy.random loaded before the first draw"
+WienerPath.generate([0], 0.01, 4, 3)
 assert "numpy.random" in sys.modules
 """
     path = os.pathsep.join([str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))

@@ -158,17 +158,17 @@ def test_hilbert_schmidt_additive_is_field_independent():
 
 
 def test_path_reproducibility_and_order_independence():
-    a = WienerPath.generate(7, 1e-2, 8, 20)
-    b = WienerPath.generate(7, 1e-2, 8, 20)
-    assert np.array_equal(a.increments, b.increments)
+    (a,) = WienerPath.generate([7], 1e-2, 8, 20)
+    (b,) = WienerPath.generate([7], 1e-2, 8, 20)
+    assert np.array_equal(a, b)
     # per-step streams: regenerating a longer path leaves early steps intact
-    c = WienerPath.generate(7, 1e-2, 8, 40)
-    assert np.array_equal(c.increments[:20], a.increments)
-    other = WienerPath.generate(8, 1e-2, 8, 20)
-    assert not np.array_equal(other.increments, a.increments)
+    (c,) = WienerPath.generate([7], 1e-2, 8, 40)
+    assert np.array_equal(c[:20], a)
+    (other,) = WienerPath.generate([8], 1e-2, 8, 20)
+    assert not np.array_equal(other, a)
 
 
-# increments[1] of WienerPath.generate(seed, 0.25, 3, 2), as numpy 2.4 draws them
+# step 1 of WienerPath.generate([seed], 0.25, 3, 2), as numpy 2.4 draws it
 _PINNED_STEP_1 = {
     0: [0.051483840007180634, -0.49026358551513066, -0.40873916246115877],
     1: [0.26667693919247343, 0.621122838983272, 0.09093866315909939],
@@ -184,12 +184,11 @@ def test_wiener_streams_are_pinned(seed):
     # a faster draw must keep these streams, and a numpy release that moves
     # them fails here rather than shifting every stored result
     dt, K, n_steps = 0.01, 16, 5
-    path = WienerPath.generate(seed, dt, K, n_steps)
+    (path,) = WienerPath.generate([seed], dt, K, n_steps)
     for step in range(n_steps):
         want = np.random.default_rng((seed, step)).standard_normal(K) * np.sqrt(dt)
-        assert np.array_equal(path.increments[step], want)
-    assert np.array_equal(WienerPath.generate(seed, 0.25, 3, 2).increments[1],
-                          _PINNED_STEP_1[seed])
+        assert np.array_equal(path[step], want)
+    assert np.array_equal(WienerPath.generate([seed], 0.25, 3, 2)[0, 1], _PINNED_STEP_1[seed])
 
 
 # seeds of 1 to 7 uint32 words: with the step word, up to 8 entropy words,
@@ -205,16 +204,15 @@ _SEEDS_BY_WORDS = st.one_of([st.integers(0, 2 ** 32 - 1)] + [
 @example(seeds=[5, 2 ** 128 + 7, 2 ** 40 + 3], n_steps=3, K=2)
 def test_batched_seeding_keeps_every_stream(seeds, n_steps, K):
     # seeds of different word counts hashed in one call: each row is still
-    # the stream default_rng((seed, step)), and the single-seed path
+    # the stream default_rng((seed, step)), and the seed drawn alone
     dt = 0.04
     paths = WienerPath.generate(seeds, dt, K, n_steps)
-    assert [p.seed for p in paths] == seeds
+    assert paths.shape == (len(seeds), n_steps, K)
     for seed, path in zip(seeds, paths):
-        assert path.increments.shape == (n_steps, K)
         for step in range(n_steps):
             want = np.random.default_rng((seed, step)).standard_normal(K) * np.sqrt(dt)
-            assert np.array_equal(path.increments[step], want)
-        assert np.array_equal(path.increments, WienerPath.generate(seed, dt, K, n_steps).increments)
+            assert np.array_equal(path[step], want)
+        assert np.array_equal(path, WienerPath.generate([seed], dt, K, n_steps)[0])
 
 
 def test_batched_seeding_takes_any_seed_sequence():
@@ -223,41 +221,47 @@ def test_batched_seeding_takes_any_seed_sequence():
     paths = WienerPath.generate(seeds, 0.01, 3, 2)
     for seed, path in zip(seeds, paths):
         want = np.random.default_rng((seed, 1)).standard_normal(3) * 0.1
-        assert np.array_equal(path.increments[1], want)
+        assert np.array_equal(path[1], want)
 
 
 @pytest.mark.parametrize("seed", [-1, [3, -2]])
 def test_generate_refuses_a_negative_seed(seed):
     with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-        WienerPath.generate(seed, 0.01, 2, 3)
+        WienerPath.generate(seed if isinstance(seed, list) else [seed], 0.01, 2, 3)
 
 
 @pytest.mark.parametrize("seed", [2.9, -0.5, np.float64(2.0), True, np.bool_(True), "12", None,
                                   [3, 2.5], [0, "1"]])
 def test_generate_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
     # 2.9 and -0.5 were truncated to seeds 2 and 0, True ran as seed 1, and
-    # a str is a single (refused) seed, never a sequence of seeds
+    # a str in a block is a (refused) seed, never the number it spells
     with pytest.raises(FieldError, match="seed must be a nonnegative integer") as info:
-        WienerPath.generate(seed, 0.01, 2, 2)
+        WienerPath.generate(seed if isinstance(seed, list) else [seed], 0.01, 2, 2)
     assert info.value.field == "seed"
 
 
+@pytest.mark.parametrize("seeds", [7, np.int64(7), "12", None])
+def test_generate_refuses_seeds_that_are_not_a_sequence(seeds, monkeypatch):
+    # a single seed or a str (never a sequence of seeds) is refused before any draw
+    monkeypatch.setattr(noise, "_seed_states", None)  # any draw would fail
+    with pytest.raises(FieldError, match="seeds must be a sequence of seeds") as info:
+        WienerPath.generate(seeds, 0.01, 2, 2)
+    assert info.value.field == "seeds"
+
+
 def test_generate_takes_numpy_integer_and_range_seeds():
-    base = WienerPath.generate(5, 0.01, 3, 2)
+    base = WienerPath.generate([5], 0.01, 3, 2)
     for seed in (np.int64(5), np.uint32(5)):
-        path = WienerPath.generate(seed, 0.01, 3, 2)
-        assert type(path.seed) is int and path.seed == 5
-        assert np.array_equal(path.increments, base.increments)
+        assert np.array_equal(WienerPath.generate([seed], 0.01, 3, 2), base)
     paths = WienerPath.generate(range(4, 7), 0.01, 3, 2)
-    assert [p.seed for p in paths] == [4, 5, 6]
-    assert np.array_equal(paths[1].increments, base.increments)
+    assert paths.shape == (3, 2, 3)
+    assert np.array_equal(paths[1], base[0])
     mixed = WienerPath.generate((np.int64(4), 5), 0.01, 3, 2)
-    assert np.array_equal(mixed[1].increments, base.increments)
+    assert np.array_equal(mixed[1], base[0])
 
 
 def test_increment_statistics():
-    path = WienerPath.generate(1, 0.25, 4, 20000)
-    inc = path.increments
+    (inc,) = WienerPath.generate([1], 0.25, 4, 20000)
     assert abs(np.mean(inc)) < 0.005
     assert abs(np.var(inc) - 0.25) < 0.01
     corr = np.corrcoef(inc[:, 0], inc[:, 1])[0, 1]
@@ -272,13 +276,13 @@ def _coupled_problem(n_steps, model=NoiseModel(family="linear", K=5)):
 def test_coarsen_aggregates_increments():
     # run_coupled's level of factor 3 steps at 3 dt on the sums of three
     # consecutive increments of the seed's path
-    path = WienerPath.generate(3, 0.1, 5, 12)
+    (path,) = WienerPath.generate([3], 0.1, 5, 12)
     (coarse,) = run_coupled(_coupled_problem(12), [3], [3])[0]
     assert coarse.n_steps == 4
     assert coarse.dt == 0.1 * 3
-    assert np.array_equal(coarse.increments[0], path.increments[:3].sum(axis=0))
+    assert np.array_equal(coarse.increments[0], path[:3].sum(axis=0))
     # total displacement preserved
-    assert np.allclose(coarse.increments.sum(axis=0), path.increments.sum(axis=0))
+    assert np.allclose(coarse.increments.sum(axis=0), path.sum(axis=0))
 
 
 @pytest.mark.parametrize("factor", [0, -2, 2.5, True])
@@ -306,7 +310,7 @@ def test_coarsen_by_one_keeps_the_path():
     problem = _coupled_problem(12)
     (same,) = run_coupled(problem, [3], [np.int64(1)])[0]
     assert (same.seed, same.problem) == (3, problem)
-    assert np.array_equal(same.increments, WienerPath.generate(3, 0.1, 5, 12).increments)
+    assert np.array_equal(same.increments, WienerPath.generate([3], 0.1, 5, 12)[0])
 
 
 @pytest.mark.parametrize("K, n_steps, field", [
@@ -318,20 +322,23 @@ def test_generate_refuses_sizes_that_are_not_counts(K, n_steps, field, monkeypat
     # ValueError that named nothing, and K = 0 returned an empty path
     monkeypatch.setattr(noise, "_seed_states", None)  # any draw would fail
     with pytest.raises(FieldError, match=field) as info:
-        WienerPath.generate(1, 0.01, K, n_steps)
+        WienerPath.generate([1], 0.01, K, n_steps)
     assert info.value.field == field
 
 
 def test_generate_rejects_bad_dt():
     with pytest.raises(ValueError):
-        WienerPath.generate(0, 0.0, 4, 10)
+        WienerPath.generate([0], 0.0, 4, 10)
 
 
-@pytest.mark.parametrize("dt", [np.nan, np.inf])
-def test_generate_refuses_a_dt_that_is_not_positive_and_finite(dt):
-    # a nan dt used to give nan increments
-    with pytest.raises(ValueError, match="time step must be positive and finite"):
-        WienerPath.generate(0, dt, 2, 2)
+@pytest.mark.parametrize("dt", [-0.01, np.nan, np.inf])
+def test_generate_refuses_a_dt_that_is_not_positive_and_finite(dt, monkeypatch):
+    # a nan dt used to give nan increments; the refusal was a bare
+    # ValueError, where K and n_steps already named themselves
+    monkeypatch.setattr(noise, "_seed_states", None)  # any draw would fail
+    with pytest.raises(FieldError, match="time step must be positive and finite") as info:
+        WienerPath.generate([0], dt, 2, 2)
+    assert info.value.field == "dt"
 
 
 @settings(max_examples=60)

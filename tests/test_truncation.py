@@ -27,8 +27,17 @@ def test_profile_plateau_and_support():
 def test_profile_rejects_negative_argument():
     with pytest.raises(ValueError):
         eval_psi(-0.1)
-    with pytest.raises(ValueError):
-        TruncationFamily(L=-1)
+    # L = 2.5 used to end in a TypeError at the first eval_Psi_L, and L =
+    # True ran one level
+    for L in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="L: the level count must be an integer >= 0"):
+            TruncationFamily(L=L)
+
+
+def test_family_takes_a_numpy_integer_level_count():
+    s = np.linspace(0.0, 10.0, 11)
+    assert np.array_equal(eval_Psi_L(TruncationFamily(L=np.int64(2)), s),
+                          eval_Psi_L(TruncationFamily(L=2), s))
 
 
 def test_profile_derivative_bound():

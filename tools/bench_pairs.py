@@ -12,8 +12,10 @@ metrics, each metric's q1, median and q3 per side, the number of pairs the
 change won (ties count for neither side), the change's median relative to
 the parent's (worse_by, so a gain reads as -worse_by), whether it is worse
 by more than the metric's bound, whether every change run beat every parent
-run, whether the parent's spread is too wide to tell, and the machine
-record that run.py prints. Exits 1 if any run was not correct, after writing the file.
+run, whether the parent's spread is too wide to tell, the machine
+record that run.py prints, and each checkout's source_lines (the lines of
+its src/powerlaw_spde/*.py, as `wc -l` counts them). Exits 1 if any run
+was not correct, after writing the file.
 A workload that perfbench/workloads.py does not define exits 2 before any run.
 """
 from __future__ import annotations
@@ -76,6 +78,13 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def source_lines(root: Path) -> int:
+    """The total line count of root's src/powerlaw_spde/*.py, as `wc -l`
+    counts it (newline characters)."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (root / "src" / "powerlaw_spde").glob("*.py"))
+
+
 def workload_names() -> list[str]:
     """The keys of WORKLOADS in this checkout's perfbench/workloads.py, read
     without importing it."""
@@ -123,7 +132,9 @@ def main(argv=None) -> int:
     spec = json.loads((CHANGE / "BENCHMARK.json").read_text())
     metrics, seconds = spec["end_to_end"], spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": CHANGE}
-    report = {"seed": args.seed, "seconds": seconds, "machine": None, "workloads": {}}
+    report = {"seed": args.seed, "seconds": seconds, "machine": None,
+              "source_lines": {side: source_lines(root) for side, root in sides.items()},
+              "workloads": {}}
     correct = True
     for workload in args.workloads:
         pairs = []
